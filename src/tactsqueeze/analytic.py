@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .core import SQUEEZE_THEN_MEASURE
 from .errors import DomainError
 
 __all__ = [
@@ -46,7 +47,6 @@ class SqueezeFormulaResult:
 
 
 WHILE_MEASURING = "while_measuring"
-SQUEEZE_THEN_MEASURE = "squeeze_then_measure"
 UNSQUEEZED = "unsqueezed"
 
 

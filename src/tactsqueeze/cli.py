@@ -339,7 +339,10 @@ def run_sweep(cfg: dict, engine: str, out_path: str, workers: int,
                 rows.append(_run_point(task))
         else:
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_run_point, tasks, chunksize=1))
+                # one at a time, in index order: a failed task keeps the
+                # rows before it, as with one worker
+                for row in pool.map(_run_point, tasks, chunksize=1):
+                    rows.append(row)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         _write_csv(out_path, rows, comments, incomplete=True)

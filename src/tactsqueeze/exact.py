@@ -2,9 +2,12 @@
 
 State is a dense 2^N x 2^N density matrix.  Generators are the TACT
 squeezing Hamiltonian, a per-site depolarizing channel and an optional
-signal field.  Integration is classical fixed-step RK4 with automatic
-step halving against the channel invariants; a dense superoperator
-exponential is kept as an independent cross-check path for small N.
+signal field.  The Hamiltonian is built from the collective Pauli sums,
+H = J (Cx^2 - Cy^2); the depolarizer is applied through the single-qubit
+identity X A X + Y A Y + Z A Z = 2 Tr(A) I - A, i.e. one partial trace
+per site.  Integration is classical fixed-step RK4 with automatic step
+halving against the channel invariants; a dense superoperator exponential
+is kept as an independent cross-check path for small N.
 """
 
 from __future__ import annotations
@@ -102,17 +105,15 @@ def build_initial_state(n_spins: int, polarization_p: float,
 
 def tact_hamiltonian(n_spins: int, j_coupling: float,
                      n_cap: int = DEFAULT_N_CAP) -> np.ndarray:
-    """H = J sum_{i != j} (sx_i sx_j - sy_i sy_j), ordered pairs, both orders."""
+    """H = J sum_{i != j} (sx_i sx_j - sy_i sy_j), ordered pairs, both orders.
+
+    Built as J (Cx^2 - Cy^2) from the collective sums C = sum_i sigma_i:
+    the i = j terms sx_i^2 - sy_i^2 = I - I cancel.
+    """
     _check_cap(n_spins, n_cap)
-    dim = 2 ** n_spins
-    h = np.zeros((dim, dim), dtype=complex)
-    sx = [site_operator(SIGMA_X, i, n_spins) for i in range(n_spins)]
-    sy = [site_operator(SIGMA_Y, i, n_spins) for i in range(n_spins)]
-    for i in range(n_spins):
-        for j in range(n_spins):
-            if i != j:
-                h += j_coupling * (sx[i] @ sx[j] - sy[i] @ sy[j])
-    return h
+    cx = sum(site_operator(SIGMA_X, i, n_spins) for i in range(n_spins))
+    cy = sum(site_operator(SIGMA_Y, i, n_spins) for i in range(n_spins))
+    return j_coupling * (cx @ cx - cy @ cy)
 
 
 def field_hamiltonian(n_spins: int, b_field: float,
@@ -127,37 +128,27 @@ def field_hamiltonian(n_spins: int, b_field: float,
     return h
 
 
-# -- fast single-site Pauli conjugations (no matmuls) ------------------------
-
-def _z_sign_vector(site: int, n_spins: int) -> np.ndarray:
-    idx = np.arange(2 ** n_spins)
-    bit = (idx >> (n_spins - 1 - site)) & 1
-    return 1.0 - 2.0 * bit
-
-
-def _x_perm(site: int, n_spins: int) -> np.ndarray:
-    idx = np.arange(2 ** n_spins)
-    return idx ^ (1 << (n_spins - 1 - site))
-
-
 def apply_depolarizer(rho: np.ndarray, gamma: float,
                       n_spins: int | None = None) -> np.ndarray:
     """Depolarizing dissipator: Gamma sum_i (X r X + Y r Y + Z r Z) - 3 Gamma N r.
 
     The printed -3*Gamma*rho counter-term is read per site (trace
     preservation requires it).  The maximally mixed state is a fixed point.
-    Uses index permutations and sign patterns per site instead of matmuls.
+    Per site, X A X + Y A Y + Z A Z = 2 Tr(A) I - A holds for any 2x2 A
+    (Nielsen & Chuang, sec. 8.3.4), so the dissipator is
+    2 Gamma sum_i I_i (x) Tr_i rho - 4 Gamma N rho: one partial trace per
+    site, added back on both diagonal slices of that site.
     """
     if n_spins is None:
         n_spins = int(round(np.log2(rho.shape[0])))
-    out = -3.0 * gamma * n_spins * rho
+    out = -4.0 * gamma * n_spins * rho
     for i in range(n_spins):
-        s = _z_sign_vector(i, n_spins)
-        perm = _x_perm(i, n_spins)
-        z_conj = (s[:, None] * rho) * s[None, :]
-        # X r X + Y r Y = X (r + Z r Z) X, since Y = i X Z
-        x_pair = (rho + z_conj)[np.ix_(perm, perm)]
-        out = out + gamma * (z_conj + x_pair)
+        shape = (2 ** i, 2, 2 ** (n_spins - 1 - i))
+        r = rho.reshape(shape + shape)
+        o = out.reshape(shape + shape)
+        partial = 2.0 * gamma * (r[:, 0, :, :, 0, :] + r[:, 1, :, :, 1, :])
+        o[:, 0, :, :, 0, :] += partial
+        o[:, 1, :, :, 1, :] += partial
     return out
 
 
@@ -168,7 +159,9 @@ class Superoperator:
     """One Lindblad term: rho -> contribution to d rho / dt.
 
     kind is one of L1_squeeze, L2_depolarize, L3_field.  rate_bound is a
-    spectral-scale estimate used for step sizing.
+    spectral-scale estimate used for step sizing.  apply returns a new
+    array (never its argument or a cached buffer): evolve accumulates
+    generator outputs into it in place.
     """
 
     kind: str
@@ -286,11 +279,14 @@ def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float
         return rho.copy()
     ctl = step_control or StepControl()
     rate = sum(g.rate_bound for g in generators)
+    # complex state: from a real one the depolarizer returns a real array,
+    # which `out +=` cannot add a Hamiltonian term into
+    rho = np.asarray(rho, dtype=complex)
 
     def rhs(r):
         out = generators[0].apply(r)
         for g in generators[1:]:
-            out = out + g.apply(r)
+            out += g.apply(r)
         return out
 
     n_steps = max(ctl.min_steps, int(np.ceil(duration * rate / ctl.target_step_rate)))

@@ -173,6 +173,24 @@ class TestSweepDeterminism:
         with open(out1, "rb") as f1, open(out8, "rb") as f8:
             assert f1.read() == f8.read()
 
+    def test_failed_sweep_keeps_same_rows_for_any_worker_count(self, tmp_path):
+        # n_cap = 3 fails the N = 4 task: both worker counts keep the
+        # finished N = 2, 3 rows and mark the file incomplete
+        cfg = write_config(tmp_path, (
+            "[sweep]\naxis = n_spins 2 5 4 linear\n"
+            "[run]\nengine = exact\nn_cap = 3\n"))
+        outs = []
+        for workers in ("1", "2"):
+            out = str(tmp_path / f"w{workers}.csv")
+            assert cli.main(["sweep", "--config", cfg, "--out", out,
+                             "--workers", workers, "--no-timing"]) == 1
+            with open(out, "rb") as fh:
+                outs.append(fh.read())
+        assert outs[0] == outs[1]
+        comments, _, rows = read_rows(str(tmp_path / "w1.csv"))
+        assert [r["n_spins"] for r in rows] == ["2", "3"]
+        assert comments[-1] == "# INCOMPLETE"
+
     def test_two_axis_row_major_order(self, tmp_path):
         cfg = write_config(tmp_path, self.CONFIG)
         out = str(tmp_path / "o.csv")

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import expm
 
 from tactsqueeze import core, exact
@@ -78,6 +81,19 @@ class TestTactHamiltonian:
         gaussian = 0.5 * np.exp(-2 * kappa_t) * 2 * n * p
         assert min_var / gaussian == pytest.approx(1.0, abs=0.03)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("j", [0.3, -1.7, 1e-3])
+    def test_matches_ordered_pair_sum(self, n, j):
+        sx = [exact.site_operator(exact.SIGMA_X, i, n) for i in range(n)]
+        sy = [exact.site_operator(exact.SIGMA_Y, i, n) for i in range(n)]
+        pairs = np.zeros((2 ** n, 2 ** n), dtype=complex)
+        for i in range(n):
+            for k in range(n):
+                if i != k:
+                    pairs += j * (sx[i] @ sx[k] - sy[i] @ sy[k])
+        h = exact.tact_hamiltonian(n, j)
+        assert np.max(np.abs(h - pairs)) <= 1e-15 * abs(j)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_traceless_and_hermitian(self, n):
         h = exact.tact_hamiltonian(n, 0.11)
@@ -110,6 +126,24 @@ class TestDepolarizer:
         rho = random_hermitian_unit_trace(4)
         via_dense = (gen.dense() @ rho.flatten()).reshape(4, 4)
         np.testing.assert_allclose(gen.apply(rho), via_dense, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4),
+           gamma=st.floats(1e-3, 10.0, allow_nan=False))
+    def test_partial_trace_identity_on_any_operator(self, data, n, gamma):
+        # X A X + Y A Y + Z A Z = 2 Tr(A) I - A holds for any 2x2 A, so the
+        # partial-trace form must match the Pauli-sum superoperator on
+        # complex, non-Hermitian, non-unit-trace input too, contiguous
+        # or not (a transposed view)
+        dim = 2 ** n
+        parts = arrays(np.float64, (2, dim, dim),
+                       elements=st.floats(-1.0, 1.0, allow_nan=False))
+        re, im = data.draw(parts)
+        dense = exact.depolarize_generator(n, gamma).dense()
+        for a in (re + 1j * im, (re + 1j * im).T):
+            via_dense = (dense @ a.flatten()).reshape(dim, dim)
+            out = exact.apply_depolarizer(a, gamma, n)
+            assert np.max(np.abs(out - via_dense)) <= 1e-13 * gamma
 
 
 class TestEvolve:
@@ -145,6 +179,14 @@ class TestEvolve:
         a = exact.evolve(rho, gens, 0.7)
         b = exact.evolve_expm(rho, gens, 0.7)
         assert np.max(np.abs(a - b)) < 1e-8
+
+    def test_real_state_with_depolarizer_listed_first(self):
+        # the depolarizer keeps a real input real; the Hamiltonian term
+        # that follows it is complex
+        rho = exact.build_initial_state(3, 0.8)
+        gens = [exact.depolarize_generator(3, 0.3), exact.squeeze_generator(3, 0.2)]
+        np.testing.assert_array_equal(exact.evolve(rho.real, gens, 0.7),
+                                      exact.evolve(rho, gens, 0.7))
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_per_site_decay_law(self, n):
