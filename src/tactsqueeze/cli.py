@@ -31,7 +31,7 @@ PARAM_FIELDS = ["n_spins", "polarization_p", "j_coupling", "gamma",
 _KNOWN_KEYS = {
     "params": set(PARAM_FIELDS),
     "sweep": None,  # axis* keys, validated separately
-    "run": {"engine", "n_cap", "output", "workers", "theta_hi", "with_factorization"},
+    "run": {"engine", "n_cap", "with_factorization"},
     "verify": {"n_min", "n_max", "alpha", "gamma", "polarization_p", "t_squeeze"},
     "integrator": {"target_step_rate", "trace_tol", "hermiticity_tol",
                    "min_eigenvalue_tol", "max_refinements"},
@@ -150,7 +150,7 @@ def _step_control(cfg: dict) -> exact.StepControl:
 def _groups_columns(params: core.ProtocolParams) -> dict:
     g = core.derive_dimensionless(params)
     return {"theta": g.theta, "alpha": g.alpha, "alpha_infinite": g.alpha_infinite,
-            "u": g.u, "p_eff": g.p_eff}
+            "u": g.theta, "p_eff": g.p_eff}
 
 
 def _row_analytic(pdict: dict, opts: dict) -> dict:
@@ -238,14 +238,13 @@ def _row_optimize(pdict: dict, opts: dict) -> dict:
     row = dict(pdict)
     row.update(_groups_columns(p))
     g = core.derive_dimensionless(p)
-    theta_hi = opts.get("theta_hi", 10.0)
     if g.alpha_infinite:
         row.update({"theta_star": "", "xi2_at_theta_star": "", "u_star": "",
                     "snr_at_u_star": "", "improvement_factor": "",
                     "theta_at_boundary": "", "u_at_boundary": "",
                     "status": "alpha infinite (gamma = 0)"})
         return row
-    th = optimize.optimal_theta(g.alpha, p.polarization_p, theta_hi)
+    th = optimize.optimal_theta(g.alpha, p.polarization_p)
     row["theta_star"] = th.argmax
     row["xi2_at_theta_star"] = analytic.xi2_min_dimensionless(
         g.alpha, th.argmax, p.polarization_p).xi2
@@ -279,14 +278,19 @@ def _run_point(task: tuple) -> dict:
     index, pdict, engine, opts, timing = task
     start = time.perf_counter()
     row = {}
-    try:
-        for fn in _ENGINES[engine]:
-            row.update(fn(pdict, opts))
-    except ResourceLimitError:
-        raise
-    except TactError as exc:
-        row = dict(pdict)
-        row["status"] = str(exc)
+    violations = core.validate(core.ProtocolParams(**pdict))
+    if violations:
+        # codes joined by spaces: _write_csv does not quote fields
+        row = dict(pdict, status="invalid: " + " ".join(v.code for v in violations))
+    else:
+        try:
+            for fn in _ENGINES[engine]:
+                row.update(fn(pdict, opts))
+        except ResourceLimitError:
+            raise
+        except TactError as exc:
+            row = dict(pdict)
+            row["status"] = str(exc)
     if timing:
         row["wall_time"] = time.perf_counter() - start
     row["_index"] = index
@@ -325,7 +329,6 @@ def run_sweep(cfg: dict, engine: str, out_path: str, workers: int,
     written in grid-index order and is identical for any worker count."""
     grid = build_grid(cfg)
     opts = {"n_cap": int(cfg["run"].get("n_cap", exact.DEFAULT_N_CAP)),
-            "theta_hi": float(cfg["run"].get("theta_hi", 10.0)),
             "with_factorization": cfg["run"].get("with_factorization", "false")
             .lower() in ("1", "true", "yes"),
             "step_control": _step_control(cfg)}

@@ -69,16 +69,14 @@ class ProtocolParams:
 class DimensionlessGroups:
     """Derived dimensionless quantities used by the closed forms.
 
-    theta = 4*Gamma*T; u is the same quantity in its role as the
-    squeeze fraction of the split protocol; p_eff is the effective
-    polarization after depolarization.  alpha = J*N*P/(4*Gamma) is None
+    theta = 4*Gamma*T; p_eff is the effective polarization after
+    depolarization.  alpha = J*N*P/(4*Gamma) is None
     (with alpha_infinite set) when Gamma = 0: the noiseless case has no
     finite squeezing-to-noise ratio and callers branch explicitly.
     """
 
     theta: float
     alpha: float | None
-    u: float
     p_eff: float
     alpha_infinite: bool = False
 
@@ -113,7 +111,7 @@ def validate(params: ProtocolParams) -> list[Violation]:
 
 
 def derive_dimensionless(params: ProtocolParams, mode: str = SQUEEZE_ONLY) -> DimensionlessGroups:
-    """Compute Theta, alpha, U and the effective polarization.
+    """Compute Theta, alpha and the effective polarization.
 
     mode selects whether p_eff decays over the squeezing window only
     (``squeeze_only``) or over squeezing plus signal acquisition
@@ -128,7 +126,7 @@ def derive_dimensionless(params: ProtocolParams, mode: str = SQUEEZE_ONLY) -> Di
         decay_window = params.t_squeeze + params.t_signal
     p_eff = params.polarization_p * math.exp(-4.0 * params.gamma * decay_window)
     if params.gamma == 0.0:
-        return DimensionlessGroups(theta=theta, alpha=None, u=theta, p_eff=p_eff,
+        return DimensionlessGroups(theta=theta, alpha=None, p_eff=p_eff,
                                    alpha_infinite=True)
     alpha = params.j_coupling * params.n_spins * params.polarization_p / (4.0 * params.gamma)
-    return DimensionlessGroups(theta=theta, alpha=alpha, u=theta, p_eff=p_eff)
+    return DimensionlessGroups(theta=theta, alpha=alpha, p_eff=p_eff)

@@ -323,7 +323,7 @@ def measure(rho: np.ndarray, observable: np.ndarray) -> float:
     """trace(rho O); imaginary residual above 1e-8 is a consistency error."""
     if rho.shape != observable.shape:
         raise ValueError("dimension mismatch between state and observable")
-    val = complex(np.trace(rho @ observable))
+    val = complex(np.einsum("ij,ji->", rho, observable))
     if abs(val.imag) > 1e-8:
         raise NumericalConsistencyError(
             f"expectation has imaginary residual {val.imag:.3e}")

@@ -1,8 +1,12 @@
-"""Deterministic scalar and 2-D maximizers for the protocol optima.
+"""Protocol optima: closed forms for Theta* and U*, a search for the 2-D split.
 
-Golden-section search with a coarse-grid pre-scan; stationarity
-residuals of the known objectives are checked post-hoc, never used as
-the solver.  Plateau ties break toward the smallest argmax.
+The optimal squeeze window Theta* = 1 - W0(e/alpha) and the optimal
+budget split U* = (a - 1)/a (a = alpha/e) are evaluated in closed form,
+and their stationarity residuals are checked post hoc.  Only the full
+(T, t) split, which has no closed form, is searched: a coarse grid, then
+alternating golden-section refinement.  Plateau ties break toward the
+smallest argmax.  `grid_then_golden` stays public as the numerical
+reference the closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -102,52 +106,47 @@ def grid_then_golden(objective: Callable[[float], float], lo: float, hi: float,
 
 
 def squeeze_gain(theta: float, alpha: float) -> float:
-    """g(Theta) = Theta (alpha e^{-Theta} - 1); xi^2 = e^{-g}/P."""
-    return theta * (alpha * math.exp(-theta) - 1.0)
+    """g(Theta) = Theta (alpha e^{-Theta} - 1); xi^2 = e^{-g}/P; alpha > 0.
+
+    Evaluated as Theta expm1(ln alpha - Theta): near threshold alpha e^{-Theta}
+    is within rounding of 1, and the plain difference loses every digit.
+    """
+    return theta * math.expm1(math.log(alpha) - theta)
 
 
-def _gain_slope(theta: float, alpha: float) -> float:
-    return alpha * math.exp(-theta) * (1.0 - theta) - 1.0
+def optimal_theta(alpha: float | None, polarization_p: float) -> OptimizationOutcome:
+    """Maximize the squeezing gain g(Theta) over Theta >= 0 in closed form.
 
-
-def optimal_theta(alpha: float | None, polarization_p: float,
-                  theta_hi: float = 10.0) -> OptimizationOutcome:
-    """Maximize the squeezing gain g(Theta) over [0, theta_hi].
-
-    Boundary Theta* = 0 iff alpha <= 1 (sign of g'(0) = alpha - 1); an
-    interior optimum satisfies alpha e^{-Theta}(1 - Theta) = 1, checked
-    to residual 1e-8 after refinement.
+    Boundary Theta* = 0 iff alpha <= 1 (sign of g'(0) = alpha - 1).  An
+    interior optimum solves alpha e^{-Theta}(1 - Theta) = 1, i.e.
+    Theta* = 1 - W0(e/alpha) on the principal Lambert W branch (Corless et
+    al., Adv. Comput. Math. 5, 329 (1996)), so Theta* lies in (0, 1).  The
+    stationarity residual is checked to 1e-8 post hoc.
     """
     if alpha is None or math.isinf(alpha):
         raise DomainError("noiseless case (alpha infinite) has no interior optimum")
     if alpha <= 1.0:
         return OptimizationOutcome(argmax=0.0, value=0.0, at_boundary=True,
-                                   iterations=0, bracket=(0.0, theta_hi))
-    out = grid_then_golden(lambda th: squeeze_gain(th, alpha), 0.0, theta_hi,
-                           tol=1e-12)
-    theta = float(out.argmax)
-    # golden section resolves argmax only to ~sqrt(eps); polish on the
-    # stationarity condition inside a tight bracket
-    lo, hi = theta - 1e-4, theta + 1e-4
-    if lo > 0 and _gain_slope(lo, alpha) > 0 > _gain_slope(hi, alpha):
-        from scipy.optimize import brentq
-        theta = float(brentq(lambda th: _gain_slope(th, alpha), lo, hi,
-                             xtol=1e-14, rtol=8.9e-16))
+                                   iterations=0, bracket=(0.0, 1.0))
+    # imported here: scipy costs ~0.3 s at `import tactsqueeze`, which the
+    # exact-engine commands never need
+    from scipy.special import lambertw
+    theta = 1.0 - float(lambertw(math.e / alpha).real)
     residual = abs(alpha * math.exp(-theta) * (1.0 - theta) - 1.0)
     if residual > 1e-8:
         raise NonFiniteObjectiveError(
             f"stationarity residual {residual:.3e} exceeds 1e-8", abscissa=theta)
     return OptimizationOutcome(argmax=theta, value=squeeze_gain(theta, alpha),
-                               at_boundary=False, iterations=out.iterations,
-                               bracket=(0.0, theta_hi),
+                               at_boundary=False, iterations=0, bracket=(0.0, 1.0),
                                diagnostics={"stationarity_residual": residual})
 
 
-def optimal_u(alpha: float | None, u_hi: float = 1.0 - 1e-9) -> OptimizationOutcome:
-    """Maximize h(U) = (1 - U) exp(alpha/e U) over [0, u_hi).
+def optimal_u(alpha: float | None) -> OptimizationOutcome:
+    """Maximize h(U) = (1 - U) exp(a U), a = alpha/e, over U in [0, 1).
 
-    For alpha/e > 1 the numeric argmax matches the closed form
-    (alpha/e - 1)/(alpha/e); otherwise U* = 0 at the boundary.
+    h'(U) = e^{aU}(a(1 - U) - 1), so for a > 1 the optimum is
+    U* = (a - 1)/a with h(U*) = e^{a-1}/a; otherwise U* = 0 at the
+    boundary.
     """
     if alpha is None or math.isinf(alpha):
         raise DomainError("noiseless case (alpha infinite) has no interior optimum")
@@ -156,14 +155,9 @@ def optimal_u(alpha: float | None, u_hi: float = 1.0 - 1e-9) -> OptimizationOutc
     a = alpha * math.exp(-1.0)
     if a <= 1.0:
         return OptimizationOutcome(argmax=0.0, value=1.0, at_boundary=True,
-                                   iterations=0, bracket=(0.0, u_hi))
-    out = grid_then_golden(lambda u: (1.0 - u) * math.exp(a * u), 0.0, u_hi,
-                           tol=1e-12)
-    closed = (a - 1.0) / a
-    return OptimizationOutcome(argmax=out.argmax, value=out.value,
-                               at_boundary=out.at_boundary,
-                               iterations=out.iterations, bracket=(0.0, u_hi),
-                               diagnostics={"closed_form_u": closed})
+                                   iterations=0, bracket=(0.0, 1.0))
+    return OptimizationOutcome(argmax=(a - 1.0) / a, value=math.exp(a - 1.0) / a,
+                               at_boundary=False, iterations=0, bracket=(0.0, 1.0))
 
 
 def optimal_split_full(j_coupling: float, n_spins: float, polarization_p: float,

@@ -27,6 +27,11 @@ class TestConfig:
         cfg = write_config(tmp_path, "[params]\nn_spins = 3\nj_cuopling = 0.1\n")
         assert cli.main(["analytic", "--config", cfg,
                          "--out", str(tmp_path / "o.csv")]) == 2
+        # once-reserved [run] keys are unknown too, never silently ignored
+        for key in ("theta_hi = 0.5", "output = x.csv", "workers = 2"):
+            cfg = write_config(tmp_path, f"[run]\n{key}\n")
+            assert cli.main(["optimize", "--config", cfg,
+                             "--out", str(tmp_path / "o.csv")]) == 2
 
     def test_unknown_section_is_hard_error(self, tmp_path):
         cfg = write_config(tmp_path, "[paramz]\nn_spins = 3\n")
@@ -42,6 +47,23 @@ class TestConfig:
         cfg = write_config(tmp_path, "[sweep]\naxis = delta 0.1 1.0 10 linear\n")
         assert cli.main(["analytic", "--config", cfg,
                          "--out", str(tmp_path / "o.csv")]) == 2
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("engine", ["analytic", "linearized", "optimize", "exact"])
+    def test_invalid_point_is_never_an_ok_row(self, tmp_path, engine):
+        cfg = write_config(tmp_path, (
+            "[params]\nn_spins = 3\npolarization_p = 1.5\ngamma = -0.1\n"
+            "j_coupling = nan\n"
+            "[sweep]\naxis = t_squeeze 0.5 1.0 2 linear\n"))
+        out = str(tmp_path / "o.csv")
+        assert cli.main([engine, "--config", cfg, "--out", out, "--no-timing"]) == 0
+        _, header, rows = read_rows(out)
+        assert header == cli.PARAM_FIELDS + ["status"]
+        assert [r["t_squeeze"] for r in rows] == ["0.5", "1"]
+        for row in rows:
+            assert row["status"] == "invalid: P_OUT_OF_RANGE J_NONNEGATIVE GAMMA_NONNEGATIVE"
+            assert row["polarization_p"] == "1.5" and row["j_coupling"] == "nan"
 
 
 class TestAnalyticCommand:

@@ -1,8 +1,15 @@
+import decimal
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tactsqueeze
 from tactsqueeze import optimize
 from tactsqueeze.errors import DomainError, NonFiniteObjectiveError
 
@@ -74,6 +81,27 @@ class TestOptimalTheta:
         with pytest.raises(DomainError):
             optimize.optimal_theta(math.inf, 1.0)
 
+    @pytest.mark.parametrize("alpha", [1.0 + 1e-12, 1.0 + 1e-9, 1.0001, 10.0, 1e3])
+    def test_gain_value_to_rounding_near_threshold(self, alpha):
+        # 50-digit decimal reference: near alpha = 1, alpha e^{-Theta} - 1
+        # cancels to a few bits in floating point
+        out = optimize.optimal_theta(alpha, 1.0)
+        with decimal.localcontext(decimal.Context(prec=50)):
+            th = decimal.Decimal(out.argmax)
+            ref = float(th * (decimal.Decimal(alpha) * (-th).exp() - 1))
+        assert out.value == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=1.0, max_value=1e3, exclude_min=True))
+    def test_closed_form_against_numeric_search(self, alpha):
+        out = optimize.optimal_theta(alpha, 1.0)
+        theta = out.argmax
+        assert abs(alpha * math.exp(-theta) * (1.0 - theta) - 1.0) <= 1e-12
+        oracle = optimize.grid_then_golden(
+            lambda th: optimize.squeeze_gain(th, alpha), 0.0, 2.0, tol=1e-12)
+        assert abs(theta - oracle.argmax) <= 1e-7
+        assert out.value >= oracle.value * (1.0 - 1e-12)
+
 
 class TestOptimalU:
     def test_boundary_at_balanced_alpha(self):
@@ -95,6 +123,17 @@ class TestOptimalU:
         a = optimize.optimal_u(37.5)
         b = optimize.optimal_u(37.5)
         assert a == b
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=1.0, max_value=400.0, exclude_min=True))
+    def test_closed_form_against_numeric_search(self, a):
+        out = optimize.optimal_u(a * math.e)
+        u = out.argmax
+        assert abs(a * (1.0 - u) - 1.0) <= 1e-12
+        oracle = optimize.grid_then_golden(
+            lambda x: (1.0 - x) * math.exp(a * x), 0.0, 1.0 - 1e-9, tol=1e-12)
+        assert abs(u - oracle.argmax) <= 1e-7
+        assert out.value >= oracle.value * (1.0 - 1e-12)
 
 
 class TestOptimalSplitFull:
@@ -128,3 +167,14 @@ class TestOptimalSplitFull:
     def test_determinism(self):
         args = (0.05, 100, 0.9, 0.25, 4.0)
         assert optimize.optimal_split_full(*args) == optimize.optimal_split_full(*args)
+
+
+def test_import_loads_no_scipy():
+    # optimal_theta imports scipy lazily: at import time it would add ~0.3 s
+    # to every command, the exact engines included
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tactsqueeze.__file__)))
+    code = ("import sys, tactsqueeze; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
