@@ -4,11 +4,13 @@ Two views of the same question — how much of the available time should be
 spent squeezing before switching to signal acquisition:
 
 1. the strong-squeezing closed form U* = (alpha/e - 1)/(alpha/e), and
-2. a brute 2-D optimization of the full squeeze-then-measure SNR over
-   (T, t) with a fixed total budget.
+2. the full squeeze-then-measure SNR maximized over (T, t) with a fixed
+   total budget: a 1-D window search, split in closed form (at fixed
+   s = T + t the fraction T/s is (c - 1)/c, c = J N P s e^{-4 Gamma s}).
 
-The 2-D optimum lands near 4 Gamma (T + t) ~ 1: the protocol uses about
-one depolarization time in total.
+The optimum lands near 4 Gamma (T + t) ~ 1: the protocol uses about one
+depolarization time in total, and there c ~ alpha/e, so T*/(T* + t*)
+sits at U*.
 """
 
 import math
@@ -24,7 +26,7 @@ def main():
         gain = analytic.improvement_factor(alpha)
         print(f"{alpha:8.1f} {out.argmax:10.6f} {gain:12.4f}")
 
-    print("\nfull 2-D budget split (alpha = 50):")
+    print("\nfull (T, t) budget split (alpha = 50):")
     n, p, gamma = 200, 1.0, 0.25
     alpha = 50.0
     j = 4 * gamma * alpha / (n * p)

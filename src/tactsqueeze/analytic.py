@@ -32,6 +32,8 @@ _STRONG_ALPHA = 10.0
 def _regime(alpha: float | None) -> str:
     if alpha is None or math.isinf(alpha):
         return STRONG
+    if math.isnan(alpha):
+        raise DomainError("alpha is NaN: the regime is undefined")
     if alpha <= 1.0:
         return SUB_THRESHOLD
     if alpha >= _STRONG_ALPHA:

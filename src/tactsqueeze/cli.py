@@ -28,14 +28,48 @@ from .errors import ConfigError, ResourceLimitError, TactError
 PARAM_FIELDS = ["n_spins", "polarization_p", "j_coupling", "gamma",
                 "b_field", "t_squeeze", "t_signal", "tau_total"]
 
-_KNOWN_KEYS = {
-    "params": set(PARAM_FIELDS),
-    "sweep": None,  # axis* keys, validated separately
-    "run": {"engine", "n_cap", "with_factorization"},
-    "verify": {"n_min", "n_max", "alpha", "gamma", "polarization_p", "t_squeeze"},
-    "integrator": {"target_step_rate", "trace_tol", "hermiticity_tol",
-                   "min_eigenvalue_tol", "max_refinements"},
+
+def _flag(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("1", "true", "yes"):
+        return True
+    if low in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected true or false, got {raw!r}")
+
+
+def _positive(x: float) -> bool:
+    return 0.0 < x < math.inf
+
+
+# [run], [verify] and [integrator] keys: (parse, range check, the range in words)
+_OPTIONS = {
+    "run": {
+        "engine": (str, lambda v: v in _ENGINES,
+                   "one of analytic, exact, linearized, optimize, all"),
+        "n_cap": (int, lambda v: v >= 1, ">= 1"),
+        "with_factorization": (_flag, lambda v: True, "true or false"),
+    },
+    "verify": {
+        "n_min": (int, lambda v: v >= 1, ">= 1"),
+        "n_max": (int, lambda v: v >= 1, ">= 1"),
+        "alpha": (float, lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+        "gamma": (float, _positive, "finite and > 0"),
+        "polarization_p": (float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+        "t_squeeze": (float, lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+    },
+    "integrator": {
+        "target_step_rate": (float, _positive, "finite and > 0"),
+        "trace_tol": (float, _positive, "finite and > 0"),
+        "hermiticity_tol": (float, _positive, "finite and > 0"),
+        "min_eigenvalue_tol": (float, lambda v: -math.inf < v < 0.0, "finite and < 0"),
+        "max_refinements": (int, lambda v: v >= 0, ">= 0"),
+    },
 }
+
+_KNOWN_KEYS = {"params": set(PARAM_FIELDS),
+               "sweep": None,  # axis* keys, validated separately
+               **_OPTIONS}
 
 _DEFAULT_PARAMS = {"n_spins": 4, "polarization_p": 1.0, "j_coupling": 0.1,
                    "gamma": 0.1, "b_field": 0.0, "t_squeeze": 1.0,
@@ -86,8 +120,22 @@ def load_config(path: str | None) -> dict:
                 except ValueError as exc:
                     raise ConfigError(f"params.{key}: {exc}") from exc
             else:
-                cfg[section][key] = raw
+                cfg[section][key] = _parse_option(section, key, raw)
+    v = cfg["verify"]
+    if v.get("n_max", 8) < v.get("n_min", 2):
+        raise ConfigError("verify.n_max must be >= verify.n_min")
     return cfg
+
+
+def _parse_option(section: str, key: str, raw: str):
+    parse, ok, allowed = _OPTIONS[section][key]
+    try:
+        value = parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{key}: {exc}") from exc
+    if not ok(value):
+        raise ConfigError(f"{section}.{key} must be {allowed}, got {raw!r}")
+    return value
 
 
 def _parse_axis(key: str, raw: str) -> dict:
@@ -137,26 +185,23 @@ def build_grid(cfg: dict) -> list[dict]:
 
 
 def _step_control(cfg: dict) -> exact.StepControl:
-    kw = {}
-    conv = {"target_step_rate": float, "trace_tol": float, "hermiticity_tol": float,
-            "min_eigenvalue_tol": float, "max_refinements": int}
-    for key, raw in cfg["integrator"].items():
-        kw[key] = conv[key](raw)
-    return exact.StepControl(**kw)
+    return exact.StepControl(**cfg["integrator"])
 
 
 # -- per-row engines (module level so process pools can pickle them) ---------
 
-def _groups_columns(params: core.ProtocolParams) -> dict:
-    g = core.derive_dimensionless(params)
-    return {"theta": g.theta, "alpha": g.alpha, "alpha_infinite": g.alpha_infinite,
-            "u": g.theta, "p_eff": g.p_eff}
+def _row_start(pdict: dict) -> tuple[core.ProtocolParams, core.DimensionlessGroups, dict]:
+    """The row's params, its dimensionless groups (derived once) and a row
+    holding the inputs and the group columns."""
+    p = core.ProtocolParams(**pdict)
+    g = core.derive_dimensionless(p)
+    row = dict(pdict, theta=g.theta, alpha=g.alpha, alpha_infinite=g.alpha_infinite,
+               u=g.theta, p_eff=g.p_eff)
+    return p, g, row
 
 
 def _row_analytic(pdict: dict, opts: dict) -> dict:
-    p = core.ProtocolParams(**pdict)
-    row = dict(pdict)
-    row.update(_groups_columns(p))
+    p, _, row = _row_start(pdict)
     res = analytic.xi2_min(p.j_coupling, p.n_spins, p.polarization_p,
                            p.gamma, p.t_squeeze)
     row.update({"xi2_paper": res.xi2, "exponent_arg": res.exponent_arg,
@@ -180,10 +225,8 @@ def _row_analytic(pdict: dict, opts: dict) -> dict:
 
 
 def _row_linearized(pdict: dict, opts: dict) -> dict:
-    p = core.ProtocolParams(**pdict)
-    row = dict(pdict)
-    row.update(_groups_columns(p))
-    p_eff = linearized.effective_polarization(p.polarization_p, p.gamma, p.t_squeeze)
+    p, g, row = _row_start(pdict)
+    p_eff = g.p_eff
     kappa = p.j_coupling * p.n_spins * p_eff
     state = linearized.bogoliubov_propagate(
         linearized.vacuum_state(kappa, p.n_spins * p_eff), p.t_squeeze)
@@ -198,9 +241,7 @@ def _row_linearized(pdict: dict, opts: dict) -> dict:
 
 
 def _row_exact(pdict: dict, opts: dict) -> dict:
-    p = core.ProtocolParams(**pdict)
-    row = dict(pdict)
-    row.update(_groups_columns(p))
+    p, _, row = _row_start(pdict)
     n_cap = opts.get("n_cap", exact.DEFAULT_N_CAP)
     ctl = opts.get("step_control") or exact.StepControl()
     rho = exact.build_initial_state(p.n_spins, p.polarization_p, n_cap)
@@ -234,10 +275,7 @@ def _row_exact(pdict: dict, opts: dict) -> dict:
 
 
 def _row_optimize(pdict: dict, opts: dict) -> dict:
-    p = core.ProtocolParams(**pdict)
-    row = dict(pdict)
-    row.update(_groups_columns(p))
-    g = core.derive_dimensionless(p)
+    p, g, row = _row_start(pdict)
     if g.alpha_infinite:
         row.update({"theta_star": "", "xi2_at_theta_star": "", "u_star": "",
                     "snr_at_u_star": "", "improvement_factor": "",
@@ -328,9 +366,8 @@ def run_sweep(cfg: dict, engine: str, out_path: str, workers: int,
     """Execute the grid with up to `workers` concurrent tasks; output is
     written in grid-index order and is identical for any worker count."""
     grid = build_grid(cfg)
-    opts = {"n_cap": int(cfg["run"].get("n_cap", exact.DEFAULT_N_CAP)),
-            "with_factorization": cfg["run"].get("with_factorization", "false")
-            .lower() in ("1", "true", "yes"),
+    opts = {"n_cap": cfg["run"].get("n_cap", exact.DEFAULT_N_CAP),
+            "with_factorization": cfg["run"].get("with_factorization", False),
             "step_control": _step_control(cfg)}
     tasks = [(i, pt, engine, opts, timing) for i, pt in enumerate(grid)]
     comments = [f"tactsqueeze {__version__}", f"config sha256={_config_hash(config_path)}",
@@ -364,14 +401,14 @@ def run_verify(cfg: dict, out_path: str, timing: bool,
     """Factorization-error and commutator scaling study over an N range at
     fixed alpha; reports the fitted log-log slope against the -0.5 target."""
     v = cfg["verify"]
-    n_min = int(v.get("n_min", 2))
-    n_max = int(v.get("n_max", 8))
-    alpha = float(v.get("alpha", 5.0))
-    gamma = float(v.get("gamma", 0.25))
-    pol = float(v.get("polarization_p", 1.0))
-    t_squeeze = float(v.get("t_squeeze", 1.0 / (4.0 * gamma)))
+    n_min = v.get("n_min", 2)
+    n_max = v.get("n_max", 8)
+    alpha = v.get("alpha", 5.0)
+    gamma = v.get("gamma", 0.25)
+    pol = v.get("polarization_p", 1.0)
+    t_squeeze = v.get("t_squeeze", 1.0 / (4.0 * gamma))
     ctl = _step_control(cfg)
-    n_cap = int(cfg["run"].get("n_cap", exact.DEFAULT_N_CAP))
+    n_cap = cfg["run"].get("n_cap", exact.DEFAULT_N_CAP)
     rows = []
     status_fail = False
     for idx, n in enumerate(range(n_min, n_max + 1)):
@@ -447,13 +484,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "verify":
             return run_verify(cfg, args.out, timing, args.config)
-        if args.command == "sweep":
-            engine = cfg["run"].get("engine", "analytic")
-            if engine not in _ENGINES:
-                print(f"config error: unknown engine '{engine}'", file=sys.stderr)
-                return 2
-        else:
-            engine = args.command
+        engine = (cfg["run"].get("engine", "analytic") if args.command == "sweep"
+                  else args.command)
         return run_sweep(cfg, engine, args.out, args.workers, timing, args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

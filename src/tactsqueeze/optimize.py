@@ -1,12 +1,13 @@
-"""Protocol optima: closed forms for Theta* and U*, a search for the 2-D split.
+"""Protocol optima: closed forms for Theta*, U* and the squeeze fraction.
 
 The optimal squeeze window Theta* = 1 - W0(e/alpha) and the optimal
 budget split U* = (a - 1)/a (a = alpha/e) are evaluated in closed form,
-and their stationarity residuals are checked post hoc.  Only the full
-(T, t) split, which has no closed form, is searched: a coarse grid, then
-alternating golden-section refinement.  Plateau ties break toward the
-smallest argmax.  `grid_then_golden` stays public as the numerical
-reference the closed forms are tested against.
+and Theta*'s stationarity residual is checked post hoc.  The full (T, t)
+split reduces to a 1-D window search, split in closed form: at fixed
+s = T + t the squeeze fraction T/s is the same (c - 1)/c, clamped to the
+budget, so only s is searched (grid, then golden section).  Plateau ties
+break toward the smallest argmax.  `grid_then_golden` stays public as the
+numerical reference the closed forms are tested against.
 """
 
 from __future__ import annotations
@@ -141,6 +142,11 @@ def optimal_theta(alpha: float | None, polarization_p: float) -> OptimizationOut
                                diagnostics={"stationarity_residual": residual})
 
 
+def _u_star(a: float) -> float:
+    """Argmax of (1 - U) e^{aU} over U >= 0; 0 unless a > 1."""
+    return (a - 1.0) / a if a > 1.0 else 0.0
+
+
 def optimal_u(alpha: float | None) -> OptimizationOutcome:
     """Maximize h(U) = (1 - U) exp(a U), a = alpha/e, over U in [0, 1).
 
@@ -156,56 +162,48 @@ def optimal_u(alpha: float | None) -> OptimizationOutcome:
     if a <= 1.0:
         return OptimizationOutcome(argmax=0.0, value=1.0, at_boundary=True,
                                    iterations=0, bracket=(0.0, 1.0))
-    return OptimizationOutcome(argmax=(a - 1.0) / a, value=math.exp(a - 1.0) / a,
+    return OptimizationOutcome(argmax=_u_star(a), value=math.exp(a - 1.0) / a,
                                at_boundary=False, iterations=0, bracket=(0.0, 1.0))
 
 
 def optimal_split_full(j_coupling: float, n_spins: float, polarization_p: float,
                        gamma: float, tau_budget: float,
-                       n_grid: int = 256, refine_rounds: int = 40,
                        tol: float = 1e-9) -> OptimizationOutcome:
     """Maximize the squeeze-then-measure sensitivity over (T, t) in
-    [0, tau_budget]^2 by coarse grid plus alternating golden refinement.
+    [0, tau_budget]^2.
 
-    Diagnostics report 4 Gamma (T* + t*), which the strong-squeezing
-    analysis predicts to sit near 1.
+    With s = T + t and U = T/s the objective factors exactly as
+    sqrt(N) P sqrt(s) e^{-4 Gamma s} (1 - U) e^{cU}, c = J N P s e^{-4 Gamma s},
+    so at fixed s the best U is (c - 1)/c (0 if c <= 1), clamped to the
+    budget box max(0, 1 - tau/s) <= U <= min(1, tau/s).  Only s in
+    [0, 2 tau] is searched, in two pieces: the box starts to bind at
+    s = tau, a kink of the profile.  Diagnostics report 4 Gamma (T* + t*),
+    which the strong-squeezing analysis predicts to sit near 1.
     """
     if tau_budget <= 0:
         raise ValueError("tau_budget must be positive")
 
-    def objective(t_sq: float, t_sig: float) -> float:
-        if t_sq + t_sig <= 0.0 or t_sig < 0.0 or t_sq < 0.0:
+    def split(s: float) -> tuple[float, float]:
+        c = j_coupling * n_spins * polarization_p * s * math.exp(-4.0 * gamma * s)
+        t_sq = min(max(_u_star(c) * s, s - tau_budget), tau_budget)
+        return t_sq, min(s - t_sq, tau_budget)
+
+    def profile(s: float) -> float:
+        if s <= 0.0:
             return 0.0
         return snr_squeeze_then_measure(j_coupling, n_spins, polarization_p,
-                                        gamma, t_sq, t_sig).snr_per_root_time
+                                        gamma, *split(s)).snr_per_root_time
 
-    xs = np.linspace(0.0, tau_budget, n_grid)
-    vals = np.array([[objective(float(t_sq), float(t_sig)) for t_sig in xs]
-                     for t_sq in xs])
-    i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    t_sq, t_sig = float(xs[i]), float(xs[j])
-    step = float(xs[1] - xs[0])
-    iterations = n_grid * n_grid
-    for _ in range(refine_rounds):
-        lo = max(0.0, t_sq - step)
-        hi = min(tau_budget, t_sq + step)
-        out = maximize_scalar(lambda x: objective(x, t_sig), lo, hi, tol)
-        t_sq = float(out.argmax)
-        lo = max(0.0, t_sig - step)
-        hi = min(tau_budget, t_sig + step)
-        out2 = maximize_scalar(lambda x: objective(t_sq, x), lo, hi, tol)
-        t_sig = float(out2.argmax)
-        iterations += out.iterations + out2.iterations
-        step /= 2.0
-        if step < tol:
-            break
-    value = objective(t_sq, t_sig)
+    pieces = [grid_then_golden(profile, lo, hi, tol=tol)
+              for lo, hi in ((0.0, tau_budget), (tau_budget, 2.0 * tau_budget))]
+    best = max(pieces, key=lambda out: out.value)  # first (smaller s) on ties
+    t_sq, t_sig = split(best.argmax)
     edge = 4.0 * tol
     at_boundary = (t_sq <= edge or t_sig <= edge
                    or tau_budget - t_sq <= edge or tau_budget - t_sig <= edge)
     four_gamma_window = 4.0 * gamma * (t_sq + t_sig)
     return OptimizationOutcome(
-        argmax=(t_sq, t_sig), value=value, at_boundary=at_boundary,
-        iterations=iterations, bracket=(0.0, tau_budget),
+        argmax=(t_sq, t_sig), value=best.value, at_boundary=at_boundary,
+        iterations=sum(out.iterations for out in pieces), bracket=(0.0, tau_budget),
         diagnostics={"four_gamma_window": four_gamma_window,
                      "near_unit_window": bool(abs(four_gamma_window - 1.0) <= 0.2)})

@@ -17,6 +17,14 @@ class TestXi2Min:
         assert res.xi2 == pytest.approx(math.exp(-0.01 * 50 * 2.0), rel=1e-14)
         assert res.regime == analytic.STRONG
 
+    def test_nan_alpha_has_no_regime(self):
+        with pytest.raises(DomainError):
+            analytic.xi2_min(math.nan, 10, 1.0, 0.1, 1.0)
+        with pytest.raises(DomainError):
+            analytic.xi2_min_dimensionless(math.nan, 1.0, 1.0)
+        # the noiseless case stays strong
+        assert analytic.xi2_min_dimensionless(math.inf, 1.0, 1.0).regime == analytic.STRONG
+
     def test_balanced_exponent(self):
         # alpha e^{-Theta} = 1 exactly: exponent vanishes, xi^2 = 1/P
         alpha, theta, p = math.e, 1.0, 0.7

@@ -43,6 +43,25 @@ class TestConfig:
         assert cli.main(["analytic", "--config", cfg,
                          "--out", str(tmp_path / "o.csv")]) == 2
 
+    @pytest.mark.parametrize("text", [
+        "[verify]\ngamma = 0\n",
+        "[verify]\npolarization_p = 1.5\n",
+        "[verify]\nalpha = abc\n",
+        "[verify]\nn_min = 5\nn_max = 4\n",
+        "[run]\nn_cap = abc\n",
+        "[run]\nengine = exactt\n",
+        "[run]\nwith_factorization = maybe\n",
+        "[integrator]\ntrace_tol = abc\n",
+        "[integrator]\ntrace_tol = 0\n",
+        "[integrator]\nmin_eigenvalue_tol = 0\n",
+    ])
+    def test_bad_option_value_is_config_error(self, tmp_path, capsys, text):
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o.csv"
+        assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
     def test_axis_must_name_existing_parameter(self, tmp_path):
         cfg = write_config(tmp_path, "[sweep]\naxis = delta 0.1 1.0 10 linear\n")
         assert cli.main(["analytic", "--config", cfg,

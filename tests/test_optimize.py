@@ -168,6 +168,34 @@ class TestOptimalSplitFull:
         args = (0.05, 100, 0.9, 0.25, 4.0)
         assert optimize.optimal_split_full(*args) == optimize.optimal_split_full(*args)
 
+    @staticmethod
+    def _snr(j, n, p, gamma, t_sq, t_sig):
+        # the squeeze-then-measure objective, written out independently
+        p_eff = p * np.exp(-4.0 * gamma * (t_sq + t_sig))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            val = (t_sig * np.sqrt(n) / np.sqrt(t_sq + t_sig) * p_eff
+                   * np.exp(j * n * p_eff * t_sq))
+        return np.where(t_sq + t_sig > 0, val, 0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(alpha=st.floats(0.3, 300.0), budget=st.floats(0.05, 6.0),
+           gamma=st.floats(0.05, 1.0), n=st.integers(10, 500), p=st.floats(0.5, 1.0))
+    def test_against_dense_grid_and_closed_form_fraction(self, alpha, budget, gamma, n, p):
+        # budget = 4 Gamma tau; small budgets make the box bind
+        j, tau = 4.0 * gamma * alpha / (n * p), budget / (4.0 * gamma)
+        out = optimize.optimal_split_full(j, n, p, gamma, tau)
+        t_sq, t_sig = out.argmax
+        assert 0.0 <= t_sq <= tau and 0.0 <= t_sig <= tau
+        xs = np.linspace(0.0, tau, 401)
+        grid_max = float(self._snr(j, n, p, gamma, xs[:, None], xs[None, :]).max())
+        assert out.value >= grid_max * (1.0 - 1e-12)
+        assert out.value == pytest.approx(float(self._snr(j, n, p, gamma, t_sq, t_sig)),
+                                          rel=1e-12, abs=0.0)
+        if not out.at_boundary:
+            s = t_sq + t_sig
+            c = j * n * p * s * math.exp(-4.0 * gamma * s)
+            assert abs(t_sq / s - (1.0 - 1.0 / c)) <= 1e-12
+
 
 def test_import_loads_no_scipy():
     # optimal_theta imports scipy lazily: at import time it would add ~0.3 s
