@@ -156,31 +156,30 @@ def _parse_axis(key: str, raw: str) -> dict:
         raise ConfigError(f"sweep.{key}: count must be >= 0")
     if spacing == "log" and (lo_f <= 0 or hi_f <= 0):
         raise ConfigError(f"sweep.{key}: log spacing needs positive bounds")
-    return {"name": name, "lo": lo_f, "hi": hi_f, "count": count_i,
-            "spacing": spacing}
+    if count_i == 0:
+        vals = []
+    elif count_i == 1:
+        vals = [lo_f]
+    else:
+        space = np.linspace if spacing == "linear" else np.geomspace
+        vals = [float(v) for v in space(lo_f, hi_f, count_i)]
+    if name == "n_spins":
+        vals = [_spin_count(key, v) for v in vals]
+    return {"name": name, "values": vals}
+
+
+def _spin_count(key: str, v: float) -> int:
+    # geomspace(2, 64, 6) lands within rounding of 4 (3.999999999999999)
+    if not (math.isfinite(v) and math.isclose(v, round(v), rel_tol=1e-12)):
+        raise ConfigError(f"sweep.{key}: n_spins value {v!r} is not an integer")
+    return round(v)
 
 
 def build_grid(cfg: dict) -> list[dict]:
     """Row-major cartesian product of the sweep axes over the base params."""
-    axes = cfg["sweep_axes"]
-    base = cfg["params"]
-    if not axes:
-        return [dict(base)]
-    values = []
-    for ax in axes:
-        if ax["count"] == 0:
-            vals = np.array([])
-        elif ax["count"] == 1:
-            vals = np.array([ax["lo"]])
-        elif ax["spacing"] == "linear":
-            vals = np.linspace(ax["lo"], ax["hi"], ax["count"])
-        else:
-            vals = np.geomspace(ax["lo"], ax["hi"], ax["count"])
-        values.append([float(v) for v in vals])
-    grid = [dict(base)]
-    for ax, vals in zip(axes, values):
-        grid = [dict(pt, **{ax["name"]: int(v) if ax["name"] == "n_spins" else v})
-                for pt in grid for v in vals]
+    grid = [dict(cfg["params"])]
+    for ax in cfg["sweep_axes"]:
+        grid = [dict(pt, **{ax["name"]: v}) for pt in grid for v in ax["values"]]
     return grid
 
 
@@ -259,10 +258,10 @@ def _row_exact(pdict: dict, opts: dict) -> dict:
         "min_eigenvalue": min_eig,
     })
     try:
-        row["xi2_kitagawa_ueda"] = exact.squeezing_parameter_exact(
-            rho, ops, exact.KITAGAWA_UEDA)
-        row["xi2_wineland"] = exact.squeezing_parameter_exact(
-            rho, ops, exact.WINELAND)
+        min_var, _, mean = exact.transverse_variance_extrema(rho, ops)
+        row["xi2_kitagawa_ueda"], row["xi2_wineland"] = (
+            exact.squeezing_from_variance(min_var, mean, p.n_spins, convention)
+            for convention in (exact.KITAGAWA_UEDA, exact.WINELAND))
         row["status"] = "ok"
     except TactError as exc:
         row["xi2_kitagawa_ueda"] = row["xi2_wineland"] = ""

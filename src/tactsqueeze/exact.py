@@ -33,7 +33,7 @@ __all__ = [
     "apply_depolarizer", "evolve", "evolve_expm",
     "channel_residuals", "measure", "trace_norm",
     "mean_spin_vector", "transverse_variance_extrema",
-    "squeezing_parameter_exact",
+    "squeezing_from_variance", "squeezing_parameter_exact",
     "factorization_error", "factorization_error_pair",
     "commutator_action_norm",
 ]
@@ -69,25 +69,19 @@ def site_operator(op: np.ndarray, site: int, n_spins: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpinOperatorSet:
-    """Per-site Pauli matrices and their collective sums (sigma units)."""
+    """Collective Pauli sums C_a = sum_i sigma^a_i (sigma units)."""
 
     n_spins: int
-    sx: list = field(repr=False, default_factory=list)
-    sy: list = field(repr=False, default_factory=list)
-    sz: list = field(repr=False, default_factory=list)
-    collective_x: np.ndarray = field(repr=False, default=None)
-    collective_y: np.ndarray = field(repr=False, default=None)
-    collective_z: np.ndarray = field(repr=False, default=None)
+    collective_x: np.ndarray = field(repr=False)
+    collective_y: np.ndarray = field(repr=False)
+    collective_z: np.ndarray = field(repr=False)
 
 
 def spin_operators(n_spins: int, n_cap: int = DEFAULT_N_CAP) -> SpinOperatorSet:
     _check_cap(n_spins, n_cap)
-    sx = [site_operator(SIGMA_X, i, n_spins) for i in range(n_spins)]
-    sy = [site_operator(SIGMA_Y, i, n_spins) for i in range(n_spins)]
-    sz = [site_operator(SIGMA_Z, i, n_spins) for i in range(n_spins)]
-    return SpinOperatorSet(
-        n_spins=n_spins, sx=sx, sy=sy, sz=sz,
-        collective_x=sum(sx), collective_y=sum(sy), collective_z=sum(sz))
+    cx, cy, cz = (sum(site_operator(pauli, i, n_spins) for i in range(n_spins))
+                  for pauli in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+    return SpinOperatorSet(n_spins, cx, cy, cz)
 
 
 def build_initial_state(n_spins: int, polarization_p: float,
@@ -110,22 +104,16 @@ def tact_hamiltonian(n_spins: int, j_coupling: float,
     Built as J (Cx^2 - Cy^2) from the collective sums C = sum_i sigma_i:
     the i = j terms sx_i^2 - sy_i^2 = I - I cancel.
     """
-    _check_cap(n_spins, n_cap)
-    cx = sum(site_operator(SIGMA_X, i, n_spins) for i in range(n_spins))
-    cy = sum(site_operator(SIGMA_Y, i, n_spins) for i in range(n_spins))
+    ops = spin_operators(n_spins, n_cap)
+    cx, cy = ops.collective_x, ops.collective_y
     return j_coupling * (cx @ cx - cy @ cy)
 
 
 def field_hamiltonian(n_spins: int, b_field: float,
                       n_cap: int = DEFAULT_N_CAP) -> np.ndarray:
-    """H_B = B sum_i (sy_i - sx_i)."""
-    _check_cap(n_spins, n_cap)
-    dim = 2 ** n_spins
-    h = np.zeros((dim, dim), dtype=complex)
-    for i in range(n_spins):
-        h += b_field * (site_operator(SIGMA_Y, i, n_spins)
-                        - site_operator(SIGMA_X, i, n_spins))
-    return h
+    """H_B = B sum_i (sy_i - sx_i) = B (Cy - Cx)."""
+    ops = spin_operators(n_spins, n_cap)
+    return b_field * (ops.collective_y - ops.collective_x)
 
 
 def apply_depolarizer(rho: np.ndarray, gamma: float,
@@ -374,20 +362,24 @@ KITAGAWA_UEDA = "kitagawa_ueda"
 WINELAND = "wineland"
 
 
+def squeezing_from_variance(min_var: float, mean: np.ndarray, n_spins: int,
+                            convention: str = KITAGAWA_UEDA) -> float:
+    """Squeezing parameter from `transverse_variance_extrema`'s min variance
+    and mean: kitagawa_ueda min Var(C_perp) / N, wineland N min Var(C_perp) /
+    |<C>|^2, with C the collective Pauli sums (sigma units)."""
+    if convention == KITAGAWA_UEDA:
+        return min_var / n_spins
+    if convention == WINELAND:
+        return n_spins * min_var / float(np.dot(mean, mean))
+    raise ValueError(f"unknown convention {convention!r}")
+
+
 def squeezing_parameter_exact(rho: np.ndarray, ops: SpinOperatorSet,
                               convention: str = KITAGAWA_UEDA) -> float:
-    """Minimal transverse variance reduced to a squeezing parameter.
-
-    kitagawa_ueda: min Var(S_perp) / N;  wineland: N min Var(S_perp) / |<S>|^2.
-    Collective operators are sums of Pauli matrices (sigma units).
-    """
+    """Minimal transverse variance of rho reduced to a squeezing parameter
+    (conventions as in `squeezing_from_variance`)."""
     min_var, _, mean = transverse_variance_extrema(rho, ops)
-    n = ops.n_spins
-    if convention == KITAGAWA_UEDA:
-        return min_var / n
-    if convention == WINELAND:
-        return n * min_var / float(np.dot(mean, mean))
-    raise ValueError(f"unknown convention {convention!r}")
+    return squeezing_from_variance(min_var, mean, ops.n_spins, convention)
 
 
 # -- factorization / commutator diagnostics ----------------------------------

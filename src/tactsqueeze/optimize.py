@@ -53,7 +53,9 @@ def maximize_scalar(objective: Callable[[float], float], lo: float, hi: float,
     """Golden-section maximization on [lo, hi]; assumes unimodality.
 
     Ties keep the left subinterval, so plateaus resolve to the smallest
-    argmax (a constant objective reports the boundary at lo).
+    argmax (a constant objective reports the boundary at lo).  The search
+    stops at width tol, or once the state (a, b, c, d) repeats: with tol
+    below the float spacing of the bracket it cycles instead of shrinking.
     """
     if not lo < hi:
         raise ValueError("requires lo < hi")
@@ -64,7 +66,9 @@ def maximize_scalar(objective: Callable[[float], float], lo: float, hi: float,
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = _eval(objective, c), _eval(objective, d)
     iterations = 0
-    while b - a > tol:
+    seen = set()
+    while b - a > tol and (a, b, c, d) not in seen:
+        seen.add((a, b, c, d))
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)

@@ -118,7 +118,6 @@ def test_criterion_05_depolarizing_decay():
     start = time.perf_counter()
     worst = 0.0
     for n in range(1, 6):
-        ops = exact.spin_operators(n)
         for gamma in (0.05, 0.5):
             gen = [exact.depolarize_generator(n, gamma)]
             for p in (0.3, 1.0):
@@ -127,7 +126,7 @@ def test_criterion_05_depolarizing_decay():
                     out = _tracked_evolve(rho, gen, t)
                     expected = p * math.exp(-4 * gamma * t)
                     for site in range(n):
-                        got = exact.measure(out, ops.sz[site])
+                        got = exact.measure(out, exact.site_operator(exact.SIGMA_Z, site, n))
                         worst = max(worst, abs(got - expected))
     elapsed = time.perf_counter() - start
     _report(5, "depolarizing decay law", worst <= 1e-6 and elapsed < 30.0,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tactsqueeze import cli
+from tactsqueeze import cli, exact
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -67,6 +67,15 @@ class TestConfig:
         assert cli.main(["analytic", "--config", cfg,
                          "--out", str(tmp_path / "o.csv")]) == 2
 
+    def test_fractional_spin_count_is_config_error(self, tmp_path, capsys):
+        # linspace(3, 8, 4) = 3, 4.67, 6.33, 8: never truncated to 4 and 6
+        cfg = write_config(tmp_path, "[sweep]\naxis = n_spins 3 8 4 linear\n")
+        out = tmp_path / "o.csv"
+        assert cli.main(["analytic", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "sweep.axis" in err and "4.666666666666667" in err
+        assert not out.exists()
+
 
 class TestInvalidInput:
     @pytest.mark.parametrize("engine", ["analytic", "linearized", "optimize", "exact"])
@@ -124,6 +133,14 @@ class TestAnalyticCommand:
         gammas = [float(r["gamma"]) for r in rows]
         assert gammas == sorted(gammas)
 
+    def test_log_spin_axis_rounds_to_integers(self, tmp_path):
+        # geomspace(2, 64, 6) returns 3.999999999999999, 7.999999999999999, ...
+        cfg = write_config(tmp_path, "[sweep]\naxis = n_spins 2 64 6 log\n")
+        out = str(tmp_path / "o.csv")
+        assert cli.main(["analytic", "--config", cfg, "--out", out]) == 0
+        _, _, rows = read_rows(out)
+        assert [r["n_spins"] for r in rows] == ["2", "4", "8", "16", "32", "64"]
+
     def test_rows_echo_all_inputs(self, tmp_path):
         cfg = write_config(tmp_path, "[params]\nn_spins = 5\ngamma = 0.125\n")
         out = str(tmp_path / "o.csv")
@@ -155,6 +172,27 @@ class TestExactCommand:
         assert cli.main(["exact", "--config", cfg, "--out", out]) == 0
         _, _, rows = read_rows(out)
         assert float(rows[0]["xi2_kitagawa_ueda"]) < 1.0
+
+    @pytest.mark.parametrize("with_factorization", [False, True])
+    def test_row_equals_library_calls(self, with_factorization):
+        n, p, j, gamma, t = 4, 0.9, 0.05, 0.1, 0.3
+        pdict = dict(cli._DEFAULT_PARAMS, n_spins=n, polarization_p=p,
+                     j_coupling=j, gamma=gamma, t_squeeze=t)
+        row = cli._row_exact(pdict, {"with_factorization": with_factorization})
+        rho = exact.evolve(exact.build_initial_state(n, p),
+                           [exact.squeeze_generator(n, j),
+                            exact.depolarize_generator(n, gamma)], t)
+        ops = exact.spin_operators(n)
+        assert row["status"] == "ok"
+        assert row["mean_sz_per_site"] == exact.measure(rho, ops.collective_z) / n
+        assert row["xi2_kitagawa_ueda"] == exact.squeezing_parameter_exact(
+            rho, ops, exact.KITAGAWA_UEDA)
+        assert row["xi2_wineland"] == exact.squeezing_parameter_exact(
+            rho, ops, exact.WINELAND)
+        if with_factorization:
+            assert row["factorization_error"] == exact.factorization_error(n, j, gamma, t, p)
+        else:
+            assert "factorization_error" not in row
 
     def test_cap_exceeded_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[params]\nn_spins = 12\n")

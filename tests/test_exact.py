@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,8 +47,8 @@ class TestInitialState:
                     prob *= (1 - p) / 2 if bit else (1 + p) / 2
                 bit = (b >> (n - 1 - site)) & 1
                 expected += prob * (-1.0 if bit else 1.0)
-            ops = exact.spin_operators(n)
-            assert exact.measure(rho, ops.sz[site]) == pytest.approx(expected, abs=1e-13)
+            assert exact.measure(rho, exact.site_operator(exact.SIGMA_Z, site, n)) == \
+                pytest.approx(expected, abs=1e-13)
             assert expected == pytest.approx(p, abs=1e-13)
 
     def test_cap_error_names_memory_cost(self):
@@ -93,6 +95,36 @@ class TestTactHamiltonian:
                     pairs += j * (sx[i] @ sx[k] - sy[i] @ sy[k])
         h = exact.tact_hamiltonian(n, j)
         assert np.max(np.abs(h - pairs)) <= 1e-15 * abs(j)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_collective_sums_and_hamiltonians_equal_site_sums(self, n):
+        # the per-site embeddings are the oracle; every entry is a small
+        # integer before the one product with J or B, so equality is exact
+        j, b = 0.37, -1.3
+        zero = np.zeros((2 ** n, 2 ** n), dtype=complex)
+        sx, sy, sz = ([exact.site_operator(pauli, i, n) for i in range(n)]
+                      for pauli in (exact.SIGMA_X, exact.SIGMA_Y, exact.SIGMA_Z))
+        ops = exact.spin_operators(n)
+        assert np.array_equal(ops.collective_x, sum(sx, zero))
+        assert np.array_equal(ops.collective_y, sum(sy, zero))
+        assert np.array_equal(ops.collective_z, sum(sz, zero))
+        pairs = sum((sx[i] @ sx[k] - sy[i] @ sy[k]
+                     for i in range(n) for k in range(n) if i != k), zero)
+        assert np.array_equal(exact.tact_hamiltonian(n, j), j * pairs)
+        assert np.array_equal(exact.field_hamiltonian(n, b),
+                              sum((b * (sy[i] - sx[i]) for i in range(n)), zero))
+
+    def test_spin_operators_peak_memory(self):
+        # the three collective sums and their construction temporaries; the
+        # 3N per-site matrices once kept alongside came to 27 state sizes
+        n = 8
+        tracemalloc.start()
+        try:
+            exact.spin_operators(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 16 * 4 ** n
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_traceless_and_hermitian(self, n):
@@ -194,10 +226,9 @@ class TestEvolve:
         p, gamma, t = 0.8, 0.35, 0.9
         rho = exact.build_initial_state(n, p)
         out = exact.evolve(rho, [exact.depolarize_generator(n, gamma)], t)
-        ops = exact.spin_operators(n)
         for site in range(n):
-            assert exact.measure(out, ops.sz[site]) == pytest.approx(
-                p * np.exp(-4 * gamma * t), abs=1e-6)
+            assert exact.measure(out, exact.site_operator(exact.SIGMA_Z, site, n)) == \
+                pytest.approx(p * np.exp(-4 * gamma * t), abs=1e-6)
 
     def test_invariants_after_evolution(self):
         rho = exact.build_initial_state(4, 0.9)

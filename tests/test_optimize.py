@@ -206,3 +206,20 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_tolerance_below_float_spacing_terminates():
+    # tol = 1e-9 is finer than the float spacing near 1e9 (1.2e-7): the
+    # golden loop must still end; run in a subprocess so a hang times out
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tactsqueeze.__file__)))
+    code = ("from tactsqueeze import optimize\n"
+            "r = optimize.maximize_scalar(lambda x: -(x - 1e9) ** 2, 0.0, 2e9, 1e-9)\n"
+            "gamma, alpha, n = 1e-9, 5.0, 100\n"
+            "s = optimize.optimal_split_full(4 * gamma * alpha / n, n, 1.0, gamma,\n"
+            "                                4.0 / (4 * gamma))\n"
+            "print(r.argmax, s.value)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    argmax, value = map(float, out.stdout.split())
+    assert argmax == pytest.approx(1e9, rel=1e-15)
+    assert value > 0
