@@ -243,12 +243,13 @@ def _row_exact(pdict: dict, opts: dict) -> dict:
     p, _, row = _row_start(pdict)
     n_cap = opts.get("n_cap", exact.DEFAULT_N_CAP)
     ctl = opts.get("step_control") or exact.StepControl()
+    factorize = opts.get("with_factorization")
     rho = exact.build_initial_state(p.n_spins, p.polarization_p, n_cap)
-    gens = []
-    if p.j_coupling != 0.0:
-        gens.append(exact.squeeze_generator(p.n_spins, p.j_coupling, n_cap))
-    if p.gamma != 0.0:
-        gens.append(exact.depolarize_generator(p.n_spins, p.gamma, n_cap))
+    l1 = exact.squeeze_generator(p.n_spins, p.j_coupling, n_cap)
+    l2 = exact.depolarize_generator(p.n_spins, p.gamma, n_cap)
+    # the row's own evolution leaves a zero-rate generator out; the
+    # factorization error needs both
+    gens = [g for g, rate in ((l1, p.j_coupling), (l2, p.gamma)) if rate != 0.0]
     rho = exact.evolve(rho, gens, p.t_squeeze, ctl)
     ops = exact.spin_operators(p.n_spins, n_cap)
     trace_dev, herm, min_eig = exact.channel_residuals(rho)
@@ -266,10 +267,12 @@ def _row_exact(pdict: dict, opts: dict) -> dict:
     except TactError as exc:
         row["xi2_kitagawa_ueda"] = row["xi2_wineland"] = ""
         row["status"] = str(exc)
-    if opts.get("with_factorization"):
-        row["factorization_error"] = exact.factorization_error(
-            p.n_spins, p.j_coupling, p.gamma, p.t_squeeze, p.polarization_p,
-            ctl, n_cap)
+    if factorize:
+        # the row's state is the joint side (a zero-rate generator adds zeros
+        # and no steps); the initial state is rebuilt rather than held
+        rho0 = exact.build_initial_state(p.n_spins, p.polarization_p, n_cap)
+        row["factorization_error"] = exact.trace_norm(
+            rho - exact.split_evolve(rho0, l1, l2, p.t_squeeze, ctl))
     return row
 
 

@@ -2,12 +2,23 @@
 
 State is a dense 2^N x 2^N density matrix.  Generators are the TACT
 squeezing Hamiltonian, a per-site depolarizing channel and an optional
-signal field.  The Hamiltonian is built from the collective Pauli sums,
-H = J (Cx^2 - Cy^2); the depolarizer is applied through the single-qubit
-identity X A X + Y A Y + Z A Z = 2 Tr(A) I - A, i.e. one partial trace
-per site.  Integration is classical fixed-step RK4 with automatic step
-halving against the channel invariants; a dense superoperator exponential
-is kept as an independent cross-check path for small N.
+signal field.  The TACT Hamiltonian H = J (Cx^2 - Cy^2) is written from the
+basis-state bits (4J between states that differ by two aligned spin
+flips); the depolarizer is applied through the single-qubit identity
+X A X + Y A Y + Z A Z = 2 Tr(A) I - A, i.e. one partial trace per site.
+
+A Hamiltonian term costs one matrix product per application: on a
+Hermitian state rho H = (H rho)^dag, so -i[H, rho] = -i(K - K^dag) with
+K = H rho, and for the real TACT Hamiltonian K is one real GEMM on the
+float view of rho.  The generators are therefore defined on Hermitian
+states only.  The Hamiltonian terms and the depolarizer each map a
+Hermitian state to an exactly Hermitian array, and RK4 forms only
+real-weighted sums, so every stage stays exactly Hermitian and `evolve`
+checks only its input.
+
+Integration is classical fixed-step RK4 with automatic step halving
+against the channel invariants; a dense superoperator exponential is kept
+as an independent cross-check path for small N.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ __all__ = [
     "channel_residuals", "measure", "trace_norm",
     "mean_spin_vector", "transverse_variance_extrema",
     "squeezing_from_variance", "squeezing_parameter_exact",
-    "factorization_error", "factorization_error_pair",
+    "split_evolve", "factorization_error", "factorization_error_pair",
     "commutator_action_norm",
 ]
 
@@ -101,12 +112,23 @@ def tact_hamiltonian(n_spins: int, j_coupling: float,
                      n_cap: int = DEFAULT_N_CAP) -> np.ndarray:
     """H = J sum_{i != j} (sx_i sx_j - sy_i sy_j), ordered pairs, both orders.
 
-    Built as J (Cx^2 - Cy^2) from the collective sums C = sum_i sigma_i:
-    the i = j terms sx_i^2 - sy_i^2 = I - I cancel.
+    That is J (Cx^2 - Cy^2) with C = sum_i sigma_i (the i = j terms
+    sx_i^2 - sy_i^2 = I - I cancel).  Per pair sx sx - sy sy = 2 (s+ s+ +
+    s- s-), so Cx^2 - Cy^2 is 4 between two product states that differ by
+    flipping two aligned spins and 0 elsewhere: it is written from the
+    basis-state bits, without building the collective sums, and scaled by
+    J once (the same bits as J (Cx @ Cx - Cy @ Cy)).
     """
-    ops = spin_operators(n_spins, n_cap)
-    cx, cy = ops.collective_x, ops.collective_y
-    return j_coupling * (cx @ cx - cy @ cy)
+    _check_cap(n_spins, n_cap)
+    dim = 2 ** n_spins
+    index = np.arange(dim)
+    pattern = np.zeros((dim, dim), dtype=complex)
+    for i in range(n_spins):
+        for k in range(i):
+            flip = (1 << i) | (1 << k)
+            down = index[(index & flip) == 0]
+            pattern[down, down | flip] = pattern[down | flip, down] = 4.0
+    return j_coupling * pattern
 
 
 def field_hamiltonian(n_spins: int, b_field: float,
@@ -150,6 +172,12 @@ class Superoperator:
     spectral-scale estimate used for step sizing.  apply returns a new
     array (never its argument or a cached buffer): evolve accumulates
     generator outputs into it in place.
+
+    apply is defined on Hermitian rho only, and maps it to an exactly
+    Hermitian array.  The Hamiltonian terms do one matrix product per call,
+    K = H rho, and read rho H as K^dag, which holds only when rho is
+    Hermitian; on any other input their result is wrong.  dense() is the
+    full superoperator and has no such restriction.
     """
 
     kind: str
@@ -159,16 +187,34 @@ class Superoperator:
     dense: Callable[[], np.ndarray] = field(repr=False)
 
 
+def _anti_hermitian_term(k: np.ndarray) -> np.ndarray:
+    """-i (K - K^dag), from the float view k of K = A + iB: real part
+    B + B^T, imaginary part A^T - A; exactly Hermitian by construction."""
+    a, b = k[:, 0::2], k[:, 1::2]
+    out = np.empty((k.shape[0], k.shape[0]), dtype=complex)
+    parts = out.view(np.float64)
+    np.add(b, b.T, out=parts[:, 0::2])
+    np.subtract(a.T, a, out=parts[:, 1::2])
+    return out
+
+
 def _hamiltonian_superop(kind: str, n_spins: int, h: np.ndarray, sign: float) -> Superoperator:
     # sign=+1: drho/dt = -i[H, rho];  sign=-1: drho/dt = +i[H, rho]
     norm = float(np.linalg.norm(np.linalg.eigvalsh(h), np.inf)) if h.size else 0.0
+    # -i sign [H, rho] = -i [sign H, rho]; a real H is kept as a real array
+    op = sign * (h if np.any(h.imag) else h.real)
 
     def apply(rho: np.ndarray) -> np.ndarray:
-        return -1j * sign * (h @ rho - rho @ h)
+        r = np.ascontiguousarray(rho, dtype=complex)
+        if op.dtype == np.float64:  # K = H rho as one real GEMM on the float view
+            k = op @ r.view(np.float64)
+        else:
+            k = (op @ r).view(np.float64)
+        return _anti_hermitian_term(k)
 
     def dense() -> np.ndarray:
-        eye = np.eye(h.shape[0])
-        return -1j * sign * (np.kron(h, eye) - np.kron(eye, h.T))
+        eye = np.eye(op.shape[0])
+        return -1j * (np.kron(op, eye) - np.kron(eye, op.T))
 
     return Superoperator(kind=kind, n_spins=n_spins, rate_bound=2.0 * norm,
                          apply=apply, dense=dense)
@@ -226,10 +272,14 @@ class StepControl:
     max_refinements: int = 6
 
 
+def _hermiticity_residual(rho: np.ndarray) -> float:
+    return float(np.max(np.abs(rho - rho.conj().T)))
+
+
 def channel_residuals(rho: np.ndarray) -> tuple[float, float, float]:
     """(|trace - 1|, max |rho - rho^dag|, min eigenvalue)."""
     trace_dev = abs(np.trace(rho) - 1.0)
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
+    herm = _hermiticity_residual(rho)
     sym = (rho + rho.conj().T) / 2.0
     min_eig = float(np.linalg.eigvalsh(sym)[0])
     return float(trace_dev), herm, min_eig
@@ -244,13 +294,28 @@ def _invariants_ok(rho: np.ndarray, ctl: StepControl) -> tuple[bool, float]:
 
 def _rk4(rho: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray],
          duration: float, n_steps: int) -> np.ndarray:
+    """Classical RK4; stages are built in one reused buffer and the slopes
+    summed in place, in the textbook operation order (same bits as
+    rho + (h/6) (k1 + 2 k2 + 2 k3 + k4) formed out of place).  rhs must
+    return a new array; rho is not modified."""
     h = duration / n_steps
+    stage = np.empty_like(rho)
     for _ in range(n_steps):
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * h * k1)
-        k3 = rhs(rho + 0.5 * h * k2)
-        k4 = rhs(rho + h * k3)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k = rhs(rho)  # k1, then k1 + 2 k2 + 2 k3 + k4 in place
+        np.multiply(k, 0.5 * h, out=stage)
+        stage += rho
+        slope = rhs(stage)  # k2
+        for c in (0.5 * h, h):
+            np.multiply(slope, c, out=stage)
+            stage += rho
+            slope *= 2.0
+            k += slope
+            del slope  # folded in once its stage is built: one slope held at a time
+            slope = rhs(stage)  # k3, then k4
+        k += slope
+        k *= h / 6.0
+        k += rho
+        rho = k
     return rho
 
 
@@ -259,13 +324,19 @@ def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float
     """Integrate d rho/dt = sum_k L_k(rho) for `duration` with fixed-step RK4.
 
     Steps are halved (count doubled) until the trace / Hermiticity /
-    positivity invariants hold at the configured tolerances.
+    positivity invariants hold at the configured tolerances.  rho must be
+    Hermitian (the generators are defined on Hermitian states only):
+    max |rho - rho^dag| above step_control.hermiticity_tol is a ValueError.
     """
     if duration < 0:
         raise ValueError("duration must be >= 0")
+    ctl = step_control or StepControl()
+    herm = _hermiticity_residual(rho)
+    if not herm <= ctl.hermiticity_tol:
+        raise ValueError(f"rho is not Hermitian: max |rho - rho^dag| = {herm:.3e} "
+                         f"exceeds hermiticity_tol {ctl.hermiticity_tol:.3e}")
     if duration == 0 or not generators:
         return rho.copy()
-    ctl = step_control or StepControl()
     rate = sum(g.rate_bound for g in generators)
     # complex state: from a real one the depolarizer returns a real array,
     # which `out +=` cannot add a Hamiltonian term into
@@ -384,15 +455,21 @@ def squeezing_parameter_exact(rho: np.ndarray, ops: SpinOperatorSet,
 
 # -- factorization / commutator diagnostics ----------------------------------
 
+def split_evolve(rho: np.ndarray, gen_a: Superoperator, gen_b: Superoperator,
+                 duration: float, step_control: StepControl | None = None) -> np.ndarray:
+    """e^{TA} e^{TB} rho: B acts first (in the factorization, the depolarizer
+    before the squeeze)."""
+    return evolve(evolve(rho, [gen_b], duration, step_control),
+                  [gen_a], duration, step_control)
+
+
 def factorization_error_pair(rho: np.ndarray, gen_a: Superoperator,
                              gen_b: Superoperator, duration: float,
                              step_control: StepControl | None = None) -> float:
     """Trace-norm distance || e^{T(A+B)} rho - e^{TA} e^{TB} rho ||_1,
     both sides integrated with the same tolerances (B acts first in the split)."""
     joint = evolve(rho, [gen_a, gen_b], duration, step_control)
-    split = evolve(evolve(rho, [gen_b], duration, step_control),
-                   [gen_a], duration, step_control)
-    return trace_norm(joint - split)
+    return trace_norm(joint - split_evolve(rho, gen_a, gen_b, duration, step_control))
 
 
 def factorization_error(n_spins: int, j_coupling: float, gamma: float,

@@ -194,6 +194,42 @@ class TestExactCommand:
         else:
             assert "factorization_error" not in row
 
+    @pytest.mark.parametrize("j, gamma", [(0.05, 0.1), (0.0, 0.1), (0.05, 0.0)])
+    def test_factorization_row_reuses_the_joint_evolution(self, monkeypatch, j, gamma):
+        # the row's own state is the joint side: 3 evolves (joint, depolarize,
+        # squeeze), not 4; a zero-rate row leaves that generator out of its
+        # own evolve and still gives the library's factorization error
+        n, p, t = 3, 0.9, 0.3
+        expected = exact.factorization_error(n, j, gamma, t, p)
+        pdict = dict(cli._DEFAULT_PARAMS, n_spins=n, polarization_p=p,
+                     j_coupling=j, gamma=gamma, t_squeeze=t)
+        calls = []
+        evolve = exact.evolve
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(exact, "evolve", counting)
+        row = cli._row_exact(pdict, {"with_factorization": True})
+        assert len(calls) == 3
+        assert row["factorization_error"] == expected
+
+    def test_row_builds_the_spin_operators_once(self, monkeypatch):
+        n = 4
+        calls = []
+        site_operator = exact.site_operator
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return site_operator(*args, **kwargs)
+
+        monkeypatch.setattr(exact, "site_operator", counting)
+        pdict = dict(cli._DEFAULT_PARAMS, n_spins=n, j_coupling=0.05, gamma=0.1,
+                     t_squeeze=0.3)
+        assert cli._row_exact(pdict, {})["status"] == "ok"
+        assert len(calls) <= 3 * n
+
     def test_cap_exceeded_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[params]\nn_spins = 12\n")
         out = str(tmp_path / "o.csv")

@@ -114,6 +114,16 @@ class TestTactHamiltonian:
         assert np.array_equal(exact.field_hamiltonian(n, b),
                               sum((b * (sy[i] - sx[i]) for i in range(n)), zero))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_same_bits_as_collective_square_difference(self, n):
+        # rate_bound is eigvalsh of this matrix: the same bits, signed
+        # zeros included, keep every RK4 step count
+        ops = exact.spin_operators(n)
+        cx, cy = ops.collective_x, ops.collective_y
+        for j in (0.37, -1.7, 1e-3, -0.0):
+            assert exact.tact_hamiltonian(n, j).tobytes() == \
+                (j * (cx @ cx - cy @ cy)).tobytes()
+
     def test_spin_operators_peak_memory(self):
         # the three collective sums and their construction temporaries; the
         # 3N per-site matrices once kept alongside came to 27 state sizes
@@ -178,6 +188,60 @@ class TestDepolarizer:
             assert np.max(np.abs(out - via_dense)) <= 1e-13 * gamma
 
 
+class TestHamiltonianKernel:
+    """One product per application, valid on Hermitian states."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 5),
+           rate=st.floats(1e-3, 10.0, allow_nan=False))
+    def test_matches_dense_superoperator_on_hermitian(self, data, n, rate):
+        # squeeze: real H (one real GEMM); field: complex H (one complex
+        # product); both on contiguous and transposed (non-contiguous) input
+        dim = 2 ** n
+        parts = arrays(np.float64, (2, dim, dim),
+                       elements=st.floats(-1.0, 1.0, allow_nan=False))
+        re, im = data.draw(parts)
+        m = re + 1j * im
+        rho = m + m.conj().T
+        scale = np.linalg.norm(rho)
+        if scale > 0:
+            rho /= scale
+        for gen, h in ((exact.squeeze_generator(n, rate), exact.tact_hamiltonian(n, rate)),
+                       (exact.field_generator(n, rate), exact.field_hamiltonian(n, rate))):
+            dense = gen.dense()
+            h_norm = np.linalg.norm(h, 2)
+            for a in (rho, rho.T):
+                via_dense = (dense @ a.flatten()).reshape(dim, dim)
+                assert np.max(np.abs(gen.apply(a) - via_dense)) <= 1e-13 * h_norm
+
+    @pytest.mark.parametrize("first", ["squeeze", "field"])
+    def test_apply_and_evolve_exactly_hermitian(self, first):
+        n = 4
+        rho = exact.build_initial_state(n, 0.9)
+        ham = (exact.squeeze_generator(n, 0.2) if first == "squeeze"
+               else exact.field_generator(n, 0.7))
+        gens = [ham, exact.depolarize_generator(n, 0.1)]
+        state = exact.evolve(rho, gens, 0.6)
+        assert np.array_equal(state, state.conj().T)
+        for gen in gens:
+            for x in (rho, state):
+                out = gen.apply(x)
+                assert np.array_equal(out, out.conj().T)
+
+    def test_evolve_rejects_non_hermitian_state(self):
+        # measured as in channel_residuals, against step_control.hermiticity_tol
+        rho = exact.build_initial_state(2, 0.9)
+        rho[0, 1] += 1e-6
+        gens = [exact.squeeze_generator(2, 0.2)]
+        with pytest.raises(ValueError, match="not Hermitian"):
+            exact.evolve(rho, gens, 0.5)
+        loose = exact.StepControl(hermiticity_tol=1e-5)
+        exact.evolve(rho, gens, 0.5, loose)
+        rho[0, 1] += 1e-4
+        with pytest.raises(ValueError, match="not Hermitian"):
+            exact.evolve(rho, gens, 0.5, loose)
+
+
 class TestEvolve:
     def test_depolarizing_decay_single_spin(self):
         rho = exact.build_initial_state(1, 1.0)
@@ -219,6 +283,28 @@ class TestEvolve:
         gens = [exact.depolarize_generator(3, 0.3), exact.squeeze_generator(3, 0.2)]
         np.testing.assert_array_equal(exact.evolve(rho.real, gens, 0.7),
                                       exact.evolve(rho, gens, 0.7))
+
+    def test_rk4_in_place_stages_match_textbook_rk4(self):
+        n, duration, n_steps = 3, 0.7, 20
+        gens = [exact.squeeze_generator(n, 0.2), exact.depolarize_generator(n, 0.3)]
+
+        def rhs(r):
+            out = gens[0].apply(r)
+            out += gens[1].apply(r)
+            return out
+
+        rho = exact.build_initial_state(n, 0.8)
+        before = rho.copy()
+        h = duration / n_steps
+        ref = rho
+        for _ in range(n_steps):
+            k1 = rhs(ref)
+            k2 = rhs(ref + 0.5 * h * k1)
+            k3 = rhs(ref + 0.5 * h * k2)
+            k4 = rhs(ref + h * k3)
+            ref = ref + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.array_equal(exact._rk4(rho, rhs, duration, n_steps), ref)
+        assert np.array_equal(rho, before)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_per_site_decay_law(self, n):
