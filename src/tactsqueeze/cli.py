@@ -7,6 +7,11 @@ digits, '#' comment lines for metadata); the wall-time column is
 dropped under --no-timing so files are byte-identical across worker
 counts.  Exit codes: 0 success (row-level domain errors allowed),
 1 runtime failure, 2 config error.
+
+The closed-form engines (analytic, linearized, optimize) are evaluated
+over the whole grid at once, as numpy columns, in process; exact and all
+run one task per grid point on up to --workers processes.  Both write
+through one column-wise CSV writer.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import hashlib
 import math
 import sys
 import time
-from dataclasses import asdict
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -86,6 +91,97 @@ def _fmt(x) -> str:
     if x is None:
         return ""
     return str(x)
+
+
+# -- CSV writer ----------------------------------------------------------------
+
+_CHUNK_ROWS = 4096  # rows formatted at a time: the text of one chunk is held
+
+
+def _texts(values) -> list[str]:
+    """The CSV text of each value, with the type dispatch made once for all."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        if values.dtype == bool:
+            return list(map(("false", "true").__getitem__, values.tolist()))
+        return list(map("{:.15g}".format if values.dtype.kind == "f" else str,
+                        values.tolist()))
+    values = list(values)
+    kinds = set(map(type, values))
+    if kinds <= {float}:
+        return list(map("{:.15g}".format, values))
+    if kinds <= {str}:
+        return values
+    return list(map(_fmt, values))
+
+
+class _Column(NamedTuple):
+    """One CSV column: a value per row or, with `index`, a value per distinct
+    entry and each row's entry.  Rows in `empty` are written as ''."""
+
+    values: np.ndarray | list
+    index: np.ndarray | None = None
+    empty: np.ndarray | None = None
+
+    def cells(self, lo: int, hi: int) -> list[str]:
+        """Text of rows lo..hi-1, each distinct value formatted once."""
+        idx = None
+        if self.index is not None:
+            texts, idx = _texts(self.values), self.index[lo:hi]
+        elif isinstance(self.values, np.ndarray) and self.values.dtype.kind == "f":
+            chunk = self.values[lo:hi]
+            # by bit pattern, so -0.0 and 0.0 stay apart
+            _, first, idx = np.unique(chunk.view(np.int64), return_index=True,
+                                      return_inverse=True)
+            texts = _texts(chunk[first])
+        else:
+            texts = _texts(self.values[lo:hi])
+        cells = texts if idx is None else list(map(texts.__getitem__, idx.tolist()))
+        if self.empty is not None:
+            for i in np.flatnonzero(self.empty[lo:hi]).tolist():
+                cells[i] = ""
+        return cells
+
+
+class _Table(NamedTuple):
+    """Rows to write: `n_rows` rows of `columns`, except the whole `rows`
+    (by index) that override them.  `layouts` holds (first row, key order)
+    pairs: the header lists the keys in order of first appearance."""
+
+    n_rows: int
+    columns: dict[str, _Column]
+    layouts: list[tuple[int, tuple[str, ...]]]
+    rows: dict[int, dict]
+
+    @classmethod
+    def from_rows(cls, rows: list[dict]) -> _Table:
+        keys = tuple(dict.fromkeys(k for row in rows for k in row if k != "_index"))
+        columns = {k: _Column([row.get(k, "") for row in rows]) for k in keys}
+        return cls(len(rows), columns, [(0, keys)], {})
+
+    def header(self) -> list[str]:
+        keys = (k for _, order in sorted(self.layouts, key=lambda e: e[0]) for k in order)
+        return list(dict.fromkeys(keys)) or PARAM_FIELDS + ["status"]
+
+
+def _write_csv(path: str, table: _Table, comments: list[str],
+               incomplete: bool = False) -> None:
+    header = table.header()
+    overrides = sorted(table.rows.items())
+    with open(path, "w", newline="") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, table.n_rows, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, table.n_rows)
+            cells = [table.columns[col].cells(lo, hi) if col in table.columns
+                     else [""] * (hi - lo) for col in header]
+            for i, row in overrides:
+                if lo <= i < hi:
+                    for col, name in zip(cells, header):
+                        col[i - lo] = _fmt(row.get(name, ""))
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        if incomplete:
+            fh.write("# INCOMPLETE\n")
 
 
 def load_config(path: str | None) -> dict:
@@ -175,12 +271,25 @@ def _spin_count(key: str, v: float) -> int:
     return round(v)
 
 
-def build_grid(cfg: dict) -> list[dict]:
-    """Row-major cartesian product of the sweep axes over the base params."""
-    grid = [dict(cfg["params"])]
-    for ax in cfg["sweep_axes"]:
-        grid = [dict(pt, **{ax["name"]: v}) for pt in grid for v in ax["values"]]
-    return grid
+def build_grid(cfg: dict) -> tuple[int, dict[str, tuple[list, np.ndarray]]]:
+    """Row-major cartesian product of the sweep axes over the base params.
+
+    Returns the row count and, per parameter, (its values, the index of
+    each row's value): the first axis is outermost, and a later axis on the
+    same parameter overrides an earlier one.
+    """
+    counts = [len(ax["values"]) for ax in cfg["sweep_axes"]]
+    n = math.prod(counts)
+    rows = np.arange(n)
+    params = {name: ([v], np.zeros(n, dtype=np.intp)) for name, v in cfg["params"].items()}
+    for k, ax in enumerate(cfg["sweep_axes"]):
+        stride = math.prod(counts[k + 1:])
+        params[ax["name"]] = (ax["values"], rows // stride % counts[k])
+    return n, params
+
+
+def _grid_point(params: dict, i: int) -> dict:
+    return {name: values[index[i]] for name, (values, index) in params.items()}
 
 
 def _step_control(cfg: dict) -> exact.StepControl:
@@ -225,15 +334,12 @@ def _row_analytic(pdict: dict, opts: dict) -> dict:
 
 def _row_linearized(pdict: dict, opts: dict) -> dict:
     p, g, row = _row_start(pdict)
-    p_eff = g.p_eff
-    kappa = p.j_coupling * p.n_spins * p_eff
-    state = linearized.bogoliubov_propagate(
-        linearized.vacuum_state(kappa, p.n_spins * p_eff), p.t_squeeze)
-    angle, var_min, isotropic = linearized.min_variance_direction(state)
-    sig = linearized.signal(p.b_field, p.j_coupling, p.n_spins * p_eff, p.t_signal)
-    row.update({"kappa": kappa, "min_quadrature_variance": var_min,
-                "min_variance_angle": angle, "isotropic": isotropic,
-                "cov_det": float(np.linalg.det(state.cov)),
+    kappa = p.j_coupling * p.n_spins * g.p_eff
+    vac = linearized.squeezed_vacuum(kappa * p.t_squeeze)
+    sig = linearized.signal(p.b_field, p.j_coupling, p.n_spins * g.p_eff, p.t_signal)
+    row.update({"kappa": kappa, "min_quadrature_variance": vac.min_variance,
+                "min_variance_angle": vac.angle, "isotropic": vac.isotropic,
+                "cov_det": vac.cov_det,
                 "signal": sig.value, "signal_degenerate": sig.degenerate,
                 "status": "ok"})
     return row
@@ -250,9 +356,11 @@ def _row_exact(pdict: dict, opts: dict) -> dict:
     # the row's own evolution leaves a zero-rate generator out; the
     # factorization error needs both
     gens = [g for g, rate in ((l1, p.j_coupling), (l2, p.gamma)) if rate != 0.0]
-    rho = exact.evolve(rho, gens, p.t_squeeze, ctl)
+    stats = {}
+    rho = exact.evolve(rho, gens, p.t_squeeze, ctl, stats)
     ops = exact.spin_operators(p.n_spins, n_cap)
-    trace_dev, herm, min_eig = exact.channel_residuals(rho)
+    # the accepted RK4 pass has checked the final state; T = 0 ran none
+    trace_dev, herm, min_eig = stats.get("residuals") or exact.channel_residuals(rho)
     row.update({
         "mean_sz_per_site": exact.measure(rho, ops.collective_z) / p.n_spins,
         "trace_residual": trace_dev, "hermiticity_residual": herm,
@@ -337,25 +445,6 @@ def _run_point(task: tuple) -> dict:
     return row
 
 
-def _write_csv(path: str, rows: list[dict], comments: list[str],
-               incomplete: bool = False) -> None:
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key != "_index" and key not in columns:
-                columns.append(key)
-    if not columns:
-        columns = PARAM_FIELDS + ["status"]
-    with open(path, "w", newline="") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row.get(col, "")) for col in columns) + "\n")
-        if incomplete:
-            fh.write("# INCOMPLETE\n")
-
-
 def _config_hash(path: str | None) -> str:
     if path is None:
         return "none"
@@ -363,17 +452,216 @@ def _config_hash(path: str | None) -> str:
         return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
-def run_sweep(cfg: dict, engine: str, out_path: str, workers: int,
-              timing: bool, config_path: str | None = None) -> int:
-    """Execute the grid with up to `workers` concurrent tasks; output is
-    written in grid-index order and is identical for any worker count."""
-    grid = build_grid(cfg)
-    opts = {"n_cap": cfg["run"].get("n_cap", exact.DEFAULT_N_CAP),
-            "with_factorization": cfg["run"].get("with_factorization", False),
-            "step_control": _step_control(cfg)}
-    tasks = [(i, pt, engine, opts, timing) for i, pt in enumerate(grid)]
-    comments = [f"tactsqueeze {__version__}", f"config sha256={_config_hash(config_path)}",
-                f"engine={engine}"]
+# -- closed-form engines over the whole grid ----------------------------------
+#
+# Each _grid_* function evaluates its engine's row function at every grid
+# point at once, as float64 columns, in the operation order of the scalar
+# functions it mirrors, so every value has the same bits (exp goes through
+# math.exp, core.exp_elementwise).  It returns the columns, the key orders
+# its rows take (a row's status key sits where its first domain error put
+# it) and the rows it leaves to the row path.  _grid_sweep leaves every
+# invalid point, and every row with a non-finite value where the row path
+# may raise, to the row path as well, so errors and whole-row statuses have
+# one definition: _run_point.
+
+_START_KEYS = ("theta", "alpha", "alpha_infinite", "u", "p_eff")
+
+
+class _GridRows(NamedTuple):
+    columns: dict[str, _Column]
+    layouts: list[tuple[tuple[str, ...], np.ndarray]]  # key order, rows taking it
+    handoff: np.ndarray  # rows only the row path reproduces
+
+
+def _grid_start(x: dict) -> tuple[dict, np.ndarray]:
+    """_row_start's group columns, and e^{-4 Gamma T} (p_eff / P)."""
+    g, t_sq = x["gamma"], x["t_squeeze"]
+    decay = core.exp_elementwise(-4.0 * g * t_sq)
+    theta = 4.0 * g * t_sq
+    noiseless = g == 0.0
+    alpha = x["j_coupling"] * x["n_spins"] * x["polarization_p"] / (4.0 * g)
+    return {"theta": _Column(theta), "alpha": _Column(alpha, empty=noiseless),
+            "alpha_infinite": _Column(noiseless), "u": _Column(theta),
+            "p_eff": _Column(x["polarization_p"] * decay)}, decay
+
+
+def _statuses(n: int, failures: list[tuple[str, Callable, np.ndarray, tuple]]
+              ) -> tuple[_Column, np.ndarray]:
+    """A grid engine's status column: 'ok', or f"{prefix}: {exc}" from the
+    domain error of the first failing call, as the row path keeps it.
+    `failures` lists (prefix, scalar function, rows where it fails, its
+    argument columns) in the row function's call order; the function is
+    called on those rows for its own message.  Also returns the rows where
+    it raised no domain error: the row path decides those."""
+    status = np.full(n, "ok", dtype=object)
+    handoff = np.zeros(n, dtype=bool)
+    for prefix, fn, fails, args in reversed(failures):
+        rows = np.flatnonzero(fails).tolist()
+        for i, values in zip(rows, zip(*(a[fails].tolist() for a in args))):
+            try:
+                fn(*values)
+            except TactError as exc:
+                status[i] = f"{prefix}: {exc}"
+            except (ArithmeticError, ValueError):  # not a domain error
+                handoff[i] = True
+            else:
+                handoff[i] = True
+    return _Column(status), handoff
+
+
+def _grid_analytic(x: dict) -> _GridRows:
+    n, p, j, g = x["n_spins"], x["polarization_p"], x["j_coupling"], x["gamma"]
+    t_sq, t_sig = x["t_squeeze"], x["t_signal"]
+    exp = core.exp_elementwise
+    cols, decay = _grid_start(x)
+    alpha = cols["alpha"].values
+    # analytic.xi2_min; alpha is None at Gamma = 0
+    kappa_t = j * n * p * decay * t_sq
+    regime = np.select([(g == 0.0) | np.isinf(alpha), alpha <= 1.0, alpha >= 10.0],
+                       [2, 0, 2], 1)
+    cols["xi2_paper"] = _Column(exp(-kappa_t) / (p * decay))
+    cols["exponent_arg"] = _Column(kappa_t - 4.0 * g * t_sq)
+    cols["regime"] = _Column([analytic.SUB_THRESHOLD, analytic.SQUEEZING, analytic.STRONG],
+                             index=regime)
+    # analytic.snr_squeeze_while_measure
+    while_ok = (j > 0.0) & (t_sq > 0.0)
+    jnpt = j * n * p * t_sq
+    numer = 1.0 - exp(-jnpt * decay)
+    denom = exp(-(jnpt - 1.0) * decay)
+    pref = math.sqrt(2.0) / (j * np.sqrt(t_sq * n))
+    cols["snr_while_measuring"] = _Column(pref * numer / denom, empty=~while_ok)
+    # analytic.snr_squeeze_then_measure
+    then_ok = ~((t_sq < 0.0) | (t_sig < 0.0) | (t_sq + t_sig <= 0.0))
+    p_eff = p * exp(-4.0 * g * (t_sq + t_sig))
+    cols["snr_squeeze_then_measure"] = _Column(
+        t_sig * np.sqrt(n) / np.sqrt(t_sq + t_sig) * p_eff / exp(-j * n * p_eff * t_sq),
+        empty=~then_ok)
+    args = (j, n, p, g, t_sq)
+    cols["status"], handoff = _statuses(len(n), [
+        ("snr_while_measuring", analytic.snr_squeeze_while_measure, ~while_ok, args),
+        ("snr_squeeze_then_measure", analytic.snr_squeeze_then_measure, ~then_ok,
+         args + (t_sig,))])
+    head = _START_KEYS + ("xi2_paper", "exponent_arg", "regime", "snr_while_measuring")
+    return _GridRows(cols, [(head + ("snr_squeeze_then_measure", "status"), while_ok),
+                            (head + ("status", "snr_squeeze_then_measure"), ~while_ok)],
+                     handoff)
+
+
+def _grid_linearized(x: dict) -> _GridRows:
+    n, j, b = x["n_spins"], x["j_coupling"], x["b_field"]
+    cols, _ = _grid_start(x)
+    p_eff = cols["p_eff"].values
+    kappa = j * n * p_eff
+    vac = linearized.squeezed_vacuum(kappa * x["t_squeeze"])
+    # linearized.signal; the J = 0 limit is flagged degenerate
+    n_p_eff, t_sig = n * p_eff, x["t_signal"]
+    degenerate = j == 0.0
+    signal = np.where(degenerate, b * n_p_eff * t_sig,
+                      b / j * (1.0 - core.exp_elementwise(-j * n_p_eff * t_sig)))
+    cols.update(kappa=_Column(kappa), min_quadrature_variance=_Column(vac.min_variance),
+                min_variance_angle=_Column(vac.angle), isotropic=_Column(vac.isotropic),
+                cov_det=_Column(vac.cov_det), signal=_Column(signal),
+                signal_degenerate=_Column(degenerate),
+                status=_Column(["ok"], index=np.zeros(len(n), dtype=np.intp)))
+    return _GridRows(cols, [(tuple(cols), np.ones(len(n), dtype=bool))],
+                     np.zeros(len(n), dtype=bool))
+
+
+def _grid_optimize(x: dict) -> _GridRows:
+    # imported here: `import tactsqueeze` loads no scipy
+    from scipy.special import lambertw
+
+    n, p, g = x["n_spins"], x["polarization_p"], x["gamma"]
+    exp = core.exp_elementwise
+    cols, _ = _grid_start(x)
+    alpha = cols["alpha"].values
+    # optimize.optimal_theta: Theta* = 1 - W0(e/alpha) above threshold, else 0
+    interior = alpha > 1.0
+    theta = np.zeros(len(n))
+    ai = alpha[interior]
+    theta[interior] = 1.0 - lambertw(math.e / ai).real
+    ti = theta[interior]
+    unstationary = np.zeros(len(n), dtype=bool)
+    unstationary[interior] = np.abs(ai * exp(-ti) * (1.0 - ti) - 1.0) > 1e-8
+    # analytic.xi2_min_dimensionless at Theta*
+    exponent = theta * (alpha * exp(-theta) - 1.0)
+    # optimize.optimal_u and analytic.snr_optimum_strong share a = alpha/e > 1
+    a = alpha * math.exp(-1.0)
+    squeeze = a > 1.0
+    u_star = np.zeros(len(n))
+    u_star[squeeze] = (a[squeeze] - 1.0) / a[squeeze]
+    snr = np.sqrt(n) / np.sqrt(4.0 * g) * p / alpha / exp(-(a - 1.0))
+    gain = np.ones(len(n))  # below threshold the unsqueezed baseline is optimal
+    gain[squeeze] = exp(alpha[squeeze] * math.exp(-1.0)) / alpha[squeeze]
+    cols.update(theta_star=_Column(theta), xi2_at_theta_star=_Column(exp(-exponent) / p),
+                theta_at_boundary=_Column(~interior), u_star=_Column(u_star),
+                u_at_boundary=_Column(~squeeze), snr_at_u_star=_Column(snr, empty=~squeeze))
+    cols["status"], handoff = _statuses(len(n), [
+        ("snr_optimum_strong", analytic.snr_optimum_strong, ~squeeze, (alpha, n, g, p))])
+    cols["improvement_factor"] = _Column(gain)
+    # Gamma = 0 and alpha <= 0 (J = 0) rows carry a whole-row status
+    handoff |= (g == 0.0) | ~(alpha > 0.0) | unstationary
+    head = _START_KEYS + ("theta_star", "xi2_at_theta_star", "theta_at_boundary",
+                          "u_star", "u_at_boundary", "snr_at_u_star")
+    return _GridRows(cols, [(head + ("improvement_factor", "status"), squeeze),
+                            (head + ("status", "improvement_factor"), ~squeeze)], handoff)
+
+
+_GRID_ENGINES = {"analytic": _grid_analytic, "linearized": _grid_linearized,
+                 "optimize": _grid_optimize}
+
+
+def _grid_sweep(cfg: dict, engine: str, opts: dict, timing: bool
+                ) -> tuple[_Table, Exception | None]:
+    """A closed-form engine over the whole grid, in process; the rows it
+    cannot reproduce by construction run through _run_point in index order,
+    and the first exception there ends the sweep as a failed task would."""
+    start = time.perf_counter()
+    n, params = build_grid(cfg)
+    x, valid = {}, np.ones(n, dtype=bool)
+    for name, (values, index) in params.items():
+        x[name] = np.array(values, dtype=float)[index]
+        valid &= np.array([core.check_field(name, v) is None for v in values],
+                          dtype=bool)[index]
+    with np.errstate(all="ignore"):
+        grid = _GRID_ENGINES[engine](x)
+    handoff = ~valid | grid.handoff
+    for col in grid.columns.values():  # inf or nan where a float is written
+        if isinstance(col.values, np.ndarray) and col.values.dtype.kind == "f":
+            bad = ~np.isfinite(col.values)
+            handoff |= bad if col.empty is None else bad & ~col.empty
+    rows, error, n_done = {}, None, n
+    for i in np.flatnonzero(handoff).tolist():
+        try:
+            row = _run_point((i, _grid_point(params, i), engine, opts, False))
+        except Exception as exc:  # ends the sweep, as a failed task of the row path
+            error, n_done = exc, i
+            break
+        del row["_index"]
+        rows[i] = row
+    columns = {name: _Column(values, index=index) for name, (values, index) in params.items()}
+    columns.update(grid.columns)
+    layouts = [(tuple(params) + keys, mask & ~handoff) for keys, mask in grid.layouts]
+    if timing:
+        # the engine's time, spread evenly over its rows
+        wall = (time.perf_counter() - start) / max(n, 1)
+        columns["wall_time"] = _Column([wall], index=np.zeros(n, dtype=np.intp))
+        layouts = [(keys + ("wall_time",), mask) for keys, mask in layouts]
+        for row in rows.values():
+            row["wall_time"] = wall
+    # each key order at the first written row that takes it
+    orders = [(int(np.argmax(mask[:n_done])), keys) for keys, mask in layouts
+              if mask[:n_done].any()]
+    orders += [(i, tuple(row)) for i, row in rows.items()]
+    return _Table(n_done, columns, orders, rows), error
+
+
+def _row_sweep(cfg: dict, engine: str, opts: dict, workers: int, timing: bool
+               ) -> tuple[list[dict], Exception | None]:
+    """One task per grid point with up to `workers` processes; on a failed
+    task, the rows before it and the exception."""
+    n, params = build_grid(cfg)
+    tasks = [(i, _grid_point(params, i), engine, opts, timing) for i in range(n)]
     rows: list[dict] = []
     try:
         if workers <= 1:
@@ -385,17 +673,32 @@ def run_sweep(cfg: dict, engine: str, out_path: str, workers: int,
                 # rows before it, as with one worker
                 for row in pool.map(_run_point, tasks, chunksize=1):
                     rows.append(row)
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _write_csv(out_path, rows, comments, incomplete=True)
-        return 1
     except Exception as exc:  # drained task panic
-        print(f"error: task failed: {exc}", file=sys.stderr)
-        _write_csv(out_path, rows, comments, incomplete=True)
-        return 1
-    rows.sort(key=lambda r: r["_index"])
-    _write_csv(out_path, rows, comments)
-    return 0
+        return rows, exc
+    return rows, None
+
+
+def run_sweep(cfg: dict, engine: str, out_path: str, workers: int,
+              timing: bool, config_path: str | None = None) -> int:
+    """Execute the grid and write it in grid-index order; the output is
+    identical for any worker count.  The closed-form engines evaluate the
+    whole grid at once, in process; `exact` and `all` run one task per
+    point on up to `workers` processes."""
+    opts = {"n_cap": cfg["run"].get("n_cap", exact.DEFAULT_N_CAP),
+            "with_factorization": cfg["run"].get("with_factorization", False),
+            "step_control": _step_control(cfg)}
+    comments = [f"tactsqueeze {__version__}", f"config sha256={_config_hash(config_path)}",
+                f"engine={engine}"]
+    if engine in _GRID_ENGINES:
+        table, error = _grid_sweep(cfg, engine, opts, timing)
+    else:
+        rows, error = _row_sweep(cfg, engine, opts, workers, timing)
+        table = _Table.from_rows(rows)
+    if error is not None:
+        prefix = "" if isinstance(error, ResourceLimitError) else "task failed: "
+        print(f"error: {prefix}{error}", file=sys.stderr)
+    _write_csv(out_path, table, comments, incomplete=error is not None)
+    return 0 if error is None else 1
 
 
 def run_verify(cfg: dict, out_path: str, timing: bool,
@@ -449,7 +752,7 @@ def run_verify(cfg: dict, out_path: str, timing: bool,
         summary = f"FAIL: insufficient usable rows ({len(usable)})"
         ok = False
     comments.append(f"summary: {summary}")
-    _write_csv(out_path, rows, comments)
+    _write_csv(out_path, _Table.from_rows(rows), comments)
     print(summary)
     return 1 if status_fail else 0
 
@@ -459,7 +762,8 @@ def main(argv: list[str] | None = None) -> int:
     common.add_argument("--config", default=None, help="path to INI config file")
     common.add_argument("--out", default="out.csv", help="output CSV path")
     common.add_argument("--workers", type=int, default=1,
-                        help="max concurrent sweep tasks")
+                        help="max concurrent exact/all sweep tasks (the closed-form "
+                             "engines run in process)")
     common.add_argument("--no-timing", action="store_true",
                         help="omit the wall-time column (deterministic output)")
     parser = argparse.ArgumentParser(

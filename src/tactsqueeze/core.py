@@ -9,12 +9,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "PAULI_TACT_RATE_FACTOR",
     "ProtocolParams",
     "DimensionlessGroups",
     "Violation",
+    "check_field",
     "derive_dimensionless",
+    "exp_elementwise",
     "validate",
 ]
 
@@ -87,27 +91,41 @@ class Violation:
     message: str
 
 
+def _finite_nonnegative(x) -> bool:
+    return math.isfinite(x) and x >= 0.0
+
+
+# field -> (code, check, message prefix); one rule per field
+_FIELD_RULES = {
+    "n_spins": ("N_POSITIVE", lambda n: isinstance(n, int) and n >= 1,
+                "n_spins must be a positive integer"),
+    "polarization_p": ("P_OUT_OF_RANGE", lambda p: math.isfinite(p) and 0.0 < p <= 1.0,
+                       "polarization_p must be in (0, 1]"),
+    **{name: (code, _finite_nonnegative, f"{name} must be finite and non-negative")
+       for name, code in [("j_coupling", "J_NONNEGATIVE"),
+                          ("gamma", "GAMMA_NONNEGATIVE"),
+                          ("b_field", "B_NONNEGATIVE"),
+                          ("t_squeeze", "T_SQUEEZE_NONNEGATIVE"),
+                          ("t_signal", "T_SIGNAL_NONNEGATIVE")]},
+    "tau_total": ("TAU_POSITIVE", lambda x: math.isfinite(x) and x > 0.0,
+                  "tau_total must be finite and positive"),
+}
+
+
+def check_field(name: str, value) -> Violation | None:
+    """The violation of one ProtocolParams field's invariant, or None.
+
+    Every invariant involves one field only, so a point is valid exactly
+    when each of its fields passes this check.
+    """
+    code, ok, message = _FIELD_RULES[name]
+    return None if ok(value) else Violation(code, f"{message}, got {value}")
+
+
 def validate(params: ProtocolParams) -> list[Violation]:
     """Check every invariant; return the full list of violations (empty = ok)."""
-    v = []
-    if not isinstance(params.n_spins, int) or params.n_spins < 1:
-        v.append(Violation("N_POSITIVE", f"n_spins must be a positive integer, got {params.n_spins}"))
-    p = params.polarization_p
-    if not (math.isfinite(p) and 0.0 < p <= 1.0):
-        v.append(Violation("P_OUT_OF_RANGE", f"polarization_p must be in (0, 1], got {p}"))
-    for name, code in [
-        ("j_coupling", "J_NONNEGATIVE"),
-        ("gamma", "GAMMA_NONNEGATIVE"),
-        ("b_field", "B_NONNEGATIVE"),
-        ("t_squeeze", "T_SQUEEZE_NONNEGATIVE"),
-        ("t_signal", "T_SIGNAL_NONNEGATIVE"),
-    ]:
-        x = getattr(params, name)
-        if not (math.isfinite(x) and x >= 0.0):
-            v.append(Violation(code, f"{name} must be finite and non-negative, got {x}"))
-    if not (math.isfinite(params.tau_total) and params.tau_total > 0.0):
-        v.append(Violation("TAU_POSITIVE", f"tau_total must be finite and positive, got {params.tau_total}"))
-    return v
+    found = (check_field(name, getattr(params, name)) for name in _FIELD_RULES)
+    return [v for v in found if v is not None]
 
 
 def derive_dimensionless(params: ProtocolParams, mode: str = SQUEEZE_ONLY) -> DimensionlessGroups:
@@ -130,3 +148,24 @@ def derive_dimensionless(params: ProtocolParams, mode: str = SQUEEZE_ONLY) -> Di
                                    alpha_infinite=True)
     alpha = params.j_coupling * params.n_spins * params.polarization_p / (4.0 * params.gamma)
     return DimensionlessGroups(theta=theta, alpha=alpha, p_eff=p_eff)
+
+
+def exp_elementwise(x) -> np.ndarray:
+    """math.exp of every element of x, as a float64 array; +inf where it overflows.
+
+    One math.exp call per element, so each value has the bits of the
+    scalar call (np.exp differs from it in the last bit on some inputs).
+    """
+    vals = np.asarray(x, dtype=float).ravel().tolist()
+    try:
+        out = np.fromiter(map(math.exp, vals), float, len(vals))
+    except OverflowError:
+        out = np.array([_exp_or_inf(v) for v in vals])
+    return out.reshape(np.shape(x))
+
+
+def _exp_or_inf(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf

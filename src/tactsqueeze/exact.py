@@ -285,11 +285,13 @@ def channel_residuals(rho: np.ndarray) -> tuple[float, float, float]:
     return float(trace_dev), herm, min_eig
 
 
-def _invariants_ok(rho: np.ndarray, ctl: StepControl) -> tuple[bool, float]:
-    trace_dev, herm, min_eig = channel_residuals(rho)
+def _invariants_ok(rho: np.ndarray, ctl: StepControl
+                   ) -> tuple[bool, float, tuple[float, float, float]]:
+    residuals = channel_residuals(rho)
+    trace_dev, herm, min_eig = residuals
     worst = max(trace_dev / ctl.trace_tol, herm / ctl.hermiticity_tol,
                 max(0.0, -min_eig) / -ctl.min_eigenvalue_tol)
-    return worst <= 1.0, worst
+    return worst <= 1.0, worst, residuals
 
 
 def _rk4(rho: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray],
@@ -320,21 +322,31 @@ def _rk4(rho: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray],
 
 
 def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float,
-           step_control: StepControl | None = None) -> np.ndarray:
+           step_control: StepControl | None = None,
+           stats: dict | None = None) -> np.ndarray:
     """Integrate d rho/dt = sum_k L_k(rho) for `duration` with fixed-step RK4.
 
     Steps are halved (count doubled) until the trace / Hermiticity /
     positivity invariants hold at the configured tolerances.  rho must be
     Hermitian (the generators are defined on Hermitian states only):
     max |rho - rho^dag| above step_control.hermiticity_tol is a ValueError.
+
+    If `stats` is given it is filled in, also when IntegrationError is
+    raised: n_steps (of the last RK4 pass) and refinements (passes beyond
+    the first); after at least one pass also worst_residual (that pass's
+    largest invariant residual over its tolerance) and residuals, its
+    `channel_residuals` (trace_dev, herm, min_eig).  With duration 0 or
+    no generators no pass runs: n_steps = refinements = 0 and no residuals.
     """
     if duration < 0:
         raise ValueError("duration must be >= 0")
     ctl = step_control or StepControl()
+    stats = {} if stats is None else stats
     herm = _hermiticity_residual(rho)
     if not herm <= ctl.hermiticity_tol:
         raise ValueError(f"rho is not Hermitian: max |rho - rho^dag| = {herm:.3e} "
                          f"exceeds hermiticity_tol {ctl.hermiticity_tol:.3e}")
+    stats.update(n_steps=0, refinements=0)
     if duration == 0 or not generators:
         return rho.copy()
     rate = sum(g.rate_bound for g in generators)
@@ -349,10 +361,11 @@ def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float
         return out
 
     n_steps = max(ctl.min_steps, int(np.ceil(duration * rate / ctl.target_step_rate)))
-    worst = np.inf
-    for _ in range(ctl.max_refinements + 1):
+    for refinement in range(ctl.max_refinements + 1):
         out = _rk4(rho, rhs, duration, n_steps)
-        ok, worst = _invariants_ok(out, ctl)
+        ok, worst, residuals = _invariants_ok(out, ctl)
+        stats.update(n_steps=n_steps, refinements=refinement, worst_residual=worst,
+                     residuals=residuals)
         if ok:
             return out
         n_steps *= 2

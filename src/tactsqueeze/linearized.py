@@ -20,12 +20,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core import exp_elementwise
 from .errors import DegenerateShiftError
 
 __all__ = [
     "GaussianState", "vacuum_state", "effective_polarization",
     "bogoliubov_propagate", "displaced_mode_means", "signal",
     "min_variance_direction", "SignalValue", "VarianceDirection",
+    "squeezed_vacuum", "SqueezedVacuum",
 ]
 
 
@@ -124,3 +126,39 @@ def min_variance_direction(state: GaussianState,
     if angle < 0:
         angle += math.pi
     return VarianceDirection(angle, var_min, False)
+
+
+class SqueezedVacuum(NamedTuple):
+    min_variance: float | np.ndarray
+    angle: float | np.ndarray
+    isotropic: bool | np.ndarray
+    cov_det: float | np.ndarray
+
+
+def squeezed_vacuum(kappa_t, isotropy_tol: float = 1e-12) -> SqueezedVacuum:
+    """Covariance moments of the vacuum after `bogoliubov_propagate` for kappa t.
+
+    In the +-45 degree frame the covariance is exactly
+    diag(e^{-2 kappa t}, e^{2 kappa t}) / 2, so the minor eigenvalue is
+    e^{-2|kappa t|}/2 along 3 pi/4 (pi/4 for kappa t < 0; 0 at kappa t = 0)
+    and the determinant is the product of the two eigenvalues.  Reading
+    them off the 2x2 matrix instead cancels catastrophically once
+    cosh(2 kappa t) is large.  `isotropic` applies the rule of
+    `min_variance_direction` to these eigenvalues; it is false once the
+    major one overflows (|kappa t| above ~354.9, where cov_det is inf or nan).
+    Accepts a scalar (returns Python scalars) or an array.
+    """
+    x = np.asarray(kappa_t, dtype=float)
+    two_x = 2.0 * np.abs(x)
+    lo = exp_elementwise(-two_x) / 2.0
+    hi = exp_elementwise(two_x) / 2.0
+    with np.errstate(invalid="ignore"):
+        half_diff = (hi - lo) / 2.0
+        mid = (hi + lo) / 2.0
+        isotropic = np.isfinite(hi) & (half_diff <= isotropy_tol * np.maximum(mid, 1.0))
+        det = lo * hi
+    angle = np.where(x > 0.0, 0.75 * math.pi, np.where(x < 0.0, 0.25 * math.pi, 0.0))
+    out = SqueezedVacuum(lo, angle, isotropic, det)
+    if x.ndim == 0:
+        return SqueezedVacuum(*(v.item() for v in out))
+    return out

@@ -1,7 +1,14 @@
+import concurrent.futures
+import contextlib
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tactsqueeze import cli, exact
 
@@ -230,6 +237,29 @@ class TestExactCommand:
         assert cli._row_exact(pdict, {})["status"] == "ok"
         assert len(calls) <= 3 * n
 
+    @pytest.mark.parametrize("t, factorize, checks", [(0.3, False, 1), (0.0, False, 1),
+                                                      (0.3, True, 3)])
+    def test_row_checks_each_final_state_once(self, monkeypatch, t, factorize, checks):
+        # the row reads the residuals of evolve's accepted pass; it runs
+        # channel_residuals itself only when evolve ran no RK4 pass (T = 0)
+        calls = []
+        channel_residuals = exact.channel_residuals
+
+        def counting(rho):
+            calls.append(rho)
+            return channel_residuals(rho)
+
+        monkeypatch.setattr(exact, "channel_residuals", counting)
+        pdict = dict(cli._DEFAULT_PARAMS, n_spins=3, j_coupling=0.05, gamma=0.1,
+                     t_squeeze=t)
+        row = cli._row_exact(pdict, {"with_factorization": factorize})
+        assert len(calls) == checks
+        rho = exact.evolve(exact.build_initial_state(3, 1.0),
+                           [exact.squeeze_generator(3, 0.05),
+                            exact.depolarize_generator(3, 0.1)], t)
+        assert (row["trace_residual"], row["hermiticity_residual"],
+                row["min_eigenvalue"]) == channel_residuals(rho)
+
     def test_cap_exceeded_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[params]\nn_spins = 12\n")
         out = str(tmp_path / "o.csv")
@@ -338,3 +368,122 @@ class TestSweepDeterminism:
                          "--no-timing"]) == 0
         _, header, _ = read_rows(out)
         assert "wall_time" not in header
+
+
+CLOSED_FORM = ("analytic", "linearized", "optimize")
+
+
+def row_path_output(cfg_path: str, engine: str) -> tuple[list[str], int, str | None]:
+    """What the row path gives for a closed-form sweep: every point through
+    _run_point in index order, each cell formatted by _fmt, the header in
+    order of first appearance; the first exception ends the sweep."""
+    cfg = cli.load_config(cfg_path)
+    n, params = cli.build_grid(cfg)
+    rows, error = [], None
+    for i in range(n):
+        try:
+            rows.append(cli._run_point((i, cli._grid_point(params, i), engine, {}, False)))
+        except Exception as exc:  # noqa: BLE001 -- ends the sweep, as in run_sweep
+            error = exc
+            break
+    header = (list(dict.fromkeys(k for r in rows for k in r if k != "_index"))
+              or cli.PARAM_FIELDS + ["status"])
+    lines = [",".join(header)]
+    lines += [",".join(cli._fmt(r.get(k, "")) for k in header) for r in rows]
+    if error is not None:
+        lines.append("# INCOMPLETE")
+        return lines, 1, f"error: task failed: {error}"
+    return lines, 0, None
+
+
+# (lo, hi) pairs per axis: zeros (Gamma = 0 is alpha infinite; J, T and t = 0
+# are domain edges), invalid values, and J = 20 (alpha/e ~ 736 at N = 100,
+# Gamma = 0.25), where optimize and analytic abort the sweep
+AXIS_BOUNDS = {
+    "j_coupling": [(0.0, 0.3), (1e-3, 1.0), (-0.05, 0.2), (0.1, 20.0), (0.0, 40.0)],
+    "gamma": [(0.0, 0.25), (0.01, 1.0), (-0.01, 0.25), (0.25, 0.25)],
+    "t_squeeze": [(0.0, 0.5), (0.5, 2.0), (-0.5, 0.5)],
+    "t_signal": [(0.0, 1.0), (1.0, 3.0)],
+    "polarization_p": [(0.5, 1.0), (0.0, 1.5)],
+    "n_spins": [(1, 9)],
+}
+
+
+@st.composite
+def closed_form_configs(draw) -> str:
+    lines = ["[params]",
+             f"n_spins = {draw(st.sampled_from([1, 3, 100]))}",
+             f"polarization_p = {draw(st.sampled_from([0.9, 1.0]))}",
+             f"j_coupling = {draw(st.sampled_from([0.0, 0.05, 20.0]))}",
+             f"gamma = {draw(st.sampled_from([0.0, 0.01, 0.25]))}",
+             f"b_field = {draw(st.sampled_from([0.0, 0.2]))}",
+             f"t_squeeze = {draw(st.sampled_from([0.0, 0.5, 3.0]))}",
+             f"t_signal = {draw(st.sampled_from([0.0, 1.0]))}",
+             "[sweep]"]
+    names = draw(st.lists(st.sampled_from(sorted(AXIS_BOUNDS)), min_size=1, max_size=2))
+    for k, name in enumerate(names):
+        lo, hi = draw(st.sampled_from(AXIS_BOUNDS[name]))
+        lines.append(f"axis{k} = {name} {lo} {hi} {draw(st.integers(1, 3))} linear")
+    return "\n".join(lines) + "\n"
+
+
+class TestClosedFormGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(text=closed_form_configs())
+    # J = 0 and Gamma = 0 rows first; optimize aborts on alpha/e ~ 736
+    # (math range error), analytic on J N P T = 1000 (division by zero)
+    @example(text="[params]\nn_spins = 100\npolarization_p = 1.0\nt_squeeze = 0.5\n"
+                  "[sweep]\naxis0 = j_coupling 0 20 3 linear\n"
+                  "axis1 = gamma 0 0.25 2 linear\n")
+    # T = 0 and t = 0 domain statuses, with invalid (negative) Gamma rows
+    @example(text="[params]\nn_spins = 3\nt_squeeze = 0\n"
+                  "[sweep]\naxis0 = t_signal 0 1 2 linear\n"
+                  "axis1 = gamma -0.1 0.2 3 linear\n")
+    def test_grid_path_writes_what_the_row_path_writes(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_text(text)
+            for engine in CLOSED_FORM:
+                out = Path(tmp) / f"{engine}.csv"
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = cli.main([engine, "--config", str(cfg), "--out", str(out),
+                                     "--no-timing"])
+                lines = [ln for ln in out.read_text().splitlines()
+                         if not ln.startswith("#") or ln == "# INCOMPLETE"]
+                want_lines, want_code, want_err = row_path_output(str(cfg), engine)
+                got_err = (err.getvalue().strip().splitlines() or [None])[-1]
+                assert (code, got_err) == (want_code, want_err), engine
+                assert lines == want_lines, engine
+
+    @pytest.mark.parametrize("engine", CLOSED_FORM)
+    def test_log_grid_same_bytes_as_row_path(self, tmp_path, engine):
+        # enough rows that an exp differing in the last bit (as np.exp does
+        # from math.exp on a few percent of inputs) reaches some %.15g string
+        cfg = write_config(tmp_path, (
+            "[params]\nn_spins = 100\npolarization_p = 0.9\nt_squeeze = 0.5\n"
+            "[sweep]\naxis = j_coupling 1e-3 0.5 40 log\naxis2 = gamma 0.01 1.0 40 log\n"))
+        out = tmp_path / "o.csv"
+        assert cli.main([engine, "--config", cfg, "--out", str(out), "--no-timing"]) == 0
+        lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        assert lines == row_path_output(cfg, engine)[0]
+
+    @pytest.mark.parametrize("engine", CLOSED_FORM)
+    def test_two_workers_start_no_pool(self, tmp_path, monkeypatch, engine):
+        def refuse(*args, **kwargs):
+            raise AssertionError("closed-form engines run in process")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        cfg = write_config(tmp_path, TestSweepDeterminism.CONFIG)
+        out = str(tmp_path / "o.csv")
+        assert cli.main([engine, "--config", cfg, "--out", out, "--workers", "2"]) == 0
+        assert len(read_rows(out)[2]) == 100
+
+    @pytest.mark.parametrize("engine", CLOSED_FORM)
+    def test_timing_writes_wall_time(self, tmp_path, engine):
+        cfg = write_config(tmp_path, TestSweepDeterminism.CONFIG)
+        out = str(tmp_path / "o.csv")
+        assert cli.main([engine, "--config", cfg, "--out", out]) == 0
+        _, header, rows = read_rows(out)
+        assert header[-1] == "wall_time"
+        assert all(float(r["wall_time"]) > 0.0 for r in rows)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from tactsqueeze import core
@@ -79,3 +80,36 @@ class TestValidate:
     def test_nonfinite_rate_rejected(self):
         codes = [v.code for v in core.validate(make_params(j_coupling=math.inf))]
         assert "J_NONNEGATIVE" in codes
+
+
+class TestCheckField:
+    def test_validate_is_the_per_field_checks(self):
+        bad = make_params(n_spins=0, polarization_p=math.nan, j_coupling=-1.0,
+                          t_signal=math.inf, tau_total=0.0)
+        per_field = [core.check_field(name, getattr(bad, name))
+                     for name in ("n_spins", "polarization_p", "j_coupling", "gamma",
+                                  "b_field", "t_squeeze", "t_signal", "tau_total")]
+        assert core.validate(bad) == [v for v in per_field if v is not None]
+        assert [v.code for v in core.validate(bad)] == [
+            "N_POSITIVE", "P_OUT_OF_RANGE", "J_NONNEGATIVE", "T_SIGNAL_NONNEGATIVE",
+            "TAU_POSITIVE"]
+        assert core.check_field("gamma", 0.0) is None
+        assert core.check_field("n_spins", 3.0).message == (
+            "n_spins must be a positive integer, got 3.0")
+
+
+class TestExpElementwise:
+    def test_same_bits_as_math_exp_and_inf_on_overflow(self):
+        x = np.random.default_rng(5).uniform(-800.0, 720.0, 20000)
+        got = core.exp_elementwise(x.reshape(100, 200))
+        assert got.shape == (100, 200)
+        def exp_or_inf(v):
+            try:
+                return math.exp(v)
+            except OverflowError:
+                return math.inf
+
+        want = [exp_or_inf(v) for v in x.tolist()]
+        assert math.inf in want
+        np.testing.assert_array_equal(got.ravel(), want)
+        assert core.exp_elementwise(np.array([])).shape == (0,)

@@ -9,6 +9,7 @@ from scipy.linalg import expm
 
 from tactsqueeze import core, exact
 from tactsqueeze.errors import (
+    IntegrationError,
     NumericalConsistencyError,
     ResourceLimitError,
     UndefinedDirectionError,
@@ -315,6 +316,42 @@ class TestEvolve:
         for site in range(n):
             assert exact.measure(out, exact.site_operator(exact.SIGMA_Z, site, n)) == \
                 pytest.approx(p * np.exp(-4 * gamma * t), abs=1e-6)
+
+    def test_stats_report_the_accepted_pass(self):
+        n, t = 3, 0.6
+        rho = exact.build_initial_state(n, 0.9)
+        gens = [exact.squeeze_generator(n, 0.2), exact.depolarize_generator(n, 0.1)]
+        stats = {"stale": 1}
+        out = exact.evolve(rho, gens, t, stats=stats)
+        np.testing.assert_array_equal(out, exact.evolve(rho, gens, t))
+        rate = sum(g.rate_bound for g in gens)
+        assert stats["n_steps"] == max(16, int(np.ceil(t * rate / 0.05)))
+        assert stats["refinements"] == 0 and stats["stale"] == 1
+        assert stats["residuals"] == exact.channel_residuals(out)
+        trace_dev, herm, min_eig = stats["residuals"]
+        assert stats["worst_residual"] == max(trace_dev / 1e-9, herm / 1e-10,
+                                              max(0.0, -min_eig) / 1e-8) <= 1.0
+
+    def test_stats_filled_when_refinements_run_out(self, monkeypatch):
+        # every pass fails its check: trace off by 1e-6 against 1e-9
+        monkeypatch.setattr(exact, "channel_residuals", lambda rho: (1e-6, 0.0, 0.0))
+        rho = exact.build_initial_state(2, 0.9)
+        gens = [exact.squeeze_generator(2, 0.2), exact.depolarize_generator(2, 0.1)]
+        stats = {}
+        with pytest.raises(IntegrationError) as info:
+            exact.evolve(rho, gens, 0.3, exact.StepControl(max_refinements=2), stats)
+        assert stats["refinements"] == 2 and stats["n_steps"] == 16 * 4
+        assert stats["residuals"] == (1e-6, 0.0, 0.0)
+        assert stats["worst_residual"] == info.value.worst_residual == pytest.approx(1e3)
+
+    @pytest.mark.parametrize("duration, gens", [(0.0, "both"), (0.5, "none")])
+    def test_stats_without_a_pass(self, duration, gens):
+        rho = exact.build_initial_state(2, 0.9)
+        generators = ([exact.squeeze_generator(2, 0.2), exact.depolarize_generator(2, 0.1)]
+                      if gens == "both" else [])
+        stats = {}
+        exact.evolve(rho, generators, duration, stats=stats)
+        assert stats == {"n_steps": 0, "refinements": 0}
 
     def test_invariants_after_evolution(self):
         rho = exact.build_initial_state(4, 0.9)

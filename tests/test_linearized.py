@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tactsqueeze import linearized
 from tactsqueeze.errors import DegenerateShiftError
@@ -144,3 +147,41 @@ class TestMinVarianceDirection:
             assert min(abs(out.angle - expected),
                        abs(abs(out.angle - expected) - math.pi)) < 1e-10
             assert out.variance == pytest.approx(base.variance, rel=1e-12)
+
+
+class TestSqueezedVacuum:
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(1e-9, 350.0))
+    def test_eigenframe_against_50_digits(self, x):
+        with mpmath.workdps(50):
+            lo = mpmath.exp(-2 * mpmath.mpf(x)) / 2
+            hi = mpmath.exp(2 * mpmath.mpf(x)) / 2
+            want = (lo, 3 * mpmath.pi / 4, lo * hi)
+        out = linearized.squeezed_vacuum(x)
+        for got, ref in zip((out.min_variance, out.angle, out.cov_det), want):
+            assert abs(got - ref) <= 3e-16 * abs(ref)
+        assert out.isotropic is False
+
+    def test_matches_propagated_covariance_where_it_does_not_cancel(self):
+        for kappa, t in ((1.0, 0.0), (0.7, 1.3), (1.0, 1.0), (-0.8, 0.5)):
+            st_ = linearized.bogoliubov_propagate(linearized.vacuum_state(kappa, 10.0), t)
+            ref = linearized.min_variance_direction(st_)
+            out = linearized.squeezed_vacuum(kappa * t)
+            assert out.min_variance == pytest.approx(ref.variance, rel=1e-14)
+            assert out.angle == pytest.approx(ref.angle, abs=1e-14)
+            assert out.isotropic == ref.isotropic
+            assert out.cov_det == pytest.approx(np.linalg.det(st_.cov), rel=1e-14)
+
+    def test_array_and_scalar_calls_agree(self):
+        x = np.array([0.0, 1e-13, 0.3, 2.0, 60.0, 355.0, 400.0, 800.0])
+        arr = linearized.squeezed_vacuum(x)
+        for i, xi in enumerate(x.tolist()):
+            one = linearized.squeezed_vacuum(xi)
+            assert type(one.min_variance) is float and type(one.isotropic) is bool
+            np.testing.assert_array_equal([getattr(arr, f)[i] for f in one._fields],
+                                          list(one))
+
+    def test_overflowing_major_axis_is_not_isotropic(self):
+        out = linearized.squeezed_vacuum(400.0)
+        assert out.min_variance == 0.0 and not out.isotropic
+        assert out.angle == 0.75 * math.pi
