@@ -3,6 +3,11 @@
 Every formula is evaluated exactly as printed, including where its
 consistency with the Gaussian dynamics is questionable; cross-engine
 comparisons are diagnostics, never corrections.
+
+The formulas also take numpy arrays (a grid of points), elementwise and
+with the bits of the scalar call: exp goes through math.exp one element
+at a time (core.exp_any).  An array call raises no DomainError; the rows
+where a scalar call would raise hold nan.
 """
 
 from __future__ import annotations
@@ -10,7 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import SQUEEZE_THEN_MEASURE
+import numpy as np
+
+from .core import (SQUEEZE_THEN_MEASURE, check_domain, exp_any, nan_outside,
+                   sqrt_any, squeeze_to_noise)
 from .errors import DomainError
 
 __all__ = [
@@ -30,6 +38,10 @@ _STRONG_ALPHA = 10.0
 
 
 def _regime(alpha: float | None) -> str:
+    if isinstance(alpha, np.ndarray):
+        # a nan alpha, where a scalar call raises, reads squeezing here
+        return np.select([np.isinf(alpha), alpha <= 1.0, alpha >= _STRONG_ALPHA],
+                         [STRONG, SUB_THRESHOLD, STRONG], SQUEEZING)
     if alpha is None or math.isinf(alpha):
         return STRONG
     if math.isnan(alpha):
@@ -62,21 +74,20 @@ class SnrResult:
 def xi2_min(j_coupling: float, n_spins: float, polarization_p: float,
             gamma: float, t_squeeze: float) -> SqueezeFormulaResult:
     """xi^2_min = exp(-J N P e^{-4 Gamma T} T) / (P e^{-4 Gamma T})."""
-    decay = math.exp(-4.0 * gamma * t_squeeze)
+    decay = exp_any(-4.0 * gamma * t_squeeze)
     kappa_t = j_coupling * n_spins * polarization_p * decay * t_squeeze
-    xi2 = math.exp(-kappa_t) / (polarization_p * decay)
+    xi2 = exp_any(-kappa_t) / (polarization_p * decay)
     # identical to Theta*(alpha e^{-Theta} - 1) after substitution
     exponent = kappa_t - 4.0 * gamma * t_squeeze
-    alpha = None if gamma == 0.0 else (
-        j_coupling * n_spins * polarization_p / (4.0 * gamma))
+    alpha = squeeze_to_noise(j_coupling, n_spins, polarization_p, gamma)
     return SqueezeFormulaResult(xi2=xi2, exponent_arg=exponent, regime=_regime(alpha))
 
 
 def xi2_min_dimensionless(alpha: float, theta: float,
                           polarization_p: float) -> SqueezeFormulaResult:
     """xi^2_min = P^{-1} exp(-Theta [alpha e^{-Theta} - 1])."""
-    exponent = theta * (alpha * math.exp(-theta) - 1.0)
-    xi2 = math.exp(-exponent) / polarization_p
+    exponent = theta * (alpha * exp_any(-theta) - 1.0)
+    xi2 = exp_any(-exponent) / polarization_p
     return SqueezeFormulaResult(xi2=xi2, exponent_arg=exponent, regime=_regime(alpha))
 
 
@@ -96,14 +107,14 @@ def snr_squeeze_while_measure(j_coupling: float, n_spins: float,
     (1/sqrt(tau)) dS/dB = sqrt(2)/(J sqrt(T N))
         * [1 - exp(-J N P e^{-4 Gamma T} T)] / exp(-[J N P T - 1] e^{-4 Gamma T})
     """
-    if j_coupling <= 0.0 or t_squeeze <= 0.0:
-        raise DomainError("snr_squeeze_while_measure requires J > 0 and T > 0")
-    decay = math.exp(-4.0 * gamma * t_squeeze)
+    undefined = (j_coupling <= 0.0) | (t_squeeze <= 0.0)
+    check_domain(undefined, "snr_squeeze_while_measure requires J > 0 and T > 0")
+    decay = exp_any(-4.0 * gamma * t_squeeze)
     jnpt = j_coupling * n_spins * polarization_p * t_squeeze
-    numer = 1.0 - math.exp(-jnpt * decay)
-    denom = math.exp(-(jnpt - 1.0) * decay)
-    pref = math.sqrt(2.0) / (j_coupling * math.sqrt(t_squeeze * n_spins))
-    return SnrResult(pref * numer / denom, WHILE_MEASURING)
+    numer = 1.0 - exp_any(-jnpt * decay)
+    denom = exp_any(-(jnpt - 1.0) * decay)
+    pref = math.sqrt(2.0) / (j_coupling * sqrt_any(t_squeeze * n_spins))
+    return SnrResult(nan_outside(undefined, pref * numer / denom), WHILE_MEASURING)
 
 
 def snr_squeeze_then_measure(j_coupling: float, n_spins: float,
@@ -116,14 +127,18 @@ def snr_squeeze_then_measure(j_coupling: float, n_spins: float,
 
     T = 0 is the unsqueezed baseline.
     """
-    if t_squeeze < 0.0 or t_signal < 0.0 or t_squeeze + t_signal <= 0.0:
-        raise DomainError("requires T >= 0, t >= 0 and T + t > 0")
-    p_eff = polarization_p * math.exp(-4.0 * gamma * (t_squeeze + t_signal))
-    val = (t_signal * math.sqrt(n_spins) / math.sqrt(t_squeeze + t_signal)
-           * p_eff / math.exp(-j_coupling * n_spins * p_eff * t_squeeze))
-    protocol = UNSQUEEZED if t_squeeze == 0.0 else SQUEEZE_THEN_MEASURE
+    undefined = (t_squeeze < 0.0) | (t_signal < 0.0) | (t_squeeze + t_signal <= 0.0)
+    check_domain(undefined, "requires T >= 0, t >= 0 and T + t > 0")
+    p_eff = polarization_p * exp_any(-4.0 * gamma * (t_squeeze + t_signal))
+    val = (t_signal * sqrt_any(n_spins) / sqrt_any(t_squeeze + t_signal)
+           * p_eff / exp_any(-j_coupling * n_spins * p_eff * t_squeeze))
+    unsqueezed = t_squeeze == 0.0
+    if isinstance(unsqueezed, np.ndarray):
+        protocol = np.where(unsqueezed, UNSQUEEZED, SQUEEZE_THEN_MEASURE)
+    else:
+        protocol = UNSQUEEZED if unsqueezed else SQUEEZE_THEN_MEASURE
     u_split = 4.0 * gamma * t_squeeze
-    return SnrResult(val, protocol, u_split=u_split)
+    return SnrResult(nan_outside(undefined, val), protocol, u_split=u_split)
 
 
 def snr_optimum_strong(alpha: float, n_spins: float, gamma: float,
@@ -134,16 +149,16 @@ def snr_optimum_strong(alpha: float, n_spins: float, gamma: float,
     at U_max = (alpha/e - 1)/(alpha/e).  Requires alpha/e > 1.
     """
     a = alpha * math.exp(-1.0)
-    if not a > 1.0:
-        raise DomainError(f"no interior optimum: alpha/e = {a} <= 1")
+    undefined = np.logical_not(a > 1.0)
+    check_domain(undefined, "no interior optimum: alpha/e = {} <= 1", a)
     u_max = (a - 1.0) / a
-    val = (math.sqrt(n_spins) / math.sqrt(4.0 * gamma)
-           * polarization_p / alpha / math.exp(-(a - 1.0)))
-    return SnrResult(val, SQUEEZE_THEN_MEASURE, u_split=u_max)
+    val = (sqrt_any(n_spins) / sqrt_any(4.0 * gamma)
+           * polarization_p / alpha / exp_any(-(a - 1.0)))
+    return SnrResult(nan_outside(undefined, val), SQUEEZE_THEN_MEASURE, u_split=u_max)
 
 
 def improvement_factor(alpha: float) -> float:
     """Metrological gain over the unsqueezed baseline: exp(alpha/e)/alpha."""
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise DomainError(f"improvement factor needs finite alpha > 0, got {alpha}")
-    return math.exp(alpha * math.exp(-1.0)) / alpha
+    undefined = np.logical_not((alpha > 0.0) & np.isfinite(alpha))
+    check_domain(undefined, "improvement factor needs finite alpha > 0, got {}", alpha)
+    return nan_outside(undefined, exp_any(alpha * math.exp(-1.0)) / alpha)

@@ -455,14 +455,14 @@ def _config_hash(path: str | None) -> str:
 # -- closed-form engines over the whole grid ----------------------------------
 #
 # Each _grid_* function evaluates its engine's row function at every grid
-# point at once, as float64 columns, in the operation order of the scalar
-# functions it mirrors, so every value has the same bits (exp goes through
-# math.exp, core.exp_elementwise).  It returns the columns, the key orders
-# its rows take (a row's status key sits where its first domain error put
-# it) and the rows it leaves to the row path.  _grid_sweep leaves every
-# invalid point, and every row with a non-finite value where the row path
-# may raise, to the row path as well, so errors and whole-row statuses have
-# one definition: _run_point.
+# point at once: it calls the same library functions on float64 columns
+# (each takes arrays and gives every element the bits of the scalar call)
+# and assembles their columns.  It returns them, the key orders its rows
+# take (a row's status key sits where its first domain error put it) and
+# the rows it leaves to the row path.  _grid_sweep leaves every invalid
+# point, and every row with an inf or nan where a float is written, to the
+# row path as well, so errors and whole-row statuses have one definition:
+# _run_point.
 
 _START_KEYS = ("theta", "alpha", "alpha_infinite", "u", "p_eff")
 
@@ -473,33 +473,31 @@ class _GridRows(NamedTuple):
     handoff: np.ndarray  # rows only the row path reproduces
 
 
-def _grid_start(x: dict) -> tuple[dict, np.ndarray]:
-    """_row_start's group columns, and e^{-4 Gamma T} (p_eff / P)."""
-    g, t_sq = x["gamma"], x["t_squeeze"]
-    decay = core.exp_elementwise(-4.0 * g * t_sq)
-    theta = 4.0 * g * t_sq
-    noiseless = g == 0.0
-    alpha = x["j_coupling"] * x["n_spins"] * x["polarization_p"] / (4.0 * g)
-    return {"theta": _Column(theta), "alpha": _Column(alpha, empty=noiseless),
-            "alpha_infinite": _Column(noiseless), "u": _Column(theta),
-            "p_eff": _Column(x["polarization_p"] * decay)}, decay
+def _grid_start(x: dict) -> tuple[dict, core.DimensionlessGroups]:
+    """_row_start's group columns, and the groups."""
+    g = core.derive_dimensionless(core.ProtocolParams(**x))
+    return {"theta": _Column(g.theta), "alpha": _Column(g.alpha, empty=g.alpha_infinite),
+            "alpha_infinite": _Column(g.alpha_infinite), "u": _Column(g.theta),
+            "p_eff": _Column(g.p_eff)}, g
 
 
-def _statuses(n: int, failures: list[tuple[str, Callable, np.ndarray, tuple]]
+def _statuses(n: int, calls: list[tuple[str, Callable, tuple, np.ndarray]]
               ) -> tuple[_Column, np.ndarray]:
     """A grid engine's status column: 'ok', or f"{prefix}: {exc}" from the
     domain error of the first failing call, as the row path keeps it.
-    `failures` lists (prefix, scalar function, rows where it fails, its
-    argument columns) in the row function's call order; the function is
-    called on those rows for its own message.  Also returns the rows where
-    it raised no domain error: the row path decides those."""
+    `calls` lists (prefix, function, its argument columns, its value
+    column) in the row function's call order.  The value is nan where the
+    array call found a row outside the domain; the function is called on
+    those rows alone for its own message.  Also returns the rows where it
+    raised no domain error: the row path decides those."""
     status = np.full(n, "ok", dtype=object)
     handoff = np.zeros(n, dtype=bool)
-    for prefix, fn, fails, args in reversed(failures):
+    for prefix, fn, args, value in reversed(calls):
+        fails = np.isnan(value)
         rows = np.flatnonzero(fails).tolist()
-        for i, values in zip(rows, zip(*(a[fails].tolist() for a in args))):
+        for i, point in zip(rows, zip(*(a[fails].tolist() for a in args))):
             try:
-                fn(*values)
+                fn(*point)
             except TactError as exc:
                 status[i] = f"{prefix}: {exc}"
             except (ArithmeticError, ValueError):  # not a domain error
@@ -512,99 +510,66 @@ def _statuses(n: int, failures: list[tuple[str, Callable, np.ndarray, tuple]]
 def _grid_analytic(x: dict) -> _GridRows:
     n, p, j, g = x["n_spins"], x["polarization_p"], x["j_coupling"], x["gamma"]
     t_sq, t_sig = x["t_squeeze"], x["t_signal"]
-    exp = core.exp_elementwise
-    cols, decay = _grid_start(x)
-    alpha = cols["alpha"].values
-    # analytic.xi2_min; alpha is None at Gamma = 0
-    kappa_t = j * n * p * decay * t_sq
-    regime = np.select([(g == 0.0) | np.isinf(alpha), alpha <= 1.0, alpha >= 10.0],
-                       [2, 0, 2], 1)
-    cols["xi2_paper"] = _Column(exp(-kappa_t) / (p * decay))
-    cols["exponent_arg"] = _Column(kappa_t - 4.0 * g * t_sq)
-    cols["regime"] = _Column([analytic.SUB_THRESHOLD, analytic.SQUEEZING, analytic.STRONG],
-                             index=regime)
-    # analytic.snr_squeeze_while_measure
-    while_ok = (j > 0.0) & (t_sq > 0.0)
-    jnpt = j * n * p * t_sq
-    numer = 1.0 - exp(-jnpt * decay)
-    denom = exp(-(jnpt - 1.0) * decay)
-    pref = math.sqrt(2.0) / (j * np.sqrt(t_sq * n))
-    cols["snr_while_measuring"] = _Column(pref * numer / denom, empty=~while_ok)
-    # analytic.snr_squeeze_then_measure
-    then_ok = ~((t_sq < 0.0) | (t_sig < 0.0) | (t_sq + t_sig <= 0.0))
-    p_eff = p * exp(-4.0 * g * (t_sq + t_sig))
-    cols["snr_squeeze_then_measure"] = _Column(
-        t_sig * np.sqrt(n) / np.sqrt(t_sq + t_sig) * p_eff / exp(-j * n * p_eff * t_sq),
-        empty=~then_ok)
+    cols, _ = _grid_start(x)
+    xi = analytic.xi2_min(j, n, p, g, t_sq)
     args = (j, n, p, g, t_sq)
+    snr_while = analytic.snr_squeeze_while_measure(*args).snr_per_root_time
+    snr_then = analytic.snr_squeeze_then_measure(*args, t_sig).snr_per_root_time
+    cols.update(xi2_paper=_Column(xi.xi2), exponent_arg=_Column(xi.exponent_arg),
+                regime=_Column(xi.regime),
+                snr_while_measuring=_Column(snr_while, empty=np.isnan(snr_while)),
+                snr_squeeze_then_measure=_Column(snr_then, empty=np.isnan(snr_then)))
     cols["status"], handoff = _statuses(len(n), [
-        ("snr_while_measuring", analytic.snr_squeeze_while_measure, ~while_ok, args),
-        ("snr_squeeze_then_measure", analytic.snr_squeeze_then_measure, ~then_ok,
-         args + (t_sig,))])
+        ("snr_while_measuring", analytic.snr_squeeze_while_measure, args, snr_while),
+        ("snr_squeeze_then_measure", analytic.snr_squeeze_then_measure, args + (t_sig,),
+         snr_then)])
     head = _START_KEYS + ("xi2_paper", "exponent_arg", "regime", "snr_while_measuring")
-    return _GridRows(cols, [(head + ("snr_squeeze_then_measure", "status"), while_ok),
-                            (head + ("status", "snr_squeeze_then_measure"), ~while_ok)],
+    while_failed = np.isnan(snr_while)
+    return _GridRows(cols, [(head + ("snr_squeeze_then_measure", "status"), ~while_failed),
+                            (head + ("status", "snr_squeeze_then_measure"), while_failed)],
                      handoff)
 
 
 def _grid_linearized(x: dict) -> _GridRows:
-    n, j, b = x["n_spins"], x["j_coupling"], x["b_field"]
-    cols, _ = _grid_start(x)
-    p_eff = cols["p_eff"].values
-    kappa = j * n * p_eff
+    n, j = x["n_spins"], x["j_coupling"]
+    cols, g = _grid_start(x)
+    kappa = j * n * g.p_eff
     vac = linearized.squeezed_vacuum(kappa * x["t_squeeze"])
-    # linearized.signal; the J = 0 limit is flagged degenerate
-    n_p_eff, t_sig = n * p_eff, x["t_signal"]
-    degenerate = j == 0.0
-    signal = np.where(degenerate, b * n_p_eff * t_sig,
-                      b / j * (1.0 - core.exp_elementwise(-j * n_p_eff * t_sig)))
+    sig = linearized.signal(x["b_field"], j, n * g.p_eff, x["t_signal"])
     cols.update(kappa=_Column(kappa), min_quadrature_variance=_Column(vac.min_variance),
                 min_variance_angle=_Column(vac.angle), isotropic=_Column(vac.isotropic),
-                cov_det=_Column(vac.cov_det), signal=_Column(signal),
-                signal_degenerate=_Column(degenerate),
+                cov_det=_Column(vac.cov_det), signal=_Column(sig.value),
+                signal_degenerate=_Column(sig.degenerate),
                 status=_Column(["ok"], index=np.zeros(len(n), dtype=np.intp)))
     return _GridRows(cols, [(tuple(cols), np.ones(len(n), dtype=bool))],
                      np.zeros(len(n), dtype=bool))
 
 
 def _grid_optimize(x: dict) -> _GridRows:
-    # imported here: `import tactsqueeze` loads no scipy
-    from scipy.special import lambertw
-
-    n, p, g = x["n_spins"], x["polarization_p"], x["gamma"]
-    exp = core.exp_elementwise
-    cols, _ = _grid_start(x)
-    alpha = cols["alpha"].values
-    # optimize.optimal_theta: Theta* = 1 - W0(e/alpha) above threshold, else 0
-    interior = alpha > 1.0
-    theta = np.zeros(len(n))
-    ai = alpha[interior]
-    theta[interior] = 1.0 - lambertw(math.e / ai).real
-    ti = theta[interior]
-    unstationary = np.zeros(len(n), dtype=bool)
-    unstationary[interior] = np.abs(ai * exp(-ti) * (1.0 - ti) - 1.0) > 1e-8
-    # analytic.xi2_min_dimensionless at Theta*
-    exponent = theta * (alpha * exp(-theta) - 1.0)
-    # optimize.optimal_u and analytic.snr_optimum_strong share a = alpha/e > 1
-    a = alpha * math.exp(-1.0)
-    squeeze = a > 1.0
-    u_star = np.zeros(len(n))
-    u_star[squeeze] = (a[squeeze] - 1.0) / a[squeeze]
-    snr = np.sqrt(n) / np.sqrt(4.0 * g) * p / alpha / exp(-(a - 1.0))
-    gain = np.ones(len(n))  # below threshold the unsqueezed baseline is optimal
-    gain[squeeze] = exp(alpha[squeeze] * math.exp(-1.0)) / alpha[squeeze]
-    cols.update(theta_star=_Column(theta), xi2_at_theta_star=_Column(exp(-exponent) / p),
-                theta_at_boundary=_Column(~interior), u_star=_Column(u_star),
-                u_at_boundary=_Column(~squeeze), snr_at_u_star=_Column(snr, empty=~squeeze))
+    n, p, gamma = x["n_spins"], x["polarization_p"], x["gamma"]
+    cols, g = _grid_start(x)
+    alpha = g.alpha
+    # a Theta* residual above 1e-8 leaves a nan, so the row path takes the row
+    theta, theta_at_boundary = optimize.optimal_theta_elementwise(alpha)
+    u, u_at_boundary = optimize.optimal_u_elementwise(alpha)
+    snr = analytic.snr_optimum_strong(alpha, n, gamma, p).snr_per_root_time
+    cols.update(theta_star=_Column(theta),
+                xi2_at_theta_star=_Column(analytic.xi2_min_dimensionless(alpha, theta, p).xi2),
+                theta_at_boundary=_Column(theta_at_boundary), u_star=_Column(u),
+                u_at_boundary=_Column(u_at_boundary),
+                snr_at_u_star=_Column(snr, empty=np.isnan(snr)),
+                # below threshold the unsqueezed baseline is optimal: gain 1
+                improvement_factor=_Column(
+                    np.where(u_at_boundary, 1.0, analytic.improvement_factor(alpha))))
     cols["status"], handoff = _statuses(len(n), [
-        ("snr_optimum_strong", analytic.snr_optimum_strong, ~squeeze, (alpha, n, g, p))])
-    cols["improvement_factor"] = _Column(gain)
+        ("snr_optimum_strong", analytic.snr_optimum_strong, (alpha, n, gamma, p), snr)])
     # Gamma = 0 and alpha <= 0 (J = 0) rows carry a whole-row status
-    handoff |= (g == 0.0) | ~(alpha > 0.0) | unstationary
+    handoff |= (gamma == 0.0) | ~(alpha > 0.0)
     head = _START_KEYS + ("theta_star", "xi2_at_theta_star", "theta_at_boundary",
                           "u_star", "u_at_boundary", "snr_at_u_star")
-    return _GridRows(cols, [(head + ("improvement_factor", "status"), squeeze),
-                            (head + ("status", "improvement_factor"), ~squeeze)], handoff)
+    return _GridRows(cols, [(head + ("improvement_factor", "status"), ~u_at_boundary),
+                            (head + ("status", "improvement_factor"), u_at_boundary)],
+                     handoff)
 
 
 _GRID_ENGINES = {"analytic": _grid_analytic, "linearized": _grid_linearized,

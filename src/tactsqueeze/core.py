@@ -11,14 +11,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = [
     "PAULI_TACT_RATE_FACTOR",
     "ProtocolParams",
     "DimensionlessGroups",
     "Violation",
+    "check_domain",
     "check_field",
     "derive_dimensionless",
+    "exp_any",
     "exp_elementwise",
+    "nan_outside",
+    "sqrt_any",
+    "squeeze_to_noise",
     "validate",
 ]
 
@@ -128,12 +135,28 @@ def validate(params: ProtocolParams) -> list[Violation]:
     return [v for v in found if v is not None]
 
 
+def squeeze_to_noise(j_coupling, n_spins, polarization_p, gamma):
+    """alpha = J N P / (4 Gamma): None at Gamma = 0 (alpha infinite).
+
+    Elementwise for an array Gamma, with +inf where Gamma = 0.
+    """
+    if isinstance(gamma, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alpha = j_coupling * n_spins * polarization_p / (4.0 * gamma)
+        return np.where(gamma == 0.0, np.inf, alpha)
+    if gamma == 0.0:
+        return None
+    return j_coupling * n_spins * polarization_p / (4.0 * gamma)
+
+
 def derive_dimensionless(params: ProtocolParams, mode: str = SQUEEZE_ONLY) -> DimensionlessGroups:
     """Compute Theta, alpha and the effective polarization.
 
     mode selects whether p_eff decays over the squeezing window only
     (``squeeze_only``) or over squeezing plus signal acquisition
-    (``squeeze_then_measure``).
+    (``squeeze_then_measure``).  Fields may be arrays of one shape (a
+    grid of points): every group is then an array, alpha +inf where
+    alpha_infinite holds.
     """
     if mode not in (SQUEEZE_ONLY, SQUEEZE_THEN_MEASURE):
         raise ValueError(f"unknown mode {mode!r}")
@@ -142,12 +165,11 @@ def derive_dimensionless(params: ProtocolParams, mode: str = SQUEEZE_ONLY) -> Di
         decay_window = params.t_squeeze
     else:
         decay_window = params.t_squeeze + params.t_signal
-    p_eff = params.polarization_p * math.exp(-4.0 * params.gamma * decay_window)
-    if params.gamma == 0.0:
-        return DimensionlessGroups(theta=theta, alpha=None, p_eff=p_eff,
-                                   alpha_infinite=True)
-    alpha = params.j_coupling * params.n_spins * params.polarization_p / (4.0 * params.gamma)
-    return DimensionlessGroups(theta=theta, alpha=alpha, p_eff=p_eff)
+    p_eff = params.polarization_p * exp_any(-4.0 * params.gamma * decay_window)
+    alpha = squeeze_to_noise(params.j_coupling, params.n_spins, params.polarization_p,
+                             params.gamma)
+    return DimensionlessGroups(theta=theta, alpha=alpha, p_eff=p_eff,
+                               alpha_infinite=params.gamma == 0.0)
 
 
 def exp_elementwise(x) -> np.ndarray:
@@ -169,3 +191,30 @@ def _exp_or_inf(v: float) -> float:
         return math.exp(v)
     except OverflowError:
         return math.inf
+
+
+def exp_any(x):
+    """math.exp(x); for an array, of each element (exp_elementwise), so an
+    array formula gives every element the bits of the scalar one."""
+    return exp_elementwise(x) if isinstance(x, np.ndarray) else math.exp(x)
+
+
+def sqrt_any(x):
+    """math.sqrt(x); np.sqrt for an array (both are correctly rounded)."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def check_domain(undefined, message: str, *args) -> None:
+    """Raise DomainError(message.format(*args)) where a formula's scalar
+    arguments lie outside its domain (`undefined` true).  Array arguments
+    are not checked here: the formula sets their rows outside it to nan,
+    by nan_outside."""
+    if not isinstance(undefined, np.ndarray) and undefined:
+        raise DomainError(message.format(*args))
+
+
+def nan_outside(undefined, value):
+    """value, with nan in the rows of an array `undefined` marks."""
+    if isinstance(undefined, np.ndarray):
+        return np.where(undefined, np.nan, value)
+    return value

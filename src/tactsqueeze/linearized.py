@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import exp_elementwise
+from .core import exp_any, exp_elementwise
 from .errors import DegenerateShiftError
 
 __all__ = [
@@ -29,6 +29,10 @@ __all__ = [
     "min_variance_direction", "SignalValue", "VarianceDirection",
     "squeezed_vacuum", "SqueezedVacuum",
 ]
+
+# a covariance whose eigenvalues differ by at most this (times max(mid, 1))
+# has no squeezing direction
+_ISOTROPY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -93,11 +97,16 @@ def signal(b_field: float, j_coupling: float, n_p_eff: float,
     """Signal curve (B/J)[1 - exp(-J N P_eff t)]; saturates at B/J.
 
     At J = 0 the analytic limit B * N P_eff * t is returned with the
-    degenerate flag set.
+    degenerate flag set.  Elementwise over arrays, with the bits of the
+    scalar call.
     """
-    if j_coupling == 0.0:
-        return SignalValue(b_field * n_p_eff * duration, True)
-    val = (b_field / j_coupling) * (1.0 - math.exp(-j_coupling * n_p_eff * duration))
+    degenerate = j_coupling == 0.0
+    limit = b_field * n_p_eff * duration
+    if not isinstance(degenerate, np.ndarray) and degenerate:
+        return SignalValue(limit, True)
+    val = (b_field / j_coupling) * (1.0 - exp_any(-j_coupling * n_p_eff * duration))
+    if isinstance(degenerate, np.ndarray):
+        return SignalValue(np.where(degenerate, limit, val), degenerate)
     return SignalValue(val, False)
 
 
@@ -108,7 +117,7 @@ class VarianceDirection(NamedTuple):
 
 
 def min_variance_direction(state: GaussianState,
-                           isotropy_tol: float = 1e-12) -> VarianceDirection:
+                           isotropy_tol: float = _ISOTROPY_TOL) -> VarianceDirection:
     """Smaller covariance eigenvalue and its eigenvector angle in the (X, Y) plane."""
     a, b = state.cov[0, 0], state.cov[1, 1]
     c = 0.5 * (state.cov[0, 1] + state.cov[1, 0])
@@ -135,18 +144,20 @@ class SqueezedVacuum(NamedTuple):
     cov_det: float | np.ndarray
 
 
-def squeezed_vacuum(kappa_t, isotropy_tol: float = 1e-12) -> SqueezedVacuum:
+def squeezed_vacuum(kappa_t) -> SqueezedVacuum:
     """Covariance moments of the vacuum after `bogoliubov_propagate` for kappa t.
 
     In the +-45 degree frame the covariance is exactly
     diag(e^{-2 kappa t}, e^{2 kappa t}) / 2, so the minor eigenvalue is
-    e^{-2|kappa t|}/2 along 3 pi/4 (pi/4 for kappa t < 0; 0 at kappa t = 0)
-    and the determinant is the product of the two eigenvalues.  Reading
-    them off the 2x2 matrix instead cancels catastrophically once
-    cosh(2 kappa t) is large.  `isotropic` applies the rule of
-    `min_variance_direction` to these eigenvalues; it is false once the
-    major one overflows (|kappa t| above ~354.9, where cov_det is inf or nan).
-    Accepts a scalar (returns Python scalars) or an array.
+    e^{-2|kappa t|}/2 along 3 pi/4 (pi/4 for kappa t < 0) and the
+    determinant is the product of the two eigenvalues.  Reading them off
+    the 2x2 matrix instead cancels catastrophically once cosh(2 kappa t)
+    is large.  As in `min_variance_direction`, eigenvalues within
+    _ISOTROPY_TOL of each other (|kappa t| up to ~1e-12) are `isotropic`,
+    with angle 0 and the mean eigenvalue as the variance.  `isotropic` is
+    false once the major eigenvalue overflows (|kappa t| above ~354.9,
+    where cov_det is inf or nan).  Accepts a scalar (returns Python
+    scalars) or an array.
     """
     x = np.asarray(kappa_t, dtype=float)
     two_x = 2.0 * np.abs(x)
@@ -155,10 +166,10 @@ def squeezed_vacuum(kappa_t, isotropy_tol: float = 1e-12) -> SqueezedVacuum:
     with np.errstate(invalid="ignore"):
         half_diff = (hi - lo) / 2.0
         mid = (hi + lo) / 2.0
-        isotropic = np.isfinite(hi) & (half_diff <= isotropy_tol * np.maximum(mid, 1.0))
+        isotropic = np.isfinite(hi) & (half_diff <= _ISOTROPY_TOL * np.maximum(mid, 1.0))
         det = lo * hi
-    angle = np.where(x > 0.0, 0.75 * math.pi, np.where(x < 0.0, 0.25 * math.pi, 0.0))
-    out = SqueezedVacuum(lo, angle, isotropic, det)
+    angle = np.where(isotropic, 0.0, np.where(x > 0.0, 0.75 * math.pi, 0.25 * math.pi))
+    out = SqueezedVacuum(np.where(isotropic, mid, lo), angle, isotropic, det)
     if x.ndim == 0:
         return SqueezedVacuum(*(v.item() for v in out))
     return out

@@ -8,6 +8,8 @@ s = T + t the squeeze fraction T/s is the same (c - 1)/c, clamped to the
 budget, so only s is searched (grid, then golden section).  Plateau ties
 break toward the smallest argmax.  `grid_then_golden` stays public as the
 numerical reference the closed forms are tested against.
+`optimal_theta_elementwise` and `optimal_u_elementwise` give the argmax
+of Theta* and U* over an array of alpha, with the scalar calls' bits.
 """
 
 from __future__ import annotations
@@ -19,16 +21,19 @@ from typing import Callable
 import numpy as np
 
 from .analytic import snr_squeeze_then_measure
+from .core import exp_any
 from .errors import DomainError, NonFiniteObjectiveError
 
 __all__ = [
     "OptimizationOutcome",
     "maximize_scalar", "grid_then_golden",
     "optimal_theta", "optimal_u", "optimal_split_full",
+    "optimal_theta_elementwise", "optimal_u_elementwise",
     "squeeze_gain",
 ]
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_STATIONARITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -133,12 +138,8 @@ def optimal_theta(alpha: float | None, polarization_p: float) -> OptimizationOut
     if alpha <= 1.0:
         return OptimizationOutcome(argmax=0.0, value=0.0, at_boundary=True,
                                    iterations=0, bracket=(0.0, 1.0))
-    # imported here: scipy costs ~0.3 s at `import tactsqueeze`, which the
-    # exact-engine commands never need
-    from scipy.special import lambertw
-    theta = 1.0 - float(lambertw(math.e / alpha).real)
-    residual = abs(alpha * math.exp(-theta) * (1.0 - theta) - 1.0)
-    if residual > 1e-8:
+    theta, residual = map(float, _theta_star(alpha))
+    if residual > _STATIONARITY_TOL:
         raise NonFiniteObjectiveError(
             f"stationarity residual {residual:.3e} exceeds 1e-8", abscissa=theta)
     return OptimizationOutcome(argmax=theta, value=squeeze_gain(theta, alpha),
@@ -146,9 +147,33 @@ def optimal_theta(alpha: float | None, polarization_p: float) -> OptimizationOut
                                diagnostics={"stationarity_residual": residual})
 
 
+def _theta_star(alpha):
+    """1 - W0(e/alpha) and its stationarity residual; elementwise on arrays."""
+    # imported here: scipy costs ~0.3 s at `import tactsqueeze`, which the
+    # exact-engine commands never need
+    from scipy.special import lambertw
+    theta = 1.0 - lambertw(math.e / alpha).real
+    return theta, abs(alpha * exp_any(-theta) * (1.0 - theta) - 1.0)
+
+
+def optimal_theta_elementwise(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """optimal_theta's argmax and at_boundary for each finite alpha of an
+    array; the argmax is nan where the scalar call raises on its
+    stationarity residual."""
+    interior = alpha > 1.0
+    theta = np.zeros(alpha.shape)
+    theta[interior], residual = _theta_star(alpha[interior])
+    theta[np.flatnonzero(interior)[residual > _STATIONARITY_TOL]] = np.nan
+    return theta, ~interior
+
+
 def _u_star(a: float) -> float:
     """Argmax of (1 - U) e^{aU} over U >= 0; 0 unless a > 1."""
-    return (a - 1.0) / a if a > 1.0 else 0.0
+    return _interior_u(a) if a > 1.0 else 0.0
+
+
+def _interior_u(a):
+    return (a - 1.0) / a
 
 
 def optimal_u(alpha: float | None) -> OptimizationOutcome:
@@ -168,6 +193,15 @@ def optimal_u(alpha: float | None) -> OptimizationOutcome:
                                    iterations=0, bracket=(0.0, 1.0))
     return OptimizationOutcome(argmax=_u_star(a), value=math.exp(a - 1.0) / a,
                                at_boundary=False, iterations=0, bracket=(0.0, 1.0))
+
+
+def optimal_u_elementwise(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """optimal_u's argmax and at_boundary for each finite alpha > 0 of an array."""
+    a = alpha * math.exp(-1.0)
+    interior = a > 1.0
+    u = np.zeros(alpha.shape)
+    u[interior] = _interior_u(a[interior])
+    return u, ~interior
 
 
 def optimal_split_full(j_coupling: float, n_spins: float, polarization_p: float,

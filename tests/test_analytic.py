@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -188,3 +189,56 @@ class TestImprovementFactor:
             analytic.improvement_factor(0.0)
         with pytest.raises(DomainError):
             analytic.improvement_factor(math.inf)
+
+
+def grid_columns(**axes) -> list[list[float]]:
+    """The row-major product of the axes, one list per argument."""
+    return [list(col) for col in zip(*itertools.product(*axes.values()))]
+
+
+class TestArrayCalls:
+    """Over arrays each formula gives every element the bits of its scalar
+    call, and nan in its value (the first field) where the scalar call
+    raises DomainError."""
+
+    @staticmethod
+    def assert_elementwise(fn, columns, fields):
+        with np.errstate(all="ignore"):
+            arrays = fn(*(np.array(c, dtype=float) for c in columns))
+        for i, point in enumerate(zip(*columns)):
+            try:
+                one = fn(*point)
+            except DomainError:
+                assert math.isnan(getattr(arrays, fields[0])[i]), point
+                continue
+            for field in fields:
+                got, want = getattr(arrays, field)[i], getattr(one, field)
+                if isinstance(want, str):
+                    assert got == want, (field, point)
+                else:
+                    assert float(got).hex() == float(want).hex(), (field, point)
+
+    def test_xi2_and_snr_formulas(self):
+        cols = grid_columns(j=[0.0, 0.05, 0.3], n=[1, 100], p=[0.9], g=[0.0, 0.01, 0.25],
+                            t_sq=[0.0, 0.5, 3.0])
+        self.assert_elementwise(analytic.xi2_min, cols, ("xi2", "exponent_arg", "regime"))
+        self.assert_elementwise(analytic.snr_squeeze_while_measure, cols,
+                                ("snr_per_root_time",))
+        for t_sig in (0.0, 1.0):
+            self.assert_elementwise(analytic.snr_squeeze_then_measure,
+                                    cols + [[t_sig] * len(cols[0])],
+                                    ("snr_per_root_time", "protocol", "u_split"))
+
+    def test_dimensionless_formulas(self):
+        alphas = [0.0, 0.5, 1.0, math.e, 3.0, 10.0, 400.0, math.inf]
+        self.assert_elementwise(analytic.xi2_min_dimensionless,
+                                grid_columns(alpha=alphas[:-1], theta=[0.0, 0.4, 1.0],
+                                             p=[0.9]), ("xi2", "exponent_arg", "regime"))
+        self.assert_elementwise(analytic.snr_optimum_strong,
+                                grid_columns(alpha=alphas[:-1], n=[100], g=[0.1], p=[0.9]),
+                                ("snr_per_root_time", "u_split"))
+
+        def gain(alpha):  # a bare float result, in the shape of the others
+            return analytic.SnrResult(analytic.improvement_factor(alpha), "")
+
+        self.assert_elementwise(gain, [alphas], ("snr_per_root_time",))

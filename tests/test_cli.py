@@ -4,6 +4,7 @@ import io
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -440,7 +441,9 @@ class TestClosedFormGrid:
                   "[sweep]\naxis0 = t_signal 0 1 2 linear\n"
                   "axis1 = gamma -0.1 0.2 3 linear\n")
     def test_grid_path_writes_what_the_row_path_writes(self, text):
-        with tempfile.TemporaryDirectory() as tmp:
+        # two rows a chunk: handoff rows, aborts and the float dedup all
+        # cross chunk boundaries
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_CHUNK_ROWS", 2):
             cfg = Path(tmp) / "run.cfg"
             cfg.write_text(text)
             for engine in CLOSED_FORM:
@@ -457,9 +460,11 @@ class TestClosedFormGrid:
                 assert lines == want_lines, engine
 
     @pytest.mark.parametrize("engine", CLOSED_FORM)
-    def test_log_grid_same_bytes_as_row_path(self, tmp_path, engine):
+    def test_log_grid_same_bytes_as_row_path(self, tmp_path, monkeypatch, engine):
         # enough rows that an exp differing in the last bit (as np.exp does
-        # from math.exp on a few percent of inputs) reaches some %.15g string
+        # from math.exp on a few percent of inputs) reaches some %.15g string;
+        # 17 chunks, the last one short
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 97)
         cfg = write_config(tmp_path, (
             "[params]\nn_spins = 100\npolarization_p = 0.9\nt_squeeze = 0.5\n"
             "[sweep]\naxis = j_coupling 1e-3 0.5 40 log\naxis2 = gamma 0.01 1.0 40 log\n"))

@@ -58,6 +58,22 @@ class TestDeriveDimensionless:
             core.derive_dimensionless(make_params(), "bogus")
 
 
+    @pytest.mark.parametrize("mode", [core.SQUEEZE_ONLY, core.SQUEEZE_THEN_MEASURE])
+    def test_array_fields_give_the_scalar_bits(self, mode):
+        points = [make_params(j_coupling=j, gamma=g, t_squeeze=t)
+                  for j in (0.0, 0.3) for g in (0.0, 0.05, 2.0) for t in (0.0, 1.7)]
+        fields = {name: np.array([getattr(p, name) for p in points], dtype=float)
+                  for name in core.ProtocolParams.__dataclass_fields__}
+        out = core.derive_dimensionless(core.ProtocolParams(**fields), mode)
+        for i, p in enumerate(points):
+            one = core.derive_dimensionless(p, mode)
+            assert out.alpha_infinite[i] == one.alpha_infinite
+            want_alpha = math.inf if one.alpha is None else one.alpha
+            for got, want in ((out.theta[i], one.theta), (out.alpha[i], want_alpha),
+                              (out.p_eff[i], one.p_eff)):
+                assert float(got).hex() == float(want).hex()
+
+
 class TestValidate:
     def test_nominal_params_ok(self):
         assert core.validate(make_params()) == []

@@ -117,6 +117,16 @@ class TestSignal:
         assert out.degenerate
         assert out.value == pytest.approx(0.5 * 40.0 * 2.0, rel=1e-14)
 
+    def test_array_call_has_the_bits_of_the_scalar_calls(self):
+        points = [(b, j, n_p, t) for b in (0.0, 0.2) for j in (0.0, 0.05, 1.0)
+                  for n_p in (1.0, 90.0) for t in (0.0, 0.7)]
+        with np.errstate(all="ignore"):
+            out = linearized.signal(*(np.array(c) for c in zip(*points)))
+        for i, point in enumerate(points):
+            one = linearized.signal(*point)
+            assert float(out.value[i]).hex() == float(one.value).hex()
+            assert out.degenerate[i] == one.degenerate
+
 
 class TestMinVarianceDirection:
     def test_vacuum_isotropic(self):
@@ -163,7 +173,8 @@ class TestSqueezedVacuum:
         assert out.isotropic is False
 
     def test_matches_propagated_covariance_where_it_does_not_cancel(self):
-        for kappa, t in ((1.0, 0.0), (0.7, 1.3), (1.0, 1.0), (-0.8, 0.5)):
+        # 1e-13: eigenvalues within the isotropy tolerance, no direction
+        for kappa, t in ((1.0, 0.0), (0.7, 1.3), (1.0, 1.0), (-0.8, 0.5), (1.0, 1e-13)):
             st_ = linearized.bogoliubov_propagate(linearized.vacuum_state(kappa, 10.0), t)
             ref = linearized.min_variance_direction(st_)
             out = linearized.squeezed_vacuum(kappa * t)

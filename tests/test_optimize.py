@@ -223,3 +223,32 @@ def test_tolerance_below_float_spacing_terminates():
     argmax, value = map(float, out.stdout.split())
     assert argmax == pytest.approx(1e9, rel=1e-15)
     assert value > 0
+
+
+class TestElementwise:
+    ALPHAS = [0.0, 0.5, 1.0, 1.0 + 1e-12, 1.5, math.e, 10.0, 1e3, 1e6]
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-17])
+    def test_theta_star_bits_of_the_scalar_call(self, monkeypatch, tol):
+        # at tol 1e-17 some residuals fail: nan where the scalar call raises
+        monkeypatch.setattr(optimize, "_STATIONARITY_TOL", tol)
+        theta, at_boundary = optimize.optimal_theta_elementwise(np.array(self.ALPHAS))
+        raised = 0
+        for i, alpha in enumerate(self.ALPHAS):
+            try:
+                one = optimize.optimal_theta(alpha, 1.0)
+            except NonFiniteObjectiveError:
+                assert math.isnan(theta[i])
+                raised += 1
+                continue
+            assert float(theta[i]).hex() == one.argmax.hex()
+            assert at_boundary[i] == one.at_boundary
+        assert (raised > 0) == (tol < 1e-8)
+
+    def test_u_star_bits_of_the_scalar_call(self):
+        alphas = self.ALPHAS[1:-1]  # optimal_u's value overflows at 1e6
+        u, at_boundary = optimize.optimal_u_elementwise(np.array(alphas))
+        for i, alpha in enumerate(alphas):
+            one = optimize.optimal_u(alpha)
+            assert float(u[i]).hex() == float(one.argmax).hex()
+            assert at_boundary[i] == one.at_boundary
