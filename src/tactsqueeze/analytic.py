@@ -73,10 +73,17 @@ class SnrResult:
 
 def xi2_min(j_coupling: float, n_spins: float, polarization_p: float,
             gamma: float, t_squeeze: float) -> SqueezeFormulaResult:
-    """xi^2_min = exp(-J N P e^{-4 Gamma T} T) / (P e^{-4 Gamma T})."""
+    """xi^2_min = exp(-J N P e^{-4 Gamma T} T) / (P e^{-4 Gamma T}).
+
+    Outside the domain where the divisor underflows to 0 (4 Gamma T above ~745).
+    """
     decay = exp_any(-4.0 * gamma * t_squeeze)
     kappa_t = j_coupling * n_spins * polarization_p * decay * t_squeeze
-    xi2 = exp_any(-kappa_t) / (polarization_p * decay)
+    p_eff = polarization_p * decay
+    underflow = p_eff == 0.0
+    check_domain(underflow, "xi2_min divides by P e^{{-4 Gamma T}} = 0 "
+                 "(underflow at 4 Gamma T = {})", 4.0 * gamma * t_squeeze)
+    xi2 = nan_outside(underflow, exp_any(-kappa_t) / p_eff)
     # identical to Theta*(alpha e^{-Theta} - 1) after substitution
     exponent = kappa_t - 4.0 * gamma * t_squeeze
     alpha = squeeze_to_noise(j_coupling, n_spins, polarization_p, gamma)
@@ -106,6 +113,9 @@ def snr_squeeze_while_measure(j_coupling: float, n_spins: float,
 
     (1/sqrt(tau)) dS/dB = sqrt(2)/(J sqrt(T N))
         * [1 - exp(-J N P e^{-4 Gamma T} T)] / exp(-[J N P T - 1] e^{-4 Gamma T})
+
+    Outside the domain where a divisor underflows to 0 (for instance
+    [J N P T - 1] e^{-4 Gamma T} above ~745).
     """
     undefined = (j_coupling <= 0.0) | (t_squeeze <= 0.0)
     check_domain(undefined, "snr_squeeze_while_measure requires J > 0 and T > 0")
@@ -113,8 +123,12 @@ def snr_squeeze_while_measure(j_coupling: float, n_spins: float,
     jnpt = j_coupling * n_spins * polarization_p * t_squeeze
     numer = 1.0 - exp_any(-jnpt * decay)
     denom = exp_any(-(jnpt - 1.0) * decay)
-    pref = math.sqrt(2.0) / (j_coupling * sqrt_any(t_squeeze * n_spins))
-    return SnrResult(nan_outside(undefined, pref * numer / denom), WHILE_MEASURING)
+    scale = j_coupling * sqrt_any(t_squeeze * n_spins)
+    underflow = (scale == 0.0) | (denom == 0.0)
+    check_domain(underflow, "snr_squeeze_while_measure divides by an underflowed 0: "
+                 "J sqrt(T N) = {} and exp(-(J N P T - 1) e^{{-4 Gamma T}}) = {}", scale, denom)
+    pref = math.sqrt(2.0) / scale
+    return SnrResult(nan_outside(undefined | underflow, pref * numer / denom), WHILE_MEASURING)
 
 
 def snr_squeeze_then_measure(j_coupling: float, n_spins: float,
@@ -125,20 +139,26 @@ def snr_squeeze_then_measure(j_coupling: float, n_spins: float,
     (1/sqrt(tau)) dS/dB = t sqrt(N)/sqrt(T + t)
         * P e^{-4 Gamma (T + t)} / exp(-J N P e^{-4 Gamma (T + t)} T)
 
-    T = 0 is the unsqueezed baseline.
+    T = 0 is the unsqueezed baseline.  Outside the domain where the divisor
+    underflows to 0 (J N P e^{-4 Gamma (T + t)} T above ~745).
     """
     undefined = (t_squeeze < 0.0) | (t_signal < 0.0) | (t_squeeze + t_signal <= 0.0)
     check_domain(undefined, "requires T >= 0, t >= 0 and T + t > 0")
     p_eff = polarization_p * exp_any(-4.0 * gamma * (t_squeeze + t_signal))
+    kappa_t = j_coupling * n_spins * p_eff * t_squeeze
+    gain = exp_any(-kappa_t)
+    underflow = gain == 0.0
+    check_domain(underflow, "snr_squeeze_then_measure divides by exp(-J N P_eff T) = 0 "
+                 "(underflow at J N P_eff T = {})", kappa_t)
     val = (t_signal * sqrt_any(n_spins) / sqrt_any(t_squeeze + t_signal)
-           * p_eff / exp_any(-j_coupling * n_spins * p_eff * t_squeeze))
+           * p_eff / gain)
     unsqueezed = t_squeeze == 0.0
     if isinstance(unsqueezed, np.ndarray):
         protocol = np.where(unsqueezed, UNSQUEEZED, SQUEEZE_THEN_MEASURE)
     else:
         protocol = UNSQUEEZED if unsqueezed else SQUEEZE_THEN_MEASURE
     u_split = 4.0 * gamma * t_squeeze
-    return SnrResult(nan_outside(undefined, val), protocol, u_split=u_split)
+    return SnrResult(nan_outside(undefined | underflow, val), protocol, u_split=u_split)
 
 
 def snr_optimum_strong(alpha: float, n_spins: float, gamma: float,

@@ -8,10 +8,11 @@ dropped under --no-timing so files are byte-identical across worker
 counts.  Exit codes: 0 success (row-level domain errors allowed),
 1 runtime failure, 2 config error.
 
-The closed-form engines (analytic, linearized, optimize) are evaluated
-over the whole grid at once, as numpy columns, in process; exact and all
-run one task per grid point on up to --workers processes.  Both write
-through one column-wise CSV writer.
+Each closed-form engine (analytic, linearized, optimize) is defined once,
+as one function that evaluates either one grid point or the whole grid at
+once, as numpy columns, in process.  exact and all run one task per grid
+point on up to --workers processes.  Both write through one column-wise
+CSV writer.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, analytic, core, exact, linearized, optimize
-from .errors import ConfigError, ResourceLimitError, TactError
+from .errors import ConfigError, DomainError, ResourceLimitError, TactError
 
 PARAM_FIELDS = ["n_spins", "polarization_p", "j_coupling", "gamma",
                 "b_field", "t_squeeze", "t_signal", "tau_total"]
@@ -154,7 +155,7 @@ class _Table(NamedTuple):
 
     @classmethod
     def from_rows(cls, rows: list[dict]) -> _Table:
-        keys = tuple(dict.fromkeys(k for row in rows for k in row if k != "_index"))
+        keys = tuple(dict.fromkeys(k for row in rows for k in row))
         columns = {k: _Column([row.get(k, "") for row in rows]) for k in keys}
         return cls(len(rows), columns, [(0, keys)], {})
 
@@ -296,57 +297,177 @@ def _step_control(cfg: dict) -> exact.StepControl:
     return exact.StepControl(**cfg["integrator"])
 
 
-# -- per-row engines (module level so process pools can pickle them) ---------
-
-def _row_start(pdict: dict) -> tuple[core.ProtocolParams, core.DimensionlessGroups, dict]:
-    """The row's params, its dimensionless groups (derived once) and a row
-    holding the inputs and the group columns."""
-    p = core.ProtocolParams(**pdict)
-    g = core.derive_dimensionless(p)
-    row = dict(pdict, theta=g.theta, alpha=g.alpha, alpha_infinite=g.alpha_infinite,
-               u=g.theta, p_eff=g.p_eff)
-    return p, g, row
-
-
-def _row_analytic(pdict: dict, opts: dict) -> dict:
-    p, _, row = _row_start(pdict)
-    res = analytic.xi2_min(p.j_coupling, p.n_spins, p.polarization_p,
-                           p.gamma, p.t_squeeze)
-    row.update({"xi2_paper": res.xi2, "exponent_arg": res.exponent_arg,
-                "regime": res.regime})
-    try:
-        row["snr_while_measuring"] = analytic.snr_squeeze_while_measure(
-            p.j_coupling, p.n_spins, p.polarization_p, p.gamma,
-            p.t_squeeze).snr_per_root_time
-    except TactError as exc:
-        row["snr_while_measuring"] = ""
-        row["status"] = f"snr_while_measuring: {exc}"
-    try:
-        row["snr_squeeze_then_measure"] = analytic.snr_squeeze_then_measure(
-            p.j_coupling, p.n_spins, p.polarization_p, p.gamma,
-            p.t_squeeze, p.t_signal).snr_per_root_time
-    except TactError as exc:
-        row["snr_squeeze_then_measure"] = ""
-        row.setdefault("status", f"snr_squeeze_then_measure: {exc}")
-    row.setdefault("status", "ok")
-    return row
+# -- engines (module level so process pools can pickle them) -----------------
+#
+# Each closed-form engine is one function of x: one point's scalars (the row
+# path, _run_point) or the whole grid's float64 columns (_grid_sweep).  The
+# library formulas take both and give both the same bits.  An engine writes
+# its cells into a _Cells record, which keeps them in key order with the
+# status; on the grid the record also names the rows only the row path
+# reproduces.  _grid_sweep adds every invalid point, and every row with an
+# inf or nan where a float is written, so errors, aborts and whole-row
+# statuses have one definition: _run_point.
 
 
-def _row_linearized(pdict: dict, opts: dict) -> dict:
-    p, g, row = _row_start(pdict)
-    kappa = p.j_coupling * p.n_spins * g.p_eff
-    vac = linearized.squeezed_vacuum(kappa * p.t_squeeze)
-    sig = linearized.signal(p.b_field, p.j_coupling, p.n_spins * g.p_eff, p.t_signal)
-    row.update({"kappa": kappa, "min_quadrature_variance": vac.min_variance,
-                "min_variance_angle": vac.angle, "isotropic": vac.isotropic,
-                "cov_det": vac.cov_det,
-                "signal": sig.value, "signal_degenerate": sig.degenerate,
-                "status": "ok"})
-    return row
+class _Cells:
+    """An engine's cells in key order, for one point (x holds scalars) or for
+    the whole grid (x holds float64 columns).  It starts with the
+    dimensionless-group cells every engine writes first (`groups`).  The
+    status goes where set_status first puts it, else after the last key."""
+
+    def __init__(self, x: dict):
+        self.grid = isinstance(x["gamma"], np.ndarray)
+        self.cells: dict = {}
+        self.empty: dict[str, np.ndarray] = {}  # grid: the rows written ''
+        if self.grid:
+            n = len(x["gamma"])
+            self.status = np.full(n, "ok", dtype=object)
+            self.status_at = np.full(n, -1)  # keys before the status; -1: not set
+            self.handoff = np.zeros(n, dtype=bool)  # rows only the row path reproduces
+        else:
+            self.status, self.status_at = "ok", -1
+        g = self.groups = core.derive_dimensionless(core.ProtocolParams(**x))
+        self.update(theta=g.theta)
+        self.put("alpha", g.alpha, empty=g.alpha_infinite)
+        self.update(alpha_infinite=g.alpha_infinite, u=g.theta, p_eff=g.p_eff)
+
+    def put(self, key: str, value, empty=False) -> None:
+        """The cell `key`, written '' where `empty` holds."""
+        if not self.grid and empty:
+            value = ""
+        elif np.any(empty):
+            self.empty[key] = empty
+        self.cells[key] = value
+
+    def update(self, **cells) -> None:
+        for key, value in cells.items():
+            self.put(key, value)
+
+    def set_status(self, text: str) -> None:
+        """One point's status, after the keys written so far, unless set already."""
+        if self.status_at < 0:
+            self.status, self.status_at = text, len(self.cells)
+
+    def guard(self, key: str, prefix: str, fn: Callable, *args) -> None:
+        """The cell `key` = fn(*args), for a call that can leave its domain.
+
+        One point: on a DomainError the cell is '' and the status
+        f"{prefix}: {exc}" (set_status).  The grid: fn gives nan in the rows
+        where the scalar call raises, and is called on those rows alone for
+        each one's message; a row where it raises no DomainError goes to the
+        row path."""
+        try:
+            value = fn(*args)
+        except DomainError as exc:  # scalar arguments only
+            self.put(key, "")
+            self.set_status(f"{prefix}: {exc}")
+            return
+        if not self.grid:
+            self.put(key, value)
+            return
+        fails = np.isnan(value)
+        self.put(key, value, empty=fails)
+        rows = np.flatnonzero(fails).tolist()
+        for i, point in zip(rows, zip(*(a[fails].tolist() for a in args))):
+            try:
+                fn(*point)
+            except DomainError as exc:
+                if self.status_at[i] < 0:
+                    self.status[i], self.status_at[i] = f"{prefix}: {exc}", len(self.cells)
+            except (ArithmeticError, TactError, ValueError):  # the row path reproduces it
+                self.handoff[i] = True
+            else:
+                self.handoff[i] = True
+
+    def _order(self, status_at: int) -> tuple[str, ...]:
+        keys = tuple(self.cells)
+        at = len(keys) if status_at < 0 else status_at
+        return keys[:at] + ("status",) + keys[at:]
+
+    def row(self) -> dict:
+        """One point's cells, the status in its place."""
+        return {key: self.status if key == "status" else self.cells[key]
+                for key in self._order(self.status_at)}
+
+    def columns(self) -> dict[str, _Column]:
+        cols = {key: _Column(value, empty=self.empty.get(key))
+                for key, value in self.cells.items()}
+        cols["status"] = _Column(self.status)
+        return cols
+
+    def layouts(self) -> list[tuple[tuple[str, ...], np.ndarray]]:
+        """Each key order the grid's rows take, and the rows that take it."""
+        return [(self._order(at), self.status_at == at)
+                for at in np.unique(self.status_at).tolist()]
+
+
+def _snr(formula: Callable) -> Callable:
+    """The SNR per root time of an analytic formula's result."""
+    return lambda *args: formula(*args).snr_per_root_time
+
+
+def _analytic(x: dict) -> _Cells:
+    rec = _Cells(x)
+    args = (x["j_coupling"], x["n_spins"], x["polarization_p"], x["gamma"], x["t_squeeze"])
+    xi = analytic.xi2_min(*args)
+    rec.update(xi2_paper=xi.xi2, exponent_arg=xi.exponent_arg, regime=xi.regime)
+    rec.guard("snr_while_measuring", "snr_while_measuring",
+              _snr(analytic.snr_squeeze_while_measure), *args)
+    rec.guard("snr_squeeze_then_measure", "snr_squeeze_then_measure",
+              _snr(analytic.snr_squeeze_then_measure), *args, x["t_signal"])
+    return rec
+
+
+def _linearized(x: dict) -> _Cells:
+    rec = _Cells(x)
+    n, j, p_eff = x["n_spins"], x["j_coupling"], rec.groups.p_eff
+    kappa = j * n * p_eff
+    vac = linearized.squeezed_vacuum(kappa * x["t_squeeze"])
+    sig = linearized.signal(x["b_field"], j, n * p_eff, x["t_signal"])
+    rec.update(kappa=kappa, min_quadrature_variance=vac.min_variance,
+               min_variance_angle=vac.angle, isotropic=vac.isotropic, cov_det=vac.cov_det,
+               signal=sig.value, signal_degenerate=sig.degenerate)
+    return rec
+
+
+def _improvement(alpha, at_boundary):
+    """improvement_factor; below threshold the unsqueezed baseline is optimal: gain 1."""
+    if isinstance(at_boundary, np.ndarray):
+        return np.where(at_boundary, 1.0, analytic.improvement_factor(alpha))
+    return 1.0 if at_boundary else analytic.improvement_factor(alpha)
+
+
+def _optimize(x: dict) -> _Cells:
+    rec = _Cells(x)
+    n, p, gamma, alpha = x["n_spins"], x["polarization_p"], x["gamma"], rec.groups.alpha
+    if rec.grid:
+        # Gamma = 0 and alpha <= 0 (J = 0) rows carry a whole-row status; a
+        # Theta* residual above 1e-8 leaves a nan, so the row path takes the row
+        rec.handoff |= (gamma == 0.0) | ~(alpha > 0.0)
+        theta, theta_at_boundary = optimize.optimal_theta_elementwise(alpha)
+        u, u_at_boundary = optimize.optimal_u_elementwise(alpha)
+    elif rec.groups.alpha_infinite:
+        rec.update(theta_star="", xi2_at_theta_star="", u_star="", snr_at_u_star="",
+                   improvement_factor="", theta_at_boundary="", u_at_boundary="")
+        rec.set_status("alpha infinite (gamma = 0)")
+        return rec
+    else:
+        th = optimize.optimal_theta(alpha, p)
+        theta, theta_at_boundary = th.argmax, th.at_boundary
+        uo = optimize.optimal_u(alpha)
+        u, u_at_boundary = uo.argmax, uo.at_boundary
+    rec.update(theta_star=theta,
+               xi2_at_theta_star=analytic.xi2_min_dimensionless(alpha, theta, p).xi2,
+               theta_at_boundary=theta_at_boundary, u_star=u, u_at_boundary=u_at_boundary)
+    rec.guard("snr_at_u_star", "snr_optimum_strong", _snr(analytic.snr_optimum_strong),
+              alpha, n, gamma, p)
+    rec.guard("improvement_factor", "improvement_factor", _improvement, alpha, u_at_boundary)
+    return rec
 
 
 def _row_exact(pdict: dict, opts: dict) -> dict:
-    p, _, row = _row_start(pdict)
+    rec = _Cells(pdict)
+    p = core.ProtocolParams(**pdict)
     n_cap = opts.get("n_cap", exact.DEFAULT_N_CAP)
     ctl = opts.get("step_control") or exact.StepControl()
     factorize = opts.get("with_factorization")
@@ -361,87 +482,52 @@ def _row_exact(pdict: dict, opts: dict) -> dict:
     ops = exact.spin_operators(p.n_spins, n_cap)
     # the accepted RK4 pass has checked the final state; T = 0 ran none
     trace_dev, herm, min_eig = stats.get("residuals") or exact.channel_residuals(rho)
-    row.update({
-        "mean_sz_per_site": exact.measure(rho, ops.collective_z) / p.n_spins,
-        "trace_residual": trace_dev, "hermiticity_residual": herm,
-        "min_eigenvalue": min_eig,
-    })
+    rec.update(mean_sz_per_site=exact.measure(rho, ops.collective_z) / p.n_spins,
+               trace_residual=trace_dev, hermiticity_residual=herm, min_eigenvalue=min_eig)
     try:
         min_var, _, mean = exact.transverse_variance_extrema(rho, ops)
-        row["xi2_kitagawa_ueda"], row["xi2_wineland"] = (
-            exact.squeezing_from_variance(min_var, mean, p.n_spins, convention)
-            for convention in (exact.KITAGAWA_UEDA, exact.WINELAND))
-        row["status"] = "ok"
+        ku, wl = (exact.squeezing_from_variance(min_var, mean, p.n_spins, convention)
+                  for convention in (exact.KITAGAWA_UEDA, exact.WINELAND))
+        rec.update(xi2_kitagawa_ueda=ku, xi2_wineland=wl)
+        rec.set_status("ok")
     except TactError as exc:
-        row["xi2_kitagawa_ueda"] = row["xi2_wineland"] = ""
-        row["status"] = str(exc)
+        rec.update(xi2_kitagawa_ueda="", xi2_wineland="")
+        rec.set_status(str(exc))
     if factorize:
         # the row's state is the joint side (a zero-rate generator adds zeros
         # and no steps); the initial state is rebuilt rather than held
         rho0 = exact.build_initial_state(p.n_spins, p.polarization_p, n_cap)
-        row["factorization_error"] = exact.trace_norm(
-            rho - exact.split_evolve(rho0, l1, l2, p.t_squeeze, ctl))
-    return row
+        rec.update(factorization_error=exact.trace_norm(
+            rho - exact.split_evolve(rho0, l1, l2, p.t_squeeze, ctl)))
+    return rec.row()
 
 
-def _row_optimize(pdict: dict, opts: dict) -> dict:
-    p, g, row = _row_start(pdict)
-    if g.alpha_infinite:
-        row.update({"theta_star": "", "xi2_at_theta_star": "", "u_star": "",
-                    "snr_at_u_star": "", "improvement_factor": "",
-                    "theta_at_boundary": "", "u_at_boundary": "",
-                    "status": "alpha infinite (gamma = 0)"})
-        return row
-    th = optimize.optimal_theta(g.alpha, p.polarization_p)
-    row["theta_star"] = th.argmax
-    row["xi2_at_theta_star"] = analytic.xi2_min_dimensionless(
-        g.alpha, th.argmax, p.polarization_p).xi2
-    row["theta_at_boundary"] = th.at_boundary
-    u = optimize.optimal_u(g.alpha)
-    row["u_star"] = u.argmax
-    row["u_at_boundary"] = u.at_boundary
-    try:
-        row["snr_at_u_star"] = analytic.snr_optimum_strong(
-            g.alpha, p.n_spins, p.gamma, p.polarization_p).snr_per_root_time
-    except TactError as exc:
-        row["snr_at_u_star"] = ""
-        row["status"] = f"snr_optimum_strong: {exc}"
-    try:
-        # below threshold the baseline (no squeezing) is optimal: gain 1
-        row["improvement_factor"] = (1.0 if u.at_boundary
-                                     else analytic.improvement_factor(g.alpha))
-    except TactError as exc:
-        row["improvement_factor"] = ""
-        row.setdefault("status", f"improvement_factor: {exc}")
-    row.setdefault("status", "ok")
-    return row
-
-
-_ENGINES = {"analytic": [_row_analytic], "linearized": [_row_linearized],
-            "exact": [_row_exact], "optimize": [_row_optimize],
-            "all": [_row_analytic, _row_linearized, _row_exact]}
+_ENGINES = {"analytic": [_analytic], "linearized": [_linearized],
+            "exact": [_row_exact], "optimize": [_optimize],
+            "all": [_analytic, _linearized, _row_exact]}
 
 
 def _run_point(task: tuple) -> dict:
-    index, pdict, engine, opts, timing = task
+    pdict, engine, opts, timing = task
     start = time.perf_counter()
-    row = {}
     violations = core.validate(core.ProtocolParams(**pdict))
     if violations:
         # codes joined by spaces: _write_csv does not quote fields
         row = dict(pdict, status="invalid: " + " ".join(v.code for v in violations))
     else:
+        row = dict(pdict)
         try:
             for fn in _ENGINES[engine]:
-                row.update(fn(pdict, opts))
+                cells = fn(pdict, opts) if fn is _row_exact else fn(pdict).row()
+                if row.get("status", "ok") != "ok":  # the first status that is not ok
+                    cells["status"] = row["status"]
+                row.update(cells)
         except ResourceLimitError:
             raise
         except TactError as exc:
-            row = dict(pdict)
-            row["status"] = str(exc)
+            row = dict(pdict, status=str(exc))
     if timing:
         row["wall_time"] = time.perf_counter() - start
-    row["_index"] = index
     return row
 
 
@@ -450,130 +536,6 @@ def _config_hash(path: str | None) -> str:
         return "none"
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()[:16]
-
-
-# -- closed-form engines over the whole grid ----------------------------------
-#
-# Each _grid_* function evaluates its engine's row function at every grid
-# point at once: it calls the same library functions on float64 columns
-# (each takes arrays and gives every element the bits of the scalar call)
-# and assembles their columns.  It returns them, the key orders its rows
-# take (a row's status key sits where its first domain error put it) and
-# the rows it leaves to the row path.  _grid_sweep leaves every invalid
-# point, and every row with an inf or nan where a float is written, to the
-# row path as well, so errors and whole-row statuses have one definition:
-# _run_point.
-
-_START_KEYS = ("theta", "alpha", "alpha_infinite", "u", "p_eff")
-
-
-class _GridRows(NamedTuple):
-    columns: dict[str, _Column]
-    layouts: list[tuple[tuple[str, ...], np.ndarray]]  # key order, rows taking it
-    handoff: np.ndarray  # rows only the row path reproduces
-
-
-def _grid_start(x: dict) -> tuple[dict, core.DimensionlessGroups]:
-    """_row_start's group columns, and the groups."""
-    g = core.derive_dimensionless(core.ProtocolParams(**x))
-    return {"theta": _Column(g.theta), "alpha": _Column(g.alpha, empty=g.alpha_infinite),
-            "alpha_infinite": _Column(g.alpha_infinite), "u": _Column(g.theta),
-            "p_eff": _Column(g.p_eff)}, g
-
-
-def _statuses(n: int, calls: list[tuple[str, Callable, tuple, np.ndarray]]
-              ) -> tuple[_Column, np.ndarray]:
-    """A grid engine's status column: 'ok', or f"{prefix}: {exc}" from the
-    domain error of the first failing call, as the row path keeps it.
-    `calls` lists (prefix, function, its argument columns, its value
-    column) in the row function's call order.  The value is nan where the
-    array call found a row outside the domain; the function is called on
-    those rows alone for its own message.  Also returns the rows where it
-    raised no domain error: the row path decides those."""
-    status = np.full(n, "ok", dtype=object)
-    handoff = np.zeros(n, dtype=bool)
-    for prefix, fn, args, value in reversed(calls):
-        fails = np.isnan(value)
-        rows = np.flatnonzero(fails).tolist()
-        for i, point in zip(rows, zip(*(a[fails].tolist() for a in args))):
-            try:
-                fn(*point)
-            except TactError as exc:
-                status[i] = f"{prefix}: {exc}"
-            except (ArithmeticError, ValueError):  # not a domain error
-                handoff[i] = True
-            else:
-                handoff[i] = True
-    return _Column(status), handoff
-
-
-def _grid_analytic(x: dict) -> _GridRows:
-    n, p, j, g = x["n_spins"], x["polarization_p"], x["j_coupling"], x["gamma"]
-    t_sq, t_sig = x["t_squeeze"], x["t_signal"]
-    cols, _ = _grid_start(x)
-    xi = analytic.xi2_min(j, n, p, g, t_sq)
-    args = (j, n, p, g, t_sq)
-    snr_while = analytic.snr_squeeze_while_measure(*args).snr_per_root_time
-    snr_then = analytic.snr_squeeze_then_measure(*args, t_sig).snr_per_root_time
-    cols.update(xi2_paper=_Column(xi.xi2), exponent_arg=_Column(xi.exponent_arg),
-                regime=_Column(xi.regime),
-                snr_while_measuring=_Column(snr_while, empty=np.isnan(snr_while)),
-                snr_squeeze_then_measure=_Column(snr_then, empty=np.isnan(snr_then)))
-    cols["status"], handoff = _statuses(len(n), [
-        ("snr_while_measuring", analytic.snr_squeeze_while_measure, args, snr_while),
-        ("snr_squeeze_then_measure", analytic.snr_squeeze_then_measure, args + (t_sig,),
-         snr_then)])
-    head = _START_KEYS + ("xi2_paper", "exponent_arg", "regime", "snr_while_measuring")
-    while_failed = np.isnan(snr_while)
-    return _GridRows(cols, [(head + ("snr_squeeze_then_measure", "status"), ~while_failed),
-                            (head + ("status", "snr_squeeze_then_measure"), while_failed)],
-                     handoff)
-
-
-def _grid_linearized(x: dict) -> _GridRows:
-    n, j = x["n_spins"], x["j_coupling"]
-    cols, g = _grid_start(x)
-    kappa = j * n * g.p_eff
-    vac = linearized.squeezed_vacuum(kappa * x["t_squeeze"])
-    sig = linearized.signal(x["b_field"], j, n * g.p_eff, x["t_signal"])
-    cols.update(kappa=_Column(kappa), min_quadrature_variance=_Column(vac.min_variance),
-                min_variance_angle=_Column(vac.angle), isotropic=_Column(vac.isotropic),
-                cov_det=_Column(vac.cov_det), signal=_Column(sig.value),
-                signal_degenerate=_Column(sig.degenerate),
-                status=_Column(["ok"], index=np.zeros(len(n), dtype=np.intp)))
-    return _GridRows(cols, [(tuple(cols), np.ones(len(n), dtype=bool))],
-                     np.zeros(len(n), dtype=bool))
-
-
-def _grid_optimize(x: dict) -> _GridRows:
-    n, p, gamma = x["n_spins"], x["polarization_p"], x["gamma"]
-    cols, g = _grid_start(x)
-    alpha = g.alpha
-    # a Theta* residual above 1e-8 leaves a nan, so the row path takes the row
-    theta, theta_at_boundary = optimize.optimal_theta_elementwise(alpha)
-    u, u_at_boundary = optimize.optimal_u_elementwise(alpha)
-    snr = analytic.snr_optimum_strong(alpha, n, gamma, p).snr_per_root_time
-    cols.update(theta_star=_Column(theta),
-                xi2_at_theta_star=_Column(analytic.xi2_min_dimensionless(alpha, theta, p).xi2),
-                theta_at_boundary=_Column(theta_at_boundary), u_star=_Column(u),
-                u_at_boundary=_Column(u_at_boundary),
-                snr_at_u_star=_Column(snr, empty=np.isnan(snr)),
-                # below threshold the unsqueezed baseline is optimal: gain 1
-                improvement_factor=_Column(
-                    np.where(u_at_boundary, 1.0, analytic.improvement_factor(alpha))))
-    cols["status"], handoff = _statuses(len(n), [
-        ("snr_optimum_strong", analytic.snr_optimum_strong, (alpha, n, gamma, p), snr)])
-    # Gamma = 0 and alpha <= 0 (J = 0) rows carry a whole-row status
-    handoff |= (gamma == 0.0) | ~(alpha > 0.0)
-    head = _START_KEYS + ("theta_star", "xi2_at_theta_star", "theta_at_boundary",
-                          "u_star", "u_at_boundary", "snr_at_u_star")
-    return _GridRows(cols, [(head + ("improvement_factor", "status"), ~u_at_boundary),
-                            (head + ("status", "improvement_factor"), u_at_boundary)],
-                     handoff)
-
-
-_GRID_ENGINES = {"analytic": _grid_analytic, "linearized": _grid_linearized,
-                 "optimize": _grid_optimize}
 
 
 def _grid_sweep(cfg: dict, engine: str, opts: dict, timing: bool
@@ -589,24 +551,23 @@ def _grid_sweep(cfg: dict, engine: str, opts: dict, timing: bool
         valid &= np.array([core.check_field(name, v) is None for v in values],
                           dtype=bool)[index]
     with np.errstate(all="ignore"):
-        grid = _GRID_ENGINES[engine](x)
-    handoff = ~valid | grid.handoff
-    for col in grid.columns.values():  # inf or nan where a float is written
+        rec = _ENGINES[engine][0](x)
+    cells = rec.columns()
+    handoff = ~valid | rec.handoff
+    for col in cells.values():  # inf or nan where a float is written
         if isinstance(col.values, np.ndarray) and col.values.dtype.kind == "f":
             bad = ~np.isfinite(col.values)
             handoff |= bad if col.empty is None else bad & ~col.empty
     rows, error, n_done = {}, None, n
     for i in np.flatnonzero(handoff).tolist():
         try:
-            row = _run_point((i, _grid_point(params, i), engine, opts, False))
+            rows[i] = _run_point((_grid_point(params, i), engine, opts, False))
         except Exception as exc:  # ends the sweep, as a failed task of the row path
             error, n_done = exc, i
             break
-        del row["_index"]
-        rows[i] = row
     columns = {name: _Column(values, index=index) for name, (values, index) in params.items()}
-    columns.update(grid.columns)
-    layouts = [(tuple(params) + keys, mask & ~handoff) for keys, mask in grid.layouts]
+    columns.update(cells)
+    layouts = [(tuple(params) + keys, mask & ~handoff) for keys, mask in rec.layouts()]
     if timing:
         # the engine's time, spread evenly over its rows
         wall = (time.perf_counter() - start) / max(n, 1)
@@ -626,7 +587,7 @@ def _row_sweep(cfg: dict, engine: str, opts: dict, workers: int, timing: bool
     """One task per grid point with up to `workers` processes; on a failed
     task, the rows before it and the exception."""
     n, params = build_grid(cfg)
-    tasks = [(i, _grid_point(params, i), engine, opts, timing) for i in range(n)]
+    tasks = [(_grid_point(params, i), engine, opts, timing) for i in range(n)]
     rows: list[dict] = []
     try:
         if workers <= 1:
@@ -654,7 +615,7 @@ def run_sweep(cfg: dict, engine: str, out_path: str, workers: int,
             "step_control": _step_control(cfg)}
     comments = [f"tactsqueeze {__version__}", f"config sha256={_config_hash(config_path)}",
                 f"engine={engine}"]
-    if engine in _GRID_ENGINES:
+    if engine not in ("exact", "all"):
         table, error = _grid_sweep(cfg, engine, opts, timing)
     else:
         rows, error = _row_sweep(cfg, engine, opts, workers, timing)
@@ -681,7 +642,7 @@ def run_verify(cfg: dict, out_path: str, timing: bool,
     n_cap = cfg["run"].get("n_cap", exact.DEFAULT_N_CAP)
     rows = []
     status_fail = False
-    for idx, n in enumerate(range(n_min, n_max + 1)):
+    for n in range(n_min, n_max + 1):
         j = 4.0 * gamma * alpha / (n * pol)
         row = {"n_spins": n, "j_coupling": j, "gamma": gamma,
                "t_squeeze": t_squeeze, "polarization_p": pol, "alpha": alpha}
@@ -698,7 +659,6 @@ def run_verify(cfg: dict, out_path: str, timing: bool,
             status_fail = True
         if timing:
             row["wall_time"] = time.perf_counter() - start
-        row["_index"] = idx
         rows.append(row)
     usable = [(r["n_spins"], r["factorization_error"]) for r in rows
               if r.get("status") == "ok" and r.get("factorization_error", 0) > 0]

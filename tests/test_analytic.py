@@ -242,3 +242,30 @@ class TestArrayCalls:
             return analytic.SnrResult(analytic.improvement_factor(alpha), "")
 
         self.assert_elementwise(gain, [alphas], ("snr_per_root_time",))
+
+
+class TestUnderflowingDivisor:
+    """A divisor that underflows to 0 is outside the formula's domain: a
+    DomainError on scalars, nan on arrays, and the next point unchanged."""
+
+    @pytest.mark.parametrize("fn, point, fine, field", [
+        # 4 Gamma T = 800: P e^{-4 Gamma T} = 0
+        (analytic.xi2_min, (0.1, 3, 1.0, 1.0, 200.0), (0.1, 3, 1.0, 0.1, 200.0), "xi2"),
+        # J N P T = 1000: exp(-(J N P T - 1)) = 0
+        (analytic.snr_squeeze_while_measure, (20.0, 100, 1.0, 0.0, 0.5),
+         (0.05, 100, 1.0, 0.0, 0.5), "snr_per_root_time"),
+        # J sqrt(T N) = 1e-300 * 1e-150 = 0
+        (analytic.snr_squeeze_while_measure, (1e-300, 1, 1.0, 0.0, 1e-300),
+         (1e-300, 1, 1.0, 0.0, 1.0), "snr_per_root_time"),
+        # J N P_eff T = 1000: exp(-J N P_eff T) = 0
+        (analytic.snr_squeeze_then_measure, (20.0, 100, 1.0, 0.0, 0.5, 1.0),
+         (0.05, 100, 1.0, 0.0, 0.5, 1.0), "snr_per_root_time"),
+    ])
+    def test_scalar_raises_and_array_gives_nan(self, fn, point, fine, field):
+        with pytest.raises(DomainError, match="underflow"):
+            fn(*point)
+        with np.errstate(all="ignore"):
+            arrays = fn(*(np.array(c, dtype=float) for c in zip(point, fine)))
+        got = getattr(arrays, field)
+        assert math.isnan(got[0])
+        assert got[1] == getattr(fn(*fine), field)

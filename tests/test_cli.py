@@ -2,6 +2,7 @@ import concurrent.futures
 import contextlib
 import io
 import math
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -148,6 +149,19 @@ class TestAnalyticCommand:
         assert cli.main(["analytic", "--config", cfg, "--out", out]) == 0
         _, _, rows = read_rows(out)
         assert [r["n_spins"] for r in rows] == ["2", "4", "8", "16", "32", "64"]
+
+    def test_underflowing_divisor_is_a_row_status(self, tmp_path, capsys):
+        # at Gamma = 1, 4 Gamma T = 800 and P e^{-4 Gamma T} underflows to 0
+        cfg = write_config(tmp_path, (
+            "[params]\nn_spins = 3\nt_squeeze = 200\n"
+            "[sweep]\naxis = gamma 0.1 1 2 linear\n"))
+        out = str(tmp_path / "o.csv")
+        assert cli.main(["analytic", "--config", cfg, "--out", out, "--no-timing"]) == 0
+        assert capsys.readouterr().err == ""
+        comments, _, rows = read_rows(out)
+        assert "# INCOMPLETE" not in comments
+        assert [r["status"] for r in rows] == [
+            "ok", "xi2_min divides by P e^{-4 Gamma T} = 0 (underflow at 4 Gamma T = 800.0)"]
 
     def test_rows_echo_all_inputs(self, tmp_path):
         cfg = write_config(tmp_path, "[params]\nn_spins = 5\ngamma = 0.125\n")
@@ -302,6 +316,69 @@ class TestVerifyCommand:
             assert float(row["factorization_error"]) > 0
 
 
+class TestAllEngine:
+    def sweep(self, tmp_path, text, engine):
+        cfg = write_config(tmp_path, text + f"engine = {engine}\n", name=f"{engine}.cfg")
+        out = str(tmp_path / f"{engine}.csv")
+        assert cli.main(["sweep", "--config", cfg, "--out", out, "--no-timing"]) == 0
+        return read_rows(out)[1:]
+
+    def test_keeps_the_first_status_that_is_not_ok(self, tmp_path):
+        # T = 0: the analytic part of each row has a domain status, the
+        # linearized and exact parts are ok
+        text = ("[params]\nn_spins = 3\nt_squeeze = 0\n"
+                "[sweep]\naxis = j_coupling 0 0.1 2 linear\n[run]\n")
+        _, analytic_rows = self.sweep(tmp_path, text, "analytic")
+        _, all_rows = self.sweep(tmp_path, text, "all")
+        for one, both in zip(analytic_rows, all_rows, strict=True):
+            assert both["snr_while_measuring"] == ""
+            assert both["status"] == one["status"] == (
+                "snr_while_measuring: snr_squeeze_while_measure requires J > 0 and T > 0")
+
+    def test_ok_row_is_the_union_of_the_engine_rows(self, tmp_path):
+        text = ("[params]\nn_spins = 3\nj_coupling = 0.05\nt_squeeze = 0.3\n"
+                "[sweep]\naxis = gamma 0 0.1 2 linear\n"
+                "[run]\nwith_factorization = true\n")
+        parts = [self.sweep(tmp_path, text, e) for e in ("analytic", "linearized", "exact")]
+        header, rows = self.sweep(tmp_path, text, "all")
+        assert header == list(dict.fromkeys(k for part_header, _ in parts for k in part_header))
+        for i, row in enumerate(rows):
+            assert row["status"] == "ok"
+            assert row == {k: v for _, part_rows in parts for k, v in part_rows[i].items()}
+
+
+class TestColumnDocs:
+    DOCS = Path(__file__).resolve().parents[1] / "docs" / "csv_columns.md"
+
+    def documented(self, command: str) -> set[str]:
+        """The columns docs/csv_columns.md lists for a command: the first
+        cell of each table row (each backticked name where a section has no
+        table) of every section whose title names it, or all engines."""
+        engines = ("analytic", "linearized", "exact") if command == "all" else (command,)
+        columns = set()
+        for section in self.DOCS.read_text().split("\n## ")[1:]:
+            title, _, body = section.partition("\n")
+            if (any(f"`{e}`" in title for e in engines)
+                    or ("all engines" in title and command != "verify")):
+                columns |= (set(re.findall(r"^\| `(\w+)`", body, re.M))
+                            or set(re.findall(r"`(\w+)`", body)))
+        return columns
+
+    @pytest.mark.parametrize("command",
+                             ["analytic", "linearized", "exact", "optimize", "all", "verify"])
+    def test_written_columns_are_the_documented_ones(self, tmp_path, command):
+        cfg = write_config(tmp_path, (
+            f"[run]\nengine = {command if command != 'verify' else 'all'}\n"
+            "with_factorization = true\n[verify]\nn_min = 2\nn_max = 2\n"))
+        out = str(tmp_path / "o.csv")
+        argv = ["sweep" if command == "all" else command, "--config", cfg, "--out", out]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        _, header, rows = read_rows(out)
+        assert len(rows) == 1
+        assert set(header) == self.documented(command)
+
+
 class TestSweepDeterminism:
     CONFIG = (
         "[params]\nn_spins = 20\npolarization_p = 0.9\n"
@@ -383,11 +460,11 @@ def row_path_output(cfg_path: str, engine: str) -> tuple[list[str], int, str | N
     rows, error = [], None
     for i in range(n):
         try:
-            rows.append(cli._run_point((i, cli._grid_point(params, i), engine, {}, False)))
+            rows.append(cli._run_point((cli._grid_point(params, i), engine, {}, False)))
         except Exception as exc:  # noqa: BLE001 -- ends the sweep, as in run_sweep
             error = exc
             break
-    header = (list(dict.fromkeys(k for r in rows for k in r if k != "_index"))
+    header = (list(dict.fromkeys(k for r in rows for k in r))
               or cli.PARAM_FIELDS + ["status"])
     lines = [",".join(header)]
     lines += [",".join(cli._fmt(r.get(k, "")) for k in header) for r in rows]
@@ -432,7 +509,8 @@ class TestClosedFormGrid:
     @settings(max_examples=60, deadline=None)
     @given(text=closed_form_configs())
     # J = 0 and Gamma = 0 rows first; optimize aborts on alpha/e ~ 736
-    # (math range error), analytic on J N P T = 1000 (division by zero)
+    # (math range error); analytic writes a status where J N P T = 1000
+    # underflows the divisor of both SNR formulas
     @example(text="[params]\nn_spins = 100\npolarization_p = 1.0\nt_squeeze = 0.5\n"
                   "[sweep]\naxis0 = j_coupling 0 20 3 linear\n"
                   "axis1 = gamma 0 0.25 2 linear\n")
