@@ -8,11 +8,11 @@ dropped under --no-timing so files are byte-identical across worker
 counts.  Exit codes: 0 success (row-level domain errors allowed),
 1 runtime failure, 2 config error.
 
-Each closed-form engine (analytic, linearized, optimize) is defined once,
-as one function that evaluates either one grid point or the whole grid at
-once, as numpy columns, in process.  exact and all run one task per grid
-point on up to --workers processes.  Both write through one column-wise
-CSV writer.
+The closed-form engines (analytic, linearized, optimize) evaluate the
+whole grid at once as numpy columns, in process; one point is a one-row
+grid.  exact and all run one task per grid point on up to --workers
+processes.  One column-wise CSV writer serves both; it quotes a text
+cell holding a comma, a double quote or a line break (RFC 4180).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import concurrent.futures
 import configparser
 import hashlib
 import math
+import re
 import sys
 import time
 from typing import Callable, NamedTuple
@@ -83,7 +84,7 @@ _DEFAULT_PARAMS = {"n_spins": 4, "polarization_p": 1.0, "j_coupling": 0.1,
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
+    if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
@@ -91,7 +92,18 @@ def _fmt(x) -> str:
         return f"{float(x):.15g}"
     if x is None:
         return ""
-    return str(x)
+    return _quote(str(x))
+
+
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _quote(text: str) -> str:
+    """RFC 4180: a text with a comma, a double quote or a line break is
+    enclosed in double quotes, its double quotes doubled."""
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 # -- CSV writer ----------------------------------------------------------------
@@ -104,14 +116,15 @@ def _texts(values) -> list[str]:
     if isinstance(values, np.ndarray) and values.dtype != object:
         if values.dtype == bool:
             return list(map(("false", "true").__getitem__, values.tolist()))
-        return list(map("{:.15g}".format if values.dtype.kind == "f" else str,
-                        values.tolist()))
-    values = list(values)
+        if values.dtype.kind == "f":
+            return list(map("{:.15g}".format, values.tolist()))
+    values = list(values.tolist() if isinstance(values, np.ndarray) else values)
     kinds = set(map(type, values))
     if kinds <= {float}:
         return list(map("{:.15g}".format, values))
     if kinds <= {str}:
-        return values
+        # one search for the common case where no text needs quotes
+        return list(map(_quote, values)) if _NEEDS_QUOTES.search("".join(values)) else values
     return list(map(_fmt, values))
 
 
@@ -144,20 +157,19 @@ class _Column(NamedTuple):
 
 
 class _Table(NamedTuple):
-    """Rows to write: `n_rows` rows of `columns`, except the whole `rows`
-    (by index) that override them.  `layouts` holds (first row, key order)
-    pairs: the header lists the keys in order of first appearance."""
+    """Rows to write: `n_rows` rows of `columns`.  `layouts` holds
+    (first row, key order) pairs: the header lists the keys in order of
+    first appearance."""
 
     n_rows: int
     columns: dict[str, _Column]
     layouts: list[tuple[int, tuple[str, ...]]]
-    rows: dict[int, dict]
 
     @classmethod
     def from_rows(cls, rows: list[dict]) -> _Table:
         keys = tuple(dict.fromkeys(k for row in rows for k in row))
         columns = {k: _Column([row.get(k, "") for row in rows]) for k in keys}
-        return cls(len(rows), columns, [(0, keys)], {})
+        return cls(len(rows), columns, [(0, keys)])
 
     def header(self) -> list[str]:
         keys = (k for _, order in sorted(self.layouts, key=lambda e: e[0]) for k in order)
@@ -167,7 +179,6 @@ class _Table(NamedTuple):
 def _write_csv(path: str, table: _Table, comments: list[str],
                incomplete: bool = False) -> None:
     header = table.header()
-    overrides = sorted(table.rows.items())
     with open(path, "w", newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
@@ -176,10 +187,6 @@ def _write_csv(path: str, table: _Table, comments: list[str],
             hi = min(lo + _CHUNK_ROWS, table.n_rows)
             cells = [table.columns[col].cells(lo, hi) if col in table.columns
                      else [""] * (hi - lo) for col in header]
-            for i, row in overrides:
-                if lo <= i < hi:
-                    for col, name in zip(cells, header):
-                        col[i - lo] = _fmt(row.get(name, ""))
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
         if incomplete:
             fh.write("# INCOMPLETE\n")
@@ -299,85 +306,97 @@ def _step_control(cfg: dict) -> exact.StepControl:
 
 # -- engines (module level so process pools can pickle them) -----------------
 #
-# Each closed-form engine is one function of x: one point's scalars (the row
-# path, _run_point) or the whole grid's float64 columns (_grid_sweep).  The
-# library formulas take both and give both the same bits.  An engine writes
-# its cells into a _Cells record, which keeps them in key order with the
-# status; on the grid the record also names the rows only the row path
-# reproduces.  _grid_sweep adds every invalid point, and every row with an
-# inf or nan where a float is written, so errors, aborts and whole-row
-# statuses have one definition: _run_point.
+# Each closed-form engine (_analytic, _linearized, _optimize) fills a _Cells
+# record from the grid's float64 columns; one point is a one-row grid.  The
+# library formulas take arrays and give each element the scalar call's bits,
+# with nan or inf where the scalar call raises; in those rows alone the
+# record makes the scalar call, and its error decides the row (_Cells.check).
+# Invalid points and Gamma = 0 optimize rows are settled before any such
+# call.  exact and all run _run_point per point, with the group and
+# closed-form cells of a one-row grid.
+
+
+def _invalid(params: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The invalid grid points and each one's status, 'invalid: <codes>' with
+    the codes in core.validate's (field) order.  Each distinct value is
+    checked once, and only a field with an invalid value builds a row mask."""
+    fields = []
+    for name, (values, index) in params.items():  # params is in field order
+        found = [core.check_field(name, v) for v in values]
+        codes = [v.code for v in found if v is not None]
+        if codes:
+            fields.append((np.array([v is not None for v in found])[index], codes[0]))
+    rows = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in fields]))
+    status = np.full(len(rows), "invalid:", dtype=object)
+    for mask, code in fields:
+        status[mask[rows]] += " " + code
+    return rows, status
 
 
 class _Cells:
-    """An engine's cells in key order, for one point (x holds scalars) or for
-    the whole grid (x holds float64 columns).  It starts with the
-    dimensionless-group cells every engine writes first (`groups`).  The
-    status goes where set_status first puts it, else after the last key."""
+    """An engine's cells over a grid in key order, and each row's status.
+    `params` holds each field's values and each row's index into them
+    (build_grid); `x` holds the float64 columns.  It starts with the
+    dimensionless-group cells every engine writes first (`groups`).  A
+    status goes after the key of the cell that set it, else after the last
+    key; a whole-row status (`whole`) leaves only the input columns."""
 
-    def __init__(self, x: dict):
-        self.grid = isinstance(x["gamma"], np.ndarray)
+    def __init__(self, params: dict):
+        self.x = {name: np.array(values, dtype=float)[index]
+                  for name, (values, index) in params.items()}
+        n = len(self.x["gamma"])
         self.cells: dict = {}
-        self.empty: dict[str, np.ndarray] = {}  # grid: the rows written ''
-        if self.grid:
-            n = len(x["gamma"])
-            self.status = np.full(n, "ok", dtype=object)
-            self.status_at = np.full(n, -1)  # keys before the status; -1: not set
-            self.handoff = np.zeros(n, dtype=bool)  # rows only the row path reproduces
-        else:
-            self.status, self.status_at = "ok", -1
-        g = self.groups = core.derive_dimensionless(core.ProtocolParams(**x))
+        self.empty: dict = {}  # each cell's rows written '' (a mask, or False)
+        self.status = np.full(n, "ok", dtype=object)
+        self.status_at = np.full(n, -1)  # keys before the status; -1: not set
+        self.whole = np.zeros(n, dtype=bool)
+        self.blank = False  # rows written '' in every cell put from now on
+        self.n_done, self.error = n, None  # the sweep ends at row n_done on `error`
+        self.settle(*_invalid(params))
+        g = self.groups = core.derive_dimensionless(core.ProtocolParams(**self.x))
         self.update(theta=g.theta)
         self.put("alpha", g.alpha, empty=g.alpha_infinite)
         self.update(alpha_infinite=g.alpha_infinite, u=g.theta, p_eff=g.p_eff)
 
     def put(self, key: str, value, empty=False) -> None:
         """The cell `key`, written '' where `empty` holds."""
-        if not self.grid and empty:
-            value = ""
-        elif np.any(empty):
-            self.empty[key] = empty
-        self.cells[key] = value
+        self.cells[key], self.empty[key] = value, empty | self.blank
 
     def update(self, **cells) -> None:
         for key, value in cells.items():
             self.put(key, value)
 
-    def set_status(self, text: str) -> None:
-        """One point's status, after the keys written so far, unless set already."""
-        if self.status_at < 0:
-            self.status, self.status_at = text, len(self.cells)
+    def settle(self, rows, status, whole: bool = True) -> None:
+        """Give `rows` (indices, or a mask) a status no scalar call revisits:
+        a whole-row status or, unless `whole`, one after the last key with
+        '' in every cell put from now on (then `rows` is a mask)."""
+        self.status[rows], self.whole[rows] = status, whole
+        if not whole:
+            self.blank = rows
 
-    def guard(self, key: str, prefix: str, fn: Callable, *args) -> None:
-        """The cell `key` = fn(*args), for a call that can leave its domain.
-
-        One point: on a DomainError the cell is '' and the status
-        f"{prefix}: {exc}" (set_status).  The grid: fn gives nan in the rows
-        where the scalar call raises, and is called on those rows alone for
-        each one's message; a row where it raises no DomainError goes to the
-        row path."""
-        try:
-            value = fn(*args)
-        except DomainError as exc:  # scalar arguments only
-            self.put(key, "")
-            self.set_status(f"{prefix}: {exc}")
-            return
-        if not self.grid:
-            self.put(key, value)
-            return
-        fails = np.isnan(value)
-        self.put(key, value, empty=fails)
-        rows = np.flatnonzero(fails).tolist()
-        for i, point in zip(rows, zip(*(a[fails].tolist() for a in args))):
+    def check(self, key: str, value: np.ndarray, fn: Callable, *args,
+              prefix: str | None = None) -> None:
+        """The cell `key` = `value`, fn(*args) over the grid.  Each row where
+        it is not finite is settled, in index order, by fn on that row alone:
+        with `prefix` (a guarded cell) a DomainError empties the cell and
+        gives the status f"{prefix}: {exc}" unless the row has one; any
+        other TactError gives a whole-row status; any other error ends the
+        sweep at its row."""
+        self.put(key, value, empty=np.zeros(len(value), dtype=bool))
+        rows = np.flatnonzero(~(np.isfinite(value) | self.whole | self.blank)[:self.n_done])
+        for i, point in zip(rows.tolist(), zip(*(a[rows].tolist() for a in args))):
             try:
                 fn(*point)
-            except DomainError as exc:
+            except TactError as exc:
+                if prefix is None or not isinstance(exc, DomainError):
+                    self.settle(i, str(exc))
+                    continue
+                self.empty[key][i] = True
                 if self.status_at[i] < 0:
                     self.status[i], self.status_at[i] = f"{prefix}: {exc}", len(self.cells)
-            except (ArithmeticError, TactError, ValueError):  # the row path reproduces it
-                self.handoff[i] = True
-            else:
-                self.handoff[i] = True
+            except Exception as exc:  # ends the sweep, as a failed task would
+                self.n_done, self.error = i, exc
+                break
 
     def _order(self, status_at: int) -> tuple[str, ...]:
         keys = tuple(self.cells)
@@ -385,41 +404,43 @@ class _Cells:
         return keys[:at] + ("status",) + keys[at:]
 
     def row(self) -> dict:
-        """One point's cells, the status in its place."""
-        return {key: self.status if key == "status" else self.cells[key]
-                for key in self._order(self.status_at)}
+        """A one-row record's cells, the status in its place; the row's error
+        is raised (a whole-row status as a TactError)."""
+        if self.error is not None:
+            raise self.error
+        if self.whole[0]:
+            raise TactError(self.status[0])
+        cells = dict(self.cells, status=self.status)
+        return {key: "" if np.any(self.empty.get(key, False)) else cells[key][0]
+                for key in self._order(self.status_at[0])}
 
     def columns(self) -> dict[str, _Column]:
-        cols = {key: _Column(value, empty=self.empty.get(key))
+        cols = {key: _Column(value, empty=self.empty[key] | self.whole)
                 for key, value in self.cells.items()}
-        cols["status"] = _Column(self.status)
-        return cols
+        return dict(cols, status=_Column(self.status))
 
     def layouts(self) -> list[tuple[tuple[str, ...], np.ndarray]]:
-        """Each key order the grid's rows take, and the rows that take it."""
-        return [(self._order(at), self.status_at == at)
-                for at in np.unique(self.status_at).tolist()]
+        """Each key order the rows take, and the rows that take it."""
+        cells = ~self.whole
+        orders = [(self._order(at), cells & (self.status_at == at))
+                  for at in np.unique(self.status_at[cells]).tolist()]
+        return orders + [(("status",), self.whole)]
 
 
-def _snr(formula: Callable) -> Callable:
-    """The SNR per root time of an analytic formula's result."""
-    return lambda *args: formula(*args).snr_per_root_time
-
-
-def _analytic(x: dict) -> _Cells:
-    rec = _Cells(x)
+def _analytic(rec: _Cells) -> None:
+    x = rec.x
     args = (x["j_coupling"], x["n_spins"], x["polarization_p"], x["gamma"], x["t_squeeze"])
     xi = analytic.xi2_min(*args)
-    rec.update(xi2_paper=xi.xi2, exponent_arg=xi.exponent_arg, regime=xi.regime)
-    rec.guard("snr_while_measuring", "snr_while_measuring",
-              _snr(analytic.snr_squeeze_while_measure), *args)
-    rec.guard("snr_squeeze_then_measure", "snr_squeeze_then_measure",
-              _snr(analytic.snr_squeeze_then_measure), *args, x["t_signal"])
-    return rec
+    rec.check("xi2_paper", xi.xi2, analytic.xi2_min, *args)
+    rec.update(exponent_arg=xi.exponent_arg, regime=xi.regime)
+    then_args = args + (x["t_signal"],)
+    for key, snr, a in (("snr_while_measuring", analytic.snr_squeeze_while_measure, args),
+                        ("snr_squeeze_then_measure", analytic.snr_squeeze_then_measure, then_args)):
+        rec.check(key, snr(*a).snr_per_root_time, snr, *a, prefix=key)
 
 
-def _linearized(x: dict) -> _Cells:
-    rec = _Cells(x)
+def _linearized(rec: _Cells) -> None:
+    x = rec.x
     n, j, p_eff = x["n_spins"], x["j_coupling"], rec.groups.p_eff
     kappa = j * n * p_eff
     vac = linearized.squeezed_vacuum(kappa * x["t_squeeze"])
@@ -427,46 +448,43 @@ def _linearized(x: dict) -> _Cells:
     rec.update(kappa=kappa, min_quadrature_variance=vac.min_variance,
                min_variance_angle=vac.angle, isotropic=vac.isotropic, cov_det=vac.cov_det,
                signal=sig.value, signal_degenerate=sig.degenerate)
+
+
+def _optimize(rec: _Cells) -> None:
+    x, alpha = rec.x, rec.groups.alpha
+    n, p, gamma = x["n_spins"], x["polarization_p"], x["gamma"]
+    # Gamma = 0 (at a valid point): alpha is infinite and no optimum exists
+    rec.settle(rec.groups.alpha_infinite & ~rec.whole, "alpha infinite (gamma = 0)",
+               whole=False)
+    theta, theta_at_boundary = optimize.optimal_theta_elementwise(alpha)
+    rec.check("theta_star", theta, optimize.optimal_theta, alpha, p)
+    rec.update(xi2_at_theta_star=analytic.xi2_min_dimensionless(alpha, theta, p).xi2,
+               theta_at_boundary=theta_at_boundary)
+    u, u_at_boundary = optimize.optimal_u_elementwise(alpha)
+    rec.check("u_star", u, optimize.optimal_u, alpha)
+    rec.put("u_at_boundary", u_at_boundary)
+    rec.check("snr_at_u_star", analytic.snr_optimum_strong(alpha, n, gamma, p).snr_per_root_time,
+              analytic.snr_optimum_strong, alpha, n, gamma, p, prefix="snr_optimum_strong")
+    # below threshold the unsqueezed baseline is optimal: gain 1
+    rec.check("improvement_factor",
+              np.where(u_at_boundary, 1.0, analytic.improvement_factor(alpha)),
+              analytic.improvement_factor, alpha, prefix="improvement_factor")
+
+
+def _closed_form(engine: Callable, params: dict) -> _Cells:
+    with np.errstate(all="ignore"):
+        rec = _Cells(params)
+        engine(rec)
     return rec
 
 
-def _improvement(alpha, at_boundary):
-    """improvement_factor; below threshold the unsqueezed baseline is optimal: gain 1."""
-    if isinstance(at_boundary, np.ndarray):
-        return np.where(at_boundary, 1.0, analytic.improvement_factor(alpha))
-    return 1.0 if at_boundary else analytic.improvement_factor(alpha)
-
-
-def _optimize(x: dict) -> _Cells:
-    rec = _Cells(x)
-    n, p, gamma, alpha = x["n_spins"], x["polarization_p"], x["gamma"], rec.groups.alpha
-    if rec.grid:
-        # Gamma = 0 and alpha <= 0 (J = 0) rows carry a whole-row status; a
-        # Theta* residual above 1e-8 leaves a nan, so the row path takes the row
-        rec.handoff |= (gamma == 0.0) | ~(alpha > 0.0)
-        theta, theta_at_boundary = optimize.optimal_theta_elementwise(alpha)
-        u, u_at_boundary = optimize.optimal_u_elementwise(alpha)
-    elif rec.groups.alpha_infinite:
-        rec.update(theta_star="", xi2_at_theta_star="", u_star="", snr_at_u_star="",
-                   improvement_factor="", theta_at_boundary="", u_at_boundary="")
-        rec.set_status("alpha infinite (gamma = 0)")
-        return rec
-    else:
-        th = optimize.optimal_theta(alpha, p)
-        theta, theta_at_boundary = th.argmax, th.at_boundary
-        uo = optimize.optimal_u(alpha)
-        u, u_at_boundary = uo.argmax, uo.at_boundary
-    rec.update(theta_star=theta,
-               xi2_at_theta_star=analytic.xi2_min_dimensionless(alpha, theta, p).xi2,
-               theta_at_boundary=theta_at_boundary, u_star=u, u_at_boundary=u_at_boundary)
-    rec.guard("snr_at_u_star", "snr_optimum_strong", _snr(analytic.snr_optimum_strong),
-              alpha, n, gamma, p)
-    rec.guard("improvement_factor", "improvement_factor", _improvement, alpha, u_at_boundary)
-    return rec
+def _one_row(pdict: dict) -> dict:
+    return {name: ([value], np.zeros(1, dtype=np.intp)) for name, value in pdict.items()}
 
 
 def _row_exact(pdict: dict, opts: dict) -> dict:
-    rec = _Cells(pdict)
+    row = _Cells(_one_row(pdict)).row()
+    del row["status"]  # it goes after the squeezing cells
     p = core.ProtocolParams(**pdict)
     n_cap = opts.get("n_cap", exact.DEFAULT_N_CAP)
     ctl = opts.get("step_control") or exact.StepControl()
@@ -482,24 +500,22 @@ def _row_exact(pdict: dict, opts: dict) -> dict:
     ops = exact.spin_operators(p.n_spins, n_cap)
     # the accepted RK4 pass has checked the final state; T = 0 ran none
     trace_dev, herm, min_eig = stats.get("residuals") or exact.channel_residuals(rho)
-    rec.update(mean_sz_per_site=exact.measure(rho, ops.collective_z) / p.n_spins,
+    row.update(mean_sz_per_site=exact.measure(rho, ops.collective_z) / p.n_spins,
                trace_residual=trace_dev, hermiticity_residual=herm, min_eigenvalue=min_eig)
     try:
         min_var, _, mean = exact.transverse_variance_extrema(rho, ops)
         ku, wl = (exact.squeezing_from_variance(min_var, mean, p.n_spins, convention)
                   for convention in (exact.KITAGAWA_UEDA, exact.WINELAND))
-        rec.update(xi2_kitagawa_ueda=ku, xi2_wineland=wl)
-        rec.set_status("ok")
+        row.update(xi2_kitagawa_ueda=ku, xi2_wineland=wl, status="ok")
     except TactError as exc:
-        rec.update(xi2_kitagawa_ueda="", xi2_wineland="")
-        rec.set_status(str(exc))
+        row.update(xi2_kitagawa_ueda="", xi2_wineland="", status=str(exc))
     if factorize:
         # the row's state is the joint side (a zero-rate generator adds zeros
         # and no steps); the initial state is rebuilt rather than held
         rho0 = exact.build_initial_state(p.n_spins, p.polarization_p, n_cap)
-        rec.update(factorization_error=exact.trace_norm(
-            rho - exact.split_evolve(rho0, l1, l2, p.t_squeeze, ctl)))
-    return rec.row()
+        row["factorization_error"] = exact.trace_norm(
+            rho - exact.split_evolve(rho0, l1, l2, p.t_squeeze, ctl))
+    return row
 
 
 _ENGINES = {"analytic": [_analytic], "linearized": [_linearized],
@@ -512,13 +528,13 @@ def _run_point(task: tuple) -> dict:
     start = time.perf_counter()
     violations = core.validate(core.ProtocolParams(**pdict))
     if violations:
-        # codes joined by spaces: _write_csv does not quote fields
         row = dict(pdict, status="invalid: " + " ".join(v.code for v in violations))
     else:
         row = dict(pdict)
         try:
             for fn in _ENGINES[engine]:
-                cells = fn(pdict, opts) if fn is _row_exact else fn(pdict).row()
+                cells = (fn(pdict, opts) if fn is _row_exact
+                         else _closed_form(fn, _one_row(pdict)).row())
                 if row.get("status", "ok") != "ok":  # the first status that is not ok
                     cells["status"] = row["status"]
                 row.update(cells)
@@ -538,48 +554,25 @@ def _config_hash(path: str | None) -> str:
         return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
-def _grid_sweep(cfg: dict, engine: str, opts: dict, timing: bool
-                ) -> tuple[_Table, Exception | None]:
-    """A closed-form engine over the whole grid, in process; the rows it
-    cannot reproduce by construction run through _run_point in index order,
-    and the first exception there ends the sweep as a failed task would."""
+def _grid_sweep(cfg: dict, engine: str, timing: bool) -> tuple[_Table, Exception | None]:
+    """A closed-form engine over the whole grid, in process; an error that is
+    not a TactError ends the sweep at its row, as a failed task would."""
     start = time.perf_counter()
     n, params = build_grid(cfg)
-    x, valid = {}, np.ones(n, dtype=bool)
-    for name, (values, index) in params.items():
-        x[name] = np.array(values, dtype=float)[index]
-        valid &= np.array([core.check_field(name, v) is None for v in values],
-                          dtype=bool)[index]
-    with np.errstate(all="ignore"):
-        rec = _ENGINES[engine][0](x)
-    cells = rec.columns()
-    handoff = ~valid | rec.handoff
-    for col in cells.values():  # inf or nan where a float is written
-        if isinstance(col.values, np.ndarray) and col.values.dtype.kind == "f":
-            bad = ~np.isfinite(col.values)
-            handoff |= bad if col.empty is None else bad & ~col.empty
-    rows, error, n_done = {}, None, n
-    for i in np.flatnonzero(handoff).tolist():
-        try:
-            rows[i] = _run_point((_grid_point(params, i), engine, opts, False))
-        except Exception as exc:  # ends the sweep, as a failed task of the row path
-            error, n_done = exc, i
-            break
+    rec = _closed_form(_ENGINES[engine][0], params)
     columns = {name: _Column(values, index=index) for name, (values, index) in params.items()}
-    columns.update(cells)
-    layouts = [(tuple(params) + keys, mask & ~handoff) for keys, mask in rec.layouts()]
+    columns.update(rec.columns())
+    tail = ()
     if timing:
         # the engine's time, spread evenly over its rows
         wall = (time.perf_counter() - start) / max(n, 1)
         columns["wall_time"] = _Column([wall], index=np.zeros(n, dtype=np.intp))
-        layouts = [(keys + ("wall_time",), mask) for keys, mask in layouts]
-        for row in rows.values():
-            row["wall_time"] = wall
+        tail = ("wall_time",)
     # each key order at the first written row that takes it
-    orders = [(int(np.argmax(mask[:n_done])), keys) for keys, mask in layouts
-              if mask[:n_done].any()]
-    orders += [(i, tuple(row)) for i, row in rows.items()]
-    return _Table(n_done, columns, orders, rows), error
+    n_done = rec.n_done
+    orders = [(int(np.argmax(mask[:n_done])), tuple(params) + keys + tail)
+              for keys, mask in rec.layouts() if mask[:n_done].any()]
+    return _Table(n_done, columns, orders), rec.error
 
 
 def _row_sweep(cfg: dict, engine: str, opts: dict, workers: int, timing: bool
@@ -616,7 +609,7 @@ def run_sweep(cfg: dict, engine: str, out_path: str, workers: int,
     comments = [f"tactsqueeze {__version__}", f"config sha256={_config_hash(config_path)}",
                 f"engine={engine}"]
     if engine not in ("exact", "all"):
-        table, error = _grid_sweep(cfg, engine, opts, timing)
+        table, error = _grid_sweep(cfg, engine, timing)
     else:
         rows, error = _row_sweep(cfg, engine, opts, workers, timing)
         table = _Table.from_rows(rows)

@@ -9,7 +9,8 @@ budget, so only s is searched (grid, then golden section).  Plateau ties
 break toward the smallest argmax.  `grid_then_golden` stays public as the
 numerical reference the closed forms are tested against.
 `optimal_theta_elementwise` and `optimal_u_elementwise` give the argmax
-of Theta* and U* over an array of alpha, with the scalar calls' bits.
+of Theta* and U* over an array of alpha, with the scalar calls' bits and
+nan where the scalar call raises (for Theta*, on a finite alpha).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .analytic import snr_squeeze_then_measure
-from .core import exp_any
+from .core import exp_any, exp_elementwise
 from .errors import DomainError, NonFiniteObjectiveError
 
 __all__ = [
@@ -196,11 +197,15 @@ def optimal_u(alpha: float | None) -> OptimizationOutcome:
 
 
 def optimal_u_elementwise(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """optimal_u's argmax and at_boundary for each finite alpha > 0 of an array."""
+    """optimal_u's argmax and at_boundary for each alpha of an array; the
+    argmax is nan exactly where the scalar call raises (alpha not > 0, or
+    math.exp overflowing in its value e^{a-1}/a)."""
     a = alpha * math.exp(-1.0)
     interior = a > 1.0
-    u = np.zeros(alpha.shape)
+    u = np.where(alpha > 0.0, 0.0, np.nan)
     u[interior] = _interior_u(a[interior])
+    big = np.flatnonzero(interior & ~(a - 1.0 <= 709.0))  # math.exp overflows above ~709.78
+    u[big[np.isinf(exp_elementwise(a[big] - 1.0))]] = np.nan
     return u, ~interior
 
 

@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import csv
 import io
 import math
 import re
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tactsqueeze import cli, exact
+from tactsqueeze import analytic, cli, core, exact, linearized, optimize
+from tactsqueeze.errors import DomainError, TactError
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -22,12 +24,14 @@ def write_config(tmp_path, text, name="run.cfg"):
 
 
 def read_rows(path):
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    """Comment lines, header and rows of a CSV, read with the csv module;
+    every row must have the header's field count."""
+    with open(path, newline="") as fh:
+        lines = fh.read().splitlines()
     comments = [ln for ln in lines if ln.startswith("#")]
-    data = [ln for ln in lines if ln and not ln.startswith("#")]
-    header = data[0].split(",")
-    rows = [dict(zip(header, ln.split(","))) for ln in data[1:]]
+    data = list(csv.reader(ln for ln in lines if ln and not ln.startswith("#")))
+    header = data[0]
+    rows = [dict(zip(header, fields, strict=True)) for fields in data[1:]]
     return comments, header, rows
 
 
@@ -84,6 +88,28 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "sweep.axis" in err and "4.666666666666667" in err
         assert not out.exists()
+
+
+class TestCellText:
+    @pytest.mark.parametrize("value, text", [(True, "true"), (np.bool_(True), "true"),
+                                             (np.bool_(False), "false"), (np.int64(3), "3"),
+                                             (np.float64(0.1), "0.1"), (None, ""),
+                                             (np.str_("strong"), "strong")])
+    def test_fmt(self, value, text):
+        assert cli._fmt(value) == text
+
+    def test_numpy_bools_in_a_list(self):
+        assert cli._texts([np.bool_(True), np.bool_(False), 1.5]) == ["true", "false", "1.5"]
+        assert cli._texts(np.array([True, False])) == ["true", "false"]
+
+    @pytest.mark.parametrize("values", [["ok", 'a "b"', "x, y", "two\nlines"],
+                                        np.array(["ok", "x, y"], dtype=object),
+                                        np.array(["ok", "x, y"])])
+    def test_text_cells_are_quoted_per_rfc_4180(self, values):
+        texts = cli._texts(values)
+        assert texts[0] == "ok"
+        assert [next(csv.reader([t]))[0] for t in texts] == list(values)
+        assert cli._fmt("x, y") == '"x, y"' and cli._fmt('a "b"') == '"a ""b"""'
 
 
 class TestInvalidInput:
@@ -451,23 +477,117 @@ class TestSweepDeterminism:
 CLOSED_FORM = ("analytic", "linearized", "optimize")
 
 
+def _groups(p: dict) -> dict:
+    g = core.derive_dimensionless(core.ProtocolParams(**p))
+    return {"theta": g.theta, "alpha": "" if g.alpha_infinite else g.alpha,
+            "alpha_infinite": g.alpha_infinite, "u": g.theta, "p_eff": g.p_eff}
+
+
+def _guard(cells: dict, key: str, prefix: str, value) -> None:
+    """cells[key] = value(); on a DomainError the cell is '' and, unless the
+    row has a status already, the status follows the cell."""
+    try:
+        cells[key] = value()
+    except DomainError as exc:
+        cells[key] = ""
+        cells.setdefault("status", f"{prefix}: {exc}")
+
+
+def _analytic_cells(p: dict) -> dict:
+    args = (p["j_coupling"], p["n_spins"], p["polarization_p"], p["gamma"], p["t_squeeze"])
+    cells = _groups(p)
+    xi = analytic.xi2_min(*args)
+    cells.update(xi2_paper=xi.xi2, exponent_arg=xi.exponent_arg, regime=xi.regime)
+    _guard(cells, "snr_while_measuring", "snr_while_measuring",
+           lambda: analytic.snr_squeeze_while_measure(*args).snr_per_root_time)
+    _guard(cells, "snr_squeeze_then_measure", "snr_squeeze_then_measure",
+           lambda: analytic.snr_squeeze_then_measure(*args, p["t_signal"]).snr_per_root_time)
+    return cells
+
+
+def _linearized_cells(p: dict) -> dict:
+    cells = _groups(p)
+    n, j, p_eff = p["n_spins"], p["j_coupling"], cells["p_eff"]
+    kappa = j * n * p_eff
+    vac = linearized.squeezed_vacuum(kappa * p["t_squeeze"])
+    sig = linearized.signal(p["b_field"], j, n * p_eff, p["t_signal"])
+    cells.update(kappa=kappa, min_quadrature_variance=vac.min_variance,
+                 min_variance_angle=vac.angle, isotropic=vac.isotropic, cov_det=vac.cov_det,
+                 signal=sig.value, signal_degenerate=sig.degenerate)
+    return cells
+
+
+OPTIMIZE_KEYS = ("theta_star", "xi2_at_theta_star", "theta_at_boundary", "u_star",
+                 "u_at_boundary", "snr_at_u_star", "improvement_factor")
+
+
+def _optimize_cells(p: dict) -> dict:
+    cells = _groups(p)
+    if cells["alpha_infinite"]:
+        return dict(cells, **dict.fromkeys(OPTIMIZE_KEYS, ""),
+                    status="alpha infinite (gamma = 0)")
+    alpha, n, pol, gamma = cells["alpha"], p["n_spins"], p["polarization_p"], p["gamma"]
+    th = optimize.optimal_theta(alpha, pol)
+    uo = optimize.optimal_u(alpha)
+    cells.update(theta_star=th.argmax,
+                 xi2_at_theta_star=analytic.xi2_min_dimensionless(alpha, th.argmax, pol).xi2,
+                 theta_at_boundary=th.at_boundary, u_star=uo.argmax,
+                 u_at_boundary=uo.at_boundary)
+    _guard(cells, "snr_at_u_star", "snr_optimum_strong",
+           lambda: analytic.snr_optimum_strong(alpha, n, gamma, pol).snr_per_root_time)
+    _guard(cells, "improvement_factor", "improvement_factor",
+           lambda: 1.0 if uo.at_boundary else analytic.improvement_factor(alpha))
+    return cells
+
+
+REFERENCE_CELLS = {"analytic": _analytic_cells, "linearized": _linearized_cells,
+                   "optimize": _optimize_cells}
+
+
+def reference_row(p: dict, engine: str) -> dict:
+    """One point's row, assembled from the scalar library calls alone: an
+    invalid point or a TactError outside a guarded cell leaves the inputs
+    and the status; any other error propagates."""
+    violations = core.validate(core.ProtocolParams(**p))
+    if violations:
+        return dict(p, status="invalid: " + " ".join(v.code for v in violations))
+    try:
+        cells = REFERENCE_CELLS[engine](p)
+    except TactError as exc:
+        return dict(p, status=str(exc))
+    cells.setdefault("status", "ok")
+    return dict(p, **cells)
+
+
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.15g}"
+    return str(value)
+
+
 def row_path_output(cfg_path: str, engine: str) -> tuple[list[str], int, str | None]:
-    """What the row path gives for a closed-form sweep: every point through
-    _run_point in index order, each cell formatted by _fmt, the header in
-    order of first appearance; the first exception ends the sweep."""
+    """What a closed-form sweep should write, point by point: each grid
+    point's reference_row in index order, written by csv.writer, the header
+    in order of first appearance; the first error ends the sweep."""
     cfg = cli.load_config(cfg_path)
     n, params = cli.build_grid(cfg)
     rows, error = [], None
     for i in range(n):
+        point = {name: values[index[i]] for name, (values, index) in params.items()}
         try:
-            rows.append(cli._run_point((cli._grid_point(params, i), engine, {}, False)))
+            rows.append(reference_row(point, engine))
         except Exception as exc:  # noqa: BLE001 -- ends the sweep, as in run_sweep
             error = exc
             break
     header = (list(dict.fromkeys(k for r in rows for k in r))
               or cli.PARAM_FIELDS + ["status"])
-    lines = [",".join(header)]
-    lines += [",".join(cli._fmt(r.get(k, "")) for k in header) for r in rows]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_text(r.get(k, "")) for k in header] for r in rows)
+    lines = out.getvalue().splitlines()
     if error is not None:
         lines.append("# INCOMPLETE")
         return lines, 1, f"error: task failed: {error}"
@@ -476,7 +596,7 @@ def row_path_output(cfg_path: str, engine: str) -> tuple[list[str], int, str | N
 
 # (lo, hi) pairs per axis: zeros (Gamma = 0 is alpha infinite; J, T and t = 0
 # are domain edges), invalid values, and J = 20 (alpha/e ~ 736 at N = 100,
-# Gamma = 0.25), where optimize and analytic abort the sweep
+# Gamma = 0.25), where optimize aborts the sweep
 AXIS_BOUNDS = {
     "j_coupling": [(0.0, 0.3), (1e-3, 1.0), (-0.05, 0.2), (0.1, 20.0), (0.0, 40.0)],
     "gamma": [(0.0, 0.25), (0.01, 1.0), (-0.01, 0.25), (0.25, 0.25)],
@@ -505,6 +625,10 @@ def closed_form_configs(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
+def no_point_path(*args, **kwargs):
+    raise AssertionError("closed-form sweeps evaluate the grid only")
+
+
 class TestClosedFormGrid:
     @settings(max_examples=60, deadline=None)
     @given(text=closed_form_configs())
@@ -518,10 +642,20 @@ class TestClosedFormGrid:
     @example(text="[params]\nn_spins = 3\nt_squeeze = 0\n"
                   "[sweep]\naxis0 = t_signal 0 1 2 linear\n"
                   "axis1 = gamma -0.1 0.2 3 linear\n")
+    # the first row has Gamma = 0 and J > 0: optimize's first engine cells
+    # are '' with the status last
+    @example(text="[params]\nn_spins = 3\nj_coupling = 0.05\n"
+                  "[sweep]\naxis0 = gamma 0 0.25 2 linear\n")
+    # invalid (t < 0) rows before optimize's abort row, one of them at the
+    # aborting alpha/e ~ 736: an invalid point is settled before any call
+    @example(text="[params]\nn_spins = 100\npolarization_p = 1.0\ngamma = 0.25\n"
+                  "t_squeeze = 0.5\n[sweep]\naxis0 = j_coupling 10 20 2 linear\n"
+                  "axis1 = t_signal -1 1 3 linear\n")
     def test_grid_path_writes_what_the_row_path_writes(self, text):
-        # two rows a chunk: handoff rows, aborts and the float dedup all
-        # cross chunk boundaries
-        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_CHUNK_ROWS", 2):
+        # two rows a chunk: statuses, aborts and the float dedup all cross
+        # chunk boundaries
+        with (tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_CHUNK_ROWS", 2),
+              mock.patch.object(cli, "_run_point", no_point_path)):
             cfg = Path(tmp) / "run.cfg"
             cfg.write_text(text)
             for engine in CLOSED_FORM:
@@ -543,6 +677,7 @@ class TestClosedFormGrid:
         # from math.exp on a few percent of inputs) reaches some %.15g string;
         # 17 chunks, the last one short
         monkeypatch.setattr(cli, "_CHUNK_ROWS", 97)
+        monkeypatch.setattr(cli, "_run_point", no_point_path)
         cfg = write_config(tmp_path, (
             "[params]\nn_spins = 100\npolarization_p = 0.9\nt_squeeze = 0.5\n"
             "[sweep]\naxis = j_coupling 1e-3 0.5 40 log\naxis2 = gamma 0.01 1.0 40 log\n"))
@@ -550,6 +685,19 @@ class TestClosedFormGrid:
         assert cli.main([engine, "--config", cfg, "--out", str(out), "--no-timing"]) == 0
         lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         assert lines == row_path_output(cfg, engine)[0]
+
+    def test_quoted_status_keeps_the_field_count(self, tmp_path):
+        # J = 0, Gamma > 0: optimal_u's whole-row status has a comma
+        cfg = write_config(tmp_path, (
+            "[params]\nn_spins = 3\ngamma = 0.25\n"
+            "[sweep]\naxis = j_coupling 0 1 2 linear\n"))
+        out = tmp_path / "o.csv"
+        assert cli.main(["optimize", "--config", cfg, "--out", str(out), "--no-timing"]) == 0
+        assert '"requires alpha > 0, got 0.0"' in out.read_text()
+        with open(out, newline="") as fh:
+            fields = list(csv.reader(ln for ln in fh if not ln.startswith("#")))
+        assert [len(f) for f in fields] == [len(fields[0])] * 3
+        assert dict(zip(fields[0], fields[1]))["status"] == "requires alpha > 0, got 0.0"
 
     @pytest.mark.parametrize("engine", CLOSED_FORM)
     def test_two_workers_start_no_pool(self, tmp_path, monkeypatch, engine):

@@ -246,9 +246,22 @@ class TestElementwise:
         assert (raised > 0) == (tol < 1e-8)
 
     def test_u_star_bits_of_the_scalar_call(self):
-        alphas = self.ALPHAS[1:-1]  # optimal_u's value overflows at 1e6
-        u, at_boundary = optimize.optimal_u_elementwise(np.array(alphas))
+        # nan exactly where the scalar call raises: alpha = 0 (not > 0) and
+        # alpha = 1e6, where its value e^{a-1}/a overflows; the last two
+        # finite alphas straddle that overflow, one float apart
+        alphas = self.ALPHAS + [-1.0, math.inf, math.nan,
+                                1932.1077324409084, 1932.1077324409086]
+        with np.errstate(invalid="ignore"):  # U* at alpha = inf is inf/inf
+            u, at_boundary = optimize.optimal_u_elementwise(np.array(alphas))
+        raised = []
         for i, alpha in enumerate(alphas):
-            one = optimize.optimal_u(alpha)
+            try:
+                one = optimize.optimal_u(alpha)
+            except (DomainError, OverflowError):
+                assert math.isnan(u[i]), alpha
+                raised.append(alpha)
+                continue
             assert float(u[i]).hex() == float(one.argmax).hex()
             assert at_boundary[i] == one.at_boundary
+        assert raised[:4] == [0.0, 1e6, -1.0, math.inf] and raised[-1] == alphas[-1]
+        assert len(raised) == 6 and math.isnan(raised[4])
