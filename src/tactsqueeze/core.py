@@ -7,6 +7,7 @@ record.  Rates and times are in mutually consistent arbitrary units.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,17 +173,24 @@ def derive_dimensionless(params: ProtocolParams, mode: str = SQUEEZE_ONLY) -> Di
                                alpha_infinite=params.gamma == 0.0)
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows only above
+
+
 def exp_elementwise(x) -> np.ndarray:
     """math.exp of every element of x, as a float64 array; +inf where it overflows.
 
     One math.exp call per element, so each value has the bits of the
     scalar call (np.exp differs from it in the last bit on some inputs).
+    After an overflow only the elements above log(float max) are redone.
     """
-    vals = np.asarray(x, dtype=float).ravel().tolist()
+    vals = np.asarray(x, dtype=float).ravel()
     try:
-        out = np.fromiter(map(math.exp, vals), float, len(vals))
+        out = np.fromiter(map(math.exp, vals.tolist()), float, vals.size)
     except OverflowError:
-        out = np.array([_exp_or_inf(v) for v in vals])
+        big = vals > _LOG_FLOAT_MAX
+        out = np.empty(vals.size)
+        out[~big] = np.fromiter(map(math.exp, vals[~big].tolist()), float)
+        out[big] = [_exp_or_inf(v) for v in vals[big].tolist()]
     return out.reshape(np.shape(x))
 
 

@@ -12,17 +12,18 @@ Hermitian state rho H = (H rho)^dag, so -i[H, rho] = -i(K - K^dag) with
 K = H rho, and for the real TACT Hamiltonian K is one real GEMM on the
 float view of rho.  The generators are therefore defined on Hermitian
 states only.  The Hamiltonian terms and the depolarizer each map a
-Hermitian state to an exactly Hermitian array, and RK4 forms only
-real-weighted sums, so every stage stays exactly Hermitian and `evolve`
-checks only its input.
+Hermitian state to an exactly Hermitian array, and the integrator hands
+them only exactly Hermitian arrays, so `evolve` checks only its input.
 
 Integration is classical fixed-step RK4 with automatic step halving
-against the channel invariants; a dense superoperator exponential is kept
-as an independent cross-check path for small N.
+against the channel invariants, each pass evaluated as one polynomial of
+the generator by restarted Arnoldi (`_rk4`); a dense superoperator
+exponential is kept as an independent cross-check path for small N.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -156,7 +157,8 @@ def apply_depolarizer(rho: np.ndarray, gamma: float,
         shape = (2 ** i, 2, 2 ** (n_spins - 1 - i))
         r = rho.reshape(shape + shape)
         o = out.reshape(shape + shape)
-        partial = 2.0 * gamma * (r[:, 0, :, :, 0, :] + r[:, 1, :, :, 1, :])
+        partial = r[:, 0, :, :, 0, :] + r[:, 1, :, :, 1, :]
+        partial *= 2.0 * gamma  # in place: one temporary per site
         o[:, 0, :, :, 0, :] += partial
         o[:, 1, :, :, 1, :] += partial
     return out
@@ -294,31 +296,96 @@ def _invariants_ok(rho: np.ndarray, ctl: StepControl
     return worst <= 1.0, worst, residuals
 
 
+_KRYLOV_CAP = 29  # basis vectors per restart, each a d^2-float row of peak memory
+_KRYLOV_TOL = 1e-14  # per-restart error estimate relative to the state (~100x the error)
+
+
+def _pack(a: np.ndarray, lower: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Hermitian a as d^2 reals: Re on and above the diagonal, Im below."""
+    np.copyto(out, a.real)
+    np.copyto(out, a.imag, where=lower)
+    return out
+
+
+def _unpack(p: np.ndarray, lower: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Inverse of `_pack`, into the complex array out; exactly Hermitian."""
+    np.copyto(out.real, p)
+    np.copyto(out.real, p.T, where=lower)
+    np.multiply(p, lower, out=out.imag)
+    np.negative(p.T, out=out.imag, where=lower.T)
+    return out
+
+
+def _rk4_advance(hm: np.ndarray, beta: float, h: float, remaining: int
+                 ) -> tuple[int, np.ndarray]:
+    """(k, P(h hm)^k e1 - e1), k <= remaining the largest, by binary search, whose
+    estimate beta |e_m^T P(h hm)^k e1| is <= _KRYLOV_TOL, and at least (m - 1) // 4
+    (degree < m is exact); powers held as D = P^s - I keep a small increment's digits."""
+    m, z = hm.shape[0], h * hm
+    eye = np.eye(m)
+    powers = [z @ (eye + z @ (eye + z @ (eye + z / 4.0) / 3.0) / 2.0)]
+    while 2 ** len(powers) <= remaining:  # repeated squaring
+        powers.append(powers[-1] @ powers[-1] + 2.0 * powers[-1])
+    k, y = 0, np.zeros(m)
+    for i in reversed(range(len(powers))):
+        step = 1 << i
+        if k + step <= remaining:
+            trial = powers[i] @ y + powers[i][:, 0] + y  # P^s (y + e1) - e1
+            if (k + step <= (m - 1) // 4
+                    or beta * abs(trial[-1] + (m == 1)) <= _KRYLOV_TOL):
+                k, y = k + step, trial
+    return k, y
+
+
 def _rk4(rho: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray],
-         duration: float, n_steps: int) -> np.ndarray:
-    """Classical RK4; stages are built in one reused buffer and the slopes
-    summed in place, in the textbook operation order (same bits as
-    rho + (h/6) (k1 + 2 k2 + 2 k3 + k4) formed out of place).  rhs must
-    return a new array; rho is not modified."""
+         duration: float, n_steps: int, stats: dict | None = None) -> np.ndarray:
+    """n_steps classical RK4 steps of the linear d rho/dt = rhs(rho), i.e.
+    P(hL)^n_steps rho with P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 and
+    h = duration / n_steps, to round-off, by restarted Arnoldi (Saad, SIAM J.
+    Numer. Anal. 29, 209 (1992); Hochbruck & Lubich, ibid. 34, 1911 (1997)).
+
+    Each restart grows an orthonormal Krylov basis of rhs from the state,
+    advances the steps `_rk4_advance` allows and adds the increment to the
+    state.  Vectors are Hermitian matrices packed as d^2 reals, so rhs sees
+    only exactly Hermitian arrays.  rho is not modified.  `stats` gets
+    applies (rhs calls) and krylov_dim (the largest basis)."""
+    d = rho.shape[0]
     h = duration / n_steps
-    stage = np.empty_like(rho)
-    for _ in range(n_steps):
-        k = rhs(rho)  # k1, then k1 + 2 k2 + 2 k3 + k4 in place
-        np.multiply(k, 0.5 * h, out=stage)
-        stage += rho
-        slope = rhs(stage)  # k2
-        for c in (0.5 * h, h):
-            np.multiply(slope, c, out=stage)
-            stage += rho
-            slope *= 2.0
-            k += slope
-            del slope  # folded in once its stage is built: one slope held at a time
-            slope = rhs(stage)  # k3, then k4
-        k += slope
-        k *= h / 6.0
-        k += rho
-        rho = k
-    return rho
+    lower = np.tri(d, k=-1, dtype=bool)
+    # own mapping, not malloc: a freed multi-MB malloc block keeps temporaries resident
+    flat = np.frombuffer(mmap.mmap(-1, 8 * _KRYLOV_CAP * d * d)).reshape(_KRYLOV_CAP, -1)
+    basis = flat.reshape(_KRYLOV_CAP, d, d)
+    state = np.empty((d, d), dtype=complex)  # rhs input, then the result
+    new, spare = state.view(np.float64).reshape(2, d, d)  # next vector, scratch
+    w = _pack(rho, lower, basis[0]).ravel()  # row 0: the state times 2^-e, exactly
+    e, remaining, applies, dim = 0, n_steps, 0, 0
+    while remaining:
+        if not w.any():
+            break
+        shift = max(0, -int(np.frexp(max(w.max(), -w.min()))[1]))  # max |w| >= 0.5
+        np.ldexp(w, shift, out=w)  # exact (never scales down); the norm cannot underflow
+        e -= shift
+        beta = np.linalg.norm(w)
+        unit = np.r_[1.0 / beta, np.ones(_KRYLOV_CAP - 1)]  # row i is v_i / unit[i]
+        hess = np.zeros((_KRYLOV_CAP + 1, _KRYLOV_CAP))
+        for m in range(1, _KRYLOV_CAP + 1):
+            v = _pack(rhs(_unpack(basis[m - 1], lower, state)), lower, new).ravel()
+            v *= unit[m - 1]
+            for _ in range(2):  # classical Gram-Schmidt, twice
+                c = (flat[:m] @ v) * unit[:m]
+                v -= np.dot(c * unit[:m], flat[:m], out=spare.reshape(-1))
+                hess[:m, m - 1] += c
+            hess[m, m - 1] = np.linalg.norm(v)
+            k, y = _rk4_advance(hess[:m, :m], hess[m, m - 1], h, remaining)
+            if k == remaining or m == _KRYLOV_CAP:
+                break
+            np.divide(v, hess[m, m - 1], out=flat[m])
+        applies, dim = applies + m, max(dim, m)
+        w += np.dot(beta * y * unit[:m], flat[:m], out=v)
+        remaining -= k
+    if stats is not None:
+        stats.update(applies=applies, krylov_dim=dim)
+    return _unpack(np.ldexp(w, e, out=w).reshape(d, d), lower, state)
 
 
 def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float,
@@ -326,17 +393,19 @@ def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float
            stats: dict | None = None) -> np.ndarray:
     """Integrate d rho/dt = sum_k L_k(rho) for `duration` with fixed-step RK4.
 
-    Steps are halved (count doubled) until the trace / Hermiticity /
-    positivity invariants hold at the configured tolerances.  rho must be
+    Each pass is one polynomial of the generator sum (`_rk4`).  Steps are
+    halved (count doubled) until the trace / Hermiticity / positivity
+    invariants hold at the configured tolerances.  rho must be
     Hermitian (the generators are defined on Hermitian states only):
     max |rho - rho^dag| above step_control.hermiticity_tol is a ValueError.
 
     If `stats` is given it is filled in, also when IntegrationError is
     raised: n_steps (of the last RK4 pass) and refinements (passes beyond
     the first); after at least one pass also worst_residual (that pass's
-    largest invariant residual over its tolerance) and residuals, its
-    `channel_residuals` (trace_dev, herm, min_eig).  With duration 0 or
-    no generators no pass runs: n_steps = refinements = 0 and no residuals.
+    largest invariant residual over its tolerance), residuals (its
+    `channel_residuals`), applies (its generator-sum applications) and
+    krylov_dim (its largest Krylov basis).  With duration 0 or no
+    generators no pass runs: n_steps = refinements = 0 and nothing else.
     """
     if duration < 0:
         raise ValueError("duration must be >= 0")
@@ -362,7 +431,7 @@ def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float
 
     n_steps = max(ctl.min_steps, int(np.ceil(duration * rate / ctl.target_step_rate)))
     for refinement in range(ctl.max_refinements + 1):
-        out = _rk4(rho, rhs, duration, n_steps)
+        out = _rk4(rho, rhs, duration, n_steps, stats)
         ok, worst, residuals = _invariants_ok(out, ctl)
         stats.update(n_steps=n_steps, refinements=refinement, worst_residual=worst,
                      residuals=residuals)

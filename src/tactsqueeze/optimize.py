@@ -10,7 +10,7 @@ break toward the smallest argmax.  `grid_then_golden` stays public as the
 numerical reference the closed forms are tested against.
 `optimal_theta_elementwise` and `optimal_u_elementwise` give the argmax
 of Theta* and U* over an array of alpha, with the scalar calls' bits and
-nan where the scalar call raises (for Theta*, on a finite alpha).
+nan where the scalar call raises.
 """
 
 from __future__ import annotations
@@ -134,9 +134,9 @@ def optimal_theta(alpha: float | None, polarization_p: float) -> OptimizationOut
     al., Adv. Comput. Math. 5, 329 (1996)), so Theta* lies in (0, 1).  The
     stationarity residual is checked to 1e-8 post hoc.
     """
-    if alpha is None or math.isinf(alpha):
+    if alpha is None or alpha == math.inf:
         raise DomainError("noiseless case (alpha infinite) has no interior optimum")
-    if alpha <= 1.0:
+    if alpha <= 1.0:  # alpha = -inf included: g(Theta) = -inf for Theta > 0
         return OptimizationOutcome(argmax=0.0, value=0.0, at_boundary=True,
                                    iterations=0, bracket=(0.0, 1.0))
     theta, residual = map(float, _theta_star(alpha))
@@ -158,14 +158,15 @@ def _theta_star(alpha):
 
 
 def optimal_theta_elementwise(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """optimal_theta's argmax and at_boundary for each finite alpha of an
-    array; the argmax is nan where the scalar call raises on its
-    stationarity residual."""
-    interior = alpha > 1.0
-    theta = np.zeros(alpha.shape)
+    """optimal_theta's argmax and at_boundary for each alpha of an array;
+    the argmax is nan where the scalar call raises (alpha = +inf, or a
+    stationarity residual above tolerance) or returns nan (alpha = nan)."""
+    at_boundary = alpha <= 1.0
+    interior = ~at_boundary & (alpha != np.inf)
+    theta = np.where(at_boundary, 0.0, np.nan)
     theta[interior], residual = _theta_star(alpha[interior])
     theta[np.flatnonzero(interior)[residual > _STATIONARITY_TOL]] = np.nan
-    return theta, ~interior
+    return theta, at_boundary
 
 
 def _u_star(a: float) -> float:

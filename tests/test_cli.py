@@ -341,6 +341,24 @@ class TestVerifyCommand:
         for row in rows:
             assert float(row["factorization_error"]) > 0
 
+    def test_one_large_row_takes_few_generator_applications(self, tmp_path, monkeypatch):
+        # the joint and both split evolves of the N = 7 row: 2764 RK4 steps,
+        # which stage by stage took 4 applications each (11 056)
+        applies = []
+        evolve = exact.evolve
+
+        def counted(rho, gens, duration, step_control=None, stats=None):
+            stats = {} if stats is None else stats
+            out = evolve(rho, gens, duration, step_control, stats)
+            applies.append((stats["n_steps"], stats["applies"]))
+            return out
+
+        monkeypatch.setattr(exact, "evolve", counted)
+        cfg = write_config(tmp_path, "[verify]\nn_min = 7\nn_max = 7\nalpha = 5\ngamma = 0.25\n")
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+        assert sum(n for n, _ in applies) == 2764
+        assert len(applies) == 3 and sum(a for _, a in applies) < 200
+
 
 class TestAllEngine:
     def sweep(self, tmp_path, text, engine):

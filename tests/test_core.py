@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -129,3 +130,23 @@ class TestExpElementwise:
         assert math.inf in want
         np.testing.assert_array_equal(got.ravel(), want)
         assert core.exp_elementwise(np.array([])).shape == (0,)
+
+    def test_only_overflowing_elements_are_redone(self, monkeypatch):
+        # a 100 x 100 grid like closed_form_sweep's with 300 overflowing
+        # elements, and the edge values, on the overflow path
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-800.0, 700.0, (100, 100))
+        top = math.log(sys.float_info.max)
+        edges = [top, np.nextafter(top, math.inf), math.nan, -math.inf, -0.0]
+        x.flat[:len(edges)] = edges
+        x.flat[rng.choice(np.arange(len(edges), x.size), 299, replace=False)] = \
+            rng.uniform(710.0, 1e4, 299)
+        fallback = core._exp_or_inf
+        calls = []
+        monkeypatch.setattr(core, "_exp_or_inf", lambda v: calls.append(v) or fallback(v))
+        got = core.exp_elementwise(x)
+        want = [fallback(v) for v in x.ravel().tolist()]
+        assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want]
+        assert want[0] < math.inf == want[1]
+        assert len(calls) == 300
+        assert core.exp_elementwise(np.array([1e3, math.inf])).tolist() == [math.inf] * 2

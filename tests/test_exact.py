@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,28 @@ from tactsqueeze.errors import (
 )
 
 RNG = np.random.default_rng(20240817)
+
+
+def generator_sum(gens):
+    """The right-hand side evolve integrates: the sum of the generators."""
+    def rhs(r):
+        out = gens[0].apply(r)
+        for g in gens[1:]:
+            out += g.apply(r)
+        return out
+    return rhs
+
+
+def textbook_rk4(rho, rhs, duration, n_steps):
+    """Classical RK4, stage by stage, as printed."""
+    h = duration / n_steps
+    for _ in range(n_steps):
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * h * k1)
+        k3 = rhs(rho + 0.5 * h * k2)
+        k4 = rhs(rho + h * k3)
+        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return rho
 
 
 def random_hermitian_unit_trace(dim, rng=RNG):
@@ -286,26 +309,98 @@ class TestEvolve:
                                       exact.evolve(rho, gens, 0.7))
 
     def test_rk4_in_place_stages_match_textbook_rk4(self):
+        # the Krylov pass gives the RK4 polynomial to round-off, not the
+        # stage loop's bits
         n, duration, n_steps = 3, 0.7, 20
-        gens = [exact.squeeze_generator(n, 0.2), exact.depolarize_generator(n, 0.3)]
-
-        def rhs(r):
-            out = gens[0].apply(r)
-            out += gens[1].apply(r)
-            return out
-
+        rhs = generator_sum([exact.squeeze_generator(n, 0.2),
+                             exact.depolarize_generator(n, 0.3)])
         rho = exact.build_initial_state(n, 0.8)
         before = rho.copy()
-        h = duration / n_steps
-        ref = rho
-        for _ in range(n_steps):
-            k1 = rhs(ref)
-            k2 = rhs(ref + 0.5 * h * k1)
-            k3 = rhs(ref + 0.5 * h * k2)
-            k4 = rhs(ref + h * k3)
-            ref = ref + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        assert np.array_equal(exact._rk4(rho, rhs, duration, n_steps), ref)
+        ref = textbook_rk4(rho, rhs, duration, n_steps)
+        got = exact._rk4(rho, rhs, duration, n_steps)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.linalg.norm(rho)
         assert np.array_equal(rho, before)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4), n_steps=st.integers(1, 300),
+           kinds=st.sets(st.sampled_from(["squeeze", "depolarize", "field"]), min_size=1),
+           rate=st.floats(1e-3, 5.0), step_rate=st.floats(1e-3, 0.1))
+    def test_krylov_pass_is_the_textbook_rk4_polynomial(self, data, n, n_steps, kinds,
+                                                        rate, step_rate):
+        dim = 2 ** n
+        re, im = data.draw(arrays(np.float64, (2, dim, dim),
+                                  elements=st.floats(-1.0, 1.0, allow_nan=False)))
+        m = re + 1j * im
+        rho = m + m.conj().T
+        make = {"squeeze": exact.squeeze_generator, "depolarize": exact.depolarize_generator,
+                "field": exact.field_generator}
+        gens = [make[kind](n, rate) for kind in sorted(kinds)]
+        total = sum(g.rate_bound for g in gens)  # 0 for the squeeze alone at N = 1
+        duration = n_steps * step_rate / total if total > 0 else 1.0
+        rhs = generator_sum(gens)
+        before = rho.copy()
+        got = exact._rk4(rho, rhs, duration, n_steps)
+        ref = textbook_rk4(rho, rhs, duration, n_steps)
+        # max |rho| <= ||rho|| does not underflow; below the smallest normal
+        # float no relative precision is left to compare
+        bound = 1e-12 * np.max(np.abs(rho)) + np.finfo(float).tiny
+        assert np.max(np.abs(got - ref)) <= bound
+        assert np.array_equal(got, got.conj().T)
+        assert np.array_equal(rho, before)
+
+    def test_every_restart_at_a_small_basis_cap(self, monkeypatch):
+        monkeypatch.setattr(exact, "_KRYLOV_CAP", 9)
+        n, n_steps = 3, 100
+        gens = [exact.squeeze_generator(n, 0.3), exact.depolarize_generator(n, 0.1),
+                exact.field_generator(n, 0.2)]
+        duration = n_steps * 0.05 / sum(g.rate_bound for g in gens)
+        rhs = generator_sum(gens)
+        rho = exact.build_initial_state(n, 0.8)
+        stats = {}
+        got = exact._rk4(rho, rhs, duration, n_steps, stats)
+        assert stats["krylov_dim"] == 9 and stats["applies"] >= 3 * 9
+        ref = textbook_rk4(rho, rhs, duration, n_steps)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.linalg.norm(rho)
+
+    def test_breakdown_at_a_fixed_point(self):
+        # L(I/d) = 0 up to the depolarizer's rounding: the basis stops at
+        # one vector and the state is kept
+        n = 3
+        rhs = generator_sum([exact.squeeze_generator(n, 0.3), exact.depolarize_generator(n, 0.1),
+                             exact.field_generator(n, 0.2)])
+        rho = np.eye(2 ** n, dtype=complex) / 2 ** n
+        stats = {}
+        got = exact._rk4(rho, rhs, 2.0, 50, stats)
+        assert stats == {"applies": 1, "krylov_dim": 1}
+        assert np.max(np.abs(got - rho)) <= 1e-15
+        assert np.max(np.abs(got - textbook_rk4(rho, rhs, 2.0, 50))) <= 1e-15
+
+    def test_zero_and_subnormal_states(self):
+        # a zero state stays zero with no application; a state whose
+        # squared entries underflow is still integrated
+        rhs = generator_sum([exact.squeeze_generator(2, 0.3), exact.depolarize_generator(2, 0.1)])
+        stats = {}
+        zero = np.zeros((4, 4), dtype=complex)
+        assert np.array_equal(exact._rk4(zero, rhs, 1.0, 20, stats), zero)
+        assert stats == {"applies": 0, "krylov_dim": 0}
+        tiny = exact.build_initial_state(2, 0.9) * 1e-300
+        got = exact._rk4(tiny, rhs, 1.0, 20)
+        ref = textbook_rk4(tiny, rhs, 1.0, 20)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(tiny))
+        assert np.max(np.abs(got)) > 0
+
+    def test_breakdown_of_a_depolarizer_on_a_diagonal_state(self):
+        # diagonal states stay diagonal, where L2 has N + 1 eigenvalues
+        # (-4 Gamma times the number of sites a Z-string acts on)
+        n, n_steps = 4, 200
+        rhs = generator_sum([exact.depolarize_generator(n, 0.3)])
+        rho = np.diag(np.random.default_rng(3).uniform(0.0, 1.0, 2 ** n)).astype(complex)
+        stats = {}
+        got = exact._rk4(rho, rhs, 3.0, n_steps, stats)
+        assert stats["applies"] == stats["krylov_dim"] <= n + 1
+        ref = textbook_rk4(rho, rhs, 3.0, n_steps)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.linalg.norm(rho)
+        assert np.array_equal(got, np.diag(np.diag(got)))
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_per_site_decay_law(self, n):
@@ -320,9 +415,14 @@ class TestEvolve:
     def test_stats_report_the_accepted_pass(self):
         n, t = 3, 0.6
         rho = exact.build_initial_state(n, 0.9)
-        gens = [exact.squeeze_generator(n, 0.2), exact.depolarize_generator(n, 0.1)]
+        calls = []
+        l1 = exact.squeeze_generator(n, 0.2)
+        counted = dataclasses.replace(l1, apply=lambda r: calls.append(1) or l1.apply(r))
+        gens = [counted, exact.depolarize_generator(n, 0.1)]
         stats = {"stale": 1}
         out = exact.evolve(rho, gens, t, stats=stats)
+        assert stats["applies"] == len(calls)  # one generator-sum application each
+        assert 1 <= stats["krylov_dim"] <= min(stats["applies"], exact._KRYLOV_CAP)
         np.testing.assert_array_equal(out, exact.evolve(rho, gens, t))
         rate = sum(g.rate_bound for g in gens)
         assert stats["n_steps"] == max(16, int(np.ceil(t * rate / 0.05)))

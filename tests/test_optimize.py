@@ -80,6 +80,9 @@ class TestOptimalTheta:
             optimize.optimal_theta(None, 1.0)
         with pytest.raises(DomainError):
             optimize.optimal_theta(math.inf, 1.0)
+        # alpha = -inf is below threshold, not noiseless
+        out = optimize.optimal_theta(-math.inf, 1.0)
+        assert out.argmax == 0.0 and out.at_boundary
 
     @pytest.mark.parametrize("alpha", [1.0 + 1e-12, 1.0 + 1e-9, 1.0001, 10.0, 1e3])
     def test_gain_value_to_rounding_near_threshold(self, alpha):
@@ -244,6 +247,21 @@ class TestElementwise:
             assert float(theta[i]).hex() == one.argmax.hex()
             assert at_boundary[i] == one.at_boundary
         assert (raised > 0) == (tol < 1e-8)
+
+    def test_theta_star_at_infinite_and_nan_alpha(self):
+        # +inf: the scalar call raises; nan: it returns nan, not at the
+        # boundary; -inf: the boundary
+        theta, at_boundary = optimize.optimal_theta_elementwise(
+            np.array([math.inf, math.nan, -math.inf]))
+        with pytest.raises(DomainError):
+            optimize.optimal_theta(math.inf, 1.0)
+        assert math.isnan(theta[0])
+        for i, alpha in ((1, math.nan), (2, -math.inf)):
+            one = optimize.optimal_theta(alpha, 1.0)
+            assert float(theta[i]).hex() == float(one.argmax).hex()
+            assert at_boundary[i] == one.at_boundary
+        assert math.isnan(theta[1]) and not at_boundary[1]
+        assert theta[2] == 0.0 and at_boundary[2]
 
     def test_u_star_bits_of_the_scalar_call(self):
         # nan exactly where the scalar call raises: alpha = 0 (not > 0) and
