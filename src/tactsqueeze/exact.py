@@ -19,6 +19,14 @@ Integration is classical fixed-step RK4 with automatic step halving
 against the channel invariants, each pass evaluated as one polynomial of
 the generator by restarted Arnoldi (`_rk4`); a dense superoperator
 exponential is kept as an independent cross-check path for small N.
+
+The collective sums Cx, Cy and Cz are written from the basis-state bits
+too.  The squeezing observables need only the mean spin and the 3x3
+moment matrix <{C_a, C_b}>/2 (Kitagawa & Ueda, PRA 47, 5138 (1993)), which
+read the O(N^2 2^N) entries of rho within two bit flips of its diagonal
+(`_collective_moments`), not an operator product.  The squeeze generator's
+rate bound diagonalizes the two real parity blocks of H, which flips spins
+in pairs.
 """
 
 from __future__ import annotations
@@ -71,6 +79,11 @@ def _check_cap(n_spins: int, n_cap: int) -> None:
             f"costs 16*4^N = {mem} bytes and superoperator action scales as 8^N")
 
 
+def _basis_bits(n_spins: int) -> np.ndarray:
+    """bits[r, i] = bit i of basis state r: 1 where sigma^z_i reads -1."""
+    return (np.arange(2 ** n_spins)[:, None] >> np.arange(n_spins)) & 1
+
+
 def site_operator(op: np.ndarray, site: int, n_spins: int) -> np.ndarray:
     """Embed a single-qubit operator at `site` (site 0 = leftmost kron factor)."""
     out = np.array([[1.0]], dtype=complex)
@@ -90,9 +103,22 @@ class SpinOperatorSet:
 
 
 def spin_operators(n_spins: int, n_cap: int = DEFAULT_N_CAP) -> SpinOperatorSet:
+    """Cx, Cy and Cz written from the basis-state bits, like `tact_hamiltonian`.
+
+    sigma^x_i maps |r> to |r ^ e_i> and sigma^y_i to i z_i(r) |r ^ e_i>, with
+    z_i(r) = 1 - 2 (bit i of r); Cz is diagonal, N - 2 popcount(r).  Every
+    entry is a small integer, so these are the bits of the site sums
+    sum_i site_operator(sigma^a, i, N).
+    """
     _check_cap(n_spins, n_cap)
-    cx, cy, cz = (sum(site_operator(pauli, i, n_spins) for i in range(n_spins))
-                  for pauli in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+    dim = 2 ** n_spins
+    index, bits = np.arange(dim), _basis_bits(n_spins)
+    cx, cy, cz = (np.zeros((dim, dim), dtype=complex) for _ in range(3))
+    for i in range(n_spins):
+        flipped = index ^ (1 << i)
+        cx.real[flipped, index] = 1.0
+        cy.imag[flipped, index] = 1.0 - 2.0 * bits[:, i]
+    cz.real[index, index] = n_spins - 2.0 * bits.sum(axis=1)
     return SpinOperatorSet(n_spins, cx, cy, cz)
 
 
@@ -200,9 +226,14 @@ def _anti_hermitian_term(k: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hamiltonian_superop(kind: str, n_spins: int, h: np.ndarray, sign: float) -> Superoperator:
+def _spectral_radius(h: np.ndarray) -> float:
+    return float(np.max(np.abs(np.linalg.eigvalsh(h))))
+
+
+def _hamiltonian_superop(kind: str, n_spins: int, h: np.ndarray, sign: float,
+                         norm: float) -> Superoperator:
     # sign=+1: drho/dt = -i[H, rho];  sign=-1: drho/dt = +i[H, rho]
-    norm = float(np.linalg.norm(np.linalg.eigvalsh(h), np.inf)) if h.size else 0.0
+    # norm = max |eigenvalue of H|; rate_bound = 2 norm bounds the commutator
     # -i sign [H, rho] = -i [sign H, rho]; a real H is kept as a real array
     op = sign * (h if np.any(h.imag) else h.real)
 
@@ -224,16 +255,23 @@ def _hamiltonian_superop(kind: str, n_spins: int, h: np.ndarray, sign: float) ->
 
 def squeeze_generator(n_spins: int, j_coupling: float,
                       n_cap: int = DEFAULT_N_CAP) -> Superoperator:
-    """L1(rho) = -i [H_Squ, rho]."""
+    """L1(rho) = -i [H_Squ, rho].
+
+    H flips spins in pairs, so it keeps the parity of popcount(r) (it
+    commutes with Z^{(x)N}), and its spectrum is that of its two real
+    symmetric parity blocks, each diagonalized on its own.
+    """
     h = tact_hamiltonian(n_spins, j_coupling, n_cap)
-    return _hamiltonian_superop("L1_squeeze", n_spins, h, sign=+1.0)
+    odd = _basis_bits(n_spins).sum(axis=1) % 2 == 1
+    norm = max(_spectral_radius(h.real[np.ix_(block, block)]) for block in (odd, ~odd))
+    return _hamiltonian_superop("L1_squeeze", n_spins, h, +1.0, norm)
 
 
 def field_generator(n_spins: int, b_field: float,
                     n_cap: int = DEFAULT_N_CAP) -> Superoperator:
     """L3(rho) = +i [B sum_i (sy_i - sx_i), rho], as printed."""
     h = field_hamiltonian(n_spins, b_field, n_cap)
-    return _hamiltonian_superop("L3_field", n_spins, h, sign=-1.0)
+    return _hamiltonian_superop("L3_field", n_spins, h, -1.0, _spectral_radius(h))
 
 
 def depolarize_generator(n_spins: int, gamma: float,
@@ -477,17 +515,62 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(sym))))
 
 
+def _collective_moments(rho: np.ndarray, ops: SpinOperatorSet
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, second): mean_a = Tr(rho C_a) and second_ab = Re Tr(rho C_a C_b)
+    = <{C_a, C_b}>/2 for Hermitian rho, in one pass over the O(N^2 2^N)
+    entries of rho within two bit flips of its diagonal.
+
+    With sigma^x_i |r> = |r ^ e_i>, sigma^y_i |r> = i z_i(r) |r ^ e_i> and
+    sigma^z_i |r> = z_i(r) |r>, z_i(r) = 1 - 2 (bit i of r), cz = sum_i z_i,
+    each trace reads p(r) = rho[r, r], f_i(r) = rho[r ^ e_i, r] or, for i < j,
+    g_ij(r) = rho[r ^ e_i ^ e_j, r] (sums over r and the sites):
+        <Cx> = sum f_i            <Cx^2> = N Tr rho + 2 sum Re g_ij
+        <Cy> = -i sum z_i f_i     <Cy^2> = N Tr rho - 2 sum z_i z_j Re g_ij
+        <Cz> = sum cz p           <Cz^2> = sum cz^2 p
+        Re<Cx Cy> = sum (z_i + z_j) Im g_ij
+        Re<Cx Cz> = sum cz Re f_i       Re<Cy Cz> = sum cz z_i Im f_i
+    (the same-site products I and +-i sigma^c add N Tr rho to the diagonal
+    and nothing real off it).  The first moments hold for any rho; an imaginary
+    residual above 1e-8 is a consistency error, as in `measure`.
+    """
+    n = ops.n_spins
+    if rho.shape != (2 ** n, 2 ** n):
+        raise ValueError("dimension mismatch between state and observable")
+    r = np.arange(2 ** n)[:, None]
+    z = 1 - 2 * _basis_bits(n)  # z[r, i] = z_i(r)
+    cz = z.sum(axis=1)
+    p = rho.diagonal()
+    f = rho[r ^ (1 << np.arange(n)), r]
+    i, j = np.triu_indices(n, 1)
+    g = rho[r ^ (1 << i) ^ (1 << j), r]
+    mean = np.array([f.sum(), -1j * (z * f).sum(), cz @ p])
+    residual = float(np.max(np.abs(mean.imag)))
+    if residual > 1e-8:
+        raise NumericalConsistencyError(
+            f"expectation has imaginary residual {residual:.3e}")
+    fx, fy = f.real.sum(axis=1), (z * f.imag).sum(axis=1)
+    same_site = n * p.real.sum()
+    xx = same_site + 2.0 * g.real.sum()
+    yy = same_site - 2.0 * (z[:, i] * z[:, j] * g.real).sum()
+    xy = ((z[:, i] + z[:, j]) * g.imag).sum()
+    xz, yz = cz @ fx, cz @ fy
+    second = np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, cz ** 2 @ p.real]])
+    return mean.real, second
+
+
 def mean_spin_vector(rho: np.ndarray, ops: SpinOperatorSet) -> np.ndarray:
-    return np.array([measure(rho, ops.collective_x),
-                     measure(rho, ops.collective_y),
-                     measure(rho, ops.collective_z)])
+    """(<Cx>, <Cy>, <Cz>), from `_collective_moments`."""
+    return _collective_moments(rho, ops)[0]
 
 
 def transverse_variance_extrema(rho: np.ndarray, ops: SpinOperatorSet
                                 ) -> tuple[float, float, np.ndarray]:
     """(min variance, max variance, mean vector) over the plane orthogonal
-    to the mean-spin direction, by closed-form 2x2 diagonalization."""
-    mean = mean_spin_vector(rho, ops)
+    to the mean-spin direction: the 3x3 moment matrix of
+    `_collective_moments` projected on that plane, then a closed-form 2x2
+    diagonalization.  rho must be Hermitian."""
+    mean, second = _collective_moments(rho, ops)
     norm = float(np.linalg.norm(mean))
     if norm < 1e-12:
         raise UndefinedDirectionError(
@@ -499,13 +582,9 @@ def transverse_variance_extrema(rho: np.ndarray, ops: SpinOperatorSet
     e1 = np.cross(n_hat, seed)
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(n_hat, e1)
-    basis = [ops.collective_x, ops.collective_y, ops.collective_z]
-    o1 = sum(c * op for c, op in zip(e1, basis))
-    o2 = sum(c * op for c, op in zip(e2, basis))
-    m1, m2 = measure(rho, o1), measure(rho, o2)
-    a = measure(rho, o1 @ o1) - m1 * m1
-    b = measure(rho, o2 @ o2) - m2 * m2
-    c = measure(rho, (o1 @ o2 + o2 @ o1) / 2.0) - m1 * m2
+    plane = np.array([e1, e2])
+    m = plane @ mean
+    (a, c), (_, b) = plane @ second @ plane.T - np.outer(m, m)
     half_diff = np.hypot((a - b) / 2.0, c)
     mid = (a + b) / 2.0
     return mid - half_diff, mid + half_diff, mean

@@ -264,19 +264,18 @@ class TestExactCommand:
         assert row["factorization_error"] == expected
 
     def test_row_builds_the_spin_operators_once(self, monkeypatch):
+        # once, from the basis bits: no per-site operator is built
         n = 4
-        calls = []
-        site_operator = exact.site_operator
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return site_operator(*args, **kwargs)
-
-        monkeypatch.setattr(exact, "site_operator", counting)
+        calls = {"spin_operators": 0, "site_operator": 0}
+        for name in calls:
+            def counting(*args, _name=name, _fn=getattr(exact, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(exact, name, counting)
         pdict = dict(cli._DEFAULT_PARAMS, n_spins=n, j_coupling=0.05, gamma=0.1,
                      t_squeeze=0.3)
         assert cli._row_exact(pdict, {})["status"] == "ok"
-        assert len(calls) <= 3 * n
+        assert calls == {"spin_operators": 1, "site_operator": 0}
 
     @pytest.mark.parametrize("t, factorize, checks", [(0.3, False, 1), (0.0, False, 1),
                                                       (0.3, True, 3)])

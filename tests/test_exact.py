@@ -132,6 +132,11 @@ class TestTactHamiltonian:
         assert np.array_equal(ops.collective_x, sum(sx, zero))
         assert np.array_equal(ops.collective_y, sum(sy, zero))
         assert np.array_equal(ops.collective_z, sum(sz, zero))
+        # written from the basis bits, the sums keep the site sums' bits,
+        # signed zeros included
+        for op, sites in ((ops.collective_x, sx), (ops.collective_y, sy),
+                          (ops.collective_z, sz)):
+            assert op.tobytes() == sum(sites, zero).tobytes()
         pairs = sum((sx[i] @ sx[k] - sy[i] @ sy[k]
                      for i in range(n) for k in range(n) if i != k), zero)
         assert np.array_equal(exact.tact_hamiltonian(n, j), j * pairs)
@@ -140,8 +145,8 @@ class TestTactHamiltonian:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_same_bits_as_collective_square_difference(self, n):
-        # rate_bound is eigvalsh of this matrix: the same bits, signed
-        # zeros included, keep every RK4 step count
+        # L1.apply and its parity-block rate_bound read this matrix: the
+        # same bits as the collective square difference, signed zeros included
         ops = exact.spin_operators(n)
         cx, cy = ops.collective_x, ops.collective_y
         for j in (0.37, -1.7, 1e-3, -0.0):
@@ -149,8 +154,8 @@ class TestTactHamiltonian:
                 (j * (cx @ cx - cy @ cy)).tobytes()
 
     def test_spin_operators_peak_memory(self):
-        # the three collective sums and their construction temporaries; the
-        # 3N per-site matrices once kept alongside came to 27 state sizes
+        # the three collective sums (3.01 state sizes at N = 8) and a few
+        # 2^N index vectors: written from the basis bits, with no kron chain
         n = 8
         tracemalloc.start()
         try:
@@ -158,7 +163,13 @@ class TestTactHamiltonian:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * 16 * 4 ** n
+        assert peak <= 3.1 * 16 * 4 ** n
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_rate_bound_from_parity_blocks_is_the_dense_spectral_radius(self, n):
+        for j in (0.37, -1.7, 1e-3, -0.0):
+            dense = 2.0 * np.max(np.abs(np.linalg.eigvalsh(exact.tact_hamiltonian(n, j))))
+            assert abs(exact.squeeze_generator(n, j).rate_bound - dense) <= 1e-14 * dense
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_traceless_and_hermitian(self, n):
@@ -453,6 +464,33 @@ class TestEvolve:
         exact.evolve(rho, generators, duration, stats=stats)
         assert stats == {"n_steps": 0, "refinements": 0}
 
+    # n_steps of one verify row's joint, depolarize-only and squeeze-only
+    # evolves (alpha = 5, 4 Gamma T = 1, P = 1, Gamma = 0.225), recorded with
+    # the squeeze rate bound from a dense complex eigvalsh; some sit on a ceil
+    # step (T rate / target_step_rate is 440.0 for the N = 2 joint evolve, so
+    # a rate bound one ulp larger gives 441)
+    VERIFY_STEPS = {2: (440, 40, 400), 3: (522, 61, 462), 4: (773, 80, 693),
+                    5: (947, 100, 847), 6: (1174, 121, 1054), 7: (1382, 140, 1242)}
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_verify_step_counts_are_pinned(self, n):
+        gamma, alpha = 0.225, 5.0
+        t = 1.0 / (4.0 * gamma)
+        rho = exact.build_initial_state(n, 1.0)
+        l1 = exact.squeeze_generator(n, 4.0 * gamma * alpha / n)
+        l2 = exact.depolarize_generator(n, gamma)
+        counts = []
+
+        def run(state, gens):
+            stats = {}
+            out = exact.evolve(state, gens, t, stats=stats)
+            counts.append((stats["n_steps"], stats["refinements"]))
+            return out
+
+        run(rho, [l1, l2])
+        run(run(rho, [l2]), [l1])  # the split: depolarize, then squeeze
+        assert counts == [(steps, 0) for steps in self.VERIFY_STEPS[n]]
+
     def test_invariants_after_evolution(self):
         rho = exact.build_initial_state(4, 0.9)
         gens = [exact.squeeze_generator(4, 0.2), exact.depolarize_generator(4, 0.1)]
@@ -496,6 +534,60 @@ class TestMeasure:
         rho = np.array([[0.5, 0.5], [-0.5, 0.5]], dtype=complex)  # not Hermitian
         with pytest.raises(NumericalConsistencyError):
             exact.measure(rho, exact.SIGMA_Y)
+
+
+class TestCollectiveMoments:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1), evolved=st.booleans())
+    def test_matrix_free_moments_match_dense_traces(self, n, seed, evolved):
+        # Tr(rho C_a) and Re Tr(rho C_a C_b) read from the entries within two
+        # bit flips of the diagonal, against dense products of the site sums,
+        # on any Hermitian matrix (any trace, not positive) or on a state
+        # evolved with a field (mean off every axis)
+        rng = np.random.default_rng(seed)
+        dim = 2 ** n
+        if evolved:
+            j, gamma, b = rng.uniform(0.01, 1.0, 3)
+            t = rng.uniform(0.01, 0.3)
+            rho = exact.evolve(exact.build_initial_state(n, rng.uniform(0.1, 1.0)),
+                               [exact.squeeze_generator(n, j),
+                                exact.depolarize_generator(n, gamma),
+                                exact.field_generator(n, b)], t)
+        else:
+            m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            rho = (m + m.conj().T) * 10.0 ** rng.uniform(-3, 3)
+        zero = np.zeros((dim, dim), dtype=complex)
+        sums = [sum((exact.site_operator(pauli, i, n) for i in range(n)), zero)
+                for pauli in (exact.SIGMA_X, exact.SIGMA_Y, exact.SIGMA_Z)]
+        mean, second = exact._collective_moments(rho, exact.spin_operators(n))
+        bound = 1e-13 * n ** 2 * np.sum(np.abs(rho))
+        assert np.max(np.abs(mean - [np.trace(rho @ a).real for a in sums])) <= bound
+        assert np.max(np.abs(second - [[np.trace(rho @ a @ b).real for b in sums]
+                                       for a in sums])) <= bound
+        assert np.array_equal(exact.mean_spin_vector(rho, exact.spin_operators(n)), mean)
+
+    def test_imaginary_mean_rejected(self):
+        rho = np.array([[0.5, 0.5], [-0.5, 0.5]], dtype=complex)  # Tr(rho Y) = i
+        with pytest.raises(NumericalConsistencyError):
+            exact.mean_spin_vector(rho, exact.spin_operators(1))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            exact.transverse_variance_extrema(np.eye(2) / 2, exact.spin_operators(2))
+
+    def test_variance_allocates_less_than_one_state(self):
+        # the moment pass gathers O(N^2 2^N) entries; the operator products
+        # it replaced allocated several 2^N x 2^N matrices
+        n = 8
+        rho = exact.build_initial_state(n, 0.95)
+        ops = exact.spin_operators(n)
+        tracemalloc.start()
+        try:
+            exact.transverse_variance_extrema(rho, ops)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 4 ** n
 
 
 class TestSqueezingParameter:
