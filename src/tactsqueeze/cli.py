@@ -8,11 +8,14 @@ dropped under --no-timing so files are byte-identical across worker
 counts.  Exit codes: 0 success (row-level domain errors allowed),
 1 runtime failure, 2 config error.
 
-The closed-form engines (analytic, linearized, optimize) evaluate the
-whole grid at once as numpy columns, in process; one point is a one-row
-grid.  exact and all run one task per grid point on up to --workers
-processes.  One column-wise CSV writer serves both; it quotes a text
-cell holding a comma, a double quote or a line break (RFC 4180).
+Every sweep is one record of the whole grid: the closed-form engines
+(analytic, linearized, optimize) fill it at once as numpy columns, in
+process; one point is a one-row grid.  exact and all take their
+closed-form cells from that record and run only the dense oracle per
+row, one task per row on up to --workers processes (never more than
+there are oracle rows).  One column-wise CSV writer serves every
+command; it quotes a text cell holding a comma, a double quote or a line
+break (RFC 4180).
 """
 
 from __future__ import annotations
@@ -312,8 +315,8 @@ def _step_control(cfg: dict) -> exact.StepControl:
 # with nan or inf where the scalar call raises; in those rows alone the
 # record makes the scalar call, and its error decides the row (_Cells.check).
 # Invalid points and Gamma = 0 optimize rows are settled before any such
-# call.  exact and all run _run_point per point, with the group and
-# closed-form cells of a one-row grid.
+# call.  exact and all add the dense oracle's cells (_row_exact), one task
+# per row that is valid and not yet settled (_oracle), merged as columns.
 
 
 def _invalid(params: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -338,8 +341,9 @@ class _Cells:
     `params` holds each field's values and each row's index into them
     (build_grid); `x` holds the float64 columns.  It starts with the
     dimensionless-group cells every engine writes first (`groups`).  A
-    status goes after the key of the cell that set it, else after the last
-    key; a whole-row status (`whole`) leaves only the input columns."""
+    status goes after the key of the cell that set it, else after the first
+    engine's cells; a whole-row status (`whole`) leaves only the input
+    columns."""
 
     def __init__(self, params: dict):
         self.x = {name: np.array(values, dtype=float)[index]
@@ -403,16 +407,26 @@ class _Cells:
         at = len(keys) if status_at < 0 else status_at
         return keys[:at] + ("status",) + keys[at:]
 
-    def row(self) -> dict:
-        """A one-row record's cells, the status in its place; the row's error
-        is raised (a whole-row status as a TactError)."""
-        if self.error is not None:
-            raise self.error
-        if self.whole[0]:
-            raise TactError(self.status[0])
-        cells = dict(self.cells, status=self.status)
-        return {key: "" if np.any(self.empty.get(key, False)) else cells[key][0]
-                for key in self._order(self.status_at[0])}
+    def merge(self, results: dict) -> None:
+        """The oracle's results, row -> its cells (a '' cell is empty) or a
+        whole-row status, as columns in first-appearance order.  A row keeps
+        its first status that is not ok; unless an engine placed it, the
+        status goes where the oracle's cells place it."""
+        rows = {i: cells for i, cells in results.items() if isinstance(cells, dict)}
+        for key in dict.fromkeys(k for cells in rows.values() for k in cells):
+            if key == "status":
+                self.status_at[self.status_at < 0] = len(self.cells)
+                continue
+            value, empty = np.full(len(self.status), np.nan), np.ones(len(self.status), bool)
+            for i, cells in rows.items():
+                if not isinstance(cells.get(key, ""), str):
+                    value[i], empty[i] = cells[key], False
+            self.put(key, value, empty)
+        for i, cells in results.items():
+            if i not in rows:
+                self.settle(i, cells)
+            elif self.status[i] == "ok":
+                self.status[i] = cells["status"]
 
     def columns(self) -> dict[str, _Column]:
         cols = {key: _Column(value, empty=self.empty[key] | self.whole)
@@ -471,20 +485,20 @@ def _optimize(rec: _Cells) -> None:
               analytic.improvement_factor, alpha, prefix="improvement_factor")
 
 
-def _closed_form(engine: Callable, params: dict) -> _Cells:
+def _closed_form(parts: list[Callable], params: dict) -> _Cells:
+    """The grid record with each closed-form part's cells in turn; a status
+    not placed by the first part goes after its cells."""
     with np.errstate(all="ignore"):
         rec = _Cells(params)
-        engine(rec)
+        for part in parts:
+            part(rec)
+            rec.status_at[rec.status_at < 0] = len(rec.cells)
     return rec
 
 
-def _one_row(pdict: dict) -> dict:
-    return {name: ([value], np.zeros(1, dtype=np.intp)) for name, value in pdict.items()}
-
-
 def _row_exact(pdict: dict, opts: dict) -> dict:
-    row = _Cells(_one_row(pdict)).row()
-    del row["status"]  # it goes after the squeezing cells
+    """The dense oracle's cells at one valid point, the status after the
+    squeezing cells."""
     p = core.ProtocolParams(**pdict)
     n_cap = opts.get("n_cap", exact.DEFAULT_N_CAP)
     ctl = opts.get("step_control") or exact.StepControl()
@@ -500,7 +514,7 @@ def _row_exact(pdict: dict, opts: dict) -> dict:
     ops = exact.spin_operators(p.n_spins, n_cap)
     # the accepted RK4 pass has checked the final state; T = 0 ran none
     trace_dev, herm, min_eig = stats.get("residuals") or exact.channel_residuals(rho)
-    row.update(mean_sz_per_site=exact.measure(rho, ops.collective_z) / p.n_spins,
+    row = dict(mean_sz_per_site=exact.measure(rho, ops.collective_z) / p.n_spins,
                trace_residual=trace_dev, hermiticity_residual=herm, min_eigenvalue=min_eig)
     try:
         min_var, _, mean = exact.transverse_variance_extrema(rho, ops)
@@ -518,33 +532,22 @@ def _row_exact(pdict: dict, opts: dict) -> dict:
     return row
 
 
-_ENGINES = {"analytic": [_analytic], "linearized": [_linearized],
-            "exact": [_row_exact], "optimize": [_optimize],
-            "all": [_analytic, _linearized, _row_exact]}
+# each engine's closed-form parts; exact and all add the oracle per row
+_ENGINES = {"analytic": [_analytic], "linearized": [_linearized], "optimize": [_optimize],
+            "exact": [], "all": [_analytic, _linearized]}
 
 
-def _run_point(task: tuple) -> dict:
-    pdict, engine, opts, timing = task
+def _oracle(task: tuple) -> tuple[dict | str, float]:
+    """One oracle row: _row_exact's cells, or a whole-row status for a
+    TactError other than a ResourceLimitError; and its time."""
     start = time.perf_counter()
-    violations = core.validate(core.ProtocolParams(**pdict))
-    if violations:
-        row = dict(pdict, status="invalid: " + " ".join(v.code for v in violations))
-    else:
-        row = dict(pdict)
-        try:
-            for fn in _ENGINES[engine]:
-                cells = (fn(pdict, opts) if fn is _row_exact
-                         else _closed_form(fn, _one_row(pdict)).row())
-                if row.get("status", "ok") != "ok":  # the first status that is not ok
-                    cells["status"] = row["status"]
-                row.update(cells)
-        except ResourceLimitError:
-            raise
-        except TactError as exc:
-            row = dict(pdict, status=str(exc))
-    if timing:
-        row["wall_time"] = time.perf_counter() - start
-    return row
+    try:
+        cells = _row_exact(*task)
+    except ResourceLimitError:
+        raise
+    except TactError as exc:
+        cells = str(exc)
+    return cells, time.perf_counter() - start
 
 
 def _config_hash(path: str | None) -> str:
@@ -554,69 +557,66 @@ def _config_hash(path: str | None) -> str:
         return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
-def _grid_sweep(cfg: dict, engine: str, timing: bool) -> tuple[_Table, Exception | None]:
-    """A closed-form engine over the whole grid, in process; an error that is
-    not a TactError ends the sweep at its row, as a failed task would."""
-    start = time.perf_counter()
-    n, params = build_grid(cfg)
-    rec = _closed_form(_ENGINES[engine][0], params)
-    columns = {name: _Column(values, index=index) for name, (values, index) in params.items()}
-    columns.update(rec.columns())
-    tail = ()
-    if timing:
-        # the engine's time, spread evenly over its rows
-        wall = (time.perf_counter() - start) / max(n, 1)
-        columns["wall_time"] = _Column([wall], index=np.zeros(n, dtype=np.intp))
-        tail = ("wall_time",)
-    # each key order at the first written row that takes it
-    n_done = rec.n_done
-    orders = [(int(np.argmax(mask[:n_done])), tuple(params) + keys + tail)
-              for keys, mask in rec.layouts() if mask[:n_done].any()]
-    return _Table(n_done, columns, orders), rec.error
+def _run_oracle(rec: _Cells, params: dict, opts: dict, workers: int,
+                wall: np.ndarray) -> None:
+    """The oracle on each row before `n_done` without a whole-row status, in
+    index order, on up to `workers` processes but no more than there are
+    rows; merged into `rec`, its time added to `wall`.  A failed task ends
+    the sweep at its row."""
+    rows = np.flatnonzero(~rec.whole[:rec.n_done]).tolist()
+    tasks = [(_grid_point(params, i), opts) for i in rows]
+    workers = min(workers, len(tasks))
+    results: dict = {}
 
+    def take(done) -> None:
+        for i, (cells, seconds) in zip(rows, done):
+            results[i] = cells
+            wall[i] += seconds
 
-def _row_sweep(cfg: dict, engine: str, opts: dict, workers: int, timing: bool
-               ) -> tuple[list[dict], Exception | None]:
-    """One task per grid point with up to `workers` processes; on a failed
-    task, the rows before it and the exception."""
-    n, params = build_grid(cfg)
-    tasks = [(_grid_point(params, i), engine, opts, timing) for i in range(n)]
-    rows: list[dict] = []
     try:
         if workers <= 1:
-            for task in tasks:
-                rows.append(_run_point(task))
+            take(map(_oracle, tasks))
         else:
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 # one at a time, in index order: a failed task keeps the
                 # rows before it, as with one worker
-                for row in pool.map(_run_point, tasks, chunksize=1):
-                    rows.append(row)
+                take(pool.map(_oracle, tasks, chunksize=1))
     except Exception as exc:  # drained task panic
-        return rows, exc
-    return rows, None
+        rec.n_done, rec.error = rows[len(results)], exc
+    rec.merge(results)
 
 
 def run_sweep(cfg: dict, engine: str, out_path: str, workers: int,
               timing: bool, config_path: str | None = None) -> int:
     """Execute the grid and write it in grid-index order; the output is
-    identical for any worker count.  The closed-form engines evaluate the
-    whole grid at once, in process; `exact` and `all` run one task per
-    point on up to `workers` processes."""
+    identical for any worker count.  The engine's closed-form parts are
+    evaluated once over the whole grid, in process; `exact` and `all` then
+    run the oracle (_run_oracle).  An error that is not a TactError ends
+    the sweep at its row."""
     opts = {"n_cap": cfg["run"].get("n_cap", exact.DEFAULT_N_CAP),
             "with_factorization": cfg["run"].get("with_factorization", False),
             "step_control": _step_control(cfg)}
     comments = [f"tactsqueeze {__version__}", f"config sha256={_config_hash(config_path)}",
                 f"engine={engine}"]
-    if engine not in ("exact", "all"):
-        table, error = _grid_sweep(cfg, engine, timing)
-    else:
-        rows, error = _row_sweep(cfg, engine, opts, workers, timing)
-        table = _Table.from_rows(rows)
+    start = time.perf_counter()
+    n, params = build_grid(cfg)
+    rec = _closed_form(_ENGINES[engine], params)
+    # the closed-form time, spread evenly over the rows; then each oracle row's
+    wall = np.full(n, (time.perf_counter() - start) / max(n, 1))
+    if engine in ("exact", "all"):
+        _run_oracle(rec, params, opts, workers, wall)
+    columns = {name: _Column(values, index=index) for name, (values, index) in params.items()}
+    columns.update(rec.columns(), wall_time=_Column(wall))
+    tail = ("wall_time",) if timing else ()
+    # each key order at the first written row that takes it
+    n_done, error = rec.n_done, rec.error
+    orders = [(int(np.argmax(mask[:n_done])), tuple(params) + keys + tail)
+              for keys, mask in rec.layouts() if mask[:n_done].any()]
     if error is not None:
         prefix = "" if isinstance(error, ResourceLimitError) else "task failed: "
         print(f"error: {prefix}{error}", file=sys.stderr)
-    _write_csv(out_path, table, comments, incomplete=error is not None)
+    _write_csv(out_path, _Table(n_done, columns, orders), comments,
+               incomplete=error is not None)
     return 0 if error is None else 1
 
 

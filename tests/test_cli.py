@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tactsqueeze import analytic, cli, core, exact, linearized, optimize
-from tactsqueeze.errors import DomainError, TactError
+from tactsqueeze.errors import DomainError, ResourceLimitError, TactError
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -576,6 +576,35 @@ def reference_row(p: dict, engine: str) -> dict:
     return dict(p, **cells)
 
 
+def oracle_reference_row(p: dict, engine: str, run: dict) -> dict:
+    """One point's `exact` or `all` row, assembled per point: reference_row's
+    analytic and linearized parts (for `exact`, the groups alone) and
+    cli._row_exact's cells, which test_row_equals_library_calls pins to the
+    library.  A row keeps its first status that is not ok, where its first
+    part placed it; a TactError of the oracle other than a
+    ResourceLimitError leaves the inputs and its status; any other error
+    propagates."""
+    first = reference_row(p, "analytic" if engine == "all" else "linearized")
+    if first.keys() == {*p, "status"}:  # invalid, or a whole-row status
+        return first
+    if engine == "all":
+        row = first
+        row.update((k, v) for k, v in reference_row(p, "linearized").items() if k != "status")
+    else:
+        row = dict(p, **_groups(p))
+    try:
+        cells = cli._row_exact(p, run)
+    except ResourceLimitError:
+        raise
+    except TactError as exc:
+        return dict(p, status=str(exc))
+    status = row.get("status", "ok")
+    row.update(cells)  # an existing key keeps its place
+    if status != "ok":
+        row["status"] = status
+    return row
+
+
 def _text(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -585,16 +614,18 @@ def _text(value) -> str:
 
 
 def row_path_output(cfg_path: str, engine: str) -> tuple[list[str], int, str | None]:
-    """What a closed-form sweep should write, point by point: each grid
-    point's reference_row in index order, written by csv.writer, the header
-    in order of first appearance; the first error ends the sweep."""
+    """What a sweep should write, point by point: each grid point's
+    reference_row (oracle_reference_row for `exact` and `all`) in index
+    order, written by csv.writer, the header in order of first appearance;
+    the first error ends the sweep."""
     cfg = cli.load_config(cfg_path)
     n, params = cli.build_grid(cfg)
     rows, error = [], None
     for i in range(n):
         point = {name: values[index[i]] for name, (values, index) in params.items()}
         try:
-            rows.append(reference_row(point, engine))
+            rows.append(oracle_reference_row(point, engine, cfg["run"])
+                        if engine in ("exact", "all") else reference_row(point, engine))
         except Exception as exc:  # noqa: BLE001 -- ends the sweep, as in run_sweep
             error = exc
             break
@@ -607,7 +638,8 @@ def row_path_output(cfg_path: str, engine: str) -> tuple[list[str], int, str | N
     lines = out.getvalue().splitlines()
     if error is not None:
         lines.append("# INCOMPLETE")
-        return lines, 1, f"error: task failed: {error}"
+        prefix = "" if isinstance(error, ResourceLimitError) else "task failed: "
+        return lines, 1, f"error: {prefix}{error}"
     return lines, 0, None
 
 
@@ -642,7 +674,7 @@ def closed_form_configs(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
-def no_point_path(*args, **kwargs):
+def no_oracle_task(*args, **kwargs):
     raise AssertionError("closed-form sweeps evaluate the grid only")
 
 
@@ -672,7 +704,7 @@ class TestClosedFormGrid:
         # two rows a chunk: statuses, aborts and the float dedup all cross
         # chunk boundaries
         with (tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_CHUNK_ROWS", 2),
-              mock.patch.object(cli, "_run_point", no_point_path)):
+              mock.patch.object(cli, "_oracle", no_oracle_task)):
             cfg = Path(tmp) / "run.cfg"
             cfg.write_text(text)
             for engine in CLOSED_FORM:
@@ -694,7 +726,7 @@ class TestClosedFormGrid:
         # from math.exp on a few percent of inputs) reaches some %.15g string;
         # 17 chunks, the last one short
         monkeypatch.setattr(cli, "_CHUNK_ROWS", 97)
-        monkeypatch.setattr(cli, "_run_point", no_point_path)
+        monkeypatch.setattr(cli, "_oracle", no_oracle_task)
         cfg = write_config(tmp_path, (
             "[params]\nn_spins = 100\npolarization_p = 0.9\nt_squeeze = 0.5\n"
             "[sweep]\naxis = j_coupling 1e-3 0.5 40 log\naxis2 = gamma 0.01 1.0 40 log\n"))
@@ -735,3 +767,152 @@ class TestClosedFormGrid:
         _, header, rows = read_rows(out)
         assert header[-1] == "wall_time"
         assert all(float(r["wall_time"]) > 0.0 for r in rows)
+
+
+def sweep_output(cfg: Path, engine: str, workers: int = 1) -> tuple[list[str], int, str | None]:
+    """The CSV lines (comments dropped, but for '# INCOMPLETE'), exit code and
+    last stderr line of one --no-timing sweep."""
+    out = cfg.with_suffix(f".{engine}.csv")
+    text = cfg.read_text()  # its [run] section, if any, is the last
+    text += ("" if "[run]" in text else "[run]\n") + f"engine = {engine}\n"
+    cfg.with_suffix(".sweep").write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["sweep", "--config", str(cfg.with_suffix(".sweep")), "--out", str(out),
+                         "--workers", str(workers), "--no-timing"])
+    lines = [ln for ln in out.read_text().splitlines()
+             if not ln.startswith("#") or ln == "# INCOMPLETE"]
+    return lines, code, (err.getvalue().strip().splitlines() or [None])[-1]
+
+
+ORACLE_AXES = {
+    "n_spins": [(0, 2), (1, 3)],
+    "j_coupling": [(0.0, 0.2), (-0.05, 0.1)],
+    "gamma": [(0.0, 0.1), (-0.1, 0.2)],
+    "t_squeeze": [(0.0, 0.3), (-0.3, 0.3)],
+    "polarization_p": [(0.5, 1.0), (0.0, 1.5)],
+    "t_signal": [(0.0, 1.0)],
+}
+
+
+@st.composite
+def oracle_configs(draw) -> str:
+    lines = ["[params]",
+             f"n_spins = {draw(st.sampled_from([1, 2, 3]))}",
+             f"polarization_p = {draw(st.sampled_from([0.9, 1.0]))}",
+             f"j_coupling = {draw(st.sampled_from([0.0, 0.05]))}",
+             f"gamma = {draw(st.sampled_from([0.0, 0.1]))}",
+             f"t_squeeze = {draw(st.sampled_from([0.0, 0.3]))}",
+             f"t_signal = {draw(st.sampled_from([0.0, 1.0]))}",
+             "[sweep]"]
+    names = draw(st.lists(st.sampled_from(sorted(ORACLE_AXES)), min_size=1, max_size=2))
+    for k, name in enumerate(names):
+        lo, hi = draw(st.sampled_from(ORACLE_AXES[name]))
+        lines.append(f"axis{k} = {name} {lo} {hi} {draw(st.integers(0, 3))} linear")
+    lines += ["[run]", f"n_cap = {draw(st.sampled_from([2, 10]))}",
+              f"with_factorization = {draw(st.booleans())}"]
+    return "\n".join(lines) + "\n"
+
+
+class RecordingPool:
+    """ProcessPoolExecutor's stand-in: records each pool's max_workers and
+    maps in this process, so no process is started."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+class TestOracleSweep:
+    @settings(max_examples=40, deadline=None)
+    @given(text=oracle_configs())
+    # T = 200: every oracle row is a whole-row status (invariants violated),
+    # and at Gamma = 1 all's analytic part settles the row before the oracle
+    @example(text="[params]\nn_spins = 1\nj_coupling = 0\nt_squeeze = 200\n"
+                  "[sweep]\naxis0 = gamma 0.1 1 2 linear\n[run]\nwith_factorization = true\n")
+    # invalid P rows at N = 3 above n_cap: the sweep ends at the first
+    # valid N = 3 row, and the invalid rows before it are never oracle rows
+    @example(text="[params]\nj_coupling = 0.05\ngamma = 0.1\nt_squeeze = 0.3\n"
+                  "[sweep]\naxis0 = n_spins 2 3 2 linear\n"
+                  "axis1 = polarization_p 0 1.5 3 linear\n[run]\nn_cap = 2\n")
+    # T = 0: all's analytic part has a domain status before its last cell;
+    # J = 0 at N = 1: a zero mean-spin direction is the oracle's status
+    @example(text="[params]\nn_spins = 1\nt_squeeze = 0\npolarization_p = 0\n"
+                  "[sweep]\naxis0 = j_coupling 0 0.1 2 linear\n")
+    def test_oracle_sweep_writes_what_the_row_path_writes(self, text):
+        # two rows a chunk; the closed-form cells come from the grid record
+        with (tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_CHUNK_ROWS", 2)):
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_text(text)
+            for engine in ("exact", "all"):
+                want_lines, want_code, want_err = row_path_output(str(cfg), engine)
+                assert sweep_output(cfg, engine) == (want_lines, want_code, want_err), engine
+
+    @pytest.mark.parametrize("engine", ["exact", "all"])
+    def test_two_workers_write_what_the_row_path_writes(self, tmp_path, engine):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[params]\nj_coupling = 0.05\ngamma = 0.1\nt_squeeze = 0.3\n"
+                       "[sweep]\naxis0 = n_spins 1 3 3 linear\n"
+                       "axis1 = polarization_p 0.5 1.5 2 linear\n"
+                       "[run]\nn_cap = 2\nwith_factorization = true\n")
+        # invalid rows between oracle rows; the first N = 3 row ends the sweep
+        want = row_path_output(str(cfg), engine)
+        assert want[1] == 1 and "exceeds the cap 2" in want[2]
+        assert sweep_output(cfg, engine, workers=2) == want
+
+    @pytest.mark.parametrize("axis, sizes", [("n_spins 2 3 2", [2]), ("n_spins 2 2 1", []),
+                                             ("gamma -1 -0.5 2", [])])
+    def test_pool_is_sized_to_the_oracle_rows(self, tmp_path, monkeypatch, axis, sizes):
+        # 2 oracle rows ask for 2 processes, 1 row and an all-invalid grid
+        # start none, whatever --workers says
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = write_config(tmp_path, f"[params]\nt_squeeze = 0.1\n[sweep]\naxis = {axis} linear\n")
+        out = str(tmp_path / "o.csv")
+        assert cli.main(["exact", "--config", cfg, "--out", out, "--workers", "8"]) == 0
+        assert RecordingPool.sizes == sizes
+
+    @pytest.mark.parametrize("engine", ["exact", "all"])
+    def test_one_grid_record_and_no_point_validation(self, tmp_path, monkeypatch, engine):
+        calls = []
+        derive = core.derive_dimensionless
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return derive(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid record settles invalid points")
+
+        monkeypatch.setattr(core, "derive_dimensionless", counting)
+        monkeypatch.setattr(core, "validate", refuse)
+        cfg = write_config(tmp_path, (
+            "[params]\nn_spins = 2\nt_squeeze = 0.1\n"
+            f"[sweep]\naxis = gamma -0.1 0.1 3 linear\n[run]\nengine = {engine}\n"))
+        out = str(tmp_path / "o.csv")
+        assert cli.main(["sweep", "--config", cfg, "--out", out, "--no-timing"]) == 0
+        assert len(calls) == 1
+        assert [r["status"][:8] for r in read_rows(out)[2]] == ["invalid:", "ok", "ok"]
+
+    @pytest.mark.parametrize("engine", ["exact", "all"])
+    def test_wall_time_is_the_oracle_time_plus_the_grid_share(self, tmp_path, engine):
+        cfg = write_config(tmp_path, (
+            f"[params]\nn_spins = 2\nt_squeeze = 0.1\n[run]\nengine = {engine}\n"
+            "[sweep]\naxis = gamma -0.1 0.1 2 linear\n"))
+        out = str(tmp_path / "o.csv")
+        assert cli.main(["sweep", "--config", cfg, "--out", out]) == 0
+        _, header, rows = read_rows(out)
+        invalid, valid = (float(r["wall_time"]) for r in rows)
+        # the invalid first row's order (inputs, status, wall_time) comes first
+        assert header[len(cli.PARAM_FIELDS):][:2] == ["status", "wall_time"]
+        assert 0.0 < invalid < valid
