@@ -15,7 +15,9 @@ closed-form cells from that record and run only the dense oracle per
 row, one task per row on up to --workers processes (never more than
 there are oracle rows).  One column-wise CSV writer serves every
 command; it quotes a text cell holding a comma, a double quote or a line
-break (RFC 4180).
+break (RFC 4180).  Each command has one header, whatever the data: the
+inputs, the engine's cells in the order of docs/csv_columns.md, status,
+then wall_time.
 """
 
 from __future__ import annotations
@@ -159,37 +161,26 @@ class _Column(NamedTuple):
         return cells
 
 
-class _Table(NamedTuple):
-    """Rows to write: `n_rows` rows of `columns`.  `layouts` holds
-    (first row, key order) pairs: the header lists the keys in order of
-    first appearance."""
-
-    n_rows: int
-    columns: dict[str, _Column]
-    layouts: list[tuple[int, tuple[str, ...]]]
-
-    @classmethod
-    def from_rows(cls, rows: list[dict]) -> _Table:
-        keys = tuple(dict.fromkeys(k for row in rows for k in row))
-        columns = {k: _Column([row.get(k, "") for row in rows]) for k in keys}
-        return cls(len(rows), columns, [(0, keys)])
-
-    def header(self) -> list[str]:
-        keys = (k for _, order in sorted(self.layouts, key=lambda e: e[0]) for k in order)
-        return list(dict.fromkeys(keys)) or PARAM_FIELDS + ["status"]
+def _config_hash(path: str | None) -> str:
+    if path is None:
+        return "none"
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
-def _write_csv(path: str, table: _Table, comments: list[str],
-               incomplete: bool = False) -> None:
-    header = table.header()
+def _write_csv(path: str, config_path: str | None, comments: list[str], header: list[str],
+               columns: dict[str, _Column], n_rows: int, incomplete: bool = False) -> None:
+    """The comment lines (package version, config hash, then `comments`),
+    `header` and rows 0..n_rows-1 of its `columns`."""
+    comments = [f"tactsqueeze {__version__}",
+                f"config sha256={_config_hash(config_path)}", *comments]
     with open(path, "w", newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
-        for lo in range(0, table.n_rows, _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, table.n_rows)
-            cells = [table.columns[col].cells(lo, hi) if col in table.columns
-                     else [""] * (hi - lo) for col in header]
+        for lo in range(0, n_rows, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, n_rows)
+            cells = [columns[col].cells(lo, hi) for col in header]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
         if incomplete:
             fh.write("# INCOMPLETE\n")
@@ -337,13 +328,12 @@ def _invalid(params: dict) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Cells:
-    """An engine's cells over a grid in key order, and each row's status.
+    """An engine's cells over a grid in column order, and each row's status.
     `params` holds each field's values and each row's index into them
     (build_grid); `x` holds the float64 columns.  It starts with the
-    dimensionless-group cells every engine writes first (`groups`).  A
-    status goes after the key of the cell that set it, else after the first
-    engine's cells; a whole-row status (`whole`) leaves only the input
-    columns."""
+    dimensionless-group cells every engine writes first (`groups`).  A row
+    keeps its first status that is not ok; a whole-row status (`whole`)
+    leaves only the input columns filled."""
 
     def __init__(self, params: dict):
         self.x = {name: np.array(values, dtype=float)[index]
@@ -352,7 +342,6 @@ class _Cells:
         self.cells: dict = {}
         self.empty: dict = {}  # each cell's rows written '' (a mask, or False)
         self.status = np.full(n, "ok", dtype=object)
-        self.status_at = np.full(n, -1)  # keys before the status; -1: not set
         self.whole = np.zeros(n, dtype=bool)
         self.blank = False  # rows written '' in every cell put from now on
         self.n_done, self.error = n, None  # the sweep ends at row n_done on `error`
@@ -372,8 +361,8 @@ class _Cells:
 
     def settle(self, rows, status, whole: bool = True) -> None:
         """Give `rows` (indices, or a mask) a status no scalar call revisits:
-        a whole-row status or, unless `whole`, one after the last key with
-        '' in every cell put from now on (then `rows` is a mask)."""
+        a whole-row status or, unless `whole`, '' in every cell put from now
+        on (then `rows` is a mask)."""
         self.status[rows], self.whole[rows] = status, whole
         if not whole:
             self.blank = rows
@@ -396,30 +385,21 @@ class _Cells:
                     self.settle(i, str(exc))
                     continue
                 self.empty[key][i] = True
-                if self.status_at[i] < 0:
-                    self.status[i], self.status_at[i] = f"{prefix}: {exc}", len(self.cells)
+                if self.status[i] == "ok":
+                    self.status[i] = f"{prefix}: {exc}"
             except Exception as exc:  # ends the sweep, as a failed task would
                 self.n_done, self.error = i, exc
                 break
 
-    def _order(self, status_at: int) -> tuple[str, ...]:
-        keys = tuple(self.cells)
-        at = len(keys) if status_at < 0 else status_at
-        return keys[:at] + ("status",) + keys[at:]
-
-    def merge(self, results: dict) -> None:
-        """The oracle's results, row -> its cells (a '' cell is empty) or a
-        whole-row status, as columns in first-appearance order.  A row keeps
-        its first status that is not ok; unless an engine placed it, the
-        status goes where the oracle's cells place it."""
+    def merge(self, results: dict, keys: tuple[str, ...]) -> None:
+        """The oracle's results, row -> its cells `keys` (a '' cell is empty)
+        and status, or a whole-row status; each key a column, empty in every
+        row without cells."""
         rows = {i: cells for i, cells in results.items() if isinstance(cells, dict)}
-        for key in dict.fromkeys(k for cells in rows.values() for k in cells):
-            if key == "status":
-                self.status_at[self.status_at < 0] = len(self.cells)
-                continue
+        for key in keys:
             value, empty = np.full(len(self.status), np.nan), np.ones(len(self.status), bool)
             for i, cells in rows.items():
-                if not isinstance(cells.get(key, ""), str):
+                if not isinstance(cells[key], str):
                     value[i], empty[i] = cells[key], False
             self.put(key, value, empty)
         for i, cells in results.items():
@@ -432,13 +412,6 @@ class _Cells:
         cols = {key: _Column(value, empty=self.empty[key] | self.whole)
                 for key, value in self.cells.items()}
         return dict(cols, status=_Column(self.status))
-
-    def layouts(self) -> list[tuple[tuple[str, ...], np.ndarray]]:
-        """Each key order the rows take, and the rows that take it."""
-        cells = ~self.whole
-        orders = [(self._order(at), cells & (self.status_at == at))
-                  for at in np.unique(self.status_at[cells]).tolist()]
-        return orders + [(("status",), self.whole)]
 
 
 def _analytic(rec: _Cells) -> None:
@@ -486,19 +459,26 @@ def _optimize(rec: _Cells) -> None:
 
 
 def _closed_form(parts: list[Callable], params: dict) -> _Cells:
-    """The grid record with each closed-form part's cells in turn; a status
-    not placed by the first part goes after its cells."""
+    """The grid record with each closed-form part's cells in turn."""
     with np.errstate(all="ignore"):
         rec = _Cells(params)
         for part in parts:
             part(rec)
-            rec.status_at[rec.status_at < 0] = len(rec.cells)
     return rec
 
 
+_ORACLE_CELLS = ("mean_sz_per_site", "trace_residual", "hermiticity_residual",
+                 "min_eigenvalue", "xi2_kitagawa_ueda", "xi2_wineland")
+
+
+def _oracle_cells(opts: dict) -> tuple[str, ...]:
+    """The dense oracle's columns, in the order of docs/csv_columns.md."""
+    return _ORACLE_CELLS + (("factorization_error",) if opts.get("with_factorization") else ())
+
+
 def _row_exact(pdict: dict, opts: dict) -> dict:
-    """The dense oracle's cells at one valid point, the status after the
-    squeezing cells."""
+    """The dense oracle's cells (_oracle_cells) at one valid point, and its
+    status."""
     p = core.ProtocolParams(**pdict)
     n_cap = opts.get("n_cap", exact.DEFAULT_N_CAP)
     ctl = opts.get("step_control") or exact.StepControl()
@@ -513,23 +493,21 @@ def _row_exact(pdict: dict, opts: dict) -> dict:
     rho = exact.evolve(rho, gens, p.t_squeeze, ctl, stats)
     ops = exact.spin_operators(p.n_spins, n_cap)
     # the accepted RK4 pass has checked the final state; T = 0 ran none
-    trace_dev, herm, min_eig = stats.get("residuals") or exact.channel_residuals(rho)
-    row = dict(mean_sz_per_site=exact.measure(rho, ops.collective_z) / p.n_spins,
-               trace_residual=trace_dev, hermiticity_residual=herm, min_eigenvalue=min_eig)
+    values = [exact.measure(rho, ops.collective_z) / p.n_spins,
+              *(stats.get("residuals") or exact.channel_residuals(rho))]
     try:
         min_var, _, mean = exact.transverse_variance_extrema(rho, ops)
-        ku, wl = (exact.squeezing_from_variance(min_var, mean, p.n_spins, convention)
-                  for convention in (exact.KITAGAWA_UEDA, exact.WINELAND))
-        row.update(xi2_kitagawa_ueda=ku, xi2_wineland=wl, status="ok")
+        values += [exact.squeezing_from_variance(min_var, mean, p.n_spins, convention)
+                   for convention in (exact.KITAGAWA_UEDA, exact.WINELAND)]
+        status = "ok"
     except TactError as exc:
-        row.update(xi2_kitagawa_ueda="", xi2_wineland="", status=str(exc))
+        values, status = values + ["", ""], str(exc)
     if factorize:
         # the row's state is the joint side (a zero-rate generator adds zeros
         # and no steps); the initial state is rebuilt rather than held
         rho0 = exact.build_initial_state(p.n_spins, p.polarization_p, n_cap)
-        row["factorization_error"] = exact.trace_norm(
-            rho - exact.split_evolve(rho0, l1, l2, p.t_squeeze, ctl))
-    return row
+        values.append(exact.trace_norm(rho - exact.split_evolve(rho0, l1, l2, p.t_squeeze, ctl)))
+    return dict(zip(_oracle_cells(opts), values, strict=True), status=status)
 
 
 # each engine's closed-form parts; exact and all add the oracle per row
@@ -548,13 +526,6 @@ def _oracle(task: tuple) -> tuple[dict | str, float]:
     except TactError as exc:
         cells = str(exc)
     return cells, time.perf_counter() - start
-
-
-def _config_hash(path: str | None) -> str:
-    if path is None:
-        return "none"
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
 def _run_oracle(rec: _Cells, params: dict, opts: dict, workers: int,
@@ -583,7 +554,7 @@ def _run_oracle(rec: _Cells, params: dict, opts: dict, workers: int,
                 take(pool.map(_oracle, tasks, chunksize=1))
     except Exception as exc:  # drained task panic
         rec.n_done, rec.error = rows[len(results)], exc
-    rec.merge(results)
+    rec.merge(results, _oracle_cells(opts))
 
 
 def run_sweep(cfg: dict, engine: str, out_path: str, workers: int,
@@ -596,8 +567,6 @@ def run_sweep(cfg: dict, engine: str, out_path: str, workers: int,
     opts = {"n_cap": cfg["run"].get("n_cap", exact.DEFAULT_N_CAP),
             "with_factorization": cfg["run"].get("with_factorization", False),
             "step_control": _step_control(cfg)}
-    comments = [f"tactsqueeze {__version__}", f"config sha256={_config_hash(config_path)}",
-                f"engine={engine}"]
     start = time.perf_counter()
     n, params = build_grid(cfg)
     rec = _closed_form(_ENGINES[engine], params)
@@ -607,17 +576,17 @@ def run_sweep(cfg: dict, engine: str, out_path: str, workers: int,
         _run_oracle(rec, params, opts, workers, wall)
     columns = {name: _Column(values, index=index) for name, (values, index) in params.items()}
     columns.update(rec.columns(), wall_time=_Column(wall))
-    tail = ("wall_time",) if timing else ()
-    # each key order at the first written row that takes it
-    n_done, error = rec.n_done, rec.error
-    orders = [(int(np.argmax(mask[:n_done])), tuple(params) + keys + tail)
-              for keys, mask in rec.layouts() if mask[:n_done].any()]
-    if error is not None:
-        prefix = "" if isinstance(error, ResourceLimitError) else "task failed: "
-        print(f"error: {prefix}{error}", file=sys.stderr)
-    _write_csv(out_path, _Table(n_done, columns, orders), comments,
-               incomplete=error is not None)
-    return 0 if error is None else 1
+    header = [*params, *rec.cells, "status"] + (["wall_time"] if timing else [])
+    if rec.error is not None:
+        prefix = "" if isinstance(rec.error, ResourceLimitError) else "task failed: "
+        print(f"error: {prefix}{rec.error}", file=sys.stderr)
+    _write_csv(out_path, config_path, [f"engine={engine}"], header, columns, rec.n_done,
+               incomplete=rec.error is not None)
+    return 0 if rec.error is None else 1
+
+
+_VERIFY_COLUMNS = ["n_spins", "j_coupling", "gamma", "t_squeeze", "polarization_p", "alpha",
+                   "factorization_error", "commutator_norm", "commutator_degenerate", "status"]
 
 
 def run_verify(cfg: dict, out_path: str, timing: bool,
@@ -654,9 +623,8 @@ def run_verify(cfg: dict, out_path: str, timing: bool,
             row["wall_time"] = time.perf_counter() - start
         rows.append(row)
     usable = [(r["n_spins"], r["factorization_error"]) for r in rows
-              if r.get("status") == "ok" and r.get("factorization_error", 0) > 0]
-    comments = [f"tactsqueeze {__version__}", f"config sha256={_config_hash(config_path)}",
-                f"verify alpha={_fmt(alpha)} gamma={_fmt(gamma)} t_squeeze={_fmt(t_squeeze)}"]
+              if r["status"] == "ok" and r["factorization_error"] > 0]
+    comments = [f"verify alpha={_fmt(alpha)} gamma={_fmt(gamma)} t_squeeze={_fmt(t_squeeze)}"]
     if len(usable) >= 2:
         ns = np.log([n for n, _ in usable])
         es = np.log([e for _, e in usable])
@@ -670,7 +638,9 @@ def run_verify(cfg: dict, out_path: str, timing: bool,
         summary = f"FAIL: insufficient usable rows ({len(usable)})"
         ok = False
     comments.append(f"summary: {summary}")
-    _write_csv(out_path, _Table.from_rows(rows), comments)
+    header = _VERIFY_COLUMNS + (["wall_time"] if timing else [])
+    columns = {key: _Column([row.get(key, "") for row in rows]) for key in header}
+    _write_csv(out_path, config_path, comments, header, columns, len(rows))
     print(summary)
     return 1 if status_fail else 0
 
@@ -705,18 +675,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     timing = not args.no_timing
-    try:
-        if args.command == "verify":
-            return run_verify(cfg, args.out, timing, args.config)
-        engine = (cfg["run"].get("engine", "analytic") if args.command == "sweep"
-                  else args.command)
-        return run_sweep(cfg, engine, args.out, args.workers, timing, args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.command == "verify":
+        return run_verify(cfg, args.out, timing, args.config)
+    engine = cfg["run"].get("engine", "analytic") if args.command == "sweep" else args.command
+    return run_sweep(cfg, engine, args.out, args.workers, timing, args.config)
 
 
 if __name__ == "__main__":

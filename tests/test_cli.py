@@ -2,6 +2,7 @@ import concurrent.futures
 import contextlib
 import csv
 import io
+import itertools
 import math
 import re
 import tempfile
@@ -90,6 +91,29 @@ class TestConfig:
         assert not out.exists()
 
 
+DOCS = Path(__file__).resolve().parents[1] / "docs" / "csv_columns.md"
+
+
+def documented_header(command: str, factorize: bool = False, timing: bool = False) -> list[str]:
+    """The header docs/csv_columns.md gives a command: the first cell of each
+    table row (each backticked name where a section has no table) of every
+    section whose title names it, or all engines, in the order of the file;
+    an engine's factorization_error only with `factorize`, wall_time only
+    with `timing`."""
+    engines = ("analytic", "linearized", "exact") if command == "all" else (command,)
+    columns = []
+    for section in DOCS.read_text().split("\n## ")[1:]:
+        title, _, body = section.partition("\n")
+        if (any(f"`{e}`" in title for e in engines)
+                or ("all engines" in title and command != "verify")):
+            columns += (re.findall(r"^\| `(\w+)`", body, re.M)
+                        or re.findall(r"`(\w+)`", body))
+    dropped = set() if timing else {"wall_time"}
+    if not (factorize or command == "verify"):
+        dropped.add("factorization_error")
+    return [c for c in columns if c not in dropped]
+
+
 class TestCellText:
     @pytest.mark.parametrize("value, text", [(True, "true"), (np.bool_(True), "true"),
                                              (np.bool_(False), "false"), (np.int64(3), "3"),
@@ -122,11 +146,14 @@ class TestInvalidInput:
         out = str(tmp_path / "o.csv")
         assert cli.main([engine, "--config", cfg, "--out", out, "--no-timing"]) == 0
         _, header, rows = read_rows(out)
-        assert header == cli.PARAM_FIELDS + ["status"]
+        inputs = len(cli.PARAM_FIELDS)
+        assert header[:inputs] == cli.PARAM_FIELDS and header[-1] == "status"
         assert [r["t_squeeze"] for r in rows] == ["0.5", "1"]
         for row in rows:
             assert row["status"] == "invalid: P_OUT_OF_RANGE J_NONNEGATIVE GAMMA_NONNEGATIVE"
             assert row["polarization_p"] == "1.5" and row["j_coupling"] == "nan"
+            # only the input columns are filled
+            assert not any(row[k] for k in header[inputs:-1])
 
 
 class TestAnalyticCommand:
@@ -384,42 +411,60 @@ class TestAllEngine:
                 "[run]\nwith_factorization = true\n")
         parts = [self.sweep(tmp_path, text, e) for e in ("analytic", "linearized", "exact")]
         header, rows = self.sweep(tmp_path, text, "all")
-        assert header == list(dict.fromkeys(k for part_header, _ in parts for k in part_header))
+        assert header == list(dict.fromkeys(
+            k for part_header, _ in parts for k in part_header if k != "status")) + ["status"]
         for i, row in enumerate(rows):
             assert row["status"] == "ok"
             assert row == {k: v for _, part_rows in parts for k, v in part_rows[i].items()}
 
 
 class TestColumnDocs:
-    DOCS = Path(__file__).resolve().parents[1] / "docs" / "csv_columns.md"
-
-    def documented(self, command: str) -> set[str]:
-        """The columns docs/csv_columns.md lists for a command: the first
-        cell of each table row (each backticked name where a section has no
-        table) of every section whose title names it, or all engines."""
-        engines = ("analytic", "linearized", "exact") if command == "all" else (command,)
-        columns = set()
-        for section in self.DOCS.read_text().split("\n## ")[1:]:
-            title, _, body = section.partition("\n")
-            if (any(f"`{e}`" in title for e in engines)
-                    or ("all engines" in title and command != "verify")):
-                columns |= (set(re.findall(r"^\| `(\w+)`", body, re.M))
-                            or set(re.findall(r"`(\w+)`", body)))
-        return columns
-
     @pytest.mark.parametrize("command",
                              ["analytic", "linearized", "exact", "optimize", "all", "verify"])
     def test_written_columns_are_the_documented_ones(self, tmp_path, command):
+        for factorize, timing in itertools.product((False, True), repeat=2):
+            cfg = write_config(tmp_path, (
+                f"[run]\nengine = {command if command != 'verify' else 'all'}\n"
+                f"with_factorization = {factorize}\n[verify]\nn_min = 2\nn_max = 2\n"))
+            out = str(tmp_path / "o.csv")
+            argv = ["sweep" if command == "all" else command, "--config", cfg, "--out", out]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv + ([] if timing else ["--no-timing"])) == 0
+            _, header, rows = read_rows(out)
+            assert len(rows) == 1
+            assert header == documented_header(command, factorize, timing)
+            assert header[-2:] == ["status", "wall_time"] if timing else header[-1] == "status"
+
+    # every point invalid (Gamma < 0), and a zero-count axis
+    @pytest.mark.parametrize("axis, n_rows", [("gamma -1 -0.5 2", 2), ("gamma 0.1 1 0", 0)])
+    @pytest.mark.parametrize("factorize", [False, True])
+    @pytest.mark.parametrize("engine", ["analytic", "linearized", "exact", "optimize", "all"])
+    def test_grid_without_engine_rows_writes_the_full_header(self, tmp_path, engine, factorize,
+                                                             axis, n_rows):
         cfg = write_config(tmp_path, (
-            f"[run]\nengine = {command if command != 'verify' else 'all'}\n"
-            "with_factorization = true\n[verify]\nn_min = 2\nn_max = 2\n"))
+            f"[sweep]\naxis = {axis} linear\n"
+            f"[run]\nengine = {engine}\nwith_factorization = {factorize}\n"))
         out = str(tmp_path / "o.csv")
-        argv = ["sweep" if command == "all" else command, "--config", cfg, "--out", out]
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(argv) == 0
+        assert cli.main(["sweep", "--config", cfg, "--out", out, "--no-timing"]) == 0
         _, header, rows = read_rows(out)
-        assert len(rows) == 1
-        assert set(header) == self.documented(command)
+        assert header == documented_header(engine, factorize)
+        assert len(rows) == n_rows
+        for row in rows:
+            assert row["status"] == "invalid: GAMMA_NONNEGATIVE"
+            assert not any(row[k] for k in header[len(cli.PARAM_FIELDS):-1])
+
+    def test_verify_with_every_row_failed_writes_the_full_header(self, tmp_path):
+        # n_cap = 1 refuses N = 2 and 3: every row is a status
+        cfg = write_config(tmp_path, "[verify]\nn_min = 2\nn_max = 3\n[run]\nn_cap = 1\n")
+        out = str(tmp_path / "o.csv")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--config", cfg, "--out", out, "--no-timing"]) == 1
+        _, header, rows = read_rows(out)
+        assert header == documented_header("verify")
+        assert [r["n_spins"] for r in rows] == ["2", "3"]
+        for row in rows:
+            assert "exceeds the cap 1" in row["status"]
+            assert row["factorization_error"] == row["commutator_norm"] == ""
 
 
 class TestSweepDeterminism:
@@ -502,7 +547,7 @@ def _groups(p: dict) -> dict:
 
 def _guard(cells: dict, key: str, prefix: str, value) -> None:
     """cells[key] = value(); on a DomainError the cell is '' and, unless the
-    row has a status already, the status follows the cell."""
+    row has a status already, the status names the cell."""
     try:
         cells[key] = value()
     except DomainError as exc:
@@ -580,10 +625,9 @@ def oracle_reference_row(p: dict, engine: str, run: dict) -> dict:
     """One point's `exact` or `all` row, assembled per point: reference_row's
     analytic and linearized parts (for `exact`, the groups alone) and
     cli._row_exact's cells, which test_row_equals_library_calls pins to the
-    library.  A row keeps its first status that is not ok, where its first
-    part placed it; a TactError of the oracle other than a
-    ResourceLimitError leaves the inputs and its status; any other error
-    propagates."""
+    library.  A row keeps its first status that is not ok; a TactError of
+    the oracle other than a ResourceLimitError leaves the inputs and its
+    status; any other error propagates."""
     first = reference_row(p, "analytic" if engine == "all" else "linearized")
     if first.keys() == {*p, "status"}:  # invalid, or a whole-row status
         return first
@@ -599,7 +643,7 @@ def oracle_reference_row(p: dict, engine: str, run: dict) -> dict:
     except TactError as exc:
         return dict(p, status=str(exc))
     status = row.get("status", "ok")
-    row.update(cells)  # an existing key keeps its place
+    row.update(cells)
     if status != "ok":
         row["status"] = status
     return row
@@ -616,8 +660,8 @@ def _text(value) -> str:
 def row_path_output(cfg_path: str, engine: str) -> tuple[list[str], int, str | None]:
     """What a sweep should write, point by point: each grid point's
     reference_row (oracle_reference_row for `exact` and `all`) in index
-    order, written by csv.writer, the header in order of first appearance;
-    the first error ends the sweep."""
+    order, written by csv.writer under the header docs/csv_columns.md
+    gives the engine; the first error ends the sweep."""
     cfg = cli.load_config(cfg_path)
     n, params = cli.build_grid(cfg)
     rows, error = [], None
@@ -629,8 +673,8 @@ def row_path_output(cfg_path: str, engine: str) -> tuple[list[str], int, str | N
         except Exception as exc:  # noqa: BLE001 -- ends the sweep, as in run_sweep
             error = exc
             break
-    header = (list(dict.fromkeys(k for r in rows for k in r))
-              or cli.PARAM_FIELDS + ["status"])
+    header = documented_header(engine, cfg["run"].get("with_factorization", False))
+    assert all(r.keys() <= set(header) for r in rows)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
@@ -913,6 +957,5 @@ class TestOracleSweep:
         assert cli.main(["sweep", "--config", cfg, "--out", out]) == 0
         _, header, rows = read_rows(out)
         invalid, valid = (float(r["wall_time"]) for r in rows)
-        # the invalid first row's order (inputs, status, wall_time) comes first
-        assert header[len(cli.PARAM_FIELDS):][:2] == ["status", "wall_time"]
+        assert header[-2:] == ["status", "wall_time"]
         assert 0.0 < invalid < valid
