@@ -50,11 +50,7 @@ def _flag(raw: str) -> bool:
     raise ValueError(f"expected true or false, got {raw!r}")
 
 
-def _positive(x: float) -> bool:
-    return 0.0 < x < math.inf
-
-
-# [run], [verify] and [integrator] keys: (parse, range check, the range in words)
+# [run] and [verify] keys: (parse, range check, the range in words)
 _OPTIONS = {
     "run": {
         "engine": (str, lambda v: v in _ENGINES,
@@ -66,16 +62,9 @@ _OPTIONS = {
         "n_min": (int, lambda v: v >= 1, ">= 1"),
         "n_max": (int, lambda v: v >= 1, ">= 1"),
         "alpha": (float, lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
-        "gamma": (float, _positive, "finite and > 0"),
+        "gamma": (float, lambda v: 0.0 < v < math.inf, "finite and > 0"),
         "polarization_p": (float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
         "t_squeeze": (float, lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
-    },
-    "integrator": {
-        "target_step_rate": (float, _positive, "finite and > 0"),
-        "trace_tol": (float, _positive, "finite and > 0"),
-        "hermiticity_tol": (float, _positive, "finite and > 0"),
-        "min_eigenvalue_tol": (float, lambda v: -math.inf < v < 0.0, "finite and < 0"),
-        "max_refinements": (int, lambda v: v >= 0, ">= 0"),
     },
 }
 
@@ -188,8 +177,7 @@ def _write_csv(path: str, config_path: str | None, comments: list[str], header: 
 
 def load_config(path: str | None) -> dict:
     """Parse and validate the config file; unknown sections/keys are errors."""
-    cfg = {"params": dict(_DEFAULT_PARAMS), "sweep_axes": [], "run": {},
-           "verify": {}, "integrator": {}}
+    cfg = {"params": dict(_DEFAULT_PARAMS), "sweep_axes": [], "run": {}, "verify": {}}
     if path is None:
         return cfg
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -292,10 +280,6 @@ def build_grid(cfg: dict) -> tuple[int, dict[str, tuple[list, np.ndarray]]]:
 
 def _grid_point(params: dict, i: int) -> dict:
     return {name: values[index[i]] for name, (values, index) in params.items()}
-
-
-def _step_control(cfg: dict) -> exact.StepControl:
-    return exact.StepControl(**cfg["integrator"])
 
 
 # -- engines (module level so process pools can pickle them) -----------------
@@ -481,7 +465,6 @@ def _row_exact(pdict: dict, opts: dict) -> dict:
     status."""
     p = core.ProtocolParams(**pdict)
     n_cap = opts.get("n_cap", exact.DEFAULT_N_CAP)
-    ctl = opts.get("step_control") or exact.StepControl()
     factorize = opts.get("with_factorization")
     rho = exact.build_initial_state(p.n_spins, p.polarization_p, n_cap)
     l1 = exact.squeeze_generator(p.n_spins, p.j_coupling, n_cap)
@@ -490,7 +473,7 @@ def _row_exact(pdict: dict, opts: dict) -> dict:
     # factorization error needs both
     gens = [g for g, rate in ((l1, p.j_coupling), (l2, p.gamma)) if rate != 0.0]
     stats = {}
-    rho = exact.evolve(rho, gens, p.t_squeeze, ctl, stats)
+    rho = exact.evolve(rho, gens, p.t_squeeze, stats)
     ops = exact.spin_operators(p.n_spins, n_cap)
     # the accepted RK4 pass has checked the final state; T = 0 ran none
     values = [exact.measure(rho, ops.collective_z) / p.n_spins,
@@ -506,7 +489,7 @@ def _row_exact(pdict: dict, opts: dict) -> dict:
         # the row's state is the joint side (a zero-rate generator adds zeros
         # and no steps); the initial state is rebuilt rather than held
         rho0 = exact.build_initial_state(p.n_spins, p.polarization_p, n_cap)
-        values.append(exact.trace_norm(rho - exact.split_evolve(rho0, l1, l2, p.t_squeeze, ctl)))
+        values.append(exact.trace_norm(rho - exact.split_evolve(rho0, l1, l2, p.t_squeeze)))
     return dict(zip(_oracle_cells(opts), values, strict=True), status=status)
 
 
@@ -565,8 +548,7 @@ def run_sweep(cfg: dict, engine: str, out_path: str, workers: int,
     run the oracle (_run_oracle).  An error that is not a TactError ends
     the sweep at its row."""
     opts = {"n_cap": cfg["run"].get("n_cap", exact.DEFAULT_N_CAP),
-            "with_factorization": cfg["run"].get("with_factorization", False),
-            "step_control": _step_control(cfg)}
+            "with_factorization": cfg["run"].get("with_factorization", False)}
     start = time.perf_counter()
     n, params = build_grid(cfg)
     rec = _closed_form(_ENGINES[engine], params)
@@ -600,7 +582,6 @@ def run_verify(cfg: dict, out_path: str, timing: bool,
     gamma = v.get("gamma", 0.25)
     pol = v.get("polarization_p", 1.0)
     t_squeeze = v.get("t_squeeze", 1.0 / (4.0 * gamma))
-    ctl = _step_control(cfg)
     n_cap = cfg["run"].get("n_cap", exact.DEFAULT_N_CAP)
     rows = []
     status_fail = False
@@ -611,7 +592,7 @@ def run_verify(cfg: dict, out_path: str, timing: bool,
         start = time.perf_counter()
         try:
             row["factorization_error"] = exact.factorization_error(
-                n, j, gamma, t_squeeze, pol, ctl, n_cap)
+                n, j, gamma, t_squeeze, pol, n_cap)
             comm = exact.commutator_action_norm(n, j, gamma, pol, n_cap)
             row["commutator_norm"] = comm.value
             row["commutator_degenerate"] = comm.degenerate

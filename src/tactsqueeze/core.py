@@ -30,7 +30,6 @@ __all__ = [
     "validate",
 ]
 
-SQUEEZE_ONLY = "squeeze_only"
 SQUEEZE_THEN_MEASURE = "squeeze_then_measure"
 
 PAULI_TACT_RATE_FACTOR = 4.0
@@ -150,23 +149,16 @@ def squeeze_to_noise(j_coupling, n_spins, polarization_p, gamma):
     return j_coupling * n_spins * polarization_p / (4.0 * gamma)
 
 
-def derive_dimensionless(params: ProtocolParams, mode: str = SQUEEZE_ONLY) -> DimensionlessGroups:
+def derive_dimensionless(params: ProtocolParams) -> DimensionlessGroups:
     """Compute Theta, alpha and the effective polarization.
 
-    mode selects whether p_eff decays over the squeezing window only
-    (``squeeze_only``) or over squeezing plus signal acquisition
-    (``squeeze_then_measure``).  Fields may be arrays of one shape (a
-    grid of points): every group is then an array, alpha +inf where
-    alpha_infinite holds.
+    p_eff decays over the squeezing window only; the decay over squeezing
+    plus signal acquisition is linearized.effective_polarization(P, Gamma,
+    T, t).  Fields may be arrays of one shape (a grid of points): every
+    group is then an array, alpha +inf where alpha_infinite holds.
     """
-    if mode not in (SQUEEZE_ONLY, SQUEEZE_THEN_MEASURE):
-        raise ValueError(f"unknown mode {mode!r}")
     theta = 4.0 * params.gamma * params.t_squeeze
-    if mode == SQUEEZE_ONLY:
-        decay_window = params.t_squeeze
-    else:
-        decay_window = params.t_squeeze + params.t_signal
-    p_eff = params.polarization_p * exp_any(-4.0 * params.gamma * decay_window)
+    p_eff = params.polarization_p * exp_any(-theta)
     alpha = squeeze_to_noise(params.j_coupling, params.n_spins, params.polarization_p,
                              params.gamma)
     return DimensionlessGroups(theta=theta, alpha=alpha, p_eff=p_eff,

@@ -18,7 +18,11 @@ them only exactly Hermitian arrays, so `evolve` checks only its input.
 Integration is classical fixed-step RK4 with automatic step halving
 against the channel invariants, each pass evaluated as one polynomial of
 the generator by restarted Arnoldi (`_rk4`); a dense superoperator
-exponential is kept as an independent cross-check path for small N.
+exponential is kept as an independent cross-check path for small N.  The
+settings are fixed: a pass is accepted when |Tr rho - 1| <= 1e-9,
+max |rho - rho^dag| <= 1e-10 and the least eigenvalue is >= -1e-8; the
+first pass takes max(16, T * rate / 0.05) steps, and the count is doubled
+at most 6 times.
 
 The collective sums Cx, Cy and Cz are written from the basis-state bits
 too.  The squeezing observables need only the mean spin and the 3x3
@@ -165,8 +169,7 @@ def field_hamiltonian(n_spins: int, b_field: float,
     return b_field * (ops.collective_y - ops.collective_x)
 
 
-def apply_depolarizer(rho: np.ndarray, gamma: float,
-                      n_spins: int | None = None) -> np.ndarray:
+def apply_depolarizer(rho: np.ndarray, gamma: float, n_spins: int) -> np.ndarray:
     """Depolarizing dissipator: Gamma sum_i (X r X + Y r Y + Z r Z) - 3 Gamma N r.
 
     The printed -3*Gamma*rho counter-term is read per site (trace
@@ -176,8 +179,6 @@ def apply_depolarizer(rho: np.ndarray, gamma: float,
     2 Gamma sum_i I_i (x) Tr_i rho - 4 Gamma N rho: one partial trace per
     site, added back on both diagonal slices of that site.
     """
-    if n_spins is None:
-        n_spins = int(round(np.log2(rho.shape[0])))
     out = -4.0 * gamma * n_spins * rho
     for i in range(n_spins):
         shape = (2 ** i, 2, 2 ** (n_spins - 1 - i))
@@ -196,10 +197,9 @@ def apply_depolarizer(rho: np.ndarray, gamma: float,
 class Superoperator:
     """One Lindblad term: rho -> contribution to d rho / dt.
 
-    kind is one of L1_squeeze, L2_depolarize, L3_field.  rate_bound is a
-    spectral-scale estimate used for step sizing.  apply returns a new
-    array (never its argument or a cached buffer): evolve accumulates
-    generator outputs into it in place.
+    rate_bound is a spectral-scale estimate used for step sizing.  apply
+    returns a new array (never its argument or a cached buffer): evolve
+    accumulates generator outputs into it in place.
 
     apply is defined on Hermitian rho only, and maps it to an exactly
     Hermitian array.  The Hamiltonian terms do one matrix product per call,
@@ -208,8 +208,6 @@ class Superoperator:
     full superoperator and has no such restriction.
     """
 
-    kind: str
-    n_spins: int
     rate_bound: float
     apply: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     dense: Callable[[], np.ndarray] = field(repr=False)
@@ -230,8 +228,7 @@ def _spectral_radius(h: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(h))))
 
 
-def _hamiltonian_superop(kind: str, n_spins: int, h: np.ndarray, sign: float,
-                         norm: float) -> Superoperator:
+def _hamiltonian_superop(h: np.ndarray, sign: float, norm: float) -> Superoperator:
     # sign=+1: drho/dt = -i[H, rho];  sign=-1: drho/dt = +i[H, rho]
     # norm = max |eigenvalue of H|; rate_bound = 2 norm bounds the commutator
     # -i sign [H, rho] = -i [sign H, rho]; a real H is kept as a real array
@@ -249,8 +246,7 @@ def _hamiltonian_superop(kind: str, n_spins: int, h: np.ndarray, sign: float,
         eye = np.eye(op.shape[0])
         return -1j * (np.kron(op, eye) - np.kron(eye, op.T))
 
-    return Superoperator(kind=kind, n_spins=n_spins, rate_bound=2.0 * norm,
-                         apply=apply, dense=dense)
+    return Superoperator(rate_bound=2.0 * norm, apply=apply, dense=dense)
 
 
 def squeeze_generator(n_spins: int, j_coupling: float,
@@ -264,14 +260,14 @@ def squeeze_generator(n_spins: int, j_coupling: float,
     h = tact_hamiltonian(n_spins, j_coupling, n_cap)
     odd = _basis_bits(n_spins).sum(axis=1) % 2 == 1
     norm = max(_spectral_radius(h.real[np.ix_(block, block)]) for block in (odd, ~odd))
-    return _hamiltonian_superop("L1_squeeze", n_spins, h, +1.0, norm)
+    return _hamiltonian_superop(h, +1.0, norm)
 
 
 def field_generator(n_spins: int, b_field: float,
                     n_cap: int = DEFAULT_N_CAP) -> Superoperator:
     """L3(rho) = +i [B sum_i (sy_i - sx_i), rho], as printed."""
     h = field_hamiltonian(n_spins, b_field, n_cap)
-    return _hamiltonian_superop("L3_field", n_spins, h, -1.0, _spectral_radius(h))
+    return _hamiltonian_superop(h, -1.0, _spectral_radius(h))
 
 
 def depolarize_generator(n_spins: int, gamma: float,
@@ -290,26 +286,29 @@ def depolarize_generator(n_spins: int, gamma: float,
                 out += gamma * np.kron(s, s.T)
         return out
 
-    return Superoperator(kind="L2_depolarize", n_spins=n_spins,
-                         rate_bound=4.0 * gamma * n_spins, apply=apply, dense=dense)
+    return Superoperator(rate_bound=4.0 * gamma * n_spins, apply=apply, dense=dense)
 
 
 # -- integration -------------------------------------------------------------
 
 @dataclass(frozen=True)
 class StepControl:
-    """Step sizing and invariant tolerances for the RK4 integrator.
+    """The channel-invariant tolerances every RK4 pass is checked against.
 
-    target_step_rate bounds h * (summed generator rate scale); halving
-    repeats until the channel invariants hold or max_refinements is hit.
+    A record of the fixed TRACE_TOL, HERMITICITY_TOL and MIN_EIGENVALUE_TOL
+    for code that reads them, such as the benchmark's row checks
+    (perfbench/checks.py) and acceptance criterion 09; `evolve` takes no
+    settings.
     """
 
     trace_tol: float = TRACE_TOL
     hermiticity_tol: float = HERMITICITY_TOL
     min_eigenvalue_tol: float = MIN_EIGENVALUE_TOL
-    target_step_rate: float = 0.05
-    min_steps: int = 16
-    max_refinements: int = 6
+
+
+_TARGET_STEP_RATE = 0.05  # bound on h * (summed generator rate) of the first pass
+_MIN_STEPS = 16  # steps of the first pass at least
+_MAX_REFINEMENTS = 6  # step doublings before IntegrationError
 
 
 def _hermiticity_residual(rho: np.ndarray) -> float:
@@ -325,12 +324,11 @@ def channel_residuals(rho: np.ndarray) -> tuple[float, float, float]:
     return float(trace_dev), herm, min_eig
 
 
-def _invariants_ok(rho: np.ndarray, ctl: StepControl
-                   ) -> tuple[bool, float, tuple[float, float, float]]:
+def _invariants_ok(rho: np.ndarray) -> tuple[bool, float, tuple[float, float, float]]:
     residuals = channel_residuals(rho)
     trace_dev, herm, min_eig = residuals
-    worst = max(trace_dev / ctl.trace_tol, herm / ctl.hermiticity_tol,
-                max(0.0, -min_eig) / -ctl.min_eigenvalue_tol)
+    worst = max(trace_dev / TRACE_TOL, herm / HERMITICITY_TOL,
+                max(0.0, -min_eig) / -MIN_EIGENVALUE_TOL)
     return worst <= 1.0, worst, residuals
 
 
@@ -427,15 +425,15 @@ def _rk4(rho: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray],
 
 
 def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float,
-           step_control: StepControl | None = None,
            stats: dict | None = None) -> np.ndarray:
     """Integrate d rho/dt = sum_k L_k(rho) for `duration` with fixed-step RK4.
 
     Each pass is one polynomial of the generator sum (`_rk4`).  Steps are
-    halved (count doubled) until the trace / Hermiticity / positivity
-    invariants hold at the configured tolerances.  rho must be
-    Hermitian (the generators are defined on Hermitian states only):
-    max |rho - rho^dag| above step_control.hermiticity_tol is a ValueError.
+    halved (count doubled, at most _MAX_REFINEMENTS times) until the
+    trace / Hermiticity / positivity invariants hold at TRACE_TOL,
+    HERMITICITY_TOL and MIN_EIGENVALUE_TOL.  rho must be Hermitian (the
+    generators are defined on Hermitian states only): max |rho - rho^dag|
+    above HERMITICITY_TOL is a ValueError.
 
     If `stats` is given it is filled in, also when IntegrationError is
     raised: n_steps (of the last RK4 pass) and refinements (passes beyond
@@ -447,12 +445,11 @@ def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float
     """
     if duration < 0:
         raise ValueError("duration must be >= 0")
-    ctl = step_control or StepControl()
     stats = {} if stats is None else stats
     herm = _hermiticity_residual(rho)
-    if not herm <= ctl.hermiticity_tol:
+    if not herm <= HERMITICITY_TOL:
         raise ValueError(f"rho is not Hermitian: max |rho - rho^dag| = {herm:.3e} "
-                         f"exceeds hermiticity_tol {ctl.hermiticity_tol:.3e}")
+                         f"exceeds hermiticity_tol {HERMITICITY_TOL:.3e}")
     stats.update(n_steps=0, refinements=0)
     if duration == 0 or not generators:
         return rho.copy()
@@ -467,17 +464,17 @@ def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float
             out += g.apply(r)
         return out
 
-    n_steps = max(ctl.min_steps, int(np.ceil(duration * rate / ctl.target_step_rate)))
-    for refinement in range(ctl.max_refinements + 1):
+    n_steps = max(_MIN_STEPS, int(np.ceil(duration * rate / _TARGET_STEP_RATE)))
+    for refinement in range(_MAX_REFINEMENTS + 1):
         out = _rk4(rho, rhs, duration, n_steps, stats)
-        ok, worst, residuals = _invariants_ok(out, ctl)
+        ok, worst, residuals = _invariants_ok(out)
         stats.update(n_steps=n_steps, refinements=refinement, worst_residual=worst,
                      residuals=residuals)
         if ok:
             return out
         n_steps *= 2
     raise IntegrationError(
-        f"invariants violated after {ctl.max_refinements} refinements "
+        f"invariants violated after {_MAX_REFINEMENTS} refinements "
         f"(worst residual {worst:.3e}x tolerance)", worst_residual=worst)
 
 
@@ -617,31 +614,28 @@ def squeezing_parameter_exact(rho: np.ndarray, ops: SpinOperatorSet,
 # -- factorization / commutator diagnostics ----------------------------------
 
 def split_evolve(rho: np.ndarray, gen_a: Superoperator, gen_b: Superoperator,
-                 duration: float, step_control: StepControl | None = None) -> np.ndarray:
+                 duration: float) -> np.ndarray:
     """e^{TA} e^{TB} rho: B acts first (in the factorization, the depolarizer
     before the squeeze)."""
-    return evolve(evolve(rho, [gen_b], duration, step_control),
-                  [gen_a], duration, step_control)
+    return evolve(evolve(rho, [gen_b], duration), [gen_a], duration)
 
 
 def factorization_error_pair(rho: np.ndarray, gen_a: Superoperator,
-                             gen_b: Superoperator, duration: float,
-                             step_control: StepControl | None = None) -> float:
+                             gen_b: Superoperator, duration: float) -> float:
     """Trace-norm distance || e^{T(A+B)} rho - e^{TA} e^{TB} rho ||_1,
     both sides integrated with the same tolerances (B acts first in the split)."""
-    joint = evolve(rho, [gen_a, gen_b], duration, step_control)
-    return trace_norm(joint - split_evolve(rho, gen_a, gen_b, duration, step_control))
+    joint = evolve(rho, [gen_a, gen_b], duration)
+    return trace_norm(joint - split_evolve(rho, gen_a, gen_b, duration))
 
 
 def factorization_error(n_spins: int, j_coupling: float, gamma: float,
                         t_squeeze: float, polarization_p: float,
-                        step_control: StepControl | None = None,
                         n_cap: int = DEFAULT_N_CAP) -> float:
     """Trace-norm error of splitting the squeeze + depolarize evolution."""
     rho = build_initial_state(n_spins, polarization_p, n_cap)
     l1 = squeeze_generator(n_spins, j_coupling, n_cap)
     l2 = depolarize_generator(n_spins, gamma, n_cap)
-    return factorization_error_pair(rho, l1, l2, t_squeeze, step_control)
+    return factorization_error_pair(rho, l1, l2, t_squeeze)
 
 
 class CommutatorNorm(NamedTuple):

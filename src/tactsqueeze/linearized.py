@@ -116,14 +116,13 @@ class VarianceDirection(NamedTuple):
     isotropic: bool
 
 
-def min_variance_direction(state: GaussianState,
-                           isotropy_tol: float = _ISOTROPY_TOL) -> VarianceDirection:
+def min_variance_direction(state: GaussianState) -> VarianceDirection:
     """Smaller covariance eigenvalue and its eigenvector angle in the (X, Y) plane."""
     a, b = state.cov[0, 0], state.cov[1, 1]
     c = 0.5 * (state.cov[0, 1] + state.cov[1, 0])
     half_diff = math.hypot((a - b) / 2.0, c)
     mid = (a + b) / 2.0
-    if half_diff <= isotropy_tol * max(mid, 1.0):
+    if half_diff <= _ISOTROPY_TOL * max(mid, 1.0):
         return VarianceDirection(0.0, mid, True)
     angle = 0.5 * math.atan2(2.0 * c, a - b)
     # atan2 form gives the major axis when a < b; pick the minor-axis angle

@@ -35,6 +35,7 @@ __all__ = [
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _STATIONARITY_TOL = 1e-8
+_SPLIT_TOL = 1e-9  # optimal_split_full's golden-section tolerance on s = T + t
 
 
 @dataclass(frozen=True)
@@ -211,8 +212,7 @@ def optimal_u_elementwise(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def optimal_split_full(j_coupling: float, n_spins: float, polarization_p: float,
-                       gamma: float, tau_budget: float,
-                       tol: float = 1e-9) -> OptimizationOutcome:
+                       gamma: float, tau_budget: float) -> OptimizationOutcome:
     """Maximize the squeeze-then-measure sensitivity over (T, t) in
     [0, tau_budget]^2.
 
@@ -238,11 +238,11 @@ def optimal_split_full(j_coupling: float, n_spins: float, polarization_p: float,
         return snr_squeeze_then_measure(j_coupling, n_spins, polarization_p,
                                         gamma, *split(s)).snr_per_root_time
 
-    pieces = [grid_then_golden(profile, lo, hi, tol=tol)
+    pieces = [grid_then_golden(profile, lo, hi, tol=_SPLIT_TOL)
               for lo, hi in ((0.0, tau_budget), (tau_budget, 2.0 * tau_budget))]
     best = max(pieces, key=lambda out: out.value)  # first (smaller s) on ties
     t_sq, t_sig = split(best.argmax)
-    edge = 4.0 * tol
+    edge = 4.0 * _SPLIT_TOL
     at_boundary = (t_sq <= edge or t_sig <= edge
                    or tau_budget - t_sq <= edge or tau_budget - t_sig <= edge)
     four_gamma_window = 4.0 * gamma * (t_sq + t_sig)

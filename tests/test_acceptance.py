@@ -47,8 +47,8 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def _tracked_evolve(rho, gens, duration, ctl=None):
-    out = exact.evolve(rho, gens, duration, ctl)
+def _tracked_evolve(rho, gens, duration):
+    out = exact.evolve(rho, gens, duration)
     ORACLE_RESIDUALS.append(exact.channel_residuals(out))
     return out
 

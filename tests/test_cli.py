@@ -47,10 +47,15 @@ class TestConfig:
             assert cli.main(["optimize", "--config", cfg,
                              "--out", str(tmp_path / "o.csv")]) == 2
 
-    def test_unknown_section_is_hard_error(self, tmp_path):
-        cfg = write_config(tmp_path, "[paramz]\nn_spins = 3\n")
-        assert cli.main(["analytic", "--config", cfg,
-                         "--out", str(tmp_path / "o.csv")]) == 2
+    def test_unknown_section_is_hard_error(self, tmp_path, capsys):
+        # the integrator settings are constants of the exact module
+        for text in ("[paramz]\nn_spins = 3\n", "[integrator]\ntrace_tol = 1e-9\n"):
+            cfg = write_config(tmp_path, text)
+            out = tmp_path / "o.csv"
+            assert cli.main(["analytic", "--config", cfg, "--out", str(out)]) == 2
+            section = text.split("\n")[0]
+            assert capsys.readouterr().err == f"config error: unknown config section {section}\n"
+            assert not out.exists()
 
     def test_bad_axis_spec(self, tmp_path):
         cfg = write_config(tmp_path, "[sweep]\naxis = gamma 0.1 1.0 10\n")
@@ -65,16 +70,29 @@ class TestConfig:
         "[run]\nn_cap = abc\n",
         "[run]\nengine = exactt\n",
         "[run]\nwith_factorization = maybe\n",
-        "[integrator]\ntrace_tol = abc\n",
-        "[integrator]\ntrace_tol = 0\n",
-        "[integrator]\nmin_eigenvalue_tol = 0\n",
+        None,  # a config path that cannot be read
+        "n_spins = 3\n",  # no section header: an INI parse error
+        "[sweep]\nrange = gamma 0.1 1 3 linear\n",
+        "[params]\ngamma = abc\n",
+        "[sweep]\naxis = gamma 0.1 1 3 cubic\n",
+        "[sweep]\naxis = gamma low 1 3 linear\n",
+        "[sweep]\naxis = gamma 0.1 1 -1 linear\n",
+        "[sweep]\naxis = gamma 0 1 3 log\n",
     ])
     def test_bad_option_value_is_config_error(self, tmp_path, capsys, text):
-        cfg = write_config(tmp_path, text)
+        cfg = str(tmp_path / "missing.cfg") if text is None else write_config(tmp_path, text)
         out = tmp_path / "o.csv"
         assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
+
+    def test_no_config_writes_the_default_point(self, tmp_path):
+        out = str(tmp_path / "o.csv")
+        assert cli.main(["analytic", "--out", out, "--no-timing"]) == 0
+        comments, _, rows = read_rows(out)
+        assert "# config sha256=none" in comments
+        assert len(rows) == 1 and rows[0]["status"] == "ok"
+        assert {k: float(rows[0][k]) for k in cli.PARAM_FIELDS} == cli._DEFAULT_PARAMS
 
     def test_axis_must_name_existing_parameter(self, tmp_path):
         cfg = write_config(tmp_path, "[sweep]\naxis = delta 0.1 1.0 10 linear\n")
@@ -373,9 +391,9 @@ class TestVerifyCommand:
         applies = []
         evolve = exact.evolve
 
-        def counted(rho, gens, duration, step_control=None, stats=None):
+        def counted(rho, gens, duration, stats=None):
             stats = {} if stats is None else stats
-            out = evolve(rho, gens, duration, step_control, stats)
+            out = evolve(rho, gens, duration, stats)
             applies.append((stats["n_steps"], stats["applies"]))
             return out
 
@@ -465,6 +483,25 @@ class TestColumnDocs:
         for row in rows:
             assert "exceeds the cap 1" in row["status"]
             assert row["factorization_error"] == row["commutator_norm"] == ""
+
+
+CONFIG_DOCS = DOCS.with_name("config_format.md")
+
+
+class TestConfigDocs:
+    def test_documented_keys_are_the_accepted_ones(self):
+        # each section heading names its sections; a heading naming one
+        # section holds its table of keys
+        documented, keys = set(), {}
+        for section in CONFIG_DOCS.read_text().split("\n## ")[1:]:
+            title, _, body = section.partition("\n")
+            names = re.findall(r"`\[(\w+)\]`", title)
+            documented.update(names)
+            if len(names) == 1:
+                keys[names[0]] = set(re.findall(r"^\| `(\w+)`", body, re.M))
+        assert documented == set(cli._KNOWN_KEYS)
+        for name in ("params", "run", "verify"):
+            assert keys[name] == set(cli._KNOWN_KEYS[name]), name
 
 
 class TestSweepDeterminism:

@@ -43,31 +43,14 @@ class TestDeriveDimensionless:
         assert g.alpha_infinite
         assert g.alpha is None
 
-    def test_mode_agreement_at_zero_signal_time(self):
-        p = make_params(t_signal=0.0)
-        a = core.derive_dimensionless(p, core.SQUEEZE_ONLY)
-        b = core.derive_dimensionless(p, core.SQUEEZE_THEN_MEASURE)
-        assert a.p_eff == b.p_eff
-
-    def test_two_phase_mode_decays_over_both_windows(self):
-        p = make_params(gamma=0.5, t_squeeze=0.5, t_signal=0.5, polarization_p=0.9)
-        g = core.derive_dimensionless(p, core.SQUEEZE_THEN_MEASURE)
-        assert g.p_eff == pytest.approx(0.9 * math.exp(-2.0), rel=1e-14)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            core.derive_dimensionless(make_params(), "bogus")
-
-
-    @pytest.mark.parametrize("mode", [core.SQUEEZE_ONLY, core.SQUEEZE_THEN_MEASURE])
-    def test_array_fields_give_the_scalar_bits(self, mode):
+    def test_array_fields_give_the_scalar_bits(self):
         points = [make_params(j_coupling=j, gamma=g, t_squeeze=t)
                   for j in (0.0, 0.3) for g in (0.0, 0.05, 2.0) for t in (0.0, 1.7)]
         fields = {name: np.array([getattr(p, name) for p in points], dtype=float)
                   for name in core.ProtocolParams.__dataclass_fields__}
-        out = core.derive_dimensionless(core.ProtocolParams(**fields), mode)
+        out = core.derive_dimensionless(core.ProtocolParams(**fields))
         for i, p in enumerate(points):
-            one = core.derive_dimensionless(p, mode)
+            one = core.derive_dimensionless(p)
             assert out.alpha_infinite[i] == one.alpha_infinite
             want_alpha = math.inf if one.alpha is None else one.alpha
             for got, want in ((out.theta[i], one.theta), (out.alpha[i], want_alpha),

@@ -79,6 +79,11 @@ class TestInitialState:
         with pytest.raises(ResourceLimitError, match="4\\^N"):
             exact.build_initial_state(12, 1.0)
 
+    @pytest.mark.parametrize("p", [0.0, -0.5, 1.5, np.nan])
+    def test_polarization_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError, match="polarization_p"):
+            exact.build_initial_state(2, p)
+
 
 class TestTactHamiltonian:
     def test_single_spin_is_zero(self):
@@ -264,17 +269,15 @@ class TestHamiltonianKernel:
                 assert np.array_equal(out, out.conj().T)
 
     def test_evolve_rejects_non_hermitian_state(self):
-        # measured as in channel_residuals, against step_control.hermiticity_tol
+        # measured as in channel_residuals, against exact.HERMITICITY_TOL
         rho = exact.build_initial_state(2, 0.9)
         rho[0, 1] += 1e-6
         gens = [exact.squeeze_generator(2, 0.2)]
         with pytest.raises(ValueError, match="not Hermitian"):
             exact.evolve(rho, gens, 0.5)
-        loose = exact.StepControl(hermiticity_tol=1e-5)
-        exact.evolve(rho, gens, 0.5, loose)
         rho[0, 1] += 1e-4
         with pytest.raises(ValueError, match="not Hermitian"):
-            exact.evolve(rho, gens, 0.5, loose)
+            exact.evolve(rho, gens, 0.5)
 
 
 class TestEvolve:
@@ -290,6 +293,11 @@ class TestEvolve:
         rho = exact.build_initial_state(2, 0.7)
         l2 = exact.depolarize_generator(2, 0.5)
         np.testing.assert_array_equal(exact.evolve(rho, [l2], 0.0), rho)
+
+    def test_negative_duration_rejected(self):
+        rho = exact.build_initial_state(2, 0.7)
+        with pytest.raises(ValueError, match="duration"):
+            exact.evolve(rho, [exact.depolarize_generator(2, 0.5)], -0.1)
 
     def test_unitary_evolution_conserves_purity_and_spectrum(self):
         rho = exact.build_initial_state(3, 0.7)
@@ -446,11 +454,12 @@ class TestEvolve:
     def test_stats_filled_when_refinements_run_out(self, monkeypatch):
         # every pass fails its check: trace off by 1e-6 against 1e-9
         monkeypatch.setattr(exact, "channel_residuals", lambda rho: (1e-6, 0.0, 0.0))
+        monkeypatch.setattr(exact, "_MAX_REFINEMENTS", 2)
         rho = exact.build_initial_state(2, 0.9)
         gens = [exact.squeeze_generator(2, 0.2), exact.depolarize_generator(2, 0.1)]
         stats = {}
         with pytest.raises(IntegrationError) as info:
-            exact.evolve(rho, gens, 0.3, exact.StepControl(max_refinements=2), stats)
+            exact.evolve(rho, gens, 0.3, stats)
         assert stats["refinements"] == 2 and stats["n_steps"] == 16 * 4
         assert stats["residuals"] == (1e-6, 0.0, 0.0)
         assert stats["worst_residual"] == info.value.worst_residual == pytest.approx(1e3)
@@ -467,8 +476,8 @@ class TestEvolve:
     # n_steps of one verify row's joint, depolarize-only and squeeze-only
     # evolves (alpha = 5, 4 Gamma T = 1, P = 1, Gamma = 0.225), recorded with
     # the squeeze rate bound from a dense complex eigvalsh; some sit on a ceil
-    # step (T rate / target_step_rate is 440.0 for the N = 2 joint evolve, so
-    # a rate bound one ulp larger gives 441)
+    # step (T rate / exact._TARGET_STEP_RATE is 440.0 for the N = 2 joint
+    # evolve, so a rate bound one ulp larger gives 441)
     VERIFY_STEPS = {2: (440, 40, 400), 3: (522, 61, 462), 4: (773, 80, 693),
                     5: (947, 100, 847), 6: (1174, 121, 1054), 7: (1382, 140, 1242)}
 
@@ -591,6 +600,10 @@ class TestCollectiveMoments:
 
 
 class TestSqueezingParameter:
+    def test_unknown_convention_rejected(self):
+        with pytest.raises(ValueError, match="unknown convention"):
+            exact.squeezing_from_variance(1.0, np.array([0.0, 0.0, 4.0]), 4, "ku")
+
     def test_coherent_state_both_conventions(self):
         rho = exact.build_initial_state(4, 1.0)
         ops = exact.spin_operators(4)

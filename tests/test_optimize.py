@@ -41,6 +41,12 @@ class TestMaximizeScalar:
                                      0.0, 1.0, 1e-6)
         assert err.value.abscissa is not None
 
+    @pytest.mark.parametrize("lo, hi, tol", [(1.0, 1.0, 1e-10), (1.0, 0.0, 1e-10),
+                                             (0.0, 1.0, 0.0), (0.0, 1.0, -1e-10)])
+    def test_empty_bracket_or_nonpositive_tol_rejected(self, lo, hi, tol):
+        with pytest.raises(ValueError):
+            optimize.maximize_scalar(lambda x: x, lo, hi, tol)
+
 
 class TestOptimalTheta:
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.99, 1.0])
@@ -140,6 +146,11 @@ class TestOptimalU:
 
 
 class TestOptimalSplitFull:
+    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    def test_nonpositive_budget_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau_budget"):
+            optimize.optimal_split_full(0.1, 20, 1.0, 0.05, tau)
+
     def test_no_squeezing_below_threshold(self):
         gamma, n, p = 0.2, 100, 1.0
         j = 4 * gamma * 0.5 / (n * p)  # alpha = 0.5
