@@ -37,12 +37,12 @@ STRONG = "strong"
 _STRONG_ALPHA = 10.0
 
 
-def _regime(alpha: float | None) -> str:
+def _regime(alpha: float) -> str:
     if isinstance(alpha, np.ndarray):
         # a nan alpha, where a scalar call raises, reads squeezing here
         return np.select([np.isinf(alpha), alpha <= 1.0, alpha >= _STRONG_ALPHA],
                          [STRONG, SUB_THRESHOLD, STRONG], SQUEEZING)
-    if alpha is None or math.isinf(alpha):
+    if math.isinf(alpha):
         return STRONG
     if math.isnan(alpha):
         raise DomainError("alpha is NaN: the regime is undefined")
@@ -166,15 +166,21 @@ def snr_optimum_strong(alpha: float, n_spins: float, gamma: float,
     """Closed-form optimum of the split protocol in the alpha >> 1 slice:
 
     (1/sqrt(tau)) dS_max/dB = sqrt(N)/sqrt(4 Gamma) * P/alpha / exp(-[alpha/e - 1]),
-    at U_max = (alpha/e - 1)/(alpha/e).  Requires alpha/e > 1.
+    at U_max = (alpha/e - 1)/(alpha/e).  Requires alpha/e > 1.  Outside the
+    domain where the divisor underflows to 0 (alpha/e - 1 above ~745).
     """
     a = alpha * math.exp(-1.0)
     undefined = np.logical_not(a > 1.0)
     check_domain(undefined, "no interior optimum: alpha/e = {} <= 1", a)
     u_max = (a - 1.0) / a
+    gain = exp_any(-(a - 1.0))
+    underflow = gain == 0.0
+    check_domain(underflow, "snr_optimum_strong divides by exp(-(alpha/e - 1)) = 0 "
+                 "(underflow at alpha/e = {})", a)
     val = (sqrt_any(n_spins) / sqrt_any(4.0 * gamma)
-           * polarization_p / alpha / exp_any(-(a - 1.0)))
-    return SnrResult(nan_outside(undefined, val), SQUEEZE_THEN_MEASURE, u_split=u_max)
+           * polarization_p / alpha / gain)
+    return SnrResult(nan_outside(undefined | underflow, val), SQUEEZE_THEN_MEASURE,
+                     u_split=u_max)
 
 
 def improvement_factor(alpha: float) -> float:

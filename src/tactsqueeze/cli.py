@@ -37,9 +37,6 @@ import numpy as np
 from . import __version__, analytic, core, exact, linearized, optimize
 from .errors import ConfigError, DomainError, ResourceLimitError, TactError
 
-PARAM_FIELDS = ["n_spins", "polarization_p", "j_coupling", "gamma",
-                "b_field", "t_squeeze", "t_signal", "tau_total"]
-
 
 def _flag(raw: str) -> bool:
     low = raw.lower()
@@ -50,43 +47,41 @@ def _flag(raw: str) -> bool:
     raise ValueError(f"expected true or false, got {raw!r}")
 
 
-# [run] and [verify] keys: (parse, range check, the range in words)
+class _Option(NamedTuple):
+    """A config key: its parser, default, range check and the range in words.
+    A [params] value is checked per grid point (core.validate), not here."""
+
+    parse: Callable
+    default: object
+    ok: Callable = lambda v: True
+    allowed: str = ""
+
+
+# every keyed section's keys, in field order; [sweep] holds axis* keys
 _OPTIONS = {
+    "params": {"n_spins": _Option(int, 4), "polarization_p": _Option(float, 1.0),
+               "j_coupling": _Option(float, 0.1), "gamma": _Option(float, 0.1),
+               "b_field": _Option(float, 0.0), "t_squeeze": _Option(float, 1.0),
+               "t_signal": _Option(float, 1.0), "tau_total": _Option(float, 1.0)},
     "run": {
-        "engine": (str, lambda v: v in _ENGINES,
-                   "one of analytic, exact, linearized, optimize, all"),
-        "n_cap": (int, lambda v: v >= 1, ">= 1"),
-        "with_factorization": (_flag, lambda v: True, "true or false"),
+        "engine": _Option(str, "analytic", lambda v: v in _ENGINES,
+                          "one of analytic, exact, linearized, optimize, all"),
+        "n_cap": _Option(int, exact.DEFAULT_N_CAP, lambda v: v >= 1, ">= 1"),
+        "with_factorization": _Option(_flag, False),
     },
     "verify": {
-        "n_min": (int, lambda v: v >= 1, ">= 1"),
-        "n_max": (int, lambda v: v >= 1, ">= 1"),
-        "alpha": (float, lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
-        "gamma": (float, lambda v: 0.0 < v < math.inf, "finite and > 0"),
-        "polarization_p": (float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-        "t_squeeze": (float, lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+        "n_min": _Option(int, 2, lambda v: v >= 1, ">= 1"),
+        "n_max": _Option(int, 8, lambda v: v >= 1, ">= 1"),
+        "alpha": _Option(float, 5.0, lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+        "gamma": _Option(float, 0.25, lambda v: 0.0 < v < math.inf, "finite and > 0"),
+        "polarization_p": _Option(float, 1.0, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+        # None: 1/(4 gamma), set where it is read (run_verify)
+        "t_squeeze": _Option(float, None, lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
     },
 }
 
-_KNOWN_KEYS = {"params": set(PARAM_FIELDS),
-               "sweep": None,  # axis* keys, validated separately
-               **_OPTIONS}
-
-_DEFAULT_PARAMS = {"n_spins": 4, "polarization_p": 1.0, "j_coupling": 0.1,
-                   "gamma": 0.1, "b_field": 0.0, "t_squeeze": 1.0,
-                   "t_signal": 1.0, "tau_total": 1.0}
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.15g}"
-    if x is None:
-        return ""
-    return _quote(str(x))
+_DEFAULT_PARAMS = {key: opt.default for key, opt in _OPTIONS["params"].items()}
+PARAM_FIELDS = list(_DEFAULT_PARAMS)
 
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
@@ -105,28 +100,23 @@ def _quote(text: str) -> str:
 _CHUNK_ROWS = 4096  # rows formatted at a time: the text of one chunk is held
 
 
-def _texts(values) -> list[str]:
-    """The CSV text of each value, with the type dispatch made once for all."""
-    if isinstance(values, np.ndarray) and values.dtype != object:
-        if values.dtype == bool:
-            return list(map(("false", "true").__getitem__, values.tolist()))
-        if values.dtype.kind == "f":
-            return list(map("{:.15g}".format, values.tolist()))
-    values = list(values.tolist() if isinstance(values, np.ndarray) else values)
-    kinds = set(map(type, values))
-    if kinds <= {float}:
-        return list(map("{:.15g}".format, values))
-    if kinds <= {str}:
-        # one search for the common case where no text needs quotes
-        return list(map(_quote, values)) if _NEEDS_QUOTES.search("".join(values)) else values
-    return list(map(_fmt, values))
+def _texts(values: np.ndarray) -> list[str]:
+    """The CSV text of each value, the format picked by the dtype: true or
+    false, 15 significant digits, or str() quoted per RFC 4180."""
+    if values.dtype == bool:
+        return list(map(("false", "true").__getitem__, values.tolist()))
+    if values.dtype.kind == "f":
+        return list(map("{:.15g}".format, values.tolist()))
+    texts = list(map(str, values.tolist()))
+    # one search for the common case where no text needs quotes
+    return list(map(_quote, texts)) if _NEEDS_QUOTES.search("".join(texts)) else texts
 
 
 class _Column(NamedTuple):
     """One CSV column: a value per row or, with `index`, a value per distinct
     entry and each row's entry.  Rows in `empty` are written as ''."""
 
-    values: np.ndarray | list
+    values: np.ndarray
     index: np.ndarray | None = None
     empty: np.ndarray | None = None
 
@@ -135,7 +125,7 @@ class _Column(NamedTuple):
         idx = None
         if self.index is not None:
             texts, idx = _texts(self.values), self.index[lo:hi]
-        elif isinstance(self.values, np.ndarray) and self.values.dtype.kind == "f":
+        elif self.values.dtype.kind == "f":
             chunk = self.values[lo:hi]
             # by bit pattern, so -0.0 and 0.0 stay apart
             _, first, idx = np.unique(chunk.view(np.int64), return_index=True,
@@ -176,8 +166,11 @@ def _write_csv(path: str, config_path: str | None, comments: list[str], header: 
 
 
 def load_config(path: str | None) -> dict:
-    """Parse and validate the config file; unknown sections/keys are errors."""
-    cfg = {"params": dict(_DEFAULT_PARAMS), "sweep_axes": [], "run": {}, "verify": {}}
+    """Parse and validate the config file; unknown sections/keys are errors.
+    Each keyed section holds every key of _OPTIONS, its default unless set."""
+    cfg = {section: {key: opt.default for key, opt in keys.items()}
+           for section, keys in _OPTIONS.items()}
+    cfg["sweep_axes"] = []
     if path is None:
         return cfg
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -189,38 +182,30 @@ def load_config(path: str | None) -> dict:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _OPTIONS and section != "sweep":
             raise ConfigError(f"unknown config section [{section}]")
-        known = _KNOWN_KEYS[section]
         for key, raw in parser.items(section):
             if section == "sweep":
                 if not key.startswith("axis"):
                     raise ConfigError(f"unknown key '{key}' in [sweep] (expected axis*)")
                 cfg["sweep_axes"].append(_parse_axis(key, raw))
-                continue
-            if key not in known:
+            elif key not in _OPTIONS[section]:
                 raise ConfigError(f"unknown key '{key}' in [{section}]")
-            if section == "params":
-                try:
-                    cfg["params"][key] = int(raw) if key == "n_spins" else float(raw)
-                except ValueError as exc:
-                    raise ConfigError(f"params.{key}: {exc}") from exc
             else:
                 cfg[section][key] = _parse_option(section, key, raw)
-    v = cfg["verify"]
-    if v.get("n_max", 8) < v.get("n_min", 2):
+    if cfg["verify"]["n_max"] < cfg["verify"]["n_min"]:
         raise ConfigError("verify.n_max must be >= verify.n_min")
     return cfg
 
 
 def _parse_option(section: str, key: str, raw: str):
-    parse, ok, allowed = _OPTIONS[section][key]
+    opt = _OPTIONS[section][key]
     try:
-        value = parse(raw)
+        value = opt.parse(raw)
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}: {exc}") from exc
-    if not ok(value):
-        raise ConfigError(f"{section}.{key} must be {allowed}, got {raw!r}")
+    if not opt.ok(value):
+        raise ConfigError(f"{section}.{key} must be {opt.allowed}, got {raw!r}")
     return value
 
 
@@ -547,16 +532,15 @@ def run_sweep(cfg: dict, engine: str, out_path: str, workers: int,
     evaluated once over the whole grid, in process; `exact` and `all` then
     run the oracle (_run_oracle).  An error that is not a TactError ends
     the sweep at its row."""
-    opts = {"n_cap": cfg["run"].get("n_cap", exact.DEFAULT_N_CAP),
-            "with_factorization": cfg["run"].get("with_factorization", False)}
     start = time.perf_counter()
     n, params = build_grid(cfg)
     rec = _closed_form(_ENGINES[engine], params)
     # the closed-form time, spread evenly over the rows; then each oracle row's
     wall = np.full(n, (time.perf_counter() - start) / max(n, 1))
     if engine in ("exact", "all"):
-        _run_oracle(rec, params, opts, workers, wall)
-    columns = {name: _Column(values, index=index) for name, (values, index) in params.items()}
+        _run_oracle(rec, params, cfg["run"], workers, wall)
+    columns = {name: _Column(np.array(values), index=index)
+               for name, (values, index) in params.items()}
     columns.update(rec.columns(), wall_time=_Column(wall))
     header = [*params, *rec.cells, "status"] + (["wall_time"] if timing else [])
     if rec.error is not None:
@@ -576,54 +560,51 @@ def run_verify(cfg: dict, out_path: str, timing: bool,
     """Factorization-error and commutator scaling study over an N range at
     fixed alpha; reports the fitted log-log slope against the -0.5 target."""
     v = cfg["verify"]
-    n_min = v.get("n_min", 2)
-    n_max = v.get("n_max", 8)
-    alpha = v.get("alpha", 5.0)
-    gamma = v.get("gamma", 0.25)
-    pol = v.get("polarization_p", 1.0)
-    t_squeeze = v.get("t_squeeze", 1.0 / (4.0 * gamma))
-    n_cap = cfg["run"].get("n_cap", exact.DEFAULT_N_CAP)
-    rows = []
-    status_fail = False
-    for n in range(n_min, n_max + 1):
-        j = 4.0 * gamma * alpha / (n * pol)
-        row = {"n_spins": n, "j_coupling": j, "gamma": gamma,
-               "t_squeeze": t_squeeze, "polarization_p": pol, "alpha": alpha}
+    alpha, gamma, pol = v["alpha"], v["gamma"], v["polarization_p"]
+    t_squeeze = 1.0 / (4.0 * gamma) if v["t_squeeze"] is None else v["t_squeeze"]
+    ns = np.arange(v["n_min"], v["n_max"] + 1)
+    n_rows, j = len(ns), 4.0 * gamma * alpha / (ns * pol)
+    error, norm, wall = np.full(n_rows, np.nan), np.full(n_rows, np.nan), np.zeros(n_rows)
+    degenerate, status = np.zeros(n_rows, bool), np.full(n_rows, "ok", dtype=object)
+    # a failed row has no commutator cells, and a factorization error cell
+    # only where that call returned
+    error_empty, failed = np.ones(n_rows, bool), np.zeros(n_rows, bool)
+    n_cap = cfg["run"]["n_cap"]
+    for i, (n, j_i) in enumerate(zip(ns.tolist(), j.tolist())):
         start = time.perf_counter()
         try:
-            row["factorization_error"] = exact.factorization_error(
-                n, j, gamma, t_squeeze, pol, n_cap)
-            comm = exact.commutator_action_norm(n, j, gamma, pol, n_cap)
-            row["commutator_norm"] = comm.value
-            row["commutator_degenerate"] = comm.degenerate
-            row["status"] = "ok"
+            error[i] = exact.factorization_error(n, j_i, gamma, t_squeeze, pol, n_cap)
+            error_empty[i] = False
+            comm = exact.commutator_action_norm(n, j_i, gamma, pol, n_cap)
+            norm[i], degenerate[i] = comm.value, comm.degenerate
         except TactError as exc:
-            row["status"] = str(exc)
-            status_fail = True
-        if timing:
-            row["wall_time"] = time.perf_counter() - start
-        rows.append(row)
-    usable = [(r["n_spins"], r["factorization_error"]) for r in rows
-              if r["status"] == "ok" and r["factorization_error"] > 0]
-    comments = [f"verify alpha={_fmt(alpha)} gamma={_fmt(gamma)} t_squeeze={_fmt(t_squeeze)}"]
-    if len(usable) >= 2:
-        ns = np.log([n for n, _ in usable])
-        es = np.log([e for _, e in usable])
-        slope = float(np.polyfit(ns, es, 1)[0])
-        decreasing = all(usable[i + 1][1] < usable[i][1] for i in range(len(usable) - 1))
+            status[i], failed[i] = str(exc), True
+        wall[i] = time.perf_counter() - start
+    usable = ~failed & (error > 0)
+    comments = [f"verify alpha={alpha:.15g} gamma={gamma:.15g} t_squeeze={t_squeeze:.15g}"]
+    if usable.sum() >= 2:
+        es = error[usable]
+        slope = float(np.polyfit(np.log(ns[usable]), np.log(es), 1)[0])
+        decreasing = bool(np.all(es[1:] < es[:-1]))
         ok = decreasing and slope <= -0.5
         summary = (f"{'PASS' if ok else 'FAIL'}: slope={slope:.4f} "
                    f"(target <= -0.5), strictly_decreasing={decreasing}, "
-                   f"alpha={_fmt(alpha)}, gamma={_fmt(gamma)}, T={_fmt(t_squeeze)}")
+                   f"alpha={alpha:.15g}, gamma={gamma:.15g}, T={t_squeeze:.15g}")
     else:
-        summary = f"FAIL: insufficient usable rows ({len(usable)})"
-        ok = False
+        summary = f"FAIL: insufficient usable rows ({usable.sum()})"
     comments.append(f"summary: {summary}")
     header = _VERIFY_COLUMNS + (["wall_time"] if timing else [])
-    columns = {key: _Column([row.get(key, "") for row in rows]) for key in header}
-    _write_csv(out_path, config_path, comments, header, columns, len(rows))
+    columns = {key: _Column(np.full(n_rows, value)) for key, value in
+               (("gamma", gamma), ("t_squeeze", t_squeeze), ("polarization_p", pol),
+                ("alpha", alpha))}
+    columns.update(n_spins=_Column(ns), j_coupling=_Column(j), status=_Column(status),
+                   factorization_error=_Column(error, empty=error_empty),
+                   commutator_norm=_Column(norm, empty=failed),
+                   commutator_degenerate=_Column(degenerate, empty=failed),
+                   wall_time=_Column(wall))
+    _write_csv(out_path, config_path, comments, header, columns, n_rows)
     print(summary)
-    return 1 if status_fail else 0
+    return 1 if failed.any() else 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -658,7 +639,7 @@ def main(argv: list[str] | None = None) -> int:
     timing = not args.no_timing
     if args.command == "verify":
         return run_verify(cfg, args.out, timing, args.config)
-    engine = cfg["run"].get("engine", "analytic") if args.command == "sweep" else args.command
+    engine = cfg["run"]["engine"] if args.command == "sweep" else args.command
     return run_sweep(cfg, engine, args.out, args.workers, timing, args.config)
 
 

@@ -81,13 +81,13 @@ class DimensionlessGroups:
     """Derived dimensionless quantities used by the closed forms.
 
     theta = 4*Gamma*T; p_eff is the effective polarization after
-    depolarization.  alpha = J*N*P/(4*Gamma) is None
-    (with alpha_infinite set) when Gamma = 0: the noiseless case has no
-    finite squeezing-to-noise ratio and callers branch explicitly.
+    depolarization.  alpha = J*N*P/(4*Gamma) is +inf (with alpha_infinite
+    set) when Gamma = 0: the noiseless case has no finite squeezing-to-noise
+    ratio, and the closed forms that need one raise DomainError.
     """
 
     theta: float
-    alpha: float | None
+    alpha: float
     p_eff: float
     alpha_infinite: bool = False
 
@@ -136,7 +136,7 @@ def validate(params: ProtocolParams) -> list[Violation]:
 
 
 def squeeze_to_noise(j_coupling, n_spins, polarization_p, gamma):
-    """alpha = J N P / (4 Gamma): None at Gamma = 0 (alpha infinite).
+    """alpha = J N P / (4 Gamma): +inf at Gamma = 0.
 
     Elementwise for an array Gamma, with +inf where Gamma = 0.
     """
@@ -145,7 +145,7 @@ def squeeze_to_noise(j_coupling, n_spins, polarization_p, gamma):
             alpha = j_coupling * n_spins * polarization_p / (4.0 * gamma)
         return np.where(gamma == 0.0, np.inf, alpha)
     if gamma == 0.0:
-        return None
+        return math.inf
     return j_coupling * n_spins * polarization_p / (4.0 * gamma)
 
 

@@ -126,7 +126,7 @@ def squeeze_gain(theta: float, alpha: float) -> float:
     return theta * math.expm1(math.log(alpha) - theta)
 
 
-def optimal_theta(alpha: float | None, polarization_p: float) -> OptimizationOutcome:
+def optimal_theta(alpha: float, polarization_p: float) -> OptimizationOutcome:
     """Maximize the squeezing gain g(Theta) over Theta >= 0 in closed form.
 
     Boundary Theta* = 0 iff alpha <= 1 (sign of g'(0) = alpha - 1).  An
@@ -135,7 +135,7 @@ def optimal_theta(alpha: float | None, polarization_p: float) -> OptimizationOut
     al., Adv. Comput. Math. 5, 329 (1996)), so Theta* lies in (0, 1).  The
     stationarity residual is checked to 1e-8 post hoc.
     """
-    if alpha is None or alpha == math.inf:
+    if alpha == math.inf:
         raise DomainError("noiseless case (alpha infinite) has no interior optimum")
     if alpha <= 1.0:  # alpha = -inf included: g(Theta) = -inf for Theta > 0
         return OptimizationOutcome(argmax=0.0, value=0.0, at_boundary=True,
@@ -179,14 +179,14 @@ def _interior_u(a):
     return (a - 1.0) / a
 
 
-def optimal_u(alpha: float | None) -> OptimizationOutcome:
+def optimal_u(alpha: float) -> OptimizationOutcome:
     """Maximize h(U) = (1 - U) exp(a U), a = alpha/e, over U in [0, 1).
 
     h'(U) = e^{aU}(a(1 - U) - 1), so for a > 1 the optimum is
     U* = (a - 1)/a with h(U*) = e^{a-1}/a; otherwise U* = 0 at the
     boundary.
     """
-    if alpha is None or math.isinf(alpha):
+    if math.isinf(alpha):
         raise DomainError("noiseless case (alpha infinite) has no interior optimum")
     if not (alpha > 0.0):
         raise DomainError(f"requires alpha > 0, got {alpha}")

@@ -170,6 +170,16 @@ class TestSnrOptimumStrong:
         with pytest.raises(DomainError):
             analytic.snr_optimum_strong(math.e, 100, 0.2, 1.0)
 
+    @pytest.mark.parametrize("alpha", [3.0, 30.0, 700.0, 1900.0])
+    def test_bits_below_the_underflow(self, alpha):
+        # the formula as printed, before its divisor was guarded
+        a = alpha * math.exp(-1.0)
+        want = math.sqrt(100) / math.sqrt(4.0 * 0.2) * 0.9 / alpha / math.exp(-(a - 1.0))
+        got = analytic.snr_optimum_strong(alpha, 100, 0.2, 0.9).snr_per_root_time
+        assert got.hex() == want.hex()
+        arr = analytic.snr_optimum_strong(np.array([alpha]), 100, 0.2, 0.9)
+        assert float(arr.snr_per_root_time[0]).hex() == want.hex()
+
 
 class TestImprovementFactor:
     def test_balanced(self):
@@ -260,6 +270,11 @@ class TestUnderflowingDivisor:
         # J N P_eff T = 1000: exp(-J N P_eff T) = 0
         (analytic.snr_squeeze_then_measure, (20.0, 100, 1.0, 0.0, 0.5, 1.0),
          (0.05, 100, 1.0, 0.0, 0.5, 1.0), "snr_per_root_time"),
+        # alpha/e - 1 = 1103 and +inf: exp(-(alpha/e - 1)) = 0
+        (analytic.snr_optimum_strong, (3000.0, 100, 0.25, 1.0), (30.0, 100, 0.25, 1.0),
+         "snr_per_root_time"),
+        (analytic.snr_optimum_strong, (math.inf, 100, 0.25, 1.0), (30.0, 100, 0.25, 1.0),
+         "snr_per_root_time"),
     ])
     def test_scalar_raises_and_array_gives_nan(self, fn, point, fine, field):
         with pytest.raises(DomainError, match="underflow"):

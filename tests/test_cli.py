@@ -133,25 +133,24 @@ def documented_header(command: str, factorize: bool = False, timing: bool = Fals
 
 
 class TestCellText:
-    @pytest.mark.parametrize("value, text", [(True, "true"), (np.bool_(True), "true"),
-                                             (np.bool_(False), "false"), (np.int64(3), "3"),
-                                             (np.float64(0.1), "0.1"), (None, ""),
-                                             (np.str_("strong"), "strong")])
-    def test_fmt(self, value, text):
-        assert cli._fmt(value) == text
+    @pytest.mark.parametrize("values, texts", [
+        (np.array([True, False]), ["true", "false"]),
+        (np.array([3, -1]), ["3", "-1"]),
+        (np.array([0.1, -0.0, 1e300, np.inf, np.nan]), ["0.1", "-0", "1e+300", "inf", "nan"]),
+        (np.array(["strong", "sub_threshold"]), ["strong", "sub_threshold"]),
+        (np.array(["ok", 7], dtype=object), ["ok", "7"]),
+    ])
+    def test_format_follows_the_dtype(self, values, texts):
+        assert cli._texts(values) == texts
 
-    def test_numpy_bools_in_a_list(self):
-        assert cli._texts([np.bool_(True), np.bool_(False), 1.5]) == ["true", "false", "1.5"]
-        assert cli._texts(np.array([True, False])) == ["true", "false"]
-
-    @pytest.mark.parametrize("values", [["ok", 'a "b"', "x, y", "two\nlines"],
-                                        np.array(["ok", "x, y"], dtype=object),
-                                        np.array(["ok", "x, y"])])
+    @pytest.mark.parametrize("values", [
+        np.array(["ok", 'a "b"', "x, y", "two\nlines"], dtype=object),
+        np.array(["ok", "x, y"])])
     def test_text_cells_are_quoted_per_rfc_4180(self, values):
         texts = cli._texts(values)
         assert texts[0] == "ok"
-        assert [next(csv.reader([t]))[0] for t in texts] == list(values)
-        assert cli._fmt("x, y") == '"x, y"' and cli._fmt('a "b"') == '"a ""b"""'
+        assert [next(csv.reader([t]))[0] for t in texts] == values.tolist()
+        assert cli._texts(np.array(["x, y", 'a "b"'])) == ['"x, y"', '"a ""b"""']
 
 
 class TestInvalidInput:
@@ -385,6 +384,31 @@ class TestVerifyCommand:
         for row in rows:
             assert float(row["factorization_error"]) > 0
 
+    def test_partly_capped_range_fits_the_rows_below_the_cap(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[verify]\nn_min = 2\nn_max = 4\n[run]\nn_cap = 3\n")
+        out = str(tmp_path / "o.csv")
+        assert cli.main(["verify", "--config", cfg, "--out", out, "--no-timing"]) == 1
+        comments, _, rows = read_rows(out)
+        assert [r["n_spins"] for r in rows] == ["2", "3", "4"]
+        gamma, t = 0.25, 1.0  # the defaults, T = 1/(4 Gamma)
+        errors = []
+        for n, row in zip((2, 3), rows):
+            j = 4 * gamma * 5.0 / n
+            errors.append(exact.factorization_error(n, j, gamma, t, 1.0, 3))
+            comm = exact.commutator_action_norm(n, j, gamma, 1.0, 3)
+            assert row["j_coupling"] == f"{j:.15g}" and row["status"] == "ok"
+            assert row["factorization_error"] == f"{errors[-1]:.15g}"
+            assert row["commutator_norm"] == f"{comm.value:.15g}"
+            assert row["commutator_degenerate"] == str(comm.degenerate).lower()
+        capped = rows[2]
+        assert "exceeds the cap 3" in capped["status"] and capped["alpha"] == "5"
+        for key in ("factorization_error", "commutator_norm", "commutator_degenerate"):
+            assert capped[key] == ""
+        slope = np.polyfit(np.log([2, 3]), np.log(errors), 1)[0]
+        summary = capsys.readouterr().out.strip()
+        assert comments[-1] == f"# summary: {summary}"
+        assert summary.startswith(f"FAIL: slope={slope:.4f} ")
+
     def test_one_large_row_takes_few_generator_applications(self, tmp_path, monkeypatch):
         # the joint and both split evolves of the N = 7 row: 2764 RK4 steps,
         # which stage by stage took 4 applications each (11 056)
@@ -489,19 +513,37 @@ CONFIG_DOCS = DOCS.with_name("config_format.md")
 
 
 class TestConfigDocs:
-    def test_documented_keys_are_the_accepted_ones(self):
-        # each section heading names its sections; a heading naming one
-        # section holds its table of keys
-        documented, keys = set(), {}
+    def tables(self):
+        """The sections docs/config_format.md names, and each keyed section's
+        table: key -> its documented default.  A heading naming one section
+        holds its table of keys."""
+        documented, tables = set(), {}
         for section in CONFIG_DOCS.read_text().split("\n## ")[1:]:
             title, _, body = section.partition("\n")
             names = re.findall(r"`\[(\w+)\]`", title)
             documented.update(names)
             if len(names) == 1:
-                keys[names[0]] = set(re.findall(r"^\| `(\w+)`", body, re.M))
-        assert documented == set(cli._KNOWN_KEYS)
+                tables[names[0]] = {
+                    key: default.strip("`") for key, default
+                    in re.findall(r"^\| `(\w+)`\s*\|\s*([^|]*?)\s*\|", body, re.M)}
+        return documented, tables
+
+    def test_documented_keys_are_the_accepted_ones(self):
+        documented, tables = self.tables()
+        assert documented == {*cli._OPTIONS, "sweep"}
         for name in ("params", "run", "verify"):
-            assert keys[name] == set(cli._KNOWN_KEYS[name]), name
+            assert set(tables[name]) == set(cli._OPTIONS[name]), name
+
+    def test_documented_defaults_are_the_loaded_ones(self):
+        _, tables = self.tables()
+        loaded = cli.load_config(None)
+        for name in ("params", "run", "verify"):
+            for key, text in tables[name].items():
+                if (name, key) == ("verify", "t_squeeze"):  # the one dependent default
+                    assert text == "1/(4Γ)" and loaded[name][key] is None
+                else:
+                    value = cli._OPTIONS[name][key].parse(text)
+                    assert loaded[name][key] == value == cli._OPTIONS[name][key].default, key
 
 
 class TestSweepDeterminism:

@@ -4,7 +4,8 @@ import sys
 import numpy as np
 import pytest
 
-from tactsqueeze import core
+from tactsqueeze import analytic, core, optimize
+from tactsqueeze.errors import DomainError
 
 
 def make_params(**kw):
@@ -38,10 +39,23 @@ class TestDeriveDimensionless:
         assert g.theta == 4 * 0.083 * p.t_squeeze
         assert g.p_eff == 0.61 * math.exp(-4 * 0.083 * p.t_squeeze)
 
-    def test_gamma_zero_gives_infinite_sentinel(self):
+    def test_gamma_zero_gives_infinite_alpha(self):
         g = core.derive_dimensionless(make_params(gamma=0.0))
         assert g.alpha_infinite
-        assert g.alpha is None
+        assert g.alpha == core.squeeze_to_noise(0.1, 4, 0.8, 0.0) == math.inf
+
+    def test_infinite_alpha_reaches_the_closed_forms_as_a_number(self):
+        # a noiseless point: the closed forms that need a finite alpha raise
+        # DomainError, the others take the limit
+        alpha = core.derive_dimensionless(make_params(gamma=0.0)).alpha
+        for call in (lambda: analytic.improvement_factor(alpha),
+                     lambda: analytic.snr_optimum_strong(alpha, 4, 0.0, 0.8),
+                     lambda: optimize.optimal_theta(alpha, 0.8),
+                     lambda: optimize.optimal_u(alpha)):
+            with pytest.raises(DomainError):
+                call()
+        assert analytic.xi2_strong_squeezing(alpha, 0.8) == 0.0
+        assert analytic.xi2_min_dimensionless(alpha, 1.0, 0.8).regime == analytic.STRONG
 
     def test_array_fields_give_the_scalar_bits(self):
         points = [make_params(j_coupling=j, gamma=g, t_squeeze=t)
@@ -52,8 +66,7 @@ class TestDeriveDimensionless:
         for i, p in enumerate(points):
             one = core.derive_dimensionless(p)
             assert out.alpha_infinite[i] == one.alpha_infinite
-            want_alpha = math.inf if one.alpha is None else one.alpha
-            for got, want in ((out.theta[i], one.theta), (out.alpha[i], want_alpha),
+            for got, want in ((out.theta[i], one.theta), (out.alpha[i], one.alpha),
                               (out.p_eff[i], one.p_eff)):
                 assert float(got).hex() == float(want).hex()
 

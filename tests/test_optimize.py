@@ -83,8 +83,6 @@ class TestOptimalTheta:
 
     def test_infinite_alpha_rejected(self):
         with pytest.raises(DomainError):
-            optimize.optimal_theta(None, 1.0)
-        with pytest.raises(DomainError):
             optimize.optimal_theta(math.inf, 1.0)
         # alpha = -inf is below threshold, not noiseless
         out = optimize.optimal_theta(-math.inf, 1.0)
