@@ -92,8 +92,15 @@ def xi2_min(j_coupling: float, n_spins: float, polarization_p: float,
 
 def xi2_min_dimensionless(alpha: float, theta: float,
                           polarization_p: float) -> SqueezeFormulaResult:
-    """xi^2_min = P^{-1} exp(-Theta [alpha e^{-Theta} - 1])."""
-    exponent = theta * (alpha * exp_any(-theta) - 1.0)
+    """xi^2_min = P^{-1} exp(-Theta [alpha e^{-Theta} - 1]).
+
+    Outside the domain at alpha = inf with Theta = 0, where the exponent is
+    0 * inf; at Theta > 0 an infinite alpha gives the limit xi^2 = 0.
+    """
+    undefined = np.isinf(alpha) & (theta == 0.0)
+    check_domain(undefined, "xi2_min_dimensionless is undefined at alpha = inf, "
+                 "Theta = 0 (0 * inf in the exponent)")
+    exponent = nan_outside(undefined, theta * (alpha * exp_any(-theta) - 1.0))
     xi2 = exp_any(-exponent) / polarization_p
     return SqueezeFormulaResult(xi2=xi2, exponent_arg=exponent, regime=_regime(alpha))
 

@@ -8,16 +8,16 @@ dropped under --no-timing so files are byte-identical across worker
 counts.  Exit codes: 0 success (row-level domain errors allowed),
 1 runtime failure, 2 config error.
 
-Every sweep is one record of the whole grid: the closed-form engines
-(analytic, linearized, optimize) fill it at once as numpy columns, in
+Every command fills one record of its whole grid: the closed-form
+engines (analytic, linearized, optimize) at once as numpy columns, in
 process; one point is a one-row grid.  exact and all take their
 closed-form cells from that record and run only the dense oracle per
-row, one task per row on up to --workers processes (never more than
-there are oracle rows).  One column-wise CSV writer serves every
-command; it quotes a text cell holding a comma, a double quote or a line
-break (RFC 4180).  Each command has one header, whatever the data: the
-inputs, the engine's cells in the order of docs/csv_columns.md, status,
-then wall_time.
+row; verify's rows, one per N, are oracle rows too.  Oracle rows run one
+task per row on up to --workers processes (never more than there are
+oracle rows).  The record writes every command's CSV, column-wise; a text
+cell holding a comma, a double quote or a line break is quoted (RFC
+4180).  Each command has one header, whatever the data: the inputs, the
+cells in the order of docs/csv_columns.md, status, then wall_time.
 """
 
 from __future__ import annotations
@@ -147,24 +147,6 @@ def _config_hash(path: str | None) -> str:
         return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
-def _write_csv(path: str, config_path: str | None, comments: list[str], header: list[str],
-               columns: dict[str, _Column], n_rows: int, incomplete: bool = False) -> None:
-    """The comment lines (package version, config hash, then `comments`),
-    `header` and rows 0..n_rows-1 of its `columns`."""
-    comments = [f"tactsqueeze {__version__}",
-                f"config sha256={_config_hash(config_path)}", *comments]
-    with open(path, "w", newline="") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(header) + "\n")
-        for lo in range(0, n_rows, _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, n_rows)
-            cells = [columns[col].cells(lo, hi) for col in header]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
-        if incomplete:
-            fh.write("# INCOMPLETE\n")
-
-
 def load_config(path: str | None) -> dict:
     """Parse and validate the config file; unknown sections/keys are errors.
     Each keyed section holds every key of _OPTIONS, its default unless set."""
@@ -275,8 +257,9 @@ def _grid_point(params: dict, i: int) -> dict:
 # with nan or inf where the scalar call raises; in those rows alone the
 # record makes the scalar call, and its error decides the row (_Cells.check).
 # Invalid points and Gamma = 0 optimize rows are settled before any such
-# call.  exact and all add the dense oracle's cells (_row_exact), one task
-# per row that is valid and not yet settled (_oracle), merged as columns.
+# call.  An oracle row function (_row_exact; verify's _row_verify) gives
+# one row's cells, one task per row not yet settled (_oracle), merged as
+# columns.
 
 
 def _invalid(params: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -297,12 +280,11 @@ def _invalid(params: dict) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Cells:
-    """An engine's cells over a grid in column order, and each row's status.
-    `params` holds each field's values and each row's index into them
-    (build_grid); `x` holds the float64 columns.  It starts with the
-    dimensionless-group cells every engine writes first (`groups`).  A row
-    keeps its first status that is not ok; a whole-row status (`whole`)
-    leaves only the input columns filled."""
+    """A command's cells over its grid in column order, and each row's
+    status.  `params` holds each input's values and each row's index into
+    them (build_grid); `x` holds the float64 columns.  A row keeps its
+    first status that is not ok; a whole-row status (`whole`) leaves only
+    the input columns filled."""
 
     def __init__(self, params: dict):
         self.x = {name: np.array(values, dtype=float)[index]
@@ -313,12 +295,7 @@ class _Cells:
         self.status = np.full(n, "ok", dtype=object)
         self.whole = np.zeros(n, dtype=bool)
         self.blank = False  # rows written '' in every cell put from now on
-        self.n_done, self.error = n, None  # the sweep ends at row n_done on `error`
-        self.settle(*_invalid(params))
-        g = self.groups = core.derive_dimensionless(core.ProtocolParams(**self.x))
-        self.update(theta=g.theta)
-        self.put("alpha", g.alpha, empty=g.alpha_infinite)
-        self.update(alpha_infinite=g.alpha_infinite, u=g.theta, p_eff=g.p_eff)
+        self.n_done, self.error = n, None  # the run ends at row n_done on `error`
 
     def put(self, key: str, value, empty=False) -> None:
         """The cell `key`, written '' where `empty` holds."""
@@ -362,14 +339,14 @@ class _Cells:
 
     def merge(self, results: dict, keys: tuple[str, ...]) -> None:
         """The oracle's results, row -> its cells `keys` (a '' cell is empty)
-        and status, or a whole-row status; each key a column, empty in every
-        row without cells."""
+        and status, or a whole-row status; each key a column of its values'
+        dtype, empty in every row without cells."""
         rows = {i: cells for i, cells in results.items() if isinstance(cells, dict)}
         for key in keys:
-            value, empty = np.full(len(self.status), np.nan), np.ones(len(self.status), bool)
-            for i, cells in rows.items():
-                if not isinstance(cells[key], str):
-                    value[i], empty[i] = cells[key], False
+            got = {i: cells[key] for i, cells in rows.items() if not isinstance(cells[key], str)}
+            value = np.zeros(len(self.status), np.array(list(got.values())).dtype)
+            empty = np.ones(len(self.status), bool)
+            value[list(got)], empty[list(got)] = list(got.values()), False
             self.put(key, value, empty)
         for i, cells in results.items():
             if i not in rows:
@@ -377,10 +354,34 @@ class _Cells:
             elif self.status[i] == "ok":
                 self.status[i] = cells["status"]
 
-    def columns(self) -> dict[str, _Column]:
-        cols = {key: _Column(value, empty=self.empty[key] | self.whole)
-                for key, value in self.cells.items()}
-        return dict(cols, status=_Column(self.status))
+    def write(self, path: str, config_path: str | None, comments: list[str], params: dict,
+              wall: np.ndarray, timing: bool) -> int:
+        """The CSV of rows 0..n_done-1 and the exit code: comment lines
+        (package version, config hash, then `comments`), then the inputs
+        `params`, the cells, status and, with `timing`, wall_time.  A run
+        ended early prints its error and ends the file with '# INCOMPLETE'."""
+        columns = {name: _Column(np.array(values), index=index)
+                   for name, (values, index) in params.items()}
+        columns.update({key: _Column(value, empty=self.empty[key] | self.whole)
+                        for key, value in self.cells.items()},
+                       status=_Column(self.status), wall_time=_Column(wall))
+        header = [*params, *self.cells, "status"] + (["wall_time"] if timing else [])
+        if self.error is not None:
+            prefix = "" if isinstance(self.error, ResourceLimitError) else "task failed: "
+            print(f"error: {prefix}{self.error}", file=sys.stderr)
+        comments = [f"tactsqueeze {__version__}",
+                    f"config sha256={_config_hash(config_path)}", *comments]
+        with open(path, "w", newline="") as fh:
+            for line in comments:
+                fh.write(f"# {line}\n")
+            fh.write(",".join(header) + "\n")
+            for lo in range(0, self.n_done, _CHUNK_ROWS):
+                hi = min(lo + _CHUNK_ROWS, self.n_done)
+                cells = [columns[col].cells(lo, hi) for col in header]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            if self.error is not None:
+                fh.write("# INCOMPLETE\n")
+        return 0 if self.error is None else 1
 
 
 def _analytic(rec: _Cells) -> None:
@@ -428,9 +429,16 @@ def _optimize(rec: _Cells) -> None:
 
 
 def _closed_form(parts: list[Callable], params: dict) -> _Cells:
-    """The grid record with each closed-form part's cells in turn."""
+    """The grid record: invalid points settled, the dimensionless-group
+    cells every engine writes first (`groups`), then each closed-form
+    part's cells in turn."""
     with np.errstate(all="ignore"):
         rec = _Cells(params)
+        rec.settle(*_invalid(params))
+        g = rec.groups = core.derive_dimensionless(core.ProtocolParams(**rec.x))
+        rec.update(theta=g.theta)
+        rec.put("alpha", g.alpha, empty=g.alpha_infinite)
+        rec.update(alpha_infinite=g.alpha_infinite, u=g.theta, p_eff=g.p_eff)
         for part in parts:
             part(rec)
     return rec
@@ -483,12 +491,29 @@ _ENGINES = {"analytic": [_analytic], "linearized": [_linearized], "optimize": [_
             "exact": [], "all": [_analytic, _linearized]}
 
 
+_VERIFY_CELLS = ("factorization_error", "commutator_norm", "commutator_degenerate")
+
+
+def _row_verify(pdict: dict, opts: dict) -> dict | str:
+    """verify's cells (_VERIFY_CELLS) at one N, and its status; a capped N
+    is a row of the study, its ResourceLimitError the whole-row status."""
+    n, j, gamma, pol = (pdict[k] for k in ("n_spins", "j_coupling", "gamma", "polarization_p"))
+    try:
+        error = exact.factorization_error(n, j, gamma, pdict["t_squeeze"], pol, opts["n_cap"])
+        comm = exact.commutator_action_norm(n, j, gamma, pol, opts["n_cap"])
+    except ResourceLimitError as exc:
+        return str(exc)
+    return dict(zip(_VERIFY_CELLS, (error, comm.value, comm.degenerate)), status="ok")
+
+
 def _oracle(task: tuple) -> tuple[dict | str, float]:
-    """One oracle row: _row_exact's cells, or a whole-row status for a
-    TactError other than a ResourceLimitError; and its time."""
+    """One oracle row, task = (row function, point, opts): its cells, or a
+    whole-row status for a TactError other than a ResourceLimitError; and
+    its time."""
+    row, pdict, opts = task
     start = time.perf_counter()
     try:
-        cells = _row_exact(*task)
+        cells = row(pdict, opts)
     except ResourceLimitError:
         raise
     except TactError as exc:
@@ -496,14 +521,14 @@ def _oracle(task: tuple) -> tuple[dict | str, float]:
     return cells, time.perf_counter() - start
 
 
-def _run_oracle(rec: _Cells, params: dict, opts: dict, workers: int,
-                wall: np.ndarray) -> None:
-    """The oracle on each row before `n_done` without a whole-row status, in
-    index order, on up to `workers` processes but no more than there are
-    rows; merged into `rec`, its time added to `wall`.  A failed task ends
-    the sweep at its row."""
+def _run_oracle(rec: _Cells, params: dict, row: Callable, keys: tuple[str, ...], opts: dict,
+                workers: int, wall: np.ndarray) -> None:
+    """The oracle row function `row` on each row before `n_done` without a
+    whole-row status, in index order, on up to `workers` processes but no
+    more than there are rows; its cells `keys` merged into `rec`, its time
+    added to `wall`.  A failed task ends the run at its row."""
     rows = np.flatnonzero(~rec.whole[:rec.n_done]).tolist()
-    tasks = [(_grid_point(params, i), opts) for i in rows]
+    tasks = [(row, _grid_point(params, i), opts) for i in rows]
     workers = min(workers, len(tasks))
     results: dict = {}
 
@@ -522,7 +547,7 @@ def _run_oracle(rec: _Cells, params: dict, opts: dict, workers: int,
                 take(pool.map(_oracle, tasks, chunksize=1))
     except Exception as exc:  # drained task panic
         rec.n_done, rec.error = rows[len(results)], exc
-    rec.merge(results, _oracle_cells(opts))
+    rec.merge(results, keys)
 
 
 def run_sweep(cfg: dict, engine: str, out_path: str, workers: int,
@@ -538,53 +563,35 @@ def run_sweep(cfg: dict, engine: str, out_path: str, workers: int,
     # the closed-form time, spread evenly over the rows; then each oracle row's
     wall = np.full(n, (time.perf_counter() - start) / max(n, 1))
     if engine in ("exact", "all"):
-        _run_oracle(rec, params, cfg["run"], workers, wall)
-    columns = {name: _Column(np.array(values), index=index)
-               for name, (values, index) in params.items()}
-    columns.update(rec.columns(), wall_time=_Column(wall))
-    header = [*params, *rec.cells, "status"] + (["wall_time"] if timing else [])
-    if rec.error is not None:
-        prefix = "" if isinstance(rec.error, ResourceLimitError) else "task failed: "
-        print(f"error: {prefix}{rec.error}", file=sys.stderr)
-    _write_csv(out_path, config_path, [f"engine={engine}"], header, columns, rec.n_done,
-               incomplete=rec.error is not None)
-    return 0 if rec.error is None else 1
+        opts = cfg["run"]
+        _run_oracle(rec, params, _row_exact, _oracle_cells(opts), opts, workers, wall)
+    return rec.write(out_path, config_path, [f"engine={engine}"], params, wall, timing)
 
 
-_VERIFY_COLUMNS = ["n_spins", "j_coupling", "gamma", "t_squeeze", "polarization_p", "alpha",
-                   "factorization_error", "commutator_norm", "commutator_degenerate", "status"]
-
-
-def run_verify(cfg: dict, out_path: str, timing: bool,
+def run_verify(cfg: dict, out_path: str, workers: int, timing: bool,
                config_path: str | None = None) -> int:
     """Factorization-error and commutator scaling study over an N range at
-    fixed alpha; reports the fitted log-log slope against the -0.5 target."""
+    fixed alpha, one oracle row per N (_run_oracle); reports the fitted
+    log-log slope against the -0.5 target.  Exits 1 if a row has a
+    whole-row status or the study ended early."""
     v = cfg["verify"]
     alpha, gamma, pol = v["alpha"], v["gamma"], v["polarization_p"]
     t_squeeze = 1.0 / (4.0 * gamma) if v["t_squeeze"] is None else v["t_squeeze"]
     ns = np.arange(v["n_min"], v["n_max"] + 1)
-    n_rows, j = len(ns), 4.0 * gamma * alpha / (ns * pol)
-    error, norm, wall = np.full(n_rows, np.nan), np.full(n_rows, np.nan), np.zeros(n_rows)
-    degenerate, status = np.zeros(n_rows, bool), np.full(n_rows, "ok", dtype=object)
-    # a failed row has no commutator cells, and a factorization error cell
-    # only where that call returned
-    error_empty, failed = np.ones(n_rows, bool), np.zeros(n_rows, bool)
-    n_cap = cfg["run"]["n_cap"]
-    for i, (n, j_i) in enumerate(zip(ns.tolist(), j.tolist())):
-        start = time.perf_counter()
-        try:
-            error[i] = exact.factorization_error(n, j_i, gamma, t_squeeze, pol, n_cap)
-            error_empty[i] = False
-            comm = exact.commutator_action_norm(n, j_i, gamma, pol, n_cap)
-            norm[i], degenerate[i] = comm.value, comm.degenerate
-        except TactError as exc:
-            status[i], failed[i] = str(exc), True
-        wall[i] = time.perf_counter() - start
-    usable = ~failed & (error > 0)
+    rows, one = np.arange(len(ns)), np.zeros(len(ns), dtype=np.intp)
+    params = {"n_spins": (ns.tolist(), rows),
+              "j_coupling": ((4.0 * gamma * alpha / (ns * pol)).tolist(), rows),
+              "gamma": ([gamma], one), "t_squeeze": ([t_squeeze], one),
+              "polarization_p": ([pol], one), "alpha": ([alpha], one)}
+    rec, wall = _Cells(params), np.zeros(len(ns))
+    _run_oracle(rec, params, _row_verify, _VERIFY_CELLS, cfg["run"], workers, wall)
+    done = slice(rec.n_done)
+    error = rec.cells["factorization_error"][done]
+    usable = ~rec.whole[done] & (error > 0)
     comments = [f"verify alpha={alpha:.15g} gamma={gamma:.15g} t_squeeze={t_squeeze:.15g}"]
     if usable.sum() >= 2:
         es = error[usable]
-        slope = float(np.polyfit(np.log(ns[usable]), np.log(es), 1)[0])
+        slope = float(np.polyfit(np.log(ns[done][usable]), np.log(es), 1)[0])
         decreasing = bool(np.all(es[1:] < es[:-1]))
         ok = decreasing and slope <= -0.5
         summary = (f"{'PASS' if ok else 'FAIL'}: slope={slope:.4f} "
@@ -593,18 +600,9 @@ def run_verify(cfg: dict, out_path: str, timing: bool,
     else:
         summary = f"FAIL: insufficient usable rows ({usable.sum()})"
     comments.append(f"summary: {summary}")
-    header = _VERIFY_COLUMNS + (["wall_time"] if timing else [])
-    columns = {key: _Column(np.full(n_rows, value)) for key, value in
-               (("gamma", gamma), ("t_squeeze", t_squeeze), ("polarization_p", pol),
-                ("alpha", alpha))}
-    columns.update(n_spins=_Column(ns), j_coupling=_Column(j), status=_Column(status),
-                   factorization_error=_Column(error, empty=error_empty),
-                   commutator_norm=_Column(norm, empty=failed),
-                   commutator_degenerate=_Column(degenerate, empty=failed),
-                   wall_time=_Column(wall))
-    _write_csv(out_path, config_path, comments, header, columns, n_rows)
+    code = rec.write(out_path, config_path, comments, params, wall, timing)
     print(summary)
-    return 1 if failed.any() else 0
+    return 1 if code or rec.whole.any() else 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -612,8 +610,8 @@ def main(argv: list[str] | None = None) -> int:
     common.add_argument("--config", default=None, help="path to INI config file")
     common.add_argument("--out", default="out.csv", help="output CSV path")
     common.add_argument("--workers", type=int, default=1,
-                        help="max concurrent exact/all sweep tasks (the closed-form "
-                             "engines run in process)")
+                        help="max concurrent oracle tasks of exact, all and verify "
+                             "(the closed-form engines run in process)")
     common.add_argument("--no-timing", action="store_true",
                         help="omit the wall-time column (deterministic output)")
     parser = argparse.ArgumentParser(
@@ -638,7 +636,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     timing = not args.no_timing
     if args.command == "verify":
-        return run_verify(cfg, args.out, timing, args.config)
+        return run_verify(cfg, args.out, args.workers, timing, args.config)
     engine = cfg["run"]["engine"] if args.command == "sweep" else args.command
     return run_sweep(cfg, engine, args.out, args.workers, timing, args.config)
 

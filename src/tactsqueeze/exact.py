@@ -454,9 +454,6 @@ def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float
     if duration == 0 or not generators:
         return rho.copy()
     rate = sum(g.rate_bound for g in generators)
-    # complex state: from a real one the depolarizer returns a real array,
-    # which `out +=` cannot add a Hamiltonian term into
-    rho = np.asarray(rho, dtype=complex)
 
     def rhs(r):
         out = generators[0].apply(r)

@@ -124,16 +124,10 @@ def min_variance_direction(state: GaussianState) -> VarianceDirection:
     mid = (a + b) / 2.0
     if half_diff <= _ISOTROPY_TOL * max(mid, 1.0):
         return VarianceDirection(0.0, mid, True)
-    angle = 0.5 * math.atan2(2.0 * c, a - b)
-    # atan2 form gives the major axis when a < b; pick the minor-axis angle
-    var_min = mid - half_diff
-    v = np.array([math.cos(angle), math.sin(angle)])
-    if v @ state.cov @ v > mid:
-        angle += math.pi / 2.0
-    angle = math.fmod(angle, math.pi)
-    if angle < 0:
-        angle += math.pi
-    return VarianceDirection(angle, var_min, False)
+    # half atan2(2c, a - b), in (-pi/2, pi/2], is the major axis; the minor
+    # axis is a quarter turn on, in (0, pi], and pi is taken to 0
+    angle = math.fmod(0.5 * math.atan2(2.0 * c, a - b) + math.pi / 2.0, math.pi)
+    return VarianceDirection(angle, mid - half_diff, False)
 
 
 class SqueezedVacuum(NamedTuple):

@@ -194,7 +194,7 @@ def optimal_u(alpha: float) -> OptimizationOutcome:
     if a <= 1.0:
         return OptimizationOutcome(argmax=0.0, value=1.0, at_boundary=True,
                                    iterations=0, bracket=(0.0, 1.0))
-    return OptimizationOutcome(argmax=_u_star(a), value=math.exp(a - 1.0) / a,
+    return OptimizationOutcome(argmax=_interior_u(a), value=math.exp(a - 1.0) / a,
                                at_boundary=False, iterations=0, bracket=(0.0, 1.0))
 
 

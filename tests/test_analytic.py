@@ -46,6 +46,18 @@ class TestXi2MinDimensionless:
                 assert res.xi2 >= 1 / 0.9 - 1e-12
                 assert res.regime == analytic.SUB_THRESHOLD
 
+    def test_infinite_alpha_at_zero_theta_is_outside_the_domain(self):
+        # the exponent is 0 * inf: DomainError on the scalar call, nan on arrays
+        with pytest.raises(DomainError, match="alpha = inf, Theta = 0"):
+            analytic.xi2_min_dimensionless(math.inf, 0.0, 0.5)
+        with np.errstate(all="ignore"):
+            res = analytic.xi2_min_dimensionless(np.array([math.inf, math.inf, 3.0]),
+                                                 np.array([0.0, 1.0, 0.0]), 0.5)
+        assert math.isnan(res.xi2[0]) and math.isnan(res.exponent_arg[0])
+        # Theta > 0 keeps the alpha -> inf limit; a finite alpha is unchanged
+        assert res.xi2[1] == analytic.xi2_min_dimensionless(math.inf, 1.0, 0.5).xi2 == 0.0
+        assert res.xi2[2] == analytic.xi2_min_dimensionless(3.0, 0.0, 0.5).xi2
+
     def test_reference_point(self):
         res = analytic.xi2_min_dimensionless(10.0, 1.0, 1.0)
         assert res.xi2 == pytest.approx(math.exp(-(10 / math.e - 1)), rel=1e-12)
@@ -242,7 +254,7 @@ class TestArrayCalls:
     def test_dimensionless_formulas(self):
         alphas = [0.0, 0.5, 1.0, math.e, 3.0, 10.0, 400.0, math.inf]
         self.assert_elementwise(analytic.xi2_min_dimensionless,
-                                grid_columns(alpha=alphas[:-1], theta=[0.0, 0.4, 1.0],
+                                grid_columns(alpha=alphas, theta=[0.0, 0.4, 1.0],
                                              p=[0.9]), ("xi2", "exponent_arg", "regime"))
         self.assert_elementwise(analytic.snr_optimum_strong,
                                 grid_columns(alpha=alphas[:-1], n=[100], g=[0.1], p=[0.9]),

@@ -409,6 +409,49 @@ class TestVerifyCommand:
         assert comments[-1] == f"# summary: {summary}"
         assert summary.startswith(f"FAIL: slope={slope:.4f} ")
 
+    def test_two_workers_run_the_rows_on_a_pool_with_the_same_bytes(self, tmp_path,
+                                                                     monkeypatch):
+        # a partly capped range: the capped N = 4 row is a status on both paths
+        cfg = write_config(tmp_path, "[verify]\nn_min = 2\nn_max = 4\n[run]\nn_cap = 3\n")
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.csv"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["verify", "--config", cfg, "--out", str(out),
+                                 "--workers", workers, "--no-timing"]) == 1
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        # one pool, sized to the three rows
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        out = tmp_path / "w8.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--config", cfg, "--out", str(out),
+                             "--workers", "8", "--no-timing"]) == 1
+        assert RecordingPool.sizes == [3]
+        assert out.read_bytes() == outs[0]
+
+    def test_unexpected_error_in_a_row_keeps_the_rows_before_it(self, tmp_path, monkeypatch,
+                                                                capsys):
+        norm = exact.commutator_action_norm
+
+        def broken(n_spins, *args):
+            if n_spins == 3:
+                raise RuntimeError("broken at N = 3")
+            return norm(n_spins, *args)
+
+        monkeypatch.setattr(exact, "commutator_action_norm", broken)
+        cfg = write_config(tmp_path, "[verify]\nn_min = 2\nn_max = 4\n")
+        out = str(tmp_path / "o.csv")
+        assert cli.main(["verify", "--config", cfg, "--out", out, "--no-timing"]) == 1
+        comments, header, rows = read_rows(out)
+        assert header == documented_header("verify")
+        assert [(r["n_spins"], r["status"]) for r in rows] == [("2", "ok")]
+        assert comments[-1] == "# INCOMPLETE"
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines()[-1] == "error: task failed: broken at N = 3"
+        assert captured.out.strip() == "FAIL: insufficient usable rows (1)"
+
     def test_one_large_row_takes_few_generator_applications(self, tmp_path, monkeypatch):
         # the joint and both split evolves of the N = 7 row: 2764 RK4 steps,
         # which stage by stage took 4 applications each (11 056)
@@ -580,6 +623,27 @@ class TestSweepDeterminism:
         comments, _, rows = read_rows(str(tmp_path / "w1.csv"))
         assert [r["n_spins"] for r in rows] == ["2", "3"]
         assert comments[-1] == "# INCOMPLETE"
+
+    def test_every_command_writes_the_same_bytes_for_any_worker_count(self, tmp_path):
+        # an invalid point (Gamma < 0) and a capped N (4 > n_cap) on every
+        # command: exact and all end the sweep there, verify writes its status
+        cfg = write_config(tmp_path, (
+            "[params]\nj_coupling = 0.05\nt_squeeze = 0.1\n"
+            "[sweep]\naxis0 = n_spins 2 4 3 linear\naxis1 = gamma -0.1 0.1 2 linear\n"
+            "[run]\nengine = all\nn_cap = 3\nwith_factorization = true\n"
+            "[verify]\nn_min = 2\nn_max = 4\n"))
+        for command in ("analytic", "linearized", "optimize", "exact", "sweep", "verify"):
+            outs = []
+            for workers in ("1", "2"):
+                out = tmp_path / f"{command}.w{workers}.csv"
+                with (contextlib.redirect_stdout(io.StringIO()),
+                      contextlib.redirect_stderr(io.StringIO())):
+                    code = cli.main([command, "--config", cfg, "--out", str(out),
+                                     "--workers", workers, "--no-timing"])
+                outs.append((code, out.read_bytes()))
+            assert outs[0] == outs[1], command
+            assert (outs[0][0] == 1) == (command in ("exact", "sweep", "verify")), command
+            assert b"invalid: GAMMA_NONNEGATIVE" in outs[0][1] or command == "verify"
 
     def test_two_axis_row_major_order(self, tmp_path):
         cfg = write_config(tmp_path, self.CONFIG)
