@@ -62,11 +62,12 @@ _OPTIONS = {
     "params": {"n_spins": _Option(int, 4), "polarization_p": _Option(float, 1.0),
                "j_coupling": _Option(float, 0.1), "gamma": _Option(float, 0.1),
                "b_field": _Option(float, 0.0), "t_squeeze": _Option(float, 1.0),
-               "t_signal": _Option(float, 1.0), "tau_total": _Option(float, 1.0)},
+               "t_signal": _Option(float, 1.0)},
     "run": {
         "engine": _Option(str, "analytic", lambda v: v in _ENGINES,
                           "one of analytic, exact, linearized, optimize, all"),
-        "n_cap": _Option(int, exact.DEFAULT_N_CAP, lambda v: v >= 1, ">= 1"),
+        "n_cap": _Option(int, exact.DEFAULT_N_CAP, lambda v: 1 <= v <= exact.DEFAULT_N_CAP,
+                         f"in 1..{exact.DEFAULT_N_CAP}"),
         "with_factorization": _Option(_flag, False),
     },
     "verify": {
@@ -175,9 +176,17 @@ def load_config(path: str | None) -> dict:
                 raise ConfigError(f"unknown key '{key}' in [{section}]")
             else:
                 cfg[section][key] = _parse_option(section, key, raw)
-    if cfg["verify"]["n_max"] < cfg["verify"]["n_min"]:
+    v = cfg["verify"]
+    if v["n_max"] < v["n_min"]:
         raise ConfigError("verify.n_max must be >= verify.n_min")
+    if not math.isfinite(_verify_coupling(v, v["n_min"])):  # J is largest at n_min
+        raise ConfigError(f"verify: J = 4 gamma alpha/(N P) overflows at N = {v['n_min']}")
     return cfg
+
+
+def _verify_coupling(v: dict, n):
+    """verify's J = 4 gamma alpha/(N P) at N = n, an int or an array."""
+    return 4.0 * v["gamma"] * v["alpha"] / (n * v["polarization_p"])
 
 
 def _parse_option(section: str, key: str, raw: str):
@@ -438,7 +447,7 @@ def _closed_form(parts: list[Callable], params: dict) -> _Cells:
         g = rec.groups = core.derive_dimensionless(core.ProtocolParams(**rec.x))
         rec.update(theta=g.theta)
         rec.put("alpha", g.alpha, empty=g.alpha_infinite)
-        rec.update(alpha_infinite=g.alpha_infinite, u=g.theta, p_eff=g.p_eff)
+        rec.update(alpha_infinite=g.alpha_infinite, p_eff=g.p_eff)
         for part in parts:
             part(rec)
     return rec
@@ -457,17 +466,16 @@ def _row_exact(pdict: dict, opts: dict) -> dict:
     """The dense oracle's cells (_oracle_cells) at one valid point, and its
     status."""
     p = core.ProtocolParams(**pdict)
-    n_cap = opts.get("n_cap", exact.DEFAULT_N_CAP)
-    factorize = opts.get("with_factorization")
-    rho = exact.build_initial_state(p.n_spins, p.polarization_p, n_cap)
-    l1 = exact.squeeze_generator(p.n_spins, p.j_coupling, n_cap)
-    l2 = exact.depolarize_generator(p.n_spins, p.gamma, n_cap)
+    exact.check_cap(p.n_spins, opts.get("n_cap", exact.DEFAULT_N_CAP))
+    rho = exact.build_initial_state(p.n_spins, p.polarization_p)
+    l1 = exact.squeeze_generator(p.n_spins, p.j_coupling)
+    l2 = exact.depolarize_generator(p.n_spins, p.gamma)
     # the row's own evolution leaves a zero-rate generator out; the
     # factorization error needs both
     gens = [g for g, rate in ((l1, p.j_coupling), (l2, p.gamma)) if rate != 0.0]
     stats = {}
     rho = exact.evolve(rho, gens, p.t_squeeze, stats)
-    ops = exact.spin_operators(p.n_spins, n_cap)
+    ops = exact.spin_operators(p.n_spins)
     # the accepted RK4 pass has checked the final state; T = 0 ran none
     values = [exact.measure(rho, ops.collective_z) / p.n_spins,
               *(stats.get("residuals") or exact.channel_residuals(rho))]
@@ -478,10 +486,10 @@ def _row_exact(pdict: dict, opts: dict) -> dict:
         status = "ok"
     except TactError as exc:
         values, status = values + ["", ""], str(exc)
-    if factorize:
+    if opts.get("with_factorization"):
         # the row's state is the joint side (a zero-rate generator adds zeros
         # and no steps); the initial state is rebuilt rather than held
-        rho0 = exact.build_initial_state(p.n_spins, p.polarization_p, n_cap)
+        rho0 = exact.build_initial_state(p.n_spins, p.polarization_p)
         values.append(exact.trace_norm(rho - exact.split_evolve(rho0, l1, l2, p.t_squeeze)))
     return dict(zip(_oracle_cells(opts), values, strict=True), status=status)
 
@@ -499,10 +507,11 @@ def _row_verify(pdict: dict, opts: dict) -> dict | str:
     is a row of the study, its ResourceLimitError the whole-row status."""
     n, j, gamma, pol = (pdict[k] for k in ("n_spins", "j_coupling", "gamma", "polarization_p"))
     try:
-        error = exact.factorization_error(n, j, gamma, pdict["t_squeeze"], pol, opts["n_cap"])
-        comm = exact.commutator_action_norm(n, j, gamma, pol, opts["n_cap"])
+        exact.check_cap(n, opts["n_cap"])
     except ResourceLimitError as exc:
         return str(exc)
+    error = exact.factorization_error(n, j, gamma, pdict["t_squeeze"], pol)
+    comm = exact.commutator_action_norm(n, j, gamma, pol)
     return dict(zip(_VERIFY_CELLS, (error, comm.value, comm.degenerate)), status="ok")
 
 
@@ -580,7 +589,7 @@ def run_verify(cfg: dict, out_path: str, workers: int, timing: bool,
     ns = np.arange(v["n_min"], v["n_max"] + 1)
     rows, one = np.arange(len(ns)), np.zeros(len(ns), dtype=np.intp)
     params = {"n_spins": (ns.tolist(), rows),
-              "j_coupling": ((4.0 * gamma * alpha / (ns * pol)).tolist(), rows),
+              "j_coupling": (_verify_coupling(v, ns).tolist(), rows),
               "gamma": ([gamma], one), "t_squeeze": ([t_squeeze], one),
               "polarization_p": ([pol], one), "alpha": ([alpha], one)}
     rec, wall = _Cells(params), np.zeros(len(ns))

@@ -63,7 +63,6 @@ class ProtocolParams:
     b_field        -- signal field strength B (1/time)
     t_squeeze      -- squeezing duration T >= 0
     t_signal       -- signal-acquisition duration t >= 0
-    tau_total      -- total measurement budget tau > 0
     """
 
     n_spins: int
@@ -73,7 +72,6 @@ class ProtocolParams:
     b_field: float = 0.0
     t_squeeze: float = 0.0
     t_signal: float = 0.0
-    tau_total: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -114,8 +112,6 @@ _FIELD_RULES = {
                           ("b_field", "B_NONNEGATIVE"),
                           ("t_squeeze", "T_SQUEEZE_NONNEGATIVE"),
                           ("t_signal", "T_SIGNAL_NONNEGATIVE")]},
-    "tau_total": ("TAU_POSITIVE", lambda x: math.isfinite(x) and x > 0.0,
-                  "tau_total must be finite and positive"),
 }
 
 

@@ -6,7 +6,7 @@ class TactError(Exception):
 
 
 class ResourceLimitError(TactError):
-    """Requested system size exceeds the configured cap."""
+    """Spin count outside the dense oracle's cap (`exact.check_cap`)."""
 
 
 class IntegrationError(TactError):

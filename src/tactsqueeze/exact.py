@@ -51,7 +51,7 @@ from .errors import (
 __all__ = [
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
     "SpinOperatorSet", "Superoperator", "StepControl",
-    "spin_operators", "site_operator",
+    "check_cap", "spin_operators", "site_operator",
     "build_initial_state", "tact_hamiltonian", "field_hamiltonian",
     "squeeze_generator", "depolarize_generator", "field_generator",
     "apply_depolarizer", "evolve", "evolve_expm",
@@ -75,7 +75,9 @@ HERMITICITY_TOL = 1e-10
 MIN_EIGENVALUE_TOL = -1e-8
 
 
-def _check_cap(n_spins: int, n_cap: int) -> None:
+def check_cap(n_spins: int, n_cap: int = DEFAULT_N_CAP) -> None:
+    """ResourceLimitError unless 1 <= n_spins <= n_cap: the oracle's one size
+    check, which every builder makes at DEFAULT_N_CAP (a caller may lower it)."""
     if not (1 <= n_spins <= n_cap):
         mem = 16 * 4 ** n_spins
         raise ResourceLimitError(
@@ -106,7 +108,7 @@ class SpinOperatorSet:
     collective_z: np.ndarray = field(repr=False)
 
 
-def spin_operators(n_spins: int, n_cap: int = DEFAULT_N_CAP) -> SpinOperatorSet:
+def spin_operators(n_spins: int) -> SpinOperatorSet:
     """Cx, Cy and Cz written from the basis-state bits, like `tact_hamiltonian`.
 
     sigma^x_i maps |r> to |r ^ e_i> and sigma^y_i to i z_i(r) |r ^ e_i>, with
@@ -114,7 +116,7 @@ def spin_operators(n_spins: int, n_cap: int = DEFAULT_N_CAP) -> SpinOperatorSet:
     entry is a small integer, so these are the bits of the site sums
     sum_i site_operator(sigma^a, i, N).
     """
-    _check_cap(n_spins, n_cap)
+    check_cap(n_spins)
     dim = 2 ** n_spins
     index, bits = np.arange(dim), _basis_bits(n_spins)
     cx, cy, cz = (np.zeros((dim, dim), dtype=complex) for _ in range(3))
@@ -126,10 +128,9 @@ def spin_operators(n_spins: int, n_cap: int = DEFAULT_N_CAP) -> SpinOperatorSet:
     return SpinOperatorSet(n_spins, cx, cy, cz)
 
 
-def build_initial_state(n_spins: int, polarization_p: float,
-                        n_cap: int = DEFAULT_N_CAP) -> np.ndarray:
+def build_initial_state(n_spins: int, polarization_p: float) -> np.ndarray:
     """N-fold tensor product of (I + P sigma_z)/2; per-spin <sigma_z> = P."""
-    _check_cap(n_spins, n_cap)
+    check_cap(n_spins)
     if not (0.0 < polarization_p <= 1.0):
         raise ValueError(f"polarization_p must be in (0, 1], got {polarization_p}")
     single = (IDENTITY_2 + polarization_p * SIGMA_Z) / 2.0
@@ -139,8 +140,7 @@ def build_initial_state(n_spins: int, polarization_p: float,
     return rho
 
 
-def tact_hamiltonian(n_spins: int, j_coupling: float,
-                     n_cap: int = DEFAULT_N_CAP) -> np.ndarray:
+def tact_hamiltonian(n_spins: int, j_coupling: float) -> np.ndarray:
     """H = J sum_{i != j} (sx_i sx_j - sy_i sy_j), ordered pairs, both orders.
 
     That is J (Cx^2 - Cy^2) with C = sum_i sigma_i (the i = j terms
@@ -150,7 +150,7 @@ def tact_hamiltonian(n_spins: int, j_coupling: float,
     basis-state bits, without building the collective sums, and scaled by
     J once (the same bits as J (Cx @ Cx - Cy @ Cy)).
     """
-    _check_cap(n_spins, n_cap)
+    check_cap(n_spins)
     dim = 2 ** n_spins
     index = np.arange(dim)
     pattern = np.zeros((dim, dim), dtype=complex)
@@ -162,10 +162,9 @@ def tact_hamiltonian(n_spins: int, j_coupling: float,
     return j_coupling * pattern
 
 
-def field_hamiltonian(n_spins: int, b_field: float,
-                      n_cap: int = DEFAULT_N_CAP) -> np.ndarray:
+def field_hamiltonian(n_spins: int, b_field: float) -> np.ndarray:
     """H_B = B sum_i (sy_i - sx_i) = B (Cy - Cx)."""
-    ops = spin_operators(n_spins, n_cap)
+    ops = spin_operators(n_spins)
     return b_field * (ops.collective_y - ops.collective_x)
 
 
@@ -249,30 +248,27 @@ def _hamiltonian_superop(h: np.ndarray, sign: float, norm: float) -> Superoperat
     return Superoperator(rate_bound=2.0 * norm, apply=apply, dense=dense)
 
 
-def squeeze_generator(n_spins: int, j_coupling: float,
-                      n_cap: int = DEFAULT_N_CAP) -> Superoperator:
+def squeeze_generator(n_spins: int, j_coupling: float) -> Superoperator:
     """L1(rho) = -i [H_Squ, rho].
 
     H flips spins in pairs, so it keeps the parity of popcount(r) (it
     commutes with Z^{(x)N}), and its spectrum is that of its two real
     symmetric parity blocks, each diagonalized on its own.
     """
-    h = tact_hamiltonian(n_spins, j_coupling, n_cap)
+    h = tact_hamiltonian(n_spins, j_coupling)
     odd = _basis_bits(n_spins).sum(axis=1) % 2 == 1
     norm = max(_spectral_radius(h.real[np.ix_(block, block)]) for block in (odd, ~odd))
     return _hamiltonian_superop(h, +1.0, norm)
 
 
-def field_generator(n_spins: int, b_field: float,
-                    n_cap: int = DEFAULT_N_CAP) -> Superoperator:
+def field_generator(n_spins: int, b_field: float) -> Superoperator:
     """L3(rho) = +i [B sum_i (sy_i - sx_i), rho], as printed."""
-    h = field_hamiltonian(n_spins, b_field, n_cap)
+    h = field_hamiltonian(n_spins, b_field)
     return _hamiltonian_superop(h, -1.0, _spectral_radius(h))
 
 
-def depolarize_generator(n_spins: int, gamma: float,
-                         n_cap: int = DEFAULT_N_CAP) -> Superoperator:
-    _check_cap(n_spins, n_cap)
+def depolarize_generator(n_spins: int, gamma: float) -> Superoperator:
+    check_cap(n_spins)
 
     def apply(rho: np.ndarray) -> np.ndarray:
         return apply_depolarizer(rho, gamma, n_spins)
@@ -481,8 +477,7 @@ def evolve_expm(rho: np.ndarray, generators: Sequence[Superoperator],
     from scipy.linalg import expm
 
     dim = rho.shape[0]
-    n_spins = int(round(np.log2(dim)))
-    _check_cap(n_spins, n_cap)
+    check_cap(int(round(np.log2(dim))), n_cap)
     if duration == 0 or not generators:
         return rho.copy()
     sup = sum(g.dense() for g in generators)
@@ -626,12 +621,11 @@ def factorization_error_pair(rho: np.ndarray, gen_a: Superoperator,
 
 
 def factorization_error(n_spins: int, j_coupling: float, gamma: float,
-                        t_squeeze: float, polarization_p: float,
-                        n_cap: int = DEFAULT_N_CAP) -> float:
+                        t_squeeze: float, polarization_p: float) -> float:
     """Trace-norm error of splitting the squeeze + depolarize evolution."""
-    rho = build_initial_state(n_spins, polarization_p, n_cap)
-    l1 = squeeze_generator(n_spins, j_coupling, n_cap)
-    l2 = depolarize_generator(n_spins, gamma, n_cap)
+    rho = build_initial_state(n_spins, polarization_p)
+    l1 = squeeze_generator(n_spins, j_coupling)
+    l2 = depolarize_generator(n_spins, gamma)
     return factorization_error_pair(rho, l1, l2, t_squeeze)
 
 
@@ -641,13 +635,12 @@ class CommutatorNorm(NamedTuple):
 
 
 def commutator_action_norm(n_spins: int, j_coupling: float, gamma: float,
-                           polarization_p: float,
-                           n_cap: int = DEFAULT_N_CAP) -> CommutatorNorm:
+                           polarization_p: float) -> CommutatorNorm:
     """||L1(L2 rho) - L2(L1 rho)||_1 normalized by ||L1 L2 rho||_1 + ||L2 L1 rho||_1
     on the initial product state; cheap proxy for the factorization error."""
-    rho = build_initial_state(n_spins, polarization_p, n_cap)
-    l1 = squeeze_generator(n_spins, j_coupling, n_cap)
-    l2 = depolarize_generator(n_spins, gamma, n_cap)
+    rho = build_initial_state(n_spins, polarization_p)
+    l1 = squeeze_generator(n_spins, j_coupling)
+    l2 = depolarize_generator(n_spins, gamma)
     ab = l1.apply(l2.apply(rho))
     ba = l2.apply(l1.apply(rho))
     denom = trace_norm(ab) + trace_norm(ba)

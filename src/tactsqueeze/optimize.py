@@ -36,6 +36,7 @@ __all__ = [
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _STATIONARITY_TOL = 1e-8
 _SPLIT_TOL = 1e-9  # optimal_split_full's golden-section tolerance on s = T + t
+_GRID_POINTS = 512  # grid_then_golden's coarse scan
 
 
 @dataclass(frozen=True)
@@ -98,22 +99,22 @@ def maximize_scalar(objective: Callable[[float], float], lo: float, hi: float,
 
 
 def grid_then_golden(objective: Callable[[float], float], lo: float, hi: float,
-                     n_grid: int = 512, tol: float = 1e-10) -> OptimizationOutcome:
-    """Coarse grid scan, then golden refinement around the best cell.
+                     tol: float = 1e-10) -> OptimizationOutcome:
+    """Coarse scan of _GRID_POINTS points, then golden refinement around the best cell.
 
     Robust for objectives that are not globally unimodal.
     """
-    xs = np.linspace(lo, hi, n_grid)
+    xs = np.linspace(lo, hi, _GRID_POINTS)
     ys = [_eval(objective, float(x)) for x in xs]
     best = int(np.argmax(ys))  # argmax picks the first (smallest) on ties
     a = float(xs[max(0, best - 1)])
-    b = float(xs[min(n_grid - 1, best + 1)])
+    b = float(xs[min(_GRID_POINTS - 1, best + 1)])
     inner = maximize_scalar(objective, a, b, tol)
     at_boundary = (abs(inner.argmax - lo) <= max(tol, 4.0 * tol)
                    or abs(inner.argmax - hi) <= max(tol, 4.0 * tol))
     return OptimizationOutcome(argmax=inner.argmax, value=inner.value,
                                at_boundary=at_boundary,
-                               iterations=inner.iterations + n_grid,
+                               iterations=inner.iterations + _GRID_POINTS,
                                bracket=(lo, hi))
 
 

@@ -86,6 +86,43 @@ class TestConfig:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
 
+    def test_n_cap_lowers_the_built_in_cap_and_never_raises_it(self, tmp_path, capsys):
+        for value in (0, exact.DEFAULT_N_CAP + 1):
+            cfg = write_config(tmp_path, f"[run]\nn_cap = {value}\n")
+            out = tmp_path / "o.csv"
+            assert cli.main(["exact", "--config", cfg, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: run.n_cap must be in 1..10, got '{value}'\n")
+            assert not out.exists()
+        for value in (1, exact.DEFAULT_N_CAP):
+            assert cli.load_config(write_config(tmp_path, f"[run]\nn_cap = {value}\n")
+                                   )["run"]["n_cap"] == value
+
+    def test_tau_total_is_no_longer_a_parameter(self, tmp_path, capsys):
+        for text, err in (("[params]\ntau_total = 2\n", "unknown key 'tau_total' in [params]"),
+                          ("[sweep]\naxis = tau_total 1 2 2 linear\n",
+                           "sweep.axis: unknown parameter 'tau_total'")):
+            cfg = write_config(tmp_path, text)
+            assert cli.main(["optimize", "--config", cfg,
+                             "--out", str(tmp_path / "o.csv")]) == 2
+            assert capsys.readouterr().err == f"config error: {err}\n"
+
+    def test_verify_coupling_that_overflows_is_config_error(self, tmp_path, capsys):
+        # J = 4 gamma alpha/(N P) at n_min: 4e310 overflows; 8e307 / 0.1 does
+        # too, only once divided by n_min P
+        for text in ("[verify]\ngamma = 1e300\nalpha = 1e10\n",
+                     "[verify]\ngamma = 1e300\nalpha = 2e7\nn_min = 1\npolarization_p = 0.1\n"):
+            cfg = write_config(tmp_path, text)
+            out = tmp_path / "o.csv"
+            assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 2
+            n_min = 1 if "n_min" in text else 2
+            assert capsys.readouterr().err == (
+                f"config error: verify: J = 4 gamma alpha/(N P) overflows at N = {n_min}\n")
+            assert not out.exists()
+        loaded = cli.load_config(write_config(
+            tmp_path, "[verify]\ngamma = 1e300\nalpha = 2e7\nn_min = 1\n"))
+        assert loaded["verify"]["alpha"] == 2e7
+
     def test_no_config_writes_the_default_point(self, tmp_path):
         out = str(tmp_path / "o.csv")
         assert cli.main(["analytic", "--out", out, "--no-timing"]) == 0
@@ -394,8 +431,8 @@ class TestVerifyCommand:
         errors = []
         for n, row in zip((2, 3), rows):
             j = 4 * gamma * 5.0 / n
-            errors.append(exact.factorization_error(n, j, gamma, t, 1.0, 3))
-            comm = exact.commutator_action_norm(n, j, gamma, 1.0, 3)
+            errors.append(exact.factorization_error(n, j, gamma, t, 1.0))
+            comm = exact.commutator_action_norm(n, j, gamma, 1.0)
             assert row["j_coupling"] == f"{j:.15g}" and row["status"] == "ok"
             assert row["factorization_error"] == f"{errors[-1]:.15g}"
             assert row["commutator_norm"] == f"{comm.value:.15g}"
@@ -552,6 +589,55 @@ class TestColumnDocs:
             assert row["factorization_error"] == row["commutator_norm"] == ""
 
 
+class TestSpinCap:
+    @pytest.mark.parametrize("command, text", [
+        ("exact", "[params]\nt_squeeze = 0.1\n[sweep]\naxis = n_spins 2 4 3 linear\n"),
+        ("verify", "[verify]\nn_min = 2\nn_max = 4\n"),
+    ])
+    def test_capped_row_builds_no_oracle_state(self, tmp_path, monkeypatch, command, text):
+        # n_cap = 3: the N = 4 row is refused before any exact builder runs
+        built = []
+        for name in ("build_initial_state", "tact_hamiltonian"):
+            def counting(n_spins, *args, _build=getattr(exact, name)):
+                built.append(n_spins)
+                return _build(n_spins, *args)
+            monkeypatch.setattr(exact, name, counting)
+        cfg = write_config(tmp_path, text + "[run]\nn_cap = 3\n")
+        out = str(tmp_path / "o.csv")
+        with (contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(io.StringIO()) as err):
+            assert cli.main([command, "--config", cfg, "--out", out, "--no-timing"]) == 1
+        assert sorted(set(built)) == [2, 3]
+        capped = "n_spins=4 exceeds the cap 3: a dense density matrix costs 16*4^N"
+        if command == "exact":
+            assert err.getvalue().startswith(f"error: {capped}")
+        else:
+            assert read_rows(out)[2][-1]["status"].startswith(capped)
+
+
+def _changed(value):
+    """Another valid value of a [params] key: half of it, or 0.5 for 0."""
+    return value // 2 if isinstance(value, int) else (value / 2 or 0.5)
+
+
+class TestEveryParameterReachesACell:
+    @pytest.mark.parametrize("key", cli.PARAM_FIELDS)
+    def test_changing_one_parameter_moves_a_closed_form_cell(self, tmp_path, key):
+        # a [params] key that no engine cell reads is a dead input
+        moved = []
+        for engine in CLOSED_FORM:
+            cells = []
+            for value in (cli._DEFAULT_PARAMS[key], _changed(cli._DEFAULT_PARAMS[key])):
+                cfg = write_config(tmp_path, f"[params]\n{key} = {value}\n")
+                out = str(tmp_path / "o.csv")
+                assert cli.main([engine, "--config", cfg, "--out", out, "--no-timing"]) == 0
+                _, header, (row,) = read_rows(out)
+                assert row[key] == f"{value:.15g}"
+                cells.append({k: row[k] for k in header[len(cli.PARAM_FIELDS):-1]})
+            moved += [f"{engine}.{k}" for k in cells[0] if cells[0][k] != cells[1][k]]
+        assert moved, f"no closed-form cell reads {key}"
+
+
 CONFIG_DOCS = DOCS.with_name("config_format.md")
 
 
@@ -685,7 +771,7 @@ CLOSED_FORM = ("analytic", "linearized", "optimize")
 def _groups(p: dict) -> dict:
     g = core.derive_dimensionless(core.ProtocolParams(**p))
     return {"theta": g.theta, "alpha": "" if g.alpha_infinite else g.alpha,
-            "alpha_infinite": g.alpha_infinite, "u": g.theta, "p_eff": g.p_eff}
+            "alpha_infinite": g.alpha_infinite, "p_eff": g.p_eff}
 
 
 def _guard(cells: dict, key: str, prefix: str, value) -> None:

@@ -10,7 +10,7 @@ from tactsqueeze.errors import DomainError
 
 def make_params(**kw):
     base = dict(n_spins=4, polarization_p=0.8, j_coupling=0.1, gamma=0.05,
-                b_field=0.0, t_squeeze=1.0, t_signal=0.5, tau_total=2.0)
+                b_field=0.0, t_squeeze=1.0, t_signal=0.5)
     base.update(kw)
     return core.ProtocolParams(**base)
 
@@ -84,11 +84,10 @@ class TestValidate:
         assert "N_POSITIVE" in codes
 
     def test_reports_every_violation(self):
-        bad = make_params(n_spins=0, polarization_p=-1.0, gamma=-0.1,
-                          tau_total=0.0)
+        bad = make_params(n_spins=0, polarization_p=-1.0, gamma=-0.1, t_squeeze=-1.0)
         codes = {v.code for v in core.validate(bad)}
         assert {"N_POSITIVE", "P_OUT_OF_RANGE", "GAMMA_NONNEGATIVE",
-                "TAU_POSITIVE"} <= codes
+                "T_SQUEEZE_NONNEGATIVE"} <= codes
 
     def test_nonfinite_rate_rejected(self):
         codes = [v.code for v in core.validate(make_params(j_coupling=math.inf))]
@@ -98,14 +97,13 @@ class TestValidate:
 class TestCheckField:
     def test_validate_is_the_per_field_checks(self):
         bad = make_params(n_spins=0, polarization_p=math.nan, j_coupling=-1.0,
-                          t_signal=math.inf, tau_total=0.0)
+                          t_signal=math.inf)
         per_field = [core.check_field(name, getattr(bad, name))
                      for name in ("n_spins", "polarization_p", "j_coupling", "gamma",
-                                  "b_field", "t_squeeze", "t_signal", "tau_total")]
+                                  "b_field", "t_squeeze", "t_signal")]
         assert core.validate(bad) == [v for v in per_field if v is not None]
         assert [v.code for v in core.validate(bad)] == [
-            "N_POSITIVE", "P_OUT_OF_RANGE", "J_NONNEGATIVE", "T_SIGNAL_NONNEGATIVE",
-            "TAU_POSITIVE"]
+            "N_POSITIVE", "P_OUT_OF_RANGE", "J_NONNEGATIVE", "T_SIGNAL_NONNEGATIVE"]
         assert core.check_field("gamma", 0.0) is None
         assert core.check_field("n_spins", 3.0).message == (
             "n_spins must be a positive integer, got 3.0")

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -78,6 +79,21 @@ class TestInitialState:
     def test_cap_error_names_memory_cost(self):
         with pytest.raises(ResourceLimitError, match="4\\^N"):
             exact.build_initial_state(12, 1.0)
+
+    def test_check_cap_refuses_outside_one_to_the_cap(self):
+        for n in (0, exact.DEFAULT_N_CAP + 1):
+            with pytest.raises(ResourceLimitError,
+                               match=f"^n_spins={n} exceeds the cap 10: .* 16\\*4\\^N = "):
+                exact.check_cap(n)
+        exact.check_cap(1)
+        exact.check_cap(exact.DEFAULT_N_CAP)
+        with pytest.raises(ResourceLimitError, match="^n_spins=4 exceeds the cap 3: "):
+            exact.check_cap(4, 3)
+
+    def test_only_check_cap_and_the_expm_path_take_a_cap(self):
+        takes_cap = sorted(name for name in exact.__all__ if callable(getattr(exact, name))
+                           and "n_cap" in inspect.signature(getattr(exact, name)).parameters)
+        assert takes_cap == ["check_cap", "evolve_expm"]
 
     @pytest.mark.parametrize("p", [0.0, -0.5, 1.5, np.nan])
     def test_polarization_outside_unit_interval_rejected(self, p):
