@@ -10,9 +10,11 @@ class ResourceLimitError(TactError):
 
 
 class IntegrationError(TactError):
-    """Integrator could not satisfy the channel invariants.
+    """Integrator could not satisfy the channel invariants, or a pass
+    overflowed.
 
-    Carries the worst residual observed after the final refinement.
+    Carries the worst residual observed after the final refinement (None
+    after an overflow).
     """
 
     def __init__(self, message, worst_residual=None):

@@ -438,6 +438,10 @@ def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float
     `channel_residuals`), applies (its generator-sum applications) and
     krylov_dim (its largest Krylov basis).  With duration 0 or no
     generators no pass runs: n_steps = refinements = 0 and nothing else.
+
+    A pass that overflows, divides by zero or makes a nan (huge rates,
+    even at a benign rate x duration) raises IntegrationError at once;
+    n_steps and refinements are then those of that pass.
     """
     if duration < 0:
         raise ValueError("duration must be >= 0")
@@ -459,7 +463,14 @@ def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float
 
     n_steps = max(_MIN_STEPS, int(np.ceil(duration * rate / _TARGET_STEP_RATE)))
     for refinement in range(_MAX_REFINEMENTS + 1):
-        out = _rk4(rho, rhs, duration, n_steps, stats)
+        try:
+            # raise, not ignore: an overflowed norm could divide a vector to
+            # zero and leave a finite but wrong state
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                out = _rk4(rho, rhs, duration, n_steps, stats)
+        except FloatingPointError as exc:
+            stats.update(n_steps=n_steps, refinements=refinement)
+            raise IntegrationError(f"RK4 pass of {n_steps} steps failed: {exc}") from exc
         ok, worst, residuals = _invariants_ok(out)
         stats.update(n_steps=n_steps, refinements=refinement, worst_residual=worst,
                      residuals=residuals)
@@ -473,7 +484,9 @@ def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float
 
 def evolve_expm(rho: np.ndarray, generators: Sequence[Superoperator],
                 duration: float, n_cap: int = 5) -> np.ndarray:
-    """Cross-check path: dense superoperator exponential (small N only)."""
+    """Cross-check path: dense superoperator exponential (small N only).
+
+    Needs scipy (scipy.linalg.expm), which no other runtime path loads."""
     from scipy.linalg import expm
 
     dim = rho.shape[0]

@@ -387,6 +387,32 @@ class TestExactCommand:
         assert cli.main(["exact", "--config", cfg, "--out", out]) == 1
         assert "4^N" in capsys.readouterr().err
 
+    def test_huge_rates_are_a_row_status(self, tmp_path, capsys):
+        # J T = 1 and 4 Gamma T = 1, but rates of 1e300 overflow the RK4
+        # pass: a whole-row status, not the end of the sweep
+        cfg = write_config(tmp_path, (
+            "[params]\nn_spins = 2\nj_coupling = 1e300\nt_squeeze = 1e-300\n"
+            "gamma = 0\npolarization_p = 1\n"))
+        out = str(tmp_path / "o.csv")
+        assert cli.main(["exact", "--config", cfg, "--out", out, "--no-timing"]) == 0
+        comments, _, rows = read_rows(out)
+        assert "# INCOMPLETE" not in comments
+        assert len(rows) == 1 and rows[0]["status"].startswith("RK4 pass of ")
+        assert rows[0]["mean_sz_per_site"] == ""
+        cfg = write_config(tmp_path, (
+            "[verify]\nn_min = 2\nn_max = 3\nalpha = 1\ngamma = 1e300\n"
+            "polarization_p = 1\n"))
+        assert cli.main(["verify", "--config", cfg, "--out", out, "--no-timing"]) == 1
+        comments, _, rows = read_rows(out)
+        assert "# INCOMPLETE" not in comments
+        assert [r["n_spins"] for r in rows] == ["2", "3"]
+        for row in rows:
+            assert row["status"].startswith("RK4 pass of ")
+            assert row["factorization_error"] == ""
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.strip() == "FAIL: insufficient usable rows (0)"
+
 
 class TestOptimizeCommand:
     def test_threshold_and_improvement_columns(self, tmp_path):

@@ -109,6 +109,35 @@ class TestOptimalTheta:
         assert abs(theta - oracle.argmax) <= 1e-7
         assert out.value >= oracle.value * (1.0 - 1e-12)
 
+    W0_ALPHAS = [1.0 + 1e-15, 1.0 + 1e-12, math.e, 10.0, 2250.0, 1e8, 1e300]
+
+    @staticmethod
+    def check_w0_against_the_library(alpha):
+        # scipy's lambertw is the reference only; the package evaluates W0 in numpy
+        from scipy.special import lambertw
+        ref = 1.0 - lambertw(math.e / alpha).real
+        theta, _ = optimize._theta_star(np.array([alpha]))
+        assert abs(theta[0] - ref) <= 2.3e-16
+        if alpha <= 1e8:  # raises for the same alpha as the reference form
+            residual = abs(alpha * math.exp(-ref) * (1.0 - ref) - 1.0)
+            try:
+                optimize.optimal_theta(alpha, 1.0)
+            except NonFiniteObjectiveError:
+                assert residual > 1e-8
+            else:
+                assert residual <= 1e-8
+
+    @pytest.mark.parametrize("alpha", W0_ALPHAS)
+    def test_w0_against_the_library_at_listed_alpha(self, alpha):
+        self.check_w0_against_the_library(alpha)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.floats(min_value=1.0, max_value=1e300, exclude_min=True),
+                     st.floats(min_value=-15.0, max_value=300.0).map(
+                         lambda e: 1.0 + 10.0 ** e)))
+    def test_w0_against_the_library(self, alpha):
+        self.check_w0_against_the_library(alpha)
+
 
 class TestOptimalU:
     def test_boundary_at_balanced_alpha(self):
@@ -209,15 +238,31 @@ class TestOptimalSplitFull:
             assert abs(t_sq / s - (1.0 - 1.0 / c)) <= 1e-12
 
 
-def test_import_loads_no_scipy():
-    # optimal_theta imports scipy lazily: at import time it would add ~0.3 s
-    # to every command, the exact engines included
+def test_import_loads_no_scipy(tmp_path):
+    # W0 is evaluated in numpy, so no command loads scipy (~20 MB and ~0.3 s
+    # at import); only exact.evolve_expm, the dense cross-check, needs it
+    point = "[params]\nn_spins = 3\n"
+    runs = [("analytic", point), ("linearized", point), ("optimize", point),
+            ("sweep", point + "[run]\nengine = all\n"),
+            ("verify", "[verify]\nn_min = 2\nn_max = 2\n")]
+    argvs = []
+    for command, text in runs:
+        cfg = tmp_path / f"{command}.cfg"
+        cfg.write_text(text)
+        argvs.append([command, "--config", str(cfg), "--out", str(tmp_path / f"{command}.csv")])
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tactsqueeze.__file__)))
-    code = ("import sys, tactsqueeze; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import contextlib, io, sys\n"
+            "from tactsqueeze import cli\n"
+            "for argv in %r:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        cli.main(argv)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n" % argvs)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+    for command, _ in runs:  # a header and one row each
+        lines = (tmp_path / f"{command}.csv").read_text().splitlines()
+        assert len([ln for ln in lines if not ln.startswith("#")]) == 2, command
 
 
 def test_tolerance_below_float_spacing_terminates():
