@@ -15,12 +15,14 @@ def main():
     p = 0.9
     print(f"{'alpha':>8} {'theta*':>10} {'xi2(theta*)':>12} "
           f"{'xi2*P':>8}  regime")
-    for alpha in np.geomspace(0.25, 64.0, 10):
-        out = optimize.optimal_theta(float(alpha), p)
-        res = analytic.xi2_min_dimensionless(float(alpha), out.argmax, p)
-        marker = "boundary" if out.at_boundary else "interior"
-        print(f"{alpha:8.3f} {out.argmax:10.5f} {res.xi2:12.6f} "
-              f"{res.xi2 * p:8.4f}  {res.regime} ({marker})")
+    alphas = np.geomspace(0.25, 64.0, 10)
+    out = optimize.optimal_theta(alphas)  # the whole sweep in one array call
+    res = analytic.xi2_min_dimensionless(alphas, out.argmax, p)
+    for alpha, theta, xi2, regime, at_boundary in zip(
+            alphas, out.argmax, res.xi2, res.regime, out.at_boundary):
+        marker = "boundary" if at_boundary else "interior"
+        print(f"{alpha:8.3f} {theta:10.5f} {xi2:12.6f} "
+              f"{xi2 * p:8.4f}  {regime} ({marker})")
     print("\nBelow alpha = 1 the optimum sits at Theta* = 0: squeezing")
     print("never beats the depolarization it costs.  Above threshold the")
     print("optimum moves toward Theta* = 1 and xi^2 * P drops below 1.")

@@ -422,18 +422,18 @@ def _optimize(rec: _Cells) -> None:
     # Gamma = 0 (at a valid point): alpha is infinite and no optimum exists
     rec.settle(rec.groups.alpha_infinite & ~rec.whole, "alpha infinite (gamma = 0)",
                whole=False)
-    theta, theta_at_boundary = optimize.optimal_theta_elementwise(alpha)
-    rec.check("theta_star", theta, optimize.optimal_theta, alpha, p)
-    rec.update(xi2_at_theta_star=analytic.xi2_min_dimensionless(alpha, theta, p).xi2,
-               theta_at_boundary=theta_at_boundary)
-    u, u_at_boundary = optimize.optimal_u_elementwise(alpha)
-    rec.check("u_star", u, optimize.optimal_u, alpha)
-    rec.put("u_at_boundary", u_at_boundary)
+    theta = optimize.optimal_theta(alpha)
+    rec.check("theta_star", theta.argmax, optimize.optimal_theta, alpha)
+    rec.update(xi2_at_theta_star=analytic.xi2_min_dimensionless(alpha, theta.argmax, p).xi2,
+               theta_at_boundary=theta.at_boundary)
+    u = optimize.optimal_u(alpha)
+    rec.check("u_star", u.argmax, optimize.optimal_u, alpha)
+    rec.put("u_at_boundary", u.at_boundary)
     rec.check("snr_at_u_star", analytic.snr_optimum_strong(alpha, n, gamma, p).snr_per_root_time,
               analytic.snr_optimum_strong, alpha, n, gamma, p, prefix="snr_optimum_strong")
     # below threshold the unsqueezed baseline is optimal: gain 1
     rec.check("improvement_factor",
-              np.where(u_at_boundary, 1.0, analytic.improvement_factor(alpha)),
+              np.where(u.at_boundary, 1.0, analytic.improvement_factor(alpha)),
               analytic.improvement_factor, alpha, prefix="improvement_factor")
 
 

@@ -59,7 +59,7 @@ __all__ = [
     "mean_spin_vector", "transverse_variance_extrema",
     "squeezing_from_variance", "squeezing_parameter_exact",
     "split_evolve", "factorization_error", "factorization_error_pair",
-    "commutator_action_norm",
+    "CommutatorNorm", "commutator_action_norm",
 ]
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -77,12 +77,12 @@ MIN_EIGENVALUE_TOL = -1e-8
 
 def check_cap(n_spins: int, n_cap: int = DEFAULT_N_CAP) -> None:
     """ResourceLimitError unless 1 <= n_spins <= n_cap: the oracle's one size
-    check, which every builder makes at DEFAULT_N_CAP (a caller may lower it)."""
+    check, which every builder makes at DEFAULT_N_CAP (a caller may lower it).
+    The size is given as a power of 2, so no integer of ~0.6 N digits is built."""
     if not (1 <= n_spins <= n_cap):
-        mem = 16 * 4 ** n_spins
         raise ResourceLimitError(
             f"n_spins={n_spins} exceeds the cap {n_cap}: a dense density matrix "
-            f"costs 16*4^N = {mem} bytes and superoperator action scales as 8^N")
+            f"costs 16*4^N = 2^{2 * n_spins + 4} bytes and superoperator action scales as 8^N")
 
 
 def _basis_bits(n_spins: int) -> np.ndarray:

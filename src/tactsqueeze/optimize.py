@@ -10,11 +10,14 @@ of a library Lambert W (the tests' reference) on alpha in (1, 1e300].
 The full (T, t) split reduces to a 1-D window search, split in closed
 form: at fixed s = T + t the squeeze fraction T/s is the same (c - 1)/c,
 clamped to the budget, so only s is searched (grid, then golden
-section).  Plateau ties break toward the smallest argmax.  `grid_then_golden` stays public as the
-numerical reference the closed forms are tested against.
-`optimal_theta_elementwise` and `optimal_u_elementwise` give the argmax
-of Theta* and U* over an array of alpha, with the scalar calls' bits and
-nan where the scalar call raises.
+section).  Plateau ties break toward the smallest argmax.
+`grid_then_golden` stays public as the numerical reference the closed
+forms are tested against.
+
+Theta* and U* take a float alpha or a numpy array, as the `analytic`
+formulas do: over an array the outcome's argmax, value and at_boundary
+are arrays whose elements have the float call's bits, and the argmax is
+nan exactly where the float call raises.
 """
 
 from __future__ import annotations
@@ -26,14 +29,13 @@ from typing import Callable
 import numpy as np
 
 from .analytic import snr_squeeze_then_measure
-from .core import exp_elementwise
-from .errors import DomainError, NonFiniteObjectiveError
+from .core import check_domain, exp_elementwise
+from .errors import NonFiniteObjectiveError
 
 __all__ = [
     "OptimizationOutcome",
     "maximize_scalar", "grid_then_golden",
     "optimal_theta", "optimal_u", "optimal_split_full",
-    "optimal_theta_elementwise", "optimal_u_elementwise",
     "squeeze_gain",
 ]
 
@@ -49,7 +51,6 @@ class OptimizationOutcome:
     value: float
     at_boundary: bool
     iterations: int
-    bracket: tuple[float, float]
     diagnostics: dict | None = None
 
 
@@ -96,10 +97,9 @@ def maximize_scalar(objective: Callable[[float], float], lo: float, hi: float,
     for cand, fcand in ((lo, _eval(objective, lo)), (hi, _eval(objective, hi))):
         if fcand > fx:
             x, fx = cand, fcand
-    edge = max(tol, 4.0 * tol)
-    at_boundary = x - lo <= edge or hi - x <= edge
+    at_boundary = x - lo <= 4.0 * tol or hi - x <= 4.0 * tol
     return OptimizationOutcome(argmax=x, value=fx, at_boundary=at_boundary,
-                               iterations=iterations, bracket=(lo, hi))
+                               iterations=iterations)
 
 
 def grid_then_golden(objective: Callable[[float], float], lo: float, hi: float,
@@ -114,12 +114,10 @@ def grid_then_golden(objective: Callable[[float], float], lo: float, hi: float,
     a = float(xs[max(0, best - 1)])
     b = float(xs[min(_GRID_POINTS - 1, best + 1)])
     inner = maximize_scalar(objective, a, b, tol)
-    at_boundary = (abs(inner.argmax - lo) <= max(tol, 4.0 * tol)
-                   or abs(inner.argmax - hi) <= max(tol, 4.0 * tol))
+    at_boundary = abs(inner.argmax - lo) <= 4.0 * tol or abs(inner.argmax - hi) <= 4.0 * tol
     return OptimizationOutcome(argmax=inner.argmax, value=inner.value,
                                at_boundary=at_boundary,
-                               iterations=inner.iterations + _GRID_POINTS,
-                               bracket=(lo, hi))
+                               iterations=inner.iterations + _GRID_POINTS)
 
 
 def squeeze_gain(theta: float, alpha: float) -> float:
@@ -131,29 +129,45 @@ def squeeze_gain(theta: float, alpha: float) -> float:
     return theta * math.expm1(math.log(alpha) - theta)
 
 
-def optimal_theta(alpha: float, polarization_p: float) -> OptimizationOutcome:
-    """Maximize the squeezing gain g(Theta) over Theta >= 0 in closed form.
+def _outcome(alpha, argmax, value, at_boundary, diagnostics=None) -> OptimizationOutcome:
+    """A closed-form optimum over `alpha`: argmax, value, at_boundary and
+    each diagnostic an array for an array alpha, else floats with no
+    diagnostics at the boundary.  No search runs: iterations is the int 0."""
+    if isinstance(alpha, np.ndarray):
+        return OptimizationOutcome(argmax, value, at_boundary, 0, diagnostics)
+    at_boundary = bool(at_boundary)
+    floats = None if at_boundary or diagnostics is None else {
+        key: float(v) for key, v in diagnostics.items()}
+    return OptimizationOutcome(float(argmax), float(value), at_boundary, 0, floats)
+
+
+def optimal_theta(alpha) -> OptimizationOutcome:
+    """Maximize the squeezing gain g(Theta) over Theta >= 0 in closed form,
+    for a float alpha or for each element of an array.
 
     Boundary Theta* = 0 iff alpha <= 1 (sign of g'(0) = alpha - 1).  An
     interior optimum solves alpha e^{-Theta}(1 - Theta) = 1, i.e.
     Theta* = 1 - W0(e/alpha) on the principal Lambert W branch (Corless et
-    al., Adv. Comput. Math. 5, 329 (1996)), so Theta* lies in (0, 1).  W0
-    is `_lambert_w0`'s three Halley steps, evaluated as a one-element array
-    so the bits are those of `optimal_theta_elementwise`.  The
-    stationarity residual is checked to 1e-8 post hoc.
+    al., Adv. Comput. Math. 5, 329 (1996)), so Theta* lies in (0, 1); W0
+    is `_lambert_w0`'s three Halley steps.  The stationarity residual is
+    checked to 1e-8 post hoc.  A float alpha = inf raises DomainError and
+    a residual above tolerance NonFiniteObjectiveError; over an array
+    those elements' argmax and value are nan.
     """
-    if alpha == math.inf:
-        raise DomainError("noiseless case (alpha infinite) has no interior optimum")
-    if alpha <= 1.0:  # alpha = -inf included: g(Theta) = -inf for Theta > 0
-        return OptimizationOutcome(argmax=0.0, value=0.0, at_boundary=True,
-                                   iterations=0, bracket=(0.0, 1.0))
-    theta, residual = (float(v[0]) for v in _theta_star(np.array([alpha], dtype=float)))
-    if residual > _STATIONARITY_TOL:
+    check_domain(alpha == math.inf, "noiseless case (alpha infinite) has no interior optimum")
+    x = np.asarray(alpha, dtype=float)
+    at_boundary = x <= 1.0  # alpha = -inf included: g(Theta) = -inf for Theta > 0
+    interior = ~at_boundary & (x != math.inf)
+    theta, residual = np.where(at_boundary, 0.0, np.nan), np.full(x.shape, np.nan)
+    theta[interior], residual[interior] = _theta_star(x[interior])
+    failed = residual > _STATIONARITY_TOL
+    if failed.any() and not isinstance(alpha, np.ndarray):
         raise NonFiniteObjectiveError(
-            f"stationarity residual {residual:.3e} exceeds 1e-8", abscissa=theta)
-    return OptimizationOutcome(argmax=theta, value=squeeze_gain(theta, alpha),
-                               at_boundary=False, iterations=0, bracket=(0.0, 1.0),
-                               diagnostics={"stationarity_residual": residual})
+            f"stationarity residual {float(residual):.3e} exceeds 1e-8", abscissa=float(theta))
+    theta[failed] = np.nan
+    value, kept = theta.copy(), interior & ~failed
+    value[kept] = np.fromiter(map(squeeze_gain, theta[kept].tolist(), x[kept].tolist()), float)
+    return _outcome(alpha, theta, value, at_boundary, {"stationarity_residual": residual})
 
 
 def _lambert_w0(x: np.ndarray) -> np.ndarray:
@@ -175,57 +189,35 @@ def _theta_star(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return theta, np.abs(alpha * exp_elementwise(-theta) * (1.0 - theta) - 1.0)
 
 
-def optimal_theta_elementwise(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """optimal_theta's argmax and at_boundary for each alpha of an array;
-    the argmax is nan where the scalar call raises (alpha = +inf, or a
-    stationarity residual above tolerance) or returns nan (alpha = nan)."""
-    at_boundary = alpha <= 1.0
-    interior = ~at_boundary & (alpha != np.inf)
-    theta = np.where(at_boundary, 0.0, np.nan)
-    theta[interior], residual = _theta_star(alpha[interior])
-    theta[np.flatnonzero(interior)[residual > _STATIONARITY_TOL]] = np.nan
-    return theta, at_boundary
-
-
 def _u_star(a: float) -> float:
     """Argmax of (1 - U) e^{aU} over U >= 0; 0 unless a > 1."""
-    return _interior_u(a) if a > 1.0 else 0.0
+    return (a - 1.0) / a if a > 1.0 else 0.0
 
 
-def _interior_u(a):
-    return (a - 1.0) / a
-
-
-def optimal_u(alpha: float) -> OptimizationOutcome:
-    """Maximize h(U) = (1 - U) exp(a U), a = alpha/e, over U in [0, 1).
+def optimal_u(alpha) -> OptimizationOutcome:
+    """Maximize h(U) = (1 - U) exp(a U), a = alpha/e, over U in [0, 1), for
+    a float alpha or for each element of an array.
 
     h'(U) = e^{aU}(a(1 - U) - 1), so for a > 1 the optimum is
     U* = (a - 1)/a with h(U*) = e^{a-1}/a; otherwise U* = 0 at the
-    boundary.
+    boundary.  A float alpha raises DomainError unless it is finite and
+    > 0, and math.exp's OverflowError where e^{a-1} overflows; over an
+    array those elements' argmax and value are nan.
     """
-    if math.isinf(alpha):
-        raise DomainError("noiseless case (alpha infinite) has no interior optimum")
-    if not (alpha > 0.0):
-        raise DomainError(f"requires alpha > 0, got {alpha}")
-    a = alpha * math.exp(-1.0)
-    if a <= 1.0:
-        return OptimizationOutcome(argmax=0.0, value=1.0, at_boundary=True,
-                                   iterations=0, bracket=(0.0, 1.0))
-    return OptimizationOutcome(argmax=_interior_u(a), value=math.exp(a - 1.0) / a,
-                               at_boundary=False, iterations=0, bracket=(0.0, 1.0))
-
-
-def optimal_u_elementwise(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """optimal_u's argmax and at_boundary for each alpha of an array; the
-    argmax is nan exactly where the scalar call raises (alpha not > 0, or
-    math.exp overflowing in its value e^{a-1}/a)."""
-    a = alpha * math.exp(-1.0)
-    interior = a > 1.0
-    u = np.where(alpha > 0.0, 0.0, np.nan)
-    u[interior] = _interior_u(a[interior])
-    big = np.flatnonzero(interior & ~(a - 1.0 <= 709.0))  # math.exp overflows above ~709.78
-    u[big[np.isinf(exp_elementwise(a[big] - 1.0))]] = np.nan
-    return u, ~interior
+    check_domain(np.isinf(alpha), "noiseless case (alpha infinite) has no interior optimum")
+    check_domain(np.logical_not(alpha > 0.0), "requires alpha > 0, got {}", alpha)
+    x = np.asarray(alpha, dtype=float)
+    a = x * math.exp(-1.0)
+    defined = (x > 0.0) & (x != math.inf)
+    interior = defined & (a > 1.0)
+    u, value = np.where(defined, 0.0, np.nan), np.where(defined, 1.0, np.nan)
+    u[interior] = (a[interior] - 1.0) / a[interior]
+    value[interior] = exp_elementwise(a[interior] - 1.0) / a[interior]
+    overflow = np.isinf(value)  # math.exp overflows above ~709.78
+    if overflow.any() and not isinstance(alpha, np.ndarray):
+        raise OverflowError("math range error")  # as math.exp(a - 1) raises it
+    u[overflow] = value[overflow] = np.nan
+    return _outcome(alpha, u, value, a <= 1.0)
 
 
 def optimal_split_full(j_coupling: float, n_spins: float, polarization_p: float,
@@ -265,6 +257,6 @@ def optimal_split_full(j_coupling: float, n_spins: float, polarization_p: float,
     four_gamma_window = 4.0 * gamma * (t_sq + t_sig)
     return OptimizationOutcome(
         argmax=(t_sq, t_sig), value=best.value, at_boundary=at_boundary,
-        iterations=sum(out.iterations for out in pieces), bracket=(0.0, tau_budget),
+        iterations=sum(out.iterations for out in pieces),
         diagnostics={"four_gamma_window": four_gamma_window,
                      "near_unit_window": bool(abs(four_gamma_window - 1.0) <= 0.2)})

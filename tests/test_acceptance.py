@@ -76,22 +76,22 @@ def test_criterion_02_squeezing_threshold():
     ok = True
     details = []
     for alpha in (0.2, 0.5, 0.99):
-        out = optimize.optimal_theta(alpha, p)
+        out = optimize.optimal_theta(alpha)
         ok &= out.at_boundary and out.argmax == 0.0
     for alpha in (1.01, 2.0, 10.0):
-        out = optimize.optimal_theta(alpha, p)
+        out = optimize.optimal_theta(alpha)
         xi2 = analytic.xi2_min_dimensionless(alpha, out.argmax, p).xi2
         ok &= (not out.at_boundary) and out.argmax > 0.0 and xi2 < 1 / p
         details.append(f"a={alpha}: theta*={out.argmax:.4f} xi2={xi2:.4f}")
     # dichotomy matches the sign of g'(0) = alpha - 1 exactly
-    ok &= optimize.optimal_theta(1.0, p).at_boundary
-    ok &= not optimize.optimal_theta(1.0 + 1e-9, p).at_boundary
+    ok &= optimize.optimal_theta(1.0).at_boundary
+    ok &= not optimize.optimal_theta(1.0 + 1e-9).at_boundary
     _report(2, "squeezing threshold", ok, "; ".join(details))
 
 
 def test_criterion_03_strong_squeezing_limit():
     alpha, p = 1000.0, 1.0
-    out = optimize.optimal_theta(alpha, p)
+    out = optimize.optimal_theta(alpha)
     xi2 = analytic.xi2_min_dimensionless(alpha, out.argmax, p).xi2
     strong = analytic.xi2_strong_squeezing(alpha, p)
     theta_ok = abs(out.argmax - 1.0) <= 0.01

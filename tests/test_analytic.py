@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tactsqueeze import analytic, optimize
-from tactsqueeze.errors import DomainError
+from tactsqueeze.errors import DomainError, NonFiniteObjectiveError
 
 
 class TestXi2Min:
@@ -88,7 +88,7 @@ class TestXi2Strong:
     def test_converges_to_optimized_value(self):
         ratios = []
         for alpha in (100.0, 1000.0):
-            theta_star = optimize.optimal_theta(alpha, 1.0).argmax
+            theta_star = optimize.optimal_theta(alpha).argmax
             opt = analytic.xi2_min_dimensionless(alpha, theta_star, 1.0).xi2
             ratios.append(analytic.xi2_strong_squeezing(alpha, 1.0) / opt)
         assert abs(ratios[1] - 1) < abs(ratios[0] - 1)
@@ -219,19 +219,24 @@ def grid_columns(**axes) -> list[list[float]]:
 
 
 class TestArrayCalls:
-    """Over arrays each formula gives every element the bits of its scalar
-    call, and nan in its value (the first field) where the scalar call
-    raises DomainError."""
+    """Over arrays each formula, and each closed-form optimum of `optimize`,
+    gives every element the bits of its scalar call, and nan in its value
+    (the first field) where the scalar call raises DomainError (or, for an
+    optimum, the other errors its test names)."""
 
     @staticmethod
-    def assert_elementwise(fn, columns, fields):
+    def assert_elementwise(fn, columns, fields, raises=(DomainError,)) -> int:
+        """The check over the grid `columns`; `raises` are the exception
+        types that mean nan.  Returns how many scalar calls raised."""
         with np.errstate(all="ignore"):
             arrays = fn(*(np.array(c, dtype=float) for c in columns))
+        raised = 0
         for i, point in enumerate(zip(*columns)):
             try:
                 one = fn(*point)
-            except DomainError:
+            except raises:
                 assert math.isnan(getattr(arrays, fields[0])[i]), point
+                raised += 1
                 continue
             for field in fields:
                 got, want = getattr(arrays, field)[i], getattr(one, field)
@@ -239,6 +244,7 @@ class TestArrayCalls:
                     assert got == want, (field, point)
                 else:
                     assert float(got).hex() == float(want).hex(), (field, point)
+        return raised
 
     def test_xi2_and_snr_formulas(self):
         cols = grid_columns(j=[0.0, 0.05, 0.3], n=[1, 100], p=[0.9], g=[0.0, 0.01, 0.25],
@@ -264,6 +270,30 @@ class TestArrayCalls:
             return analytic.SnrResult(analytic.improvement_factor(alpha), "")
 
         self.assert_elementwise(gain, [alphas], ("snr_per_root_time",))
+
+    OPTIMA = [0.0, 0.5, 1.0, 1.0 + 1e-12, 1.5, math.e, 10.0, 1e3, 1e6,
+              -1.0, math.inf, math.nan, -math.inf]
+    OUTCOME = ("argmax", "value", "at_boundary")
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-17])
+    def test_optimal_theta(self, monkeypatch, tol):
+        # at tol 1e-17 some residuals fail: nan where the scalar call raises
+        monkeypatch.setattr(optimize, "_STATIONARITY_TOL", tol)
+        raised = self.assert_elementwise(optimize.optimal_theta, [self.OPTIMA], self.OUTCOME,
+                                         raises=(DomainError, NonFiniteObjectiveError))
+        assert (raised > 1) == (tol < 1e-8)  # alpha = inf always raises
+
+    def test_optimal_u(self):
+        # nan where the scalar call raises: alpha not finite and > 0, and
+        # alpha = 1e6, where its value e^{a-1}/a overflows; the last two
+        # alphas straddle that overflow, one float apart
+        alphas = self.OPTIMA + [1932.1077324409084, 1932.1077324409086]
+        raised = self.assert_elementwise(optimize.optimal_u, [alphas], self.OUTCOME,
+                                         raises=(DomainError, OverflowError))
+        assert raised == 7
+        with pytest.raises(OverflowError):
+            optimize.optimal_u(alphas[-1])
+        assert optimize.optimal_u(alphas[-2]).value < math.inf
 
 
 class TestUnderflowingDivisor:

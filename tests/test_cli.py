@@ -431,6 +431,24 @@ class TestOptimizeCommand:
         assert float(high["improvement_factor"]) == pytest.approx(
             math.exp(10 / math.e) / 10, rel=1e-9)
 
+    def test_grid_goes_through_the_module_attributes(self, tmp_path, monkeypatch):
+        # the grid's optima come from one array call of each function, as
+        # looked up on the module (where a tracer wraps it), even with no
+        # row for the scalar call to settle
+        calls = []
+        for name in ("optimal_theta", "optimal_u"):
+            def counting(alpha, _fn=getattr(optimize, name), _name=name):
+                calls.append((_name, np.shape(alpha)))
+                return _fn(alpha)
+            monkeypatch.setattr(optimize, name, counting)
+        cfg = write_config(tmp_path, (
+            "[params]\nn_spins = 10\npolarization_p = 1.0\ngamma = 0.25\n"
+            "[sweep]\naxis = j_coupling 0.5 5.0 5 log\n"))  # alpha 5..50
+        out = str(tmp_path / "o.csv")
+        assert cli.main(["optimize", "--config", cfg, "--out", out, "--no-timing"]) == 0
+        assert all(r["status"] == "ok" for r in read_rows(out)[2])
+        assert calls == [("optimal_theta", (5,)), ("optimal_u", (5,))]
+
 
 class TestVerifyCommand:
     def test_small_range_summary(self, tmp_path, capsys):
@@ -640,6 +658,28 @@ class TestSpinCap:
         else:
             assert read_rows(out)[2][-1]["status"].startswith(capped)
 
+    @pytest.mark.parametrize("n", [8000, 10 ** 6])
+    def test_huge_n_gets_the_cap_message(self, tmp_path, n):
+        # 16*4^N has over 4300 digits from N = 7141 on, too many to print
+        # as an integer: the message gives it as 2^(2N + 4)
+        capped = (f"n_spins={n} exceeds the cap 10: a dense density matrix costs "
+                  f"16*4^N = 2^{2 * n + 4} bytes")
+        cfg = write_config(tmp_path, f"[params]\nn_spins = {n}\n")
+        out = str(tmp_path / "o.csv")
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert cli.main(["exact", "--config", cfg, "--out", out, "--no-timing"]) == 1
+        assert err.getvalue().startswith(f"error: {capped}")
+        # verify keeps both capped N as rows of the study and goes on
+        cfg = write_config(tmp_path, f"[verify]\nn_min = {n - 1}\nn_max = {n}\n")
+        with (contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(io.StringIO()) as err):
+            assert cli.main(["verify", "--config", cfg, "--out", out, "--no-timing"]) == 1
+        assert err.getvalue() == ""
+        _, _, rows = read_rows(out)
+        assert [r["n_spins"] for r in rows] == [str(n - 1), str(n)]
+        assert rows[-1]["status"].startswith(capped)
+        assert "# INCOMPLETE" not in Path(out).read_text()
+
 
 def _changed(value):
     """Another valid value of a [params] key: half of it, or 0.5 for 0."""
@@ -844,7 +884,7 @@ def _optimize_cells(p: dict) -> dict:
         return dict(cells, **dict.fromkeys(OPTIMIZE_KEYS, ""),
                     status="alpha infinite (gamma = 0)")
     alpha, n, pol, gamma = cells["alpha"], p["n_spins"], p["polarization_p"], p["gamma"]
-    th = optimize.optimal_theta(alpha, pol)
+    th = optimize.optimal_theta(alpha)
     uo = optimize.optimal_u(alpha)
     cells.update(theta_star=th.argmax,
                  xi2_at_theta_star=analytic.xi2_min_dimensionless(alpha, th.argmax, pol).xi2,

@@ -1,10 +1,11 @@
+import inspect
 import math
 import sys
 
 import numpy as np
 import pytest
 
-from tactsqueeze import analytic, core, optimize
+from tactsqueeze import analytic, core, exact, linearized, optimize
 from tactsqueeze.errors import DomainError
 
 
@@ -50,7 +51,7 @@ class TestDeriveDimensionless:
         alpha = core.derive_dimensionless(make_params(gamma=0.0)).alpha
         for call in (lambda: analytic.improvement_factor(alpha),
                      lambda: analytic.snr_optimum_strong(alpha, 4, 0.0, 0.8),
-                     lambda: optimize.optimal_theta(alpha, 0.8),
+                     lambda: optimize.optimal_theta(alpha),
                      lambda: optimize.optimal_u(alpha)):
             with pytest.raises(DomainError):
                 call()
@@ -144,3 +145,15 @@ class TestExpElementwise:
         assert want[0] < math.inf == want[1]
         assert len(calls) == 300
         assert core.exp_elementwise(np.array([1e3, math.inf])).tolist() == [math.inf] * 2
+
+
+@pytest.mark.parametrize("module", [core, analytic, linearized, optimize, exact],
+                         ids=lambda m: m.__name__)
+def test_all_lists_every_public_definition(module):
+    # every name in __all__ exists, and every public function and class
+    # defined in the module is listed, so a deleted name cannot linger
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
+    defined = [name for name, obj in vars(module).items()
+               if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+               and obj.__module__ == module.__name__]
+    assert sorted(set(defined) - set(module.__all__)) == []

@@ -90,6 +90,15 @@ class TestInitialState:
         with pytest.raises(ResourceLimitError, match="^n_spins=4 exceeds the cap 3: "):
             exact.check_cap(4, 3)
 
+    @pytest.mark.parametrize("n", [8000, 10 ** 6])
+    def test_check_cap_gives_a_huge_size_as_a_power_of_2(self, n):
+        # 16*4^N as an integer has over 4300 digits from N = 7141 on, and
+        # printing it raised ValueError instead of ResourceLimitError
+        with pytest.raises(ResourceLimitError,
+                           match=f"^n_spins={n} exceeds the cap 10: .* 16\\*4\\^N = "
+                                 f"2\\^{2 * n + 4} bytes "):
+            exact.check_cap(n)
+
     def test_only_check_cap_and_the_expm_path_take_a_cap(self):
         takes_cap = sorted(name for name in exact.__all__ if callable(getattr(exact, name))
                            and "n_cap" in inspect.signature(getattr(exact, name)).parameters)

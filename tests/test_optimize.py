@@ -51,13 +51,13 @@ class TestMaximizeScalar:
 class TestOptimalTheta:
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.99, 1.0])
     def test_boundary_below_threshold(self, alpha):
-        out = optimize.optimal_theta(alpha, 1.0)
+        out = optimize.optimal_theta(alpha)
         assert out.at_boundary
         assert out.argmax == 0.0
 
     def test_reference_point_against_brute_force(self):
         alpha = 10.0
-        out = optimize.optimal_theta(alpha, 1.0)
+        out = optimize.optimal_theta(alpha)
         # independent oracle: dense grid on the gain function
         grid = np.arange(0.0, 3.0, 1e-5)
         gains = grid * (alpha * np.exp(-grid) - 1.0)
@@ -66,33 +66,33 @@ class TestOptimalTheta:
         assert out.argmax == pytest.approx(0.7815, abs=1e-4)
 
     def test_strong_limit_near_unity(self):
-        out = optimize.optimal_theta(1000.0, 1.0)
+        out = optimize.optimal_theta(1000.0)
         assert abs(out.argmax - 1.0) <= 0.01
 
     def test_stationarity_residual(self):
         for alpha in (1.5, 5.0, 50.0):
-            out = optimize.optimal_theta(alpha, 1.0)
+            out = optimize.optimal_theta(alpha)
             theta = out.argmax
             assert abs(alpha * math.exp(-theta) * (1 - theta) - 1) <= 1e-8
 
     def test_gain_positive_above_threshold(self):
         for alpha in (1.01, 2.0, 10.0):
-            out = optimize.optimal_theta(alpha, 1.0)
+            out = optimize.optimal_theta(alpha)
             assert out.value > 0.0
             assert not out.at_boundary
 
     def test_infinite_alpha_rejected(self):
         with pytest.raises(DomainError):
-            optimize.optimal_theta(math.inf, 1.0)
+            optimize.optimal_theta(math.inf)
         # alpha = -inf is below threshold, not noiseless
-        out = optimize.optimal_theta(-math.inf, 1.0)
+        out = optimize.optimal_theta(-math.inf)
         assert out.argmax == 0.0 and out.at_boundary
 
     @pytest.mark.parametrize("alpha", [1.0 + 1e-12, 1.0 + 1e-9, 1.0001, 10.0, 1e3])
     def test_gain_value_to_rounding_near_threshold(self, alpha):
         # 50-digit decimal reference: near alpha = 1, alpha e^{-Theta} - 1
         # cancels to a few bits in floating point
-        out = optimize.optimal_theta(alpha, 1.0)
+        out = optimize.optimal_theta(alpha)
         with decimal.localcontext(decimal.Context(prec=50)):
             th = decimal.Decimal(out.argmax)
             ref = float(th * (decimal.Decimal(alpha) * (-th).exp() - 1))
@@ -101,7 +101,7 @@ class TestOptimalTheta:
     @settings(max_examples=200, deadline=None)
     @given(st.floats(min_value=1.0, max_value=1e3, exclude_min=True))
     def test_closed_form_against_numeric_search(self, alpha):
-        out = optimize.optimal_theta(alpha, 1.0)
+        out = optimize.optimal_theta(alpha)
         theta = out.argmax
         assert abs(alpha * math.exp(-theta) * (1.0 - theta) - 1.0) <= 1e-12
         oracle = optimize.grid_then_golden(
@@ -121,7 +121,7 @@ class TestOptimalTheta:
         if alpha <= 1e8:  # raises for the same alpha as the reference form
             residual = abs(alpha * math.exp(-ref) * (1.0 - ref) - 1.0)
             try:
-                optimize.optimal_theta(alpha, 1.0)
+                optimize.optimal_theta(alpha)
             except NonFiniteObjectiveError:
                 assert residual > 1e-8
             else:
@@ -280,60 +280,3 @@ def test_tolerance_below_float_spacing_terminates():
     argmax, value = map(float, out.stdout.split())
     assert argmax == pytest.approx(1e9, rel=1e-15)
     assert value > 0
-
-
-class TestElementwise:
-    ALPHAS = [0.0, 0.5, 1.0, 1.0 + 1e-12, 1.5, math.e, 10.0, 1e3, 1e6]
-
-    @pytest.mark.parametrize("tol", [1e-8, 1e-17])
-    def test_theta_star_bits_of_the_scalar_call(self, monkeypatch, tol):
-        # at tol 1e-17 some residuals fail: nan where the scalar call raises
-        monkeypatch.setattr(optimize, "_STATIONARITY_TOL", tol)
-        theta, at_boundary = optimize.optimal_theta_elementwise(np.array(self.ALPHAS))
-        raised = 0
-        for i, alpha in enumerate(self.ALPHAS):
-            try:
-                one = optimize.optimal_theta(alpha, 1.0)
-            except NonFiniteObjectiveError:
-                assert math.isnan(theta[i])
-                raised += 1
-                continue
-            assert float(theta[i]).hex() == one.argmax.hex()
-            assert at_boundary[i] == one.at_boundary
-        assert (raised > 0) == (tol < 1e-8)
-
-    def test_theta_star_at_infinite_and_nan_alpha(self):
-        # +inf: the scalar call raises; nan: it returns nan, not at the
-        # boundary; -inf: the boundary
-        theta, at_boundary = optimize.optimal_theta_elementwise(
-            np.array([math.inf, math.nan, -math.inf]))
-        with pytest.raises(DomainError):
-            optimize.optimal_theta(math.inf, 1.0)
-        assert math.isnan(theta[0])
-        for i, alpha in ((1, math.nan), (2, -math.inf)):
-            one = optimize.optimal_theta(alpha, 1.0)
-            assert float(theta[i]).hex() == float(one.argmax).hex()
-            assert at_boundary[i] == one.at_boundary
-        assert math.isnan(theta[1]) and not at_boundary[1]
-        assert theta[2] == 0.0 and at_boundary[2]
-
-    def test_u_star_bits_of_the_scalar_call(self):
-        # nan exactly where the scalar call raises: alpha = 0 (not > 0) and
-        # alpha = 1e6, where its value e^{a-1}/a overflows; the last two
-        # finite alphas straddle that overflow, one float apart
-        alphas = self.ALPHAS + [-1.0, math.inf, math.nan,
-                                1932.1077324409084, 1932.1077324409086]
-        with np.errstate(invalid="ignore"):  # U* at alpha = inf is inf/inf
-            u, at_boundary = optimize.optimal_u_elementwise(np.array(alphas))
-        raised = []
-        for i, alpha in enumerate(alphas):
-            try:
-                one = optimize.optimal_u(alpha)
-            except (DomainError, OverflowError):
-                assert math.isnan(u[i]), alpha
-                raised.append(alpha)
-                continue
-            assert float(u[i]).hex() == float(one.argmax).hex()
-            assert at_boundary[i] == one.at_boundary
-        assert raised[:4] == [0.0, 1e6, -1.0, math.inf] and raised[-1] == alphas[-1]
-        assert len(raised) == 6 and math.isnan(raised[4])
