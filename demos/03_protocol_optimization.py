@@ -5,8 +5,9 @@ spent squeezing before switching to signal acquisition:
 
 1. the strong-squeezing closed form U* = (alpha/e - 1)/(alpha/e), and
 2. the full squeeze-then-measure SNR maximized over (T, t) with a fixed
-   total budget: a 1-D window search, split in closed form (at fixed
-   s = T + t the fraction T/s is (c - 1)/c, c = J N P s e^{-4 Gamma s}).
+   total budget: the best of a few stationary points (inside the budget
+   box the fraction T/(T + t) is (c - 1)/c, c = J N P s e^{-4 Gamma s},
+   s = T + t).
 
 The optimum lands near 4 Gamma (T + t) ~ 1: the protocol uses about one
 depolarization time in total, and there c ~ alpha/e, so T*/(T* + t*)
@@ -34,7 +35,8 @@ def main():
     t_sq, t_sig = out.argmax
     window = 4 * gamma * (t_sq + t_sig)
     print(f"  T* = {t_sq:.4f}, t* = {t_sig:.4f}, SNR = {out.value:.4f}")
-    print(f"  4 Gamma (T* + t*) = {window:.4f}  (near-unit window)")
+    near_unit = "  (near-unit window)" if out.diagnostics["near_unit_window"] else ""
+    print(f"  4 Gamma (T* + t*) = {window:.4f}{near_unit}")
     print(f"  squeeze fraction T*/(T*+t*) = {t_sq / (t_sq + t_sig):.4f} "
           f"vs closed-form U* = {optimize.optimal_u(alpha).argmax:.4f}")
     print(f"  improvement over baseline: "

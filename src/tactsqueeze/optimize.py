@@ -7,12 +7,9 @@ principal Lambert branch, is evaluated in numpy: three Halley steps on
 w e^w - x (Corless et al., Adv. Comput. Math. 5, 329 (1996), Sec. 4)
 from Winitzki's log1p guess (LNCS 2667, 780 (2003)), within 1 ulp of 1
 of a library Lambert W (the tests' reference) on alpha in (1, 1e300].
-The full (T, t) split reduces to a 1-D window search, split in closed
-form: at fixed s = T + t the squeeze fraction T/s is the same (c - 1)/c,
-clamped to the budget, so only s is searched (grid, then golden
-section).  Plateau ties break toward the smallest argmax.
-`grid_then_golden` stays public as the numerical reference the closed
-forms are tested against.
+The full (T, t) split is the best of at most four candidate points,
+one per stationarity equation on the budget box, each root found by
+bisection to adjacent floats.  Ties break toward the smaller T + t.
 
 Theta* and U* take a float alpha or a numpy array, as the `analytic`
 formulas do: over an array the outcome's argmax, value and at_boundary
@@ -24,100 +21,35 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .analytic import snr_squeeze_then_measure
-from .core import check_domain, exp_elementwise
-from .errors import NonFiniteObjectiveError
+from .core import check_domain, check_field, exp_elementwise
+from .errors import DomainError, NonFiniteObjectiveError
 
 __all__ = [
     "OptimizationOutcome",
-    "maximize_scalar", "grid_then_golden",
     "optimal_theta", "optimal_u", "optimal_split_full",
     "squeeze_gain",
 ]
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _STATIONARITY_TOL = 1e-8
-_SPLIT_TOL = 1e-9  # optimal_split_full's golden-section tolerance on s = T + t
-_GRID_POINTS = 512  # grid_then_golden's coarse scan
+_X_FALL = (3.0 - math.sqrt(5.0)) / 2.0  # x(1 - x)e^{-x} peaks here, falls to x = 1
 
 
 @dataclass(frozen=True)
 class OptimizationOutcome:
+    """An optimum.  argmax: the maximizer, a float (an array over an array
+    alpha) or (T*, t*) for the split; value: the objective there;
+    at_boundary: whether argmax lies on the domain's boundary; iterations:
+    how many times the objective was evaluated to find it, an int (0 for a
+    closed form); diagnostics: the optimizer's checks by name, or None."""
     argmax: float | tuple[float, float]
     value: float
     at_boundary: bool
     iterations: int
     diagnostics: dict | None = None
-
-
-def _eval(f: Callable[[float], float], x: float) -> float:
-    y = f(x)
-    if not math.isfinite(y):
-        raise NonFiniteObjectiveError(f"objective non-finite at x = {x}", abscissa=x)
-    return y
-
-
-def maximize_scalar(objective: Callable[[float], float], lo: float, hi: float,
-                    tol: float = 1e-10) -> OptimizationOutcome:
-    """Golden-section maximization on [lo, hi]; assumes unimodality.
-
-    Ties keep the left subinterval, so plateaus resolve to the smallest
-    argmax (a constant objective reports the boundary at lo).  The search
-    stops at width tol, or once the state (a, b, c, d) repeats: with tol
-    below the float spacing of the bracket it cycles instead of shrinking.
-    """
-    if not lo < hi:
-        raise ValueError("requires lo < hi")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = _eval(objective, c), _eval(objective, d)
-    iterations = 0
-    seen = set()
-    while b - a > tol and (a, b, c, d) not in seen:
-        seen.add((a, b, c, d))
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = _eval(objective, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = _eval(objective, d)
-        iterations += 1
-    x = (a + b) / 2.0
-    fx = _eval(objective, x)
-    # fold in the original endpoints so boundary optima are never missed
-    for cand, fcand in ((lo, _eval(objective, lo)), (hi, _eval(objective, hi))):
-        if fcand > fx:
-            x, fx = cand, fcand
-    at_boundary = x - lo <= 4.0 * tol or hi - x <= 4.0 * tol
-    return OptimizationOutcome(argmax=x, value=fx, at_boundary=at_boundary,
-                               iterations=iterations)
-
-
-def grid_then_golden(objective: Callable[[float], float], lo: float, hi: float,
-                     tol: float = 1e-10) -> OptimizationOutcome:
-    """Coarse scan of _GRID_POINTS points, then golden refinement around the best cell.
-
-    Robust for objectives that are not globally unimodal.
-    """
-    xs = np.linspace(lo, hi, _GRID_POINTS)
-    ys = [_eval(objective, float(x)) for x in xs]
-    best = int(np.argmax(ys))  # argmax picks the first (smallest) on ties
-    a = float(xs[max(0, best - 1)])
-    b = float(xs[min(_GRID_POINTS - 1, best + 1)])
-    inner = maximize_scalar(objective, a, b, tol)
-    at_boundary = abs(inner.argmax - lo) <= 4.0 * tol or abs(inner.argmax - hi) <= 4.0 * tol
-    return OptimizationOutcome(argmax=inner.argmax, value=inner.value,
-                               at_boundary=at_boundary,
-                               iterations=inner.iterations + _GRID_POINTS)
 
 
 def squeeze_gain(theta: float, alpha: float) -> float:
@@ -189,11 +121,6 @@ def _theta_star(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return theta, np.abs(alpha * exp_elementwise(-theta) * (1.0 - theta) - 1.0)
 
 
-def _u_star(a: float) -> float:
-    """Argmax of (1 - U) e^{aU} over U >= 0; 0 unless a > 1."""
-    return (a - 1.0) / a if a > 1.0 else 0.0
-
-
 def optimal_u(alpha) -> OptimizationOutcome:
     """Maximize h(U) = (1 - U) exp(a U), a = alpha/e, over U in [0, 1), for
     a float alpha or for each element of an array.
@@ -220,43 +147,103 @@ def optimal_u(alpha) -> OptimizationOutcome:
     return _outcome(alpha, u, value, a <= 1.0)
 
 
-def optimal_split_full(j_coupling: float, n_spins: float, polarization_p: float,
+def _bisect(sign, lo: float, hi: float) -> float:
+    """Where `sign`, positive next to lo and then not up to hi, changes
+    sign, to adjacent floats.  Evaluates only points strictly inside."""
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        lo, hi = (mid, hi) if sign(mid) > 0.0 else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return lo
+
+
+def optimal_split_full(j_coupling: float, n_spins: int, polarization_p: float,
                        gamma: float, tau_budget: float) -> OptimizationOutcome:
-    """Maximize the squeeze-then-measure sensitivity over (T, t) in
-    [0, tau_budget]^2.
+    """Maximize the squeeze-then-measure sensitivity f over (T, t) in
+    [0, tau_budget]^2: the best of at most four candidates.
 
-    With s = T + t and U = T/s the objective factors exactly as
-    sqrt(N) P sqrt(s) e^{-4 Gamma s} (1 - U) e^{cU}, c = J N P s e^{-4 Gamma s},
-    so at fixed s the best U is (c - 1)/c (0 if c <= 1), clamped to the
-    budget box max(0, 1 - tau/s) <= U <= min(1, tau/s).  Only s in
-    [0, 2 tau] is searched, in two pieces: the box starts to bind at
-    s = tau, a kink of the profile.  Diagnostics report 4 Gamma (T* + t*),
-    which the strong-squeezing analysis predicts to sit near 1.
+    In units of tau, with k = J N P tau, g = 4 Gamma tau and s = T + t,
+    ln f = ln t - (ln s)/2 - gs + kT e^{-gs} + const on the unit box, and
+    f = 0 at t = 0.  Each root below is bisected on its equation times
+    e^{-gs}, which cannot overflow and divides by neither Gamma nor J.
+    - Interior.  d/dT = d/dt gives t = e^{gs}/k (at fixed s, ln f is
+      concave in t); then d/dt = 0 gives 2ks(1 - gs)e^{-gs} = 1, i.e.
+      alpha x(1 - x)e^{-x} = 1/2 at x = gs, alpha = k/g.  Along that
+      curve ln f rises where the left side exceeds 1/2, so the maximum is
+      the root where x(1 - x)e^{-x} falls, x in ((3 - sqrt 5)/2, 1),
+      kept where 0 < T <= 1 and t <= 1 (T > 0 is c = s/t > 1, x > 1/2).
+    - Edge T = 0: ln f = (ln t)/2 - gt + const, so t = min(1, 1/(2g)).
+    - Edge T = 1: d/dt has the sign of w(t) = e^{g(1+t)}(A - g) - gk,
+      A = 1/t - 1/(2(1+t)).  With u = 1/t > v = 1/(1+t),
+      e^{-g(1+t)} w' = g(A - g) + A' = -[(u - g)^2 + g^2 + u^2 - v^2
+      + gv]/2 < 0, so t is w's one root, or the corner t = 1 if w(1) >= 0.
+    - Edge t = 1: d/dT has the sign of phi(T) = k(1 - gT)
+      - e^{g(1+T)}(g + 1/(2(1+T))), concave because e^y(1 + 1/(2y)) is
+      convex for y > 0 (its second derivative is e^y(1 + z/2 - z^2 + z^3),
+      z = 1/y, and z^3 - z^2 + z/2 rises from 0).  So phi > 0 on one
+      interval, whose right end is the edge's maximum off the corners:
+      bisect phi' for the peak, then phi right of it.  Before that
+      maximum the edge can have a minimum.
+    The best candidate wins, ties going to the smaller s; at_boundary is
+    false only if the interior one wins, and iterations counts objective
+    evaluations.  Diagnostics report 4 Gamma (T* + t*), which the
+    strong-squeezing analysis predicts to sit near 1.  Raises ValueError
+    for an invalid field or a tau_budget that is not finite and positive,
+    and NonFiniteObjectiveError where the best value is inf or the
+    objective's divisor underflows.
     """
-    if tau_budget <= 0:
-        raise ValueError("tau_budget must be positive")
+    for name, value in (("j_coupling", j_coupling), ("n_spins", n_spins),
+                        ("polarization_p", polarization_p), ("gamma", gamma)):
+        violation = check_field(name, value)
+        if violation is not None:
+            raise ValueError(violation.message)
+    if not (math.isfinite(tau_budget) and tau_budget > 0.0):
+        raise ValueError(f"tau_budget must be finite and positive, got {tau_budget}")
+    k = j_coupling * n_spins * polarization_p * tau_budget
+    g = 4.0 * gamma * tau_budget
 
-    def split(s: float) -> tuple[float, float]:
-        c = j_coupling * n_spins * polarization_p * s * math.exp(-4.0 * gamma * s)
-        t_sq = min(max(_u_star(c) * s, s - tau_budget), tau_budget)
-        return t_sq, min(s - t_sq, tau_budget)
+    def d_t(t):  # d ln f/dt at T = 1: e^{-gs} w
+        return 1.0 / t - 0.5 / (1.0 + t) - g - g * k * math.exp(-g * (1.0 + t))
 
-    def profile(s: float) -> float:
-        if s <= 0.0:
-            return 0.0
-        return snr_squeeze_then_measure(j_coupling, n_spins, polarization_p,
-                                        gamma, *split(s)).snr_per_root_time
+    def d_T(T):  # d ln f/dT at t = 1: e^{-gs} phi
+        return k * math.exp(-g * (1.0 + T)) * (1.0 - g * T) - g - 0.5 / (1.0 + T)
 
-    pieces = [grid_then_golden(profile, lo, hi, tol=_SPLIT_TOL)
-              for lo, hi in ((0.0, tau_budget), (tau_budget, 2.0 * tau_budget))]
-    best = max(pieces, key=lambda out: out.value)  # first (smaller s) on ties
-    t_sq, t_sig = split(best.argmax)
-    edge = 4.0 * _SPLIT_TOL
-    at_boundary = (t_sq <= edge or t_sig <= edge
-                   or tau_budget - t_sq <= edge or tau_budget - t_sig <= edge)
+    def balance(x):  # g (2 alpha x(1 - x)e^{-x} - 1)
+        return 2.0 * k * x * (1.0 - x) * math.exp(-x) - g
+
+    def phi_slope(T):  # e^{-gs} phi'
+        s = 1.0 + T
+        return 0.5 / s ** 2 - g * k * math.exp(-g * s) - g * g - 0.5 * g / s
+
+    candidates = [(0.0, 1.0 if 2.0 * g <= 1.0 else 0.5 / g),
+                  (1.0, 1.0 if d_t(1.0) >= 0.0 else _bisect(d_t, 0.0, 1.0))]
+    peak = _bisect(phi_slope, 0.0, 1.0) if phi_slope(0.0) > 0.0 else 0.0
+    if d_T(peak) > 0.0 > d_T(1.0):
+        candidates.append((_bisect(d_T, peak, 1.0), 1.0))
+    interior = None
+    if g > 0.0 and balance(_X_FALL) > 0.0:
+        x = _bisect(balance, _X_FALL, 1.0)
+        t = math.exp(x) / k
+        if 0.0 < x / g - t <= 1.0 and t <= 1.0:  # the squeeze time x/g - t
+            interior = (x / g - t, t)
+            candidates.append(interior)
+
+    def evaluate(T, t):
+        try:
+            return snr_squeeze_then_measure(j_coupling, n_spins, polarization_p, gamma,
+                                            T * tau_budget, t * tau_budget).snr_per_root_time
+        except DomainError:  # its divisor e^{-J N P_eff T} underflows: f is inf
+            return math.inf
+
+    values = [evaluate(*c) for c in candidates]
+    best = max(range(len(values)), key=lambda i: (values[i], -sum(candidates[i])))
+    t_sq, t_sig = (x * tau_budget for x in candidates[best])
+    if not math.isfinite(values[best]):
+        raise NonFiniteObjectiveError(f"objective non-finite at (T, t) = ({t_sq}, {t_sig})",
+                                      abscissa=(t_sq, t_sig))
     four_gamma_window = 4.0 * gamma * (t_sq + t_sig)
     return OptimizationOutcome(
-        argmax=(t_sq, t_sig), value=best.value, at_boundary=at_boundary,
-        iterations=sum(out.iterations for out in pieces),
+        argmax=(t_sq, t_sig), value=values[best],
+        at_boundary=candidates[best] is not interior, iterations=len(values),
         diagnostics={"four_gamma_window": four_gamma_window,
                      "near_unit_window": bool(abs(four_gamma_window - 1.0) <= 0.2)})

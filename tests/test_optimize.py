@@ -6,46 +6,23 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tactsqueeze
-from tactsqueeze import optimize
+from tactsqueeze import analytic, optimize
 from tactsqueeze.errors import DomainError, NonFiniteObjectiveError
 
 
-class TestMaximizeScalar:
-    def test_quadratic(self):
-        out = optimize.maximize_scalar(lambda x: -(x - 0.3) ** 2, 0.0, 1.0, 1e-10)
-        assert abs(out.argmax - 0.3) < 1e-9
-        assert not out.at_boundary
-
-    def test_constant_reports_left_boundary(self):
-        out = optimize.maximize_scalar(lambda x: 1.0, 0.0, 1.0, 1e-10)
-        assert out.at_boundary
-        assert abs(out.argmax - 0.0) < 1e-9
-
-    def test_monotone_reports_right_boundary(self):
-        out = optimize.maximize_scalar(lambda x: x, 0.0, 1.0, 1e-10)
-        assert out.at_boundary
-        assert out.argmax == pytest.approx(1.0, abs=1e-9)
-
-    def test_value_beats_endpoints(self):
-        out = optimize.maximize_scalar(lambda x: math.sin(x), 0.0, 3.0, 1e-10)
-        assert out.value >= math.sin(0.0) - 1e-12
-        assert out.value >= math.sin(3.0) - 1e-12
-
-    def test_nonfinite_objective_carries_abscissa(self):
-        with pytest.raises(NonFiniteObjectiveError) as err:
-            optimize.maximize_scalar(lambda x: math.inf if x > 0.5 else x,
-                                     0.0, 1.0, 1e-6)
-        assert err.value.abscissa is not None
-
-    @pytest.mark.parametrize("lo, hi, tol", [(1.0, 1.0, 1e-10), (1.0, 0.0, 1e-10),
-                                             (0.0, 1.0, 0.0), (0.0, 1.0, -1e-10)])
-    def test_empty_bracket_or_nonpositive_tol_rejected(self, lo, hi, tol):
-        with pytest.raises(ValueError):
-            optimize.maximize_scalar(lambda x: x, lo, hi, tol)
+def dense_argmax(f, lo, hi):
+    """Brute-force (argmax, max) of a vectorized f on [lo, hi]: a dense grid,
+    then a second one across the best point's two neighbouring cells."""
+    xs = np.linspace(lo, hi, 4001)
+    best = int(np.argmax(f(xs)))
+    xs = np.linspace(xs[max(best - 1, 0)], xs[min(best + 1, xs.size - 1)], 20001)
+    ys = f(xs)
+    best = int(np.argmax(ys))
+    return float(xs[best]), float(ys[best])
 
 
 class TestOptimalTheta:
@@ -104,10 +81,11 @@ class TestOptimalTheta:
         out = optimize.optimal_theta(alpha)
         theta = out.argmax
         assert abs(alpha * math.exp(-theta) * (1.0 - theta) - 1.0) <= 1e-12
-        oracle = optimize.grid_then_golden(
-            lambda th: optimize.squeeze_gain(th, alpha), 0.0, 2.0, tol=1e-12)
-        assert abs(theta - oracle.argmax) <= 1e-7
-        assert out.value >= oracle.value * (1.0 - 1e-12)
+        # squeeze_gain's expm1 form, over an array
+        argmax, best = dense_argmax(
+            lambda th: th * np.expm1(math.log(alpha) - th), 0.0, 2.0)
+        assert abs(theta - argmax) <= 1e-7
+        assert out.value >= best * (1.0 - 1e-12)
 
     W0_ALPHAS = [1.0 + 1e-15, 1.0 + 1e-12, math.e, 10.0, 2250.0, 1e8, 1e300]
 
@@ -166,17 +144,50 @@ class TestOptimalU:
         out = optimize.optimal_u(a * math.e)
         u = out.argmax
         assert abs(a * (1.0 - u) - 1.0) <= 1e-12
-        oracle = optimize.grid_then_golden(
-            lambda x: (1.0 - x) * math.exp(a * x), 0.0, 1.0 - 1e-9, tol=1e-12)
-        assert abs(u - oracle.argmax) <= 1e-7
-        assert out.value >= oracle.value * (1.0 - 1e-12)
+        argmax, best = dense_argmax(lambda x: (1.0 - x) * np.exp(a * x), 0.0, 1.0 - 1e-9)
+        assert abs(u - argmax) <= 1e-7
+        assert out.value >= best * (1.0 - 1e-12)
 
 
 class TestOptimalSplitFull:
-    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
     def test_nonpositive_budget_rejected(self, tau):
         with pytest.raises(ValueError, match="tau_budget"):
             optimize.optimal_split_full(0.1, 20, 1.0, 0.05, tau)
+
+    @pytest.mark.parametrize("field, value", [
+        ("j_coupling", -0.1), ("j_coupling", math.nan), ("j_coupling", math.inf),
+        ("n_spins", 0), ("n_spins", 20.0), ("polarization_p", 1.5),
+        ("polarization_p", 0.0), ("polarization_p", math.nan),
+        ("gamma", -0.05), ("gamma", math.inf)])
+    def test_invalid_field_rejected(self, field, value):
+        args = dict(j_coupling=0.1, n_spins=20, polarization_p=1.0, gamma=0.05, tau_budget=4.0)
+        with pytest.raises(ValueError, match=field):
+            optimize.optimal_split_full(**{**args, field: value})
+
+    @pytest.mark.parametrize("args", [(20.0, 100, 1.0, 0.25, 1.0),  # alpha = 2000, 4 Gamma tau = 1
+                                      (1000.0, 100, 1.0, 0.01, 50.0)])
+    def test_infinite_optimum_raises_nonfinite(self, args):
+        # the first overflows to inf, the second underflows the divisor
+        with pytest.raises(NonFiniteObjectiveError) as err:
+            optimize.optimal_split_full(*args)
+        t_sq, t_sig = err.value.abscissa
+        assert 0.0 <= t_sq <= args[-1] and 0.0 < t_sig <= args[-1]
+
+    def test_objective_evaluations_are_counted(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return analytic.snr_squeeze_then_measure(*args)
+
+        monkeypatch.setattr(optimize, "snr_squeeze_then_measure", counted)
+        for args in [(0.05, 100, 0.9, 0.25, 4.0), (0.01, 100, 1.0, 0.0, 2.0),
+                     (0.0, 100, 1.0, 0.1, 2.0), (4 * 0.25 * 4.168 / 100, 100, 1.0, 0.25, 0.1951)]:
+            calls.clear()
+            out = optimize.optimal_split_full(*args)
+            assert 1 <= len(calls) <= 8
+            assert type(out.iterations) is int and out.iterations == len(calls)
 
     def test_no_squeezing_below_threshold(self):
         gamma, n, p = 0.2, 100, 1.0
@@ -219,10 +230,15 @@ class TestOptimalSplitFull:
         return np.where(t_sq + t_sig > 0, val, 0.0)
 
     @settings(max_examples=150, deadline=None)
-    @given(alpha=st.floats(0.3, 300.0), budget=st.floats(0.05, 6.0),
+    @given(alpha=st.floats(0.3, 300.0), budget=st.floats(1e-3, 6.0),
            gamma=st.floats(0.05, 1.0), n=st.integers(10, 500), p=st.floats(0.5, 1.0))
+    @example(alpha=4.168, budget=0.1951, gamma=0.25, n=100, p=1.0)
+    @example(alpha=math.e, budget=4.0, gamma=0.25, n=100, p=1.0)
+    @example(alpha=3.10, budget=4.0, gamma=0.25, n=100, p=1.0)
     def test_against_dense_grid_and_closed_form_fraction(self, alpha, budget, gamma, n, p):
-        # budget = 4 Gamma tau; small budgets make the box bind
+        # budget = 4 Gamma tau; small budgets make the box bind.  At
+        # alpha = 4.168, budget = 0.1951 the edge t = tau has a minimum
+        # before its maximum; alpha = e and 3.10 are where pieces change.
         j, tau = 4.0 * gamma * alpha / (n * p), budget / (4.0 * gamma)
         out = optimize.optimal_split_full(j, n, p, gamma, tau)
         t_sq, t_sig = out.argmax
@@ -236,6 +252,16 @@ class TestOptimalSplitFull:
             s = t_sq + t_sig
             c = j * n * p * s * math.exp(-4.0 * gamma * s)
             assert abs(t_sq / s - (1.0 - 1.0 / c)) <= 1e-12
+
+    def test_outputs_at_zero_gamma_and_zero_coupling(self):
+        # Gamma = 0: f grows with T and t, so the corner (tau, tau)
+        out = optimize.optimal_split_full(0.01, 100, 1.0, 0.0, 2.0)
+        assert out.argmax == (2.0, 2.0) and out.at_boundary
+        assert out.value == pytest.approx(73.8905609893065, rel=1e-15)
+        # J = 0: no squeezing, and t* = 1/(8 Gamma) maximizes sqrt(t) e^{-4 Gamma t}
+        out = optimize.optimal_split_full(0.0, 100, 1.0, 0.1, 2.0)
+        assert out.argmax[0] == 0.0 and out.argmax[1] == pytest.approx(1.25, rel=1e-15)
+        assert out.value == pytest.approx(6.781218927776206, rel=1e-15)
 
 
 def test_import_loads_no_scipy(tmp_path):
@@ -266,17 +292,14 @@ def test_import_loads_no_scipy(tmp_path):
 
 
 def test_tolerance_below_float_spacing_terminates():
-    # tol = 1e-9 is finer than the float spacing near 1e9 (1.2e-7): the
-    # golden loop must still end; run in a subprocess so a hang times out
+    # a budget of 1e9, where the float spacing is 1.2e-7: the split must
+    # still end; run in a subprocess so a hang times out
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tactsqueeze.__file__)))
     code = ("from tactsqueeze import optimize\n"
-            "r = optimize.maximize_scalar(lambda x: -(x - 1e9) ** 2, 0.0, 2e9, 1e-9)\n"
             "gamma, alpha, n = 1e-9, 5.0, 100\n"
             "s = optimize.optimal_split_full(4 * gamma * alpha / n, n, 1.0, gamma,\n"
             "                                4.0 / (4 * gamma))\n"
-            "print(r.argmax, s.value)\n")
+            "print(s.value)\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
-    argmax, value = map(float, out.stdout.split())
-    assert argmax == pytest.approx(1e9, rel=1e-15)
-    assert value > 0
+    assert float(out.stdout) > 0
