@@ -475,14 +475,12 @@ def _row_exact(pdict: dict, opts: dict) -> dict:
     gens = [g for g, rate in ((l1, p.j_coupling), (l2, p.gamma)) if rate != 0.0]
     stats = {}
     rho = exact.evolve(rho, gens, p.t_squeeze, stats)
-    ops = exact.spin_operators(p.n_spins)
+    moments = exact.collective_moments(rho, p.n_spins)
     # the accepted RK4 pass has checked the final state; T = 0 ran none
-    values = [exact.measure(rho, ops.collective_z) / p.n_spins,
+    values = [moments.mean[2] / p.n_spins,
               *(stats.get("residuals") or exact.channel_residuals(rho))]
     try:
-        min_var, _, mean = exact.transverse_variance_extrema(rho, ops)
-        values += [exact.squeezing_from_variance(min_var, mean, p.n_spins, convention)
-                   for convention in (exact.KITAGAWA_UEDA, exact.WINELAND)]
+        values += moments.xi2()
         status = "ok"
     except TactError as exc:
         values, status = values + ["", ""], str(exc)

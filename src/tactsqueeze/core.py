@@ -1,4 +1,4 @@
-"""Protocol parameters and the dimensionless groups derived from them.
+"""Protocol parameters, their dimensionless groups, and the moment record.
 
 Every engine in the package consumes the same :class:`ProtocolParams`
 record.  Rates and times are in mutually consistent arbitrary units.
@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, UndefinedDirectionError
 
 __all__ = [
     "PAULI_TACT_RATE_FACTOR",
     "ProtocolParams",
     "DimensionlessGroups",
+    "Moments",
     "Violation",
     "check_domain",
     "check_field",
@@ -94,6 +95,43 @@ class DimensionlessGroups:
 class Violation:
     code: str
     message: str
+
+
+@dataclass(frozen=True)
+class Moments:
+    """Collective moments of N spins, C = sum_i sigma_i (sigma units): mean_a =
+    <C_a> and second_ab = Re<C_a C_b> = <{C_a, C_b}>/2.  Every squeezing parameter
+    is a function of them (Kitagawa & Ueda, PRA 47, 5138 (1993); Wineland et
+    al., PRA 50, 67 (1994))."""
+
+    n_spins: int
+    mean: np.ndarray
+    second: np.ndarray
+
+    def transverse_extrema(self) -> tuple[float, float]:
+        """(min, max) variance of C over the plane orthogonal to <C>: the
+        moment matrix projected on that plane, then a closed-form 2x2
+        diagonalization.  UndefinedDirectionError below |<C>| = 1e-12."""
+        norm = float(np.linalg.norm(self.mean))
+        if norm < 1e-12:
+            raise UndefinedDirectionError(
+                f"mean spin length {norm:.3e} too small to define a direction")
+        n_hat = self.mean / norm
+        # transverse basis, seeded by the least-aligned coordinate axis
+        e1 = np.cross(n_hat, np.eye(3)[int(np.argmin(np.abs(n_hat)))])
+        e1 /= np.linalg.norm(e1)
+        plane = np.array([e1, np.cross(n_hat, e1)])
+        m = plane @ self.mean
+        (a, c), (_, b) = plane @ self.second @ plane.T - np.outer(m, m)
+        half_diff, mid = np.hypot((a - b) / 2.0, c), (a + b) / 2.0
+        return mid - half_diff, mid + half_diff
+
+    def xi2(self) -> tuple[float, float]:
+        """(Kitagawa-Ueda, Wineland) squeezing parameters: min Var(C_perp) / N
+        and N min Var(C_perp) / |<C>|^2."""
+        min_var = self.transverse_extrema()[0]
+        return (min_var / self.n_spins,
+                self.n_spins * min_var / float(np.dot(self.mean, self.mean)))
 
 
 def _finite_nonnegative(x) -> bool:

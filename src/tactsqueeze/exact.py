@@ -27,10 +27,10 @@ at most 6 times.
 The collective sums Cx, Cy and Cz are written from the basis-state bits
 too.  The squeezing observables need only the mean spin and the 3x3
 moment matrix <{C_a, C_b}>/2 (Kitagawa & Ueda, PRA 47, 5138 (1993)), which
-read the O(N^2 2^N) entries of rho within two bit flips of its diagonal
-(`_collective_moments`), not an operator product.  The squeeze generator's
-rate bound diagonalizes the two real parity blocks of H, which flips spins
-in pairs.
+`collective_moments` reads from the O(N^2 2^N) entries of rho within two
+bit flips of its diagonal, with no operator matrix, into one `core.Moments`
+record.  The squeeze generator's rate bound diagonalizes the two real
+parity blocks of H, which flips spins in pairs.
 """
 
 from __future__ import annotations
@@ -41,12 +41,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    IntegrationError,
-    NumericalConsistencyError,
-    ResourceLimitError,
-    UndefinedDirectionError,
-)
+from .core import Moments
+from .errors import IntegrationError, NumericalConsistencyError, ResourceLimitError
 
 __all__ = [
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
@@ -56,8 +52,7 @@ __all__ = [
     "squeeze_generator", "depolarize_generator", "field_generator",
     "apply_depolarizer", "evolve", "evolve_expm",
     "channel_residuals", "measure", "trace_norm",
-    "mean_spin_vector", "transverse_variance_extrema",
-    "squeezing_from_variance", "squeezing_parameter_exact",
+    "collective_moments", "transverse_variance_extrema", "squeezing_parameter_exact",
     "split_evolve", "factorization_error", "factorization_error_pair",
     "CommutatorNorm", "commutator_action_norm",
 ]
@@ -329,7 +324,9 @@ def _invariants_ok(rho: np.ndarray) -> tuple[bool, float, tuple[float, float, fl
 
 
 _KRYLOV_CAP = 29  # basis vectors per restart, each a d^2-float row of peak memory
-_KRYLOV_TOL = 1e-14  # per-restart error estimate relative to the state (~100x the error)
+# k steps pass while h_{m+1,m} |e_m^T P(hH_m)^k e1| <= this: the residual weighted at the
+# restart's end only, not an error bound (~500x off on an N = 1 case, ROADMAP item 16)
+_KRYLOV_TOL = 1e-14
 
 
 def _pack(a: np.ndarray, lower: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -517,9 +514,8 @@ def trace_norm(m: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(sym))))
 
 
-def _collective_moments(rho: np.ndarray, ops: SpinOperatorSet
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """(mean, second): mean_a = Tr(rho C_a) and second_ab = Re Tr(rho C_a C_b)
+def collective_moments(rho: np.ndarray, n_spins: int) -> Moments:
+    """The record of mean_a = Tr(rho C_a) and second_ab = Re Tr(rho C_a C_b)
     = <{C_a, C_b}>/2 for Hermitian rho, in one pass over the O(N^2 2^N)
     entries of rho within two bit flips of its diagonal.
 
@@ -536,15 +532,14 @@ def _collective_moments(rho: np.ndarray, ops: SpinOperatorSet
     and nothing real off it).  The first moments hold for any rho; an imaginary
     residual above 1e-8 is a consistency error, as in `measure`.
     """
-    n = ops.n_spins
-    if rho.shape != (2 ** n, 2 ** n):
+    if rho.shape != (2 ** n_spins, 2 ** n_spins):
         raise ValueError("dimension mismatch between state and observable")
-    r = np.arange(2 ** n)[:, None]
-    z = 1 - 2 * _basis_bits(n)  # z[r, i] = z_i(r)
+    r = np.arange(2 ** n_spins)[:, None]
+    z = 1 - 2 * _basis_bits(n_spins)  # z[r, i] = z_i(r)
     cz = z.sum(axis=1)
     p = rho.diagonal()
-    f = rho[r ^ (1 << np.arange(n)), r]
-    i, j = np.triu_indices(n, 1)
+    f = rho[r ^ (1 << np.arange(n_spins)), r]
+    i, j = np.triu_indices(n_spins, 1)
     g = rho[r ^ (1 << i) ^ (1 << j), r]
     mean = np.array([f.sum(), -1j * (z * f).sum(), cz @ p])
     residual = float(np.max(np.abs(mean.imag)))
@@ -552,68 +547,34 @@ def _collective_moments(rho: np.ndarray, ops: SpinOperatorSet
         raise NumericalConsistencyError(
             f"expectation has imaginary residual {residual:.3e}")
     fx, fy = f.real.sum(axis=1), (z * f.imag).sum(axis=1)
-    same_site = n * p.real.sum()
+    same_site = n_spins * p.real.sum()
     xx = same_site + 2.0 * g.real.sum()
     yy = same_site - 2.0 * (z[:, i] * z[:, j] * g.real).sum()
     xy = ((z[:, i] + z[:, j]) * g.imag).sum()
     xz, yz = cz @ fx, cz @ fy
     second = np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, cz ** 2 @ p.real]])
-    return mean.real, second
-
-
-def mean_spin_vector(rho: np.ndarray, ops: SpinOperatorSet) -> np.ndarray:
-    """(<Cx>, <Cy>, <Cz>), from `_collective_moments`."""
-    return _collective_moments(rho, ops)[0]
+    return Moments(n_spins, mean.real, second)
 
 
 def transverse_variance_extrema(rho: np.ndarray, ops: SpinOperatorSet
                                 ) -> tuple[float, float, np.ndarray]:
-    """(min variance, max variance, mean vector) over the plane orthogonal
-    to the mean-spin direction: the 3x3 moment matrix of
-    `_collective_moments` projected on that plane, then a closed-form 2x2
-    diagonalization.  rho must be Hermitian."""
-    mean, second = _collective_moments(rho, ops)
-    norm = float(np.linalg.norm(mean))
-    if norm < 1e-12:
-        raise UndefinedDirectionError(
-            f"mean spin length {norm:.3e} too small to define a direction")
-    n_hat = mean / norm
-    # transverse basis: use the least-aligned coordinate axis as seed
-    seed = np.zeros(3)
-    seed[int(np.argmin(np.abs(n_hat)))] = 1.0
-    e1 = np.cross(n_hat, seed)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n_hat, e1)
-    plane = np.array([e1, e2])
-    m = plane @ mean
-    (a, c), (_, b) = plane @ second @ plane.T - np.outer(m, m)
-    half_diff = np.hypot((a - b) / 2.0, c)
-    mid = (a + b) / 2.0
-    return mid - half_diff, mid + half_diff, mean
+    """(min variance, max variance, mean vector) of rho over the plane
+    orthogonal to the mean spin (`core.Moments.transverse_extrema`)."""
+    moments = collective_moments(rho, ops.n_spins)
+    return (*moments.transverse_extrema(), moments.mean)
 
 
 KITAGAWA_UEDA = "kitagawa_ueda"
 WINELAND = "wineland"
-
-
-def squeezing_from_variance(min_var: float, mean: np.ndarray, n_spins: int,
-                            convention: str = KITAGAWA_UEDA) -> float:
-    """Squeezing parameter from `transverse_variance_extrema`'s min variance
-    and mean: kitagawa_ueda min Var(C_perp) / N, wineland N min Var(C_perp) /
-    |<C>|^2, with C the collective Pauli sums (sigma units)."""
-    if convention == KITAGAWA_UEDA:
-        return min_var / n_spins
-    if convention == WINELAND:
-        return n_spins * min_var / float(np.dot(mean, mean))
-    raise ValueError(f"unknown convention {convention!r}")
+_CONVENTIONS = (KITAGAWA_UEDA, WINELAND)  # the order of `core.Moments.xi2`
 
 
 def squeezing_parameter_exact(rho: np.ndarray, ops: SpinOperatorSet,
                               convention: str = KITAGAWA_UEDA) -> float:
-    """Minimal transverse variance of rho reduced to a squeezing parameter
-    (conventions as in `squeezing_from_variance`)."""
-    min_var, _, mean = transverse_variance_extrema(rho, ops)
-    return squeezing_from_variance(min_var, mean, ops.n_spins, convention)
+    """The squeezing parameter of rho in one convention of `core.Moments.xi2`."""
+    if convention not in _CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
+    return collective_moments(rho, ops.n_spins).xi2()[_CONVENTIONS.index(convention)]
 
 
 # -- factorization / commutator diagnostics ----------------------------------

@@ -82,11 +82,12 @@ def optimal_theta(alpha) -> OptimizationOutcome:
     Theta* = 1 - W0(e/alpha) on the principal Lambert W branch (Corless et
     al., Adv. Comput. Math. 5, 329 (1996)), so Theta* lies in (0, 1); W0
     is `_lambert_w0`'s three Halley steps.  The stationarity residual is
-    checked to 1e-8 post hoc.  A float alpha = inf raises DomainError and
-    a residual above tolerance NonFiniteObjectiveError; over an array
+    checked to 1e-8 post hoc.  A float alpha = inf or nan raises DomainError
+    and a residual above tolerance NonFiniteObjectiveError; over an array
     those elements' argmax and value are nan.
     """
     check_domain(alpha == math.inf, "noiseless case (alpha infinite) has no interior optimum")
+    check_domain(np.isnan(alpha), "requires a number alpha, got {}", alpha)
     x = np.asarray(alpha, dtype=float)
     at_boundary = x <= 1.0  # alpha = -inf included: g(Theta) = -inf for Theta > 0
     interior = ~at_boundary & (x != math.inf)

@@ -287,7 +287,7 @@ class TestArrayCalls:
         monkeypatch.setattr(optimize, "_STATIONARITY_TOL", tol)
         raised = self.assert_elementwise(optimize.optimal_theta, [self.OPTIMA], self.OUTCOME,
                                          raises=(DomainError, NonFiniteObjectiveError))
-        assert (raised > 1) == (tol < 1e-8)  # alpha = inf always raises
+        assert (raised > 2) == (tol < 1e-8)  # alpha = inf and nan always raise
 
     def test_optimal_u(self):
         # nan where the scalar call raises: alpha not finite and > 0, and

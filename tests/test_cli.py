@@ -311,13 +311,10 @@ class TestExactCommand:
         rho = exact.evolve(exact.build_initial_state(n, p),
                            [exact.squeeze_generator(n, j),
                             exact.depolarize_generator(n, gamma)], t)
-        ops = exact.spin_operators(n)
+        moments = exact.collective_moments(rho, n)
         assert row["status"] == "ok"
-        assert row["mean_sz_per_site"] == exact.measure(rho, ops.collective_z) / n
-        assert row["xi2_kitagawa_ueda"] == exact.squeezing_parameter_exact(
-            rho, ops, exact.KITAGAWA_UEDA)
-        assert row["xi2_wineland"] == exact.squeezing_parameter_exact(
-            rho, ops, exact.WINELAND)
+        assert row["mean_sz_per_site"] == moments.mean[2] / n
+        assert (row["xi2_kitagawa_ueda"], row["xi2_wineland"]) == moments.xi2()
         if with_factorization:
             assert row["factorization_error"] == exact.factorization_error(n, j, gamma, t, p)
         else:
@@ -344,10 +341,11 @@ class TestExactCommand:
         assert len(calls) == 3
         assert row["factorization_error"] == expected
 
-    def test_row_builds_the_spin_operators_once(self, monkeypatch):
-        # once, from the basis bits: no per-site operator is built
+    def test_row_builds_no_spin_operator(self, monkeypatch):
+        # every cell is read from the state's entries (exact.collective_moments):
+        # no collective or per-site operator matrix is built, no trace taken
         n = 4
-        calls = {"spin_operators": 0, "site_operator": 0}
+        calls = {"spin_operators": 0, "measure": 0, "site_operator": 0}
         for name in calls:
             def counting(*args, _name=name, _fn=getattr(exact, name), **kwargs):
                 calls[_name] += 1
@@ -356,7 +354,7 @@ class TestExactCommand:
         pdict = dict(cli._DEFAULT_PARAMS, n_spins=n, j_coupling=0.05, gamma=0.1,
                      t_squeeze=0.3)
         assert cli._row_exact(pdict, {})["status"] == "ok"
-        assert calls == {"spin_operators": 1, "site_operator": 0}
+        assert calls == {"spin_operators": 0, "measure": 0, "site_operator": 0}
 
     @pytest.mark.parametrize("t, factorize, checks", [(0.3, False, 1), (0.0, False, 1),
                                                       (0.3, True, 3)])

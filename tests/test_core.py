@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tactsqueeze import analytic, core, exact, linearized, optimize
 from tactsqueeze.errors import DomainError
@@ -145,6 +147,49 @@ class TestExpElementwise:
         assert want[0] < math.inf == want[1]
         assert len(calls) == 300
         assert core.exp_elementwise(np.array([1e3, math.inf])).tolist() == [math.inf] * 2
+
+
+def random_moments(rng: np.random.Generator) -> core.Moments:
+    """A mean off every axis and second = covariance + mean mean^T, the
+    covariance positive semidefinite, at a random overall scale."""
+    scale = 10.0 ** rng.uniform(-3, 3)
+    mean = rng.normal(size=3) * scale
+    a = rng.normal(size=(3, 3)) * scale
+    return core.Moments(4, mean, a @ a.T + np.outer(mean, mean))
+
+
+def random_rotation(rng: np.random.Generator) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q *= np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
+
+
+class TestMoments:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_extrema_are_rotation_invariant(self, seed):
+        # (R mean, R second R^T) is the same state seen in rotated axes
+        rng = np.random.default_rng(seed)
+        m, rot = random_moments(rng), random_rotation(rng)
+        turned = core.Moments(m.n_spins, rot @ m.mean, rot @ m.second @ rot.T)
+        bound = 1e-12 * np.max(np.abs(m.second))
+        got, want = turned.transverse_extrema(), m.transverse_extrema()
+        assert np.max(np.abs(np.subtract(got, want))) <= bound
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_every_transverse_variance_lies_between_the_extrema(self, seed):
+        rng = np.random.default_rng(seed)
+        m = random_moments(rng)
+        lo, hi = m.transverse_extrema()
+        n_hat = m.mean / np.linalg.norm(m.mean)
+        u = rng.normal(size=(20, 3))
+        u -= np.outer(u @ n_hat, n_hat)
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        var = np.einsum("ka,ab,kb->k", u, m.second, u) - (u @ m.mean) ** 2
+        bound = 1e-12 * np.max(np.abs(m.second))
+        assert lo <= hi
+        assert np.all(var >= lo - bound) and np.all(var <= hi + bound)
 
 
 @pytest.mark.parametrize("module", [core, analytic, linearized, optimize, exact],

@@ -593,21 +593,34 @@ class TestCollectiveMoments:
         zero = np.zeros((dim, dim), dtype=complex)
         sums = [sum((exact.site_operator(pauli, i, n) for i in range(n)), zero)
                 for pauli in (exact.SIGMA_X, exact.SIGMA_Y, exact.SIGMA_Z)]
-        mean, second = exact._collective_moments(rho, exact.spin_operators(n))
+        moments = exact.collective_moments(rho, n)
         bound = 1e-13 * n ** 2 * np.sum(np.abs(rho))
-        assert np.max(np.abs(mean - [np.trace(rho @ a).real for a in sums])) <= bound
-        assert np.max(np.abs(second - [[np.trace(rho @ a @ b).real for b in sums]
-                                       for a in sums])) <= bound
-        assert np.array_equal(exact.mean_spin_vector(rho, exact.spin_operators(n)), mean)
+        assert moments.n_spins == n
+        assert np.max(np.abs(moments.mean - [np.trace(rho @ a).real for a in sums])) <= bound
+        assert np.max(np.abs(moments.second - [[np.trace(rho @ a @ b).real for b in sums]
+                                               for a in sums])) <= bound
 
     def test_imaginary_mean_rejected(self):
         rho = np.array([[0.5, 0.5], [-0.5, 0.5]], dtype=complex)  # Tr(rho Y) = i
         with pytest.raises(NumericalConsistencyError):
-            exact.mean_spin_vector(rho, exact.spin_operators(1))
+            exact.collective_moments(rho, 1)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
+            exact.collective_moments(np.eye(2) / 2, 2)
+        with pytest.raises(ValueError):
             exact.transverse_variance_extrema(np.eye(2) / 2, exact.spin_operators(2))
+
+    def test_views_read_the_record(self):
+        rho = exact.evolve(exact.build_initial_state(4, 0.9),
+                           [exact.squeeze_generator(4, 0.05),
+                            exact.depolarize_generator(4, 0.1)], 0.3)
+        ops, moments = exact.spin_operators(4), exact.collective_moments(rho, 4)
+        lo, hi, mean = exact.transverse_variance_extrema(rho, ops)
+        assert (lo, hi) == moments.transverse_extrema()
+        assert np.array_equal(mean, moments.mean)
+        assert [exact.squeezing_parameter_exact(rho, ops, c)
+                for c in (exact.KITAGAWA_UEDA, exact.WINELAND)] == list(moments.xi2())
 
     def test_variance_allocates_less_than_one_state(self):
         # the moment pass gathers O(N^2 2^N) entries; the operator products
@@ -627,7 +640,8 @@ class TestCollectiveMoments:
 class TestSqueezingParameter:
     def test_unknown_convention_rejected(self):
         with pytest.raises(ValueError, match="unknown convention"):
-            exact.squeezing_from_variance(1.0, np.array([0.0, 0.0, 4.0]), 4, "ku")
+            exact.squeezing_parameter_exact(exact.build_initial_state(4, 1.0),
+                                            exact.spin_operators(4), "ku")
 
     def test_coherent_state_both_conventions(self):
         rho = exact.build_initial_state(4, 1.0)

@@ -65,6 +65,11 @@ class TestOptimalTheta:
         out = optimize.optimal_theta(-math.inf)
         assert out.argmax == 0.0 and out.at_boundary
 
+    def test_nan_alpha_rejected(self):
+        # as optimal_u rejects it; an array element stays nan (TestArrayCalls)
+        with pytest.raises(DomainError):
+            optimize.optimal_theta(math.nan)
+
     @pytest.mark.parametrize("alpha", [1.0 + 1e-12, 1.0 + 1e-9, 1.0001, 10.0, 1e3])
     def test_gain_value_to_rounding_near_threshold(self, alpha):
         # 50-digit decimal reference: near alpha = 1, alpha e^{-Theta} - 1
