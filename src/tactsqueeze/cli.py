@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, analytic, core, exact, linearized, optimize
-from .errors import ConfigError, DomainError, ResourceLimitError, TactError
+from .errors import ConfigError, ResourceLimitError, TactError
 
 
 def _flag(raw: str) -> bool:
@@ -261,12 +261,11 @@ def _grid_point(params: dict, i: int) -> dict:
 # -- engines (module level so process pools can pickle them) -----------------
 #
 # Each closed-form engine (_analytic, _linearized, _optimize) fills a _Cells
-# record from the grid's float64 columns; one point is a one-row grid.  The
-# library formulas take arrays and give each element the scalar call's bits,
-# with nan or inf where the scalar call raises; in those rows alone the
-# record makes the scalar call, and its error decides the row (_Cells.check).
-# Invalid points and Gamma = 0 optimize rows are settled before any such
-# call.  An oracle row function (_row_exact; verify's _row_verify) gives
+# record from the grid's float64 columns; one point is a one-row grid.  Each
+# library formula is one array call, and the core.Status it returns decides
+# every row where its value is not finite (_Cells.check): no row is
+# evaluated again.  Invalid points and Gamma = 0 optimize rows are settled
+# first.  An oracle row function (_row_exact; verify's _row_verify) gives
 # one row's cells, one task per row not yet settled (_oracle), merged as
 # columns.
 
@@ -315,36 +314,32 @@ class _Cells:
             self.put(key, value)
 
     def settle(self, rows, status, whole: bool = True) -> None:
-        """Give `rows` (indices, or a mask) a status no scalar call revisits:
+        """Give `rows` (indices, or a mask) a status no later check revisits:
         a whole-row status or, unless `whole`, '' in every cell put from now
         on (then `rows` is a mask)."""
         self.status[rows], self.whole[rows] = status, whole
         if not whole:
             self.blank = rows
 
-    def check(self, key: str, value: np.ndarray, fn: Callable, *args,
+    def check(self, key: str, value: np.ndarray, status: core.Status,
               prefix: str | None = None) -> None:
-        """The cell `key` = `value`, fn(*args) over the grid.  Each row where
-        it is not finite is settled, in index order, by fn on that row alone:
-        with `prefix` (a guarded cell) a DomainError empties the cell and
-        gives the status f"{prefix}: {exc}" unless the row has one; any
-        other TactError gives a whole-row status; any other error ends the
-        sweep at its row."""
+        """The cell `key` = `value`, a closed form over the grid, and each
+        row where it is not finite settled by the code of `status` there:
+        with `prefix` (a guarded cell) DOMAIN empties the cell and gives the
+        status f"{prefix}: {message}" unless the row has one; OVERFLOW ends
+        the sweep at its first row; any other code is a whole-row status."""
         self.put(key, value, empty=np.zeros(len(value), dtype=bool))
-        rows = np.flatnonzero(~(np.isfinite(value) | self.whole | self.blank)[:self.n_done])
-        for i, point in zip(rows.tolist(), zip(*(a[rows].tolist() for a in args))):
-            try:
-                fn(*point)
-            except TactError as exc:
-                if prefix is None or not isinstance(exc, DomainError):
-                    self.settle(i, str(exc))
-                    continue
-                self.empty[key][i] = True
-                if self.status[i] == "ok":
-                    self.status[i] = f"{prefix}: {exc}"
-            except Exception as exc:  # ends the sweep, as a failed task would
-                self.n_done, self.error = i, exc
-                break
+        unsettled = ~(np.isfinite(value) | self.whole | self.blank) & (status.code != core.OK)
+        rows = np.flatnonzero(unsettled[:self.n_done])
+        over = rows[status.code[rows] == core.OVERFLOW]
+        if over.size:  # math range error, as math.exp raises it
+            self.n_done, self.error = int(over[0]), status.error(over[0])
+            rows = rows[rows < over[0]]
+        guarded = (status.code[rows] == core.DOMAIN) & (prefix is not None)
+        self.empty[key][rows[guarded]] = True
+        fresh = rows[guarded & (self.status[rows] == "ok")]
+        self.status[fresh] = [f"{prefix}: {status.error(i)}" for i in fresh.tolist()]
+        self.settle(rows[~guarded], [str(status.error(i)) for i in rows[~guarded].tolist()])
 
     def merge(self, results: dict, keys: tuple[str, ...]) -> None:
         """The oracle's results, row -> its cells `keys` (a '' cell is empty)
@@ -397,12 +392,12 @@ def _analytic(rec: _Cells) -> None:
     x = rec.x
     args = (x["j_coupling"], x["n_spins"], x["polarization_p"], x["gamma"], x["t_squeeze"])
     xi = analytic.xi2_min(*args)
-    rec.check("xi2_paper", xi.xi2, analytic.xi2_min, *args)
+    rec.check("xi2_paper", xi.xi2, xi.status)
     rec.update(exponent_arg=xi.exponent_arg, regime=xi.regime)
-    then_args = args + (x["t_signal"],)
-    for key, snr, a in (("snr_while_measuring", analytic.snr_squeeze_while_measure, args),
-                        ("snr_squeeze_then_measure", analytic.snr_squeeze_then_measure, then_args)):
-        rec.check(key, snr(*a).snr_per_root_time, snr, *a, prefix=key)
+    for key, snr in (("snr_while_measuring", analytic.snr_squeeze_while_measure(*args)),
+                     ("snr_squeeze_then_measure",
+                      analytic.snr_squeeze_then_measure(*args, x["t_signal"]))):
+        rec.check(key, snr.snr_per_root_time, snr.status, prefix=key)
 
 
 def _linearized(rec: _Cells) -> None:
@@ -423,18 +418,18 @@ def _optimize(rec: _Cells) -> None:
     rec.settle(rec.groups.alpha_infinite & ~rec.whole, "alpha infinite (gamma = 0)",
                whole=False)
     theta = optimize.optimal_theta(alpha)
-    rec.check("theta_star", theta.argmax, optimize.optimal_theta, alpha)
+    rec.check("theta_star", theta.argmax, theta.status)
     rec.update(xi2_at_theta_star=analytic.xi2_min_dimensionless(alpha, theta.argmax, p).xi2,
                theta_at_boundary=theta.at_boundary)
     u = optimize.optimal_u(alpha)
-    rec.check("u_star", u.argmax, optimize.optimal_u, alpha)
+    rec.check("u_star", u.argmax, u.status)
     rec.put("u_at_boundary", u.at_boundary)
-    rec.check("snr_at_u_star", analytic.snr_optimum_strong(alpha, n, gamma, p).snr_per_root_time,
-              analytic.snr_optimum_strong, alpha, n, gamma, p, prefix="snr_optimum_strong")
+    snr = analytic.snr_optimum_strong(alpha, n, gamma, p)
+    rec.check("snr_at_u_star", snr.snr_per_root_time, snr.status, prefix="snr_optimum_strong")
     # below threshold the unsqueezed baseline is optimal: gain 1
-    rec.check("improvement_factor",
-              np.where(u.at_boundary, 1.0, analytic.improvement_factor(alpha)),
-              analytic.improvement_factor, alpha, prefix="improvement_factor")
+    gain = analytic.improvement_factor(alpha)
+    rec.check("improvement_factor", np.where(u.at_boundary, 1.0, gain.value), gain.status,
+              prefix="improvement_factor")
 
 
 def _closed_form(parts: list[Callable], params: dict) -> _Cells:

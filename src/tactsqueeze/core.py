@@ -1,4 +1,5 @@
-"""Protocol parameters, their dimensionless groups, and the moment record.
+"""Protocol parameters, their dimensionless groups, the moment record, and
+the one array body of every closed form (:func:`closed_form`).
 
 Every engine in the package consumes the same :class:`ProtocolParams`
 record.  Rates and times are in mutually consistent arbitrary units.
@@ -6,13 +7,16 @@ record.  Rates and times are in mutually consistent arbitrary units.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, UndefinedDirectionError
+from .errors import DomainError, NonFiniteObjectiveError, UndefinedDirectionError
 
 __all__ = [
     "PAULI_TACT_RATE_FACTOR",
@@ -20,13 +24,13 @@ __all__ = [
     "DimensionlessGroups",
     "Moments",
     "Violation",
-    "check_domain",
+    "Status",
+    "Checked",
+    "OK", "DOMAIN", "NON_FINITE", "OVERFLOW",
     "check_field",
+    "closed_form",
     "derive_dimensionless",
-    "exp_any",
     "exp_elementwise",
-    "nan_outside",
-    "sqrt_any",
     "squeeze_to_noise",
     "validate",
 ]
@@ -169,20 +173,6 @@ def validate(params: ProtocolParams) -> list[Violation]:
     return [v for v in found if v is not None]
 
 
-def squeeze_to_noise(j_coupling, n_spins, polarization_p, gamma):
-    """alpha = J N P / (4 Gamma): +inf at Gamma = 0.
-
-    Elementwise for an array Gamma, with +inf where Gamma = 0.
-    """
-    if isinstance(gamma, np.ndarray):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            alpha = j_coupling * n_spins * polarization_p / (4.0 * gamma)
-        return np.where(gamma == 0.0, np.inf, alpha)
-    if gamma == 0.0:
-        return math.inf
-    return j_coupling * n_spins * polarization_p / (4.0 * gamma)
-
-
 def derive_dimensionless(params: ProtocolParams) -> DimensionlessGroups:
     """Compute Theta, alpha and the effective polarization.
 
@@ -191,24 +181,17 @@ def derive_dimensionless(params: ProtocolParams) -> DimensionlessGroups:
     T, t).  Fields may be arrays of one shape (a grid of points): every
     group is then an array, alpha +inf where alpha_infinite holds.
     """
-    theta = 4.0 * params.gamma * params.t_squeeze
-    p_eff = params.polarization_p * exp_any(-theta)
-    alpha = squeeze_to_noise(params.j_coupling, params.n_spins, params.polarization_p,
-                             params.gamma)
-    return DimensionlessGroups(theta=theta, alpha=alpha, p_eff=p_eff,
-                               alpha_infinite=params.gamma == 0.0)
+    return _groups(params.j_coupling, params.n_spins, params.polarization_p, params.gamma,
+                   params.t_squeeze)
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows only above
 
 
 def exp_elementwise(x) -> np.ndarray:
-    """math.exp of every element of x, as a float64 array; +inf where it overflows.
-
-    One math.exp call per element, so each value has the bits of the
-    scalar call (np.exp differs from it in the last bit on some inputs).
-    After an overflow only the elements above log(float max) are redone.
-    """
+    """math.exp of every element of x, as a float64 array, +inf where it
+    overflows: math.exp's bits (np.exp's differ in the last on some inputs).
+    After an overflow only the elements above log(float max) are redone."""
     vals = np.asarray(x, dtype=float).ravel()
     try:
         out = np.fromiter(map(math.exp, vals.tolist()), float, vals.size)
@@ -227,28 +210,93 @@ def _exp_or_inf(v: float) -> float:
         return math.inf
 
 
-def exp_any(x):
-    """math.exp(x); for an array, of each element (exp_elementwise), so an
-    array formula gives every element the bits of the scalar one."""
-    return exp_elementwise(x) if isinstance(x, np.ndarray) else math.exp(x)
+# -- closed forms: one array body each, and the status of every element -------
+
+OK, DOMAIN, NON_FINITE, OVERFLOW = range(4)
+_ERRORS = {DOMAIN: DomainError, NON_FINITE: NonFiniteObjectiveError, OVERFLOW: OverflowError}
 
 
-def sqrt_any(x):
-    """math.sqrt(x); np.sqrt for an array (both are correctly rounded)."""
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+class Status:
+    """Per element of one closed-form evaluation, `code`: OK or the code of
+    the first check it failed.  `error(i)` is what a float call raises there
+    (_ERRORS), the check's message template filled from element i's values."""
+
+    def __init__(self, shape):
+        self.code, self.failed = np.zeros(shape, np.int8), np.zeros(shape, np.int8)
+        self.checks: list[tuple] = []  # failed = 1 + the index of its check here
+
+    def flag(self, where, code: int, template: str, *values, abscissa=None) -> Status:
+        """Fail where `where` holds and no earlier check failed (values: full shape)."""
+        self.checks.append((code, template, values, abscissa))
+        new = where & (self.code == OK)
+        self.code[new], self.failed[new] = code, len(self.checks)
+        return self
+
+    def exp(self, x: np.ndarray) -> np.ndarray:
+        """exp_elementwise(x), failing OVERFLOW where math.exp(x) raises."""
+        out = exp_elementwise(x)
+        self.flag(np.isinf(out) & np.isfinite(x), OVERFLOW, "math range error")
+        return out
+
+    def nan(self, value: np.ndarray) -> np.ndarray:
+        return np.where(self.code == OK, value, np.nan)
+
+    def error(self, i: int) -> Exception:
+        code, template, values, abscissa = self.checks[self.failed.flat[i] - 1]
+        error = _ERRORS[code](template.format(*(v.flat[i].item() for v in values)))
+        if abscissa is not None:
+            error.abscissa = abscissa.flat[i].item()
+        return error
 
 
-def check_domain(undefined, message: str, *args) -> None:
-    """Raise DomainError(message.format(*args)) where a formula's scalar
-    arguments lie outside its domain (`undefined` true).  Array arguments
-    are not checked here: the formula sets their rows outside it to nan,
-    by nan_outside."""
-    if not isinstance(undefined, np.ndarray) and undefined:
-        raise DomainError(message.format(*args))
+class Checked(NamedTuple):
+    """A bare-valued closed form over an array: its values and their Status."""
+    value: np.ndarray
+    status: Status
 
 
-def nan_outside(undefined, value):
-    """value, with nan in the rows of an array `undefined` marks."""
-    if isinstance(undefined, np.ndarray):
-        return np.where(undefined, np.nan, value)
-    return value
+def closed_form(body: Callable) -> Callable:
+    """A closed form's public function from its one body over float64 arrays
+    of one shape (the arguments broadcast).  The body returns its values, nan
+    where one is undefined, with their Status (a record's `status`, or a
+    Checked) unless no element can fail.  A float call is a one-element array
+    call: it raises the failed check's error, else returns Python scalars."""
+
+    @functools.wraps(body)
+    def call(*args):
+        with np.errstate(all="ignore"):  # a failed check is the report
+            out = body(*np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float))
+                                              for a in args)))
+        if any(isinstance(a, np.ndarray) for a in args):
+            return out
+        if getattr(out, "status", None) is not None and out.status.code[0]:
+            raise out.status.error(0)
+        return _scalars(out)
+
+    return call
+
+
+def _scalars(v):
+    """A one-element array call's result in Python scalars, with no status."""
+    if isinstance(v, Checked):
+        return v.value.item()
+    if isinstance(v, tuple):
+        return v._make(map(_scalars, v))
+    if isinstance(v, dict):
+        return {key: _scalars(x) for key, x in v.items()}
+    if dataclasses.is_dataclass(v):
+        return dataclasses.replace(v, **_scalars(vars(v)))
+    return v.item() if isinstance(v, np.ndarray) else None if isinstance(v, Status) else v
+
+
+@closed_form
+def squeeze_to_noise(j_coupling, n_spins, polarization_p, gamma):
+    """alpha = J N P / (4 Gamma): +inf at Gamma = 0."""
+    return np.where(gamma == 0.0, np.inf, j_coupling * n_spins * polarization_p / (4.0 * gamma))
+
+
+@closed_form
+def _groups(j_coupling, n_spins, polarization_p, gamma, t_squeeze) -> DimensionlessGroups:
+    theta = 4.0 * gamma * t_squeeze
+    return DimensionlessGroups(theta, squeeze_to_noise(j_coupling, n_spins, polarization_p, gamma),
+                               polarization_p * exp_elementwise(-theta), gamma == 0.0)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import exp_any, exp_elementwise
+from .core import closed_form, exp_elementwise
 from .errors import DegenerateShiftError
 
 __all__ = [
@@ -92,22 +92,17 @@ class SignalValue(NamedTuple):
     degenerate: bool
 
 
+@closed_form
 def signal(b_field: float, j_coupling: float, n_p_eff: float,
            duration: float) -> SignalValue:
     """Signal curve (B/J)[1 - exp(-J N P_eff t)]; saturates at B/J.
 
     At J = 0 the analytic limit B * N P_eff * t is returned with the
-    degenerate flag set.  Elementwise over arrays, with the bits of the
-    scalar call.
+    degenerate flag set.  No element fails.
     """
     degenerate = j_coupling == 0.0
-    limit = b_field * n_p_eff * duration
-    if not isinstance(degenerate, np.ndarray) and degenerate:
-        return SignalValue(limit, True)
-    val = (b_field / j_coupling) * (1.0 - exp_any(-j_coupling * n_p_eff * duration))
-    if isinstance(degenerate, np.ndarray):
-        return SignalValue(np.where(degenerate, limit, val), degenerate)
-    return SignalValue(val, False)
+    val = (b_field / j_coupling) * (1.0 - exp_elementwise(-j_coupling * n_p_eff * duration))
+    return SignalValue(np.where(degenerate, b_field * n_p_eff * duration, val), degenerate)
 
 
 class VarianceDirection(NamedTuple):
@@ -137,6 +132,7 @@ class SqueezedVacuum(NamedTuple):
     cov_det: float | np.ndarray
 
 
+@closed_form
 def squeezed_vacuum(kappa_t) -> SqueezedVacuum:
     """Covariance moments of the vacuum after `bogoliubov_propagate` for kappa t.
 
@@ -149,20 +145,12 @@ def squeezed_vacuum(kappa_t) -> SqueezedVacuum:
     _ISOTROPY_TOL of each other (|kappa t| up to ~1e-12) are `isotropic`,
     with angle 0 and the mean eigenvalue as the variance.  `isotropic` is
     false once the major eigenvalue overflows (|kappa t| above ~354.9,
-    where cov_det is inf or nan).  Accepts a scalar (returns Python
-    scalars) or an array.
+    where cov_det is inf or nan).  One body over arrays (core.closed_form).
     """
-    x = np.asarray(kappa_t, dtype=float)
-    two_x = 2.0 * np.abs(x)
+    two_x = 2.0 * np.abs(kappa_t)
     lo = exp_elementwise(-two_x) / 2.0
     hi = exp_elementwise(two_x) / 2.0
-    with np.errstate(invalid="ignore"):
-        half_diff = (hi - lo) / 2.0
-        mid = (hi + lo) / 2.0
-        isotropic = np.isfinite(hi) & (half_diff <= _ISOTROPY_TOL * np.maximum(mid, 1.0))
-        det = lo * hi
-    angle = np.where(isotropic, 0.0, np.where(x > 0.0, 0.75 * math.pi, 0.25 * math.pi))
-    out = SqueezedVacuum(np.where(isotropic, mid, lo), angle, isotropic, det)
-    if x.ndim == 0:
-        return SqueezedVacuum(*(v.item() for v in out))
-    return out
+    half_diff, mid = (hi - lo) / 2.0, (hi + lo) / 2.0
+    isotropic = np.isfinite(hi) & (half_diff <= _ISOTROPY_TOL * np.maximum(mid, 1.0))
+    angle = np.where(isotropic, 0.0, np.where(kappa_t > 0.0, 0.75 * math.pi, 0.25 * math.pi))
+    return SqueezedVacuum(np.where(isotropic, mid, lo), angle, isotropic, lo * hi)

@@ -10,11 +10,7 @@ of a library Lambert W (the tests' reference) on alpha in (1, 1e300].
 The full (T, t) split is the best of at most four candidate points,
 one per stationarity equation on the budget box, each root found by
 bisection to adjacent floats.  Ties break toward the smaller T + t.
-
-Theta* and U* take a float alpha or a numpy array, as the `analytic`
-formulas do: over an array the outcome's argmax, value and at_boundary
-are arrays whose elements have the float call's bits, and the argmax is
-nan exactly where the float call raises.
+Theta* and U* are closed forms of core.closed_form, as in `analytic`.
 """
 
 from __future__ import annotations
@@ -25,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import snr_squeeze_then_measure
-from .core import check_domain, check_field, exp_elementwise
+from .core import (DOMAIN, NON_FINITE, Status, check_field, closed_form,
+                   exp_elementwise)
 from .errors import DomainError, NonFiniteObjectiveError
 
 __all__ = [
@@ -44,12 +41,14 @@ class OptimizationOutcome:
     alpha) or (T*, t*) for the split; value: the objective there;
     at_boundary: whether argmax lies on the domain's boundary; iterations:
     how many times the objective was evaluated to find it, an int (0 for a
-    closed form); diagnostics: the optimizer's checks by name, or None."""
+    closed form); diagnostics: the optimizer's checks by name, or None;
+    status: a closed form's core.Status over an array alpha, else None."""
     argmax: float | tuple[float, float]
     value: float
     at_boundary: bool
     iterations: int
     diagnostics: dict | None = None
+    status: Status | None = None
 
 
 def squeeze_gain(theta: float, alpha: float) -> float:
@@ -61,46 +60,34 @@ def squeeze_gain(theta: float, alpha: float) -> float:
     return theta * math.expm1(math.log(alpha) - theta)
 
 
-def _outcome(alpha, argmax, value, at_boundary, diagnostics=None) -> OptimizationOutcome:
-    """A closed-form optimum over `alpha`: argmax, value, at_boundary and
-    each diagnostic an array for an array alpha, else floats with no
-    diagnostics at the boundary.  No search runs: iterations is the int 0."""
-    if isinstance(alpha, np.ndarray):
-        return OptimizationOutcome(argmax, value, at_boundary, 0, diagnostics)
-    at_boundary = bool(at_boundary)
-    floats = None if at_boundary or diagnostics is None else {
-        key: float(v) for key, v in diagnostics.items()}
-    return OptimizationOutcome(float(argmax), float(value), at_boundary, 0, floats)
-
-
+@closed_form
 def optimal_theta(alpha) -> OptimizationOutcome:
-    """Maximize the squeezing gain g(Theta) over Theta >= 0 in closed form,
-    for a float alpha or for each element of an array.
+    """Maximize the squeezing gain g(Theta) over Theta >= 0 in closed form.
 
     Boundary Theta* = 0 iff alpha <= 1 (sign of g'(0) = alpha - 1).  An
     interior optimum solves alpha e^{-Theta}(1 - Theta) = 1, i.e.
     Theta* = 1 - W0(e/alpha) on the principal Lambert W branch (Corless et
     al., Adv. Comput. Math. 5, 329 (1996)), so Theta* lies in (0, 1); W0
     is `_lambert_w0`'s three Halley steps.  The stationarity residual is
-    checked to 1e-8 post hoc.  A float alpha = inf or nan raises DomainError
-    and a residual above tolerance NonFiniteObjectiveError; over an array
-    those elements' argmax and value are nan.
+    checked to 1e-8 post hoc; above it NON_FINITE fails, at abscissa Theta*.
+    Outside the domain at alpha = inf or nan.  Diagnostics are None if every Theta* = 0.
     """
-    check_domain(alpha == math.inf, "noiseless case (alpha infinite) has no interior optimum")
-    check_domain(np.isnan(alpha), "requires a number alpha, got {}", alpha)
-    x = np.asarray(alpha, dtype=float)
-    at_boundary = x <= 1.0  # alpha = -inf included: g(Theta) = -inf for Theta > 0
-    interior = ~at_boundary & (x != math.inf)
-    theta, residual = np.where(at_boundary, 0.0, np.nan), np.full(x.shape, np.nan)
-    theta[interior], residual[interior] = _theta_star(x[interior])
+    status = Status(alpha.shape).flag(alpha == math.inf, DOMAIN,
+                                      "noiseless case (alpha infinite) has no interior optimum")
+    status.flag(np.isnan(alpha), DOMAIN, "requires a number alpha, got {}", alpha)
+    at_boundary = alpha <= 1.0  # alpha = -inf included: g(Theta) = -inf for Theta > 0
+    interior = ~at_boundary & (alpha != math.inf)
+    theta, residual = np.where(at_boundary, 0.0, np.nan), np.full(alpha.shape, np.nan)
+    theta[interior], residual[interior] = _theta_star(alpha[interior])
     failed = residual > _STATIONARITY_TOL
-    if failed.any() and not isinstance(alpha, np.ndarray):
-        raise NonFiniteObjectiveError(
-            f"stationarity residual {float(residual):.3e} exceeds 1e-8", abscissa=float(theta))
-    theta[failed] = np.nan
+    status.flag(failed, NON_FINITE, "stationarity residual {:.3e} exceeds 1e-8", residual,
+                abscissa=theta)
+    theta = status.nan(theta)
     value, kept = theta.copy(), interior & ~failed
-    value[kept] = np.fromiter(map(squeeze_gain, theta[kept].tolist(), x[kept].tolist()), float)
-    return _outcome(alpha, theta, value, at_boundary, {"stationarity_residual": residual})
+    value[kept] = np.fromiter(map(squeeze_gain, theta[kept].tolist(), alpha[kept].tolist()),
+                              float)
+    diagnostics = None if at_boundary.all() else {"stationarity_residual": residual}
+    return OptimizationOutcome(theta, value, at_boundary, 0, diagnostics, status)
 
 
 def _lambert_w0(x: np.ndarray) -> np.ndarray:
@@ -122,30 +109,24 @@ def _theta_star(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return theta, np.abs(alpha * exp_elementwise(-theta) * (1.0 - theta) - 1.0)
 
 
+@closed_form
 def optimal_u(alpha) -> OptimizationOutcome:
-    """Maximize h(U) = (1 - U) exp(a U), a = alpha/e, over U in [0, 1), for
-    a float alpha or for each element of an array.
+    """Maximize h(U) = (1 - U) exp(a U), a = alpha/e, over U in [0, 1).
 
     h'(U) = e^{aU}(a(1 - U) - 1), so for a > 1 the optimum is
     U* = (a - 1)/a with h(U*) = e^{a-1}/a; otherwise U* = 0 at the
-    boundary.  A float alpha raises DomainError unless it is finite and
-    > 0, and math.exp's OverflowError where e^{a-1} overflows; over an
-    array those elements' argmax and value are nan.
+    boundary.  Outside the domain unless alpha is finite and > 0; OVERFLOW
+    where e^{a-1} overflows.
     """
-    check_domain(np.isinf(alpha), "noiseless case (alpha infinite) has no interior optimum")
-    check_domain(np.logical_not(alpha > 0.0), "requires alpha > 0, got {}", alpha)
-    x = np.asarray(alpha, dtype=float)
-    a = x * math.exp(-1.0)
-    defined = (x > 0.0) & (x != math.inf)
-    interior = defined & (a > 1.0)
-    u, value = np.where(defined, 0.0, np.nan), np.where(defined, 1.0, np.nan)
-    u[interior] = (a[interior] - 1.0) / a[interior]
-    value[interior] = exp_elementwise(a[interior] - 1.0) / a[interior]
-    overflow = np.isinf(value)  # math.exp overflows above ~709.78
-    if overflow.any() and not isinstance(alpha, np.ndarray):
-        raise OverflowError("math range error")  # as math.exp(a - 1) raises it
-    u[overflow] = value[overflow] = np.nan
-    return _outcome(alpha, u, value, a <= 1.0)
+    status = Status(alpha.shape).flag(np.isinf(alpha), DOMAIN,
+                                      "noiseless case (alpha infinite) has no interior optimum")
+    status.flag(~(alpha > 0.0), DOMAIN, "requires alpha > 0, got {}", alpha)
+    a = alpha * math.exp(-1.0)
+    interior = a > 1.0
+    growth = status.exp(np.where(interior, a - 1.0, 0.0))  # math.exp overflows above ~709.78
+    u = status.nan(np.where(interior, (a - 1.0) / a, 0.0))
+    value = status.nan(np.where(interior, growth / a, 1.0))
+    return OptimizationOutcome(u, value, a <= 1.0, 0, None, status)
 
 
 def _bisect(sign, lo: float, hi: float) -> float:

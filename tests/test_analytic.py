@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tactsqueeze import analytic, optimize
+from tactsqueeze import analytic, core, optimize
 from tactsqueeze.errors import DomainError, NonFiniteObjectiveError
 
 
@@ -224,11 +224,26 @@ def grid_columns(**axes) -> list[list[float]]:
     return [list(col) for col in zip(*itertools.product(*axes.values()))]
 
 
+def bare(fn):
+    """A closed form with a bare value, in the shape of the others: a float
+    call's value, or an array call's core.Checked, as an SnrResult."""
+    def call(*args):
+        out = fn(*args)
+        if isinstance(out, core.Checked):
+            return analytic.SnrResult(out.value, "", status=out.status)
+        return analytic.SnrResult(out, "")
+    return call
+
+
 class TestArrayCalls:
     """Over arrays each formula, and each closed-form optimum of `optimize`,
     gives every element the bits of its scalar call, and nan in its value
     (the first field) where the scalar call raises DomainError (or, for an
-    optimum, the other errors its test names)."""
+    optimum, the other errors its test names); there the array call's
+    status has that error's code and message, elsewhere the code OK."""
+
+    CODES = {DomainError: core.DOMAIN, NonFiniteObjectiveError: core.NON_FINITE,
+             OverflowError: core.OVERFLOW}
 
     @staticmethod
     def assert_elementwise(fn, columns, fields, raises=(DomainError,)) -> int:
@@ -240,10 +255,15 @@ class TestArrayCalls:
         for i, point in enumerate(zip(*columns)):
             try:
                 one = fn(*point)
-            except raises:
+            except raises as exc:
                 assert math.isnan(getattr(arrays, fields[0])[i]), point
+                error = arrays.status.error(i)
+                assert arrays.status.code[i] == TestArrayCalls.CODES[type(exc)], point
+                assert (type(error), str(error)) == (type(exc), str(exc)), point
+                assert getattr(error, "abscissa", None) == getattr(exc, "abscissa", None)
                 raised += 1
                 continue
+            assert arrays.status.code[i] == core.OK, point
             for field in fields:
                 got, want = getattr(arrays, field)[i], getattr(one, field)
                 if isinstance(want, str):
@@ -272,10 +292,12 @@ class TestArrayCalls:
                                 grid_columns(alpha=alphas[:-1], n=[100], g=[0.1], p=[0.9]),
                                 ("snr_per_root_time", "u_split"))
 
-        def gain(alpha):  # a bare float result, in the shape of the others
-            return analytic.SnrResult(analytic.improvement_factor(alpha), "")
-
-        self.assert_elementwise(gain, [alphas], ("snr_per_root_time",))
+        # e^{alpha/e} overflows at alpha = 1931 (alpha/e = 710.4), not at 1929
+        self.assert_elementwise(bare(analytic.improvement_factor), [alphas + [1929.0, 1931.0]],
+                                ("snr_per_root_time",), raises=(DomainError, OverflowError))
+        self.assert_elementwise(bare(analytic.xi2_strong_squeezing),
+                                grid_columns(alpha=alphas + [math.nan], p=[0.9]),
+                                ("snr_per_root_time",))
 
     OPTIMA = [0.0, 0.5, 1.0, 1.0 + 1e-12, 1.5, math.e, 10.0, 1e3, 1e6,
               -1.0, math.inf, math.nan, -math.inf]

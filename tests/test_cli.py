@@ -1016,6 +1016,44 @@ def no_oracle_task(*args, **kwargs):
 
 
 class TestClosedFormGrid:
+    # every public closed form, by module attribute, as perfbench/tracing.py wraps them
+    CLOSED_FORMS = {analytic: ("xi2_min", "xi2_min_dimensionless", "xi2_strong_squeezing",
+                               "snr_squeeze_while_measure", "snr_squeeze_then_measure",
+                               "snr_optimum_strong", "improvement_factor"),
+                    optimize: ("optimal_theta", "optimal_u")}
+
+    @pytest.mark.parametrize("engine, called", [
+        ("analytic", {"xi2_min", "snr_squeeze_while_measure", "snr_squeeze_then_measure"}),
+        ("optimize", {"optimal_theta", "optimal_u", "xi2_min_dimensionless",
+                      "snr_optimum_strong", "improvement_factor"})])
+    def test_each_closed_form_is_one_array_call_per_sweep(self, tmp_path, monkeypatch,
+                                                          engine, called):
+        # J = 0 and T = 0 rows are domain statuses of a guarded cell (analytic)
+        # or whole-row statuses (optimize), as are 4 Gamma T = 2000 (analytic)
+        # and alpha/e <= 1 (snr_optimum_strong); J = 30 (alpha/e ~ 993) ends
+        # optimize at row 8
+        calls = []
+        for module, names in self.CLOSED_FORMS.items():
+            for name in names:
+                def spy(*args, _fn=getattr(module, name), _name=name):
+                    calls.append((_name, args))
+                    return _fn(*args)
+
+                monkeypatch.setattr(module, name, spy)
+        cfg = write_config(tmp_path, (
+            "[params]\nn_spins = 100\npolarization_p = 0.9\nt_signal = 1.0\n[sweep]\n"
+            "axis0 = j_coupling 0 30 3 linear\naxis1 = gamma 0.25 1000 2 linear\n"
+            "axis2 = t_squeeze 0 0.5 2 linear\n"))
+        out = tmp_path / "o.csv"
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([engine, "--config", cfg, "--out", str(out), "--no-timing"])
+        statuses = [r["status"] for r in read_rows(str(out))[2]]
+        assert (code, len(statuses)) == ((0, 12) if engine == "analytic" else (1, 8))
+        assert sorted(name for name, _ in calls) == sorted(called)
+        assert all(isinstance(a, np.ndarray) for _, args in calls for a in args), [
+            (name, args) for name, args in calls]
+        assert len(set(statuses)) > 2
+
     @settings(max_examples=60, deadline=None)
     @given(text=closed_form_configs())
     # J = 0 and Gamma = 0 rows first; optimize aborts on alpha/e ~ 736
@@ -1037,6 +1075,11 @@ class TestClosedFormGrid:
     @example(text="[params]\nn_spins = 100\npolarization_p = 1.0\ngamma = 0.25\n"
                   "t_squeeze = 0.5\n[sweep]\naxis0 = j_coupling 10 20 2 linear\n"
                   "axis1 = t_signal -1 1 3 linear\n")
+    # alpha/e = 710.3 at J = 19.308: only improvement_factor overflows
+    # (optimal_u's e^{a-1} is finite below alpha/e ~ 710.78), and optimize
+    # ends at that row with math range error
+    @example(text="[params]\nn_spins = 100\npolarization_p = 1.0\ngamma = 0.25\n"
+                  "t_squeeze = 0.5\n[sweep]\naxis0 = j_coupling 19.2 19.308 2 linear\n")
     def test_grid_path_writes_what_the_row_path_writes(self, text):
         # two rows a chunk: statuses, aborts and the float dedup all cross
         # chunk boundaries
