@@ -189,9 +189,9 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows only above
 
 
 def exp_elementwise(x) -> np.ndarray:
-    """math.exp of every element of x, as a float64 array, +inf where it
-    overflows: math.exp's bits (np.exp's differ in the last on some inputs).
-    After an overflow only the elements above log(float max) are redone."""
+    """math.exp of every element of x as a float64 array, +inf where it
+    overflows: the scalar call's bits (np.exp's differ in the last bit on some
+    inputs).  After an overflow only the elements above log(float max) are redone."""
     vals = np.asarray(x, dtype=float).ravel()
     try:
         out = np.fromiter(map(math.exp, vals.tolist()), float, vals.size)
