@@ -306,13 +306,67 @@ def _hermiticity_residual(rho: np.ndarray) -> float:
     return float(np.max(np.abs(rho - rho.conj().T)))
 
 
+class _HermitianSpace:
+    """The integrator's vector space: Hermitian matrices held as a stack of
+    Hermitian blocks of `shape` (one d x d block: the dense state).
+
+    A vector is `size` reals, each block's real part on and above its
+    diagonal and its imaginary part below (`pack`); `unpack` writes it back
+    as an exactly Hermitian complex stack.  `restrict` maps a dense d x d
+    matrix to the space's stack and `embed` maps a stack back; `residuals`
+    and `trace_norm` read a stack.  This space is the dense one: a stack of
+    one block, restrict and embed the identity."""
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.shape = tuple(shape)
+        self.size = int(np.prod(self.shape))
+        self._lower = np.tri(self.shape[-1], k=-1, dtype=bool)
+
+    def restrict(self, m: np.ndarray) -> np.ndarray:
+        return m
+
+    def embed(self, state: np.ndarray) -> np.ndarray:
+        return state
+
+    def pack(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Hermitian a as reals: Re on and above each diagonal, Im below."""
+        np.copyto(out, a.real)
+        np.copyto(out, a.imag, where=self._lower)
+        return out
+
+    def unpack(self, p: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Inverse of `pack`, into the complex stack out; exactly Hermitian."""
+        pt = np.swapaxes(p, -1, -2)
+        np.copyto(out.real, p)
+        np.copyto(out.real, pt, where=self._lower)
+        np.multiply(p, self._lower, out=out.imag)
+        np.negative(pt, out=out.imag, where=self._lower.T)
+        return out
+
+    def residuals(self, state: np.ndarray) -> tuple[float, float, float]:
+        """(|trace - 1|, max |m - m^dag|, least eigenvalue of the Hermitian
+        part) of the block-diagonal matrix m whose blocks are `state`."""
+        adj = np.swapaxes(state.conj(), -1, -2)
+        trace_dev = abs(np.trace(state, axis1=-2, axis2=-1).sum() - 1.0)
+        herm = float(np.max(np.abs(state - adj)))
+        min_eig = float(np.linalg.eigvalsh((state + adj) / 2.0)[..., 0].min())
+        return float(trace_dev), herm, min_eig
+
+    def trace_norm(self, state: np.ndarray) -> float:
+        """Sum of absolute eigenvalues of the Hermitian part, over the blocks."""
+        sym = (state + np.swapaxes(state.conj(), -1, -2)) / 2.0
+        return float(np.sum(np.abs(np.linalg.eigvalsh(sym))))
+
+
+def _space_of(m: np.ndarray, generators: Sequence[Superoperator] = ()) -> _HermitianSpace:
+    """The space a d x d matrix m is held in, under `generators`."""
+    return _HermitianSpace(m.shape)
+
+
 def channel_residuals(rho: np.ndarray) -> tuple[float, float, float]:
     """(|trace - 1|, max |rho - rho^dag|, min eigenvalue)."""
-    trace_dev = abs(np.trace(rho) - 1.0)
-    herm = _hermiticity_residual(rho)
-    sym = (rho + rho.conj().T) / 2.0
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
-    return float(trace_dev), herm, min_eig
+    space = _space_of(rho)
+    return space.residuals(space.restrict(rho))
 
 
 def _invariants_ok(rho: np.ndarray) -> tuple[bool, float, tuple[float, float, float]]:
@@ -323,26 +377,10 @@ def _invariants_ok(rho: np.ndarray) -> tuple[bool, float, tuple[float, float, fl
     return worst <= 1.0, worst, residuals
 
 
-_KRYLOV_CAP = 29  # basis vectors per restart, each a d^2-float row of peak memory
+_KRYLOV_CAP = 29  # basis vectors per restart, each a `size`-float row of peak memory
 # k steps pass while h_{m+1,m} |e_m^T P(hH_m)^k e1| <= this: the residual weighted at the
 # restart's end only, not an error bound (~500x off on an N = 1 case, ROADMAP item 16)
 _KRYLOV_TOL = 1e-14
-
-
-def _pack(a: np.ndarray, lower: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Hermitian a as d^2 reals: Re on and above the diagonal, Im below."""
-    np.copyto(out, a.real)
-    np.copyto(out, a.imag, where=lower)
-    return out
-
-
-def _unpack(p: np.ndarray, lower: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Inverse of `_pack`, into the complex array out; exactly Hermitian."""
-    np.copyto(out.real, p)
-    np.copyto(out.real, p.T, where=lower)
-    np.multiply(p, lower, out=out.imag)
-    np.negative(p.T, out=out.imag, where=lower.T)
-    return out
 
 
 def _rk4_advance(hm: np.ndarray, beta: float, h: float, remaining: int
@@ -367,26 +405,27 @@ def _rk4_advance(hm: np.ndarray, beta: float, h: float, remaining: int
 
 
 def _rk4(rho: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray],
-         duration: float, n_steps: int, stats: dict | None = None) -> np.ndarray:
+         duration: float, n_steps: int, stats: dict | None = None,
+         space: _HermitianSpace | None = None) -> np.ndarray:
     """n_steps classical RK4 steps of the linear d rho/dt = rhs(rho), i.e.
     P(hL)^n_steps rho with P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 and
     h = duration / n_steps, to round-off, by restarted Arnoldi (Saad, SIAM J.
     Numer. Anal. 29, 209 (1992); Hochbruck & Lubich, ibid. 34, 1911 (1997)).
 
-    Each restart grows an orthonormal Krylov basis of rhs from the state,
+    rho is a stack of `space` (by default the dense space of rho).  Each
+    restart grows an orthonormal Krylov basis of rhs from the state,
     advances the steps `_rk4_advance` allows and adds the increment to the
-    state.  Vectors are Hermitian matrices packed as d^2 reals, so rhs sees
-    only exactly Hermitian arrays.  rho is not modified.  `stats` gets
+    state.  Vectors are the space's `size` reals (`pack`), so rhs sees only
+    exactly Hermitian stacks (`unpack`).  rho is not modified.  `stats` gets
     applies (rhs calls) and krylov_dim (the largest basis)."""
-    d = rho.shape[0]
+    space = space or _HermitianSpace(rho.shape)
     h = duration / n_steps
-    lower = np.tri(d, k=-1, dtype=bool)
     # own mapping, not malloc: a freed multi-MB malloc block keeps temporaries resident
-    flat = np.frombuffer(mmap.mmap(-1, 8 * _KRYLOV_CAP * d * d)).reshape(_KRYLOV_CAP, -1)
-    basis = flat.reshape(_KRYLOV_CAP, d, d)
-    state = np.empty((d, d), dtype=complex)  # rhs input, then the result
-    new, spare = state.view(np.float64).reshape(2, d, d)  # next vector, scratch
-    w = _pack(rho, lower, basis[0]).ravel()  # row 0: the state times 2^-e, exactly
+    flat = np.frombuffer(mmap.mmap(-1, 8 * _KRYLOV_CAP * space.size)).reshape(_KRYLOV_CAP, -1)
+    basis = flat.reshape(_KRYLOV_CAP, *space.shape)
+    state = np.empty(space.shape, dtype=complex)  # rhs input, then the result
+    new, spare = state.view(np.float64).reshape(2, *space.shape)  # next vector, scratch
+    w = space.pack(rho, basis[0]).ravel()  # row 0: the state times 2^-e, exactly
     e, remaining, applies, dim = 0, n_steps, 0, 0
     while remaining:
         if not w.any():
@@ -398,7 +437,7 @@ def _rk4(rho: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray],
         unit = np.r_[1.0 / beta, np.ones(_KRYLOV_CAP - 1)]  # row i is v_i / unit[i]
         hess = np.zeros((_KRYLOV_CAP + 1, _KRYLOV_CAP))
         for m in range(1, _KRYLOV_CAP + 1):
-            v = _pack(rhs(_unpack(basis[m - 1], lower, state)), lower, new).ravel()
+            v = space.pack(rhs(space.unpack(basis[m - 1], state)), new).ravel()
             v *= unit[m - 1]
             for _ in range(2):  # classical Gram-Schmidt, twice
                 c = (flat[:m] @ v) * unit[:m]
@@ -414,7 +453,7 @@ def _rk4(rho: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray],
         remaining -= k
     if stats is not None:
         stats.update(applies=applies, krylov_dim=dim)
-    return _unpack(np.ldexp(w, e, out=w).reshape(d, d), lower, state)
+    return space.unpack(np.ldexp(w, e, out=w).reshape(space.shape), state)
 
 
 def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float,
@@ -451,6 +490,8 @@ def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float
     if duration == 0 or not generators:
         return rho.copy()
     rate = sum(g.rate_bound for g in generators)
+    space = _space_of(rho, generators)
+    state = space.restrict(rho)
 
     def rhs(r):
         out = generators[0].apply(r)
@@ -464,7 +505,7 @@ def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float
             # raise, not ignore: an overflowed norm could divide a vector to
             # zero and leave a finite but wrong state
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                out = _rk4(rho, rhs, duration, n_steps, stats)
+                out = space.embed(_rk4(state, rhs, duration, n_steps, stats, space))
         except FloatingPointError as exc:
             stats.update(n_steps=n_steps, refinements=refinement)
             raise IntegrationError(f"RK4 pass of {n_steps} steps failed: {exc}") from exc
@@ -510,8 +551,8 @@ def measure(rho: np.ndarray, observable: np.ndarray) -> float:
 
 def trace_norm(m: np.ndarray) -> float:
     """Sum of absolute eigenvalues of the Hermitian part."""
-    sym = (m + m.conj().T) / 2.0
-    return float(np.sum(np.abs(np.linalg.eigvalsh(sym))))
+    space = _space_of(m)
+    return space.trace_norm(space.restrict(m))
 
 
 def collective_moments(rho: np.ndarray, n_spins: int) -> Moments:
