@@ -13,16 +13,30 @@ K = H rho, and for the real TACT Hamiltonian K is one real GEMM on the
 float view of rho.  The generators are therefore defined on Hermitian
 states only.  The Hamiltonian terms and the depolarizer each map a
 Hermitian state to an exactly Hermitian array, and the integrator hands
-them only exactly Hermitian arrays, so `evolve` checks only its input.
+them only exactly Hermitian arrays, so `evolve` checks the Hermiticity of
+its input only.
 
 Integration is classical fixed-step RK4 with automatic step halving
 against the channel invariants, each pass evaluated as one polynomial of
 the generator by restarted Arnoldi (`_rk4`); a dense superoperator
 exponential is kept as an independent cross-check path for small N.  The
-settings are fixed: a pass is accepted when |Tr rho - 1| <= 1e-9,
-max |rho - rho^dag| <= 1e-10 and the least eigenvalue is >= -1e-8; the
-first pass takes max(16, T * rate / 0.05) steps, and the count is doubled
-at most 6 times.
+settings are fixed: a pass is accepted when |Tr rho - 1| <= 1e-9 and the
+least eigenvalue is >= -1e-8; the first pass takes max(16, T * rate / 0.05)
+steps, and the count is doubled at most 6 times.
+
+The integrator runs in one of two state spaces, chosen by `evolve` with no
+setting.  TACT flips spins in pairs, and the depolarizer's partial trace
+over site i pairs rho[r, c] with rho[r ^ e_i, c ^ e_i], so both keep
+parity(r) xor parity(c) of every entry (popcount parities).  From a state
+whose entries of mixed parity are exactly 0, such as the diagonal initial
+state, those entries stay exactly 0: rho is two Hermitian d/2 x d/2
+blocks, the even and the odd popcount sector, and `_rk4` integrates that
+stack (`_ParitySector`: d^2/2 reals per Krylov vector, one real GEMM per
+block for L1, an index-mapped partial trace for L2, two block eigvalsh per
+invariant check).  The signal field flips one spin on one side and leaves
+the sector; with it, or with any nonzero entry of mixed parity in the
+input, the dense d x d space runs (`_HermitianSpace`).  `trace_norm` and
+`channel_residuals` read a matrix on its two blocks in the same way.
 
 The collective sums Cx, Cy and Cz are written from the basis-state bits
 too.  The squeezing observables need only the mean spin and the 3x3
@@ -83,6 +97,14 @@ def check_cap(n_spins: int, n_cap: int = DEFAULT_N_CAP) -> None:
 def _basis_bits(n_spins: int) -> np.ndarray:
     """bits[r, i] = bit i of basis state r: 1 where sigma^z_i reads -1."""
     return (np.arange(2 ** n_spins)[:, None] >> np.arange(n_spins)) & 1
+
+
+def _parity_sectors(n_spins: int) -> tuple[np.ndarray, np.ndarray]:
+    """(even, odd): the basis states of even and of odd popcount, each in
+    increasing order.  Its a-th state is 2a + (parity(a) xor sector): bit
+    i + 1 of the state is bit i of a, and bit 0 makes up the parity."""
+    odd = _basis_bits(n_spins).sum(axis=1) % 2 == 1
+    return np.flatnonzero(~odd), np.flatnonzero(odd)
 
 
 def site_operator(op: np.ndarray, site: int, n_spins: int) -> np.ndarray:
@@ -185,6 +207,31 @@ def apply_depolarizer(rho: np.ndarray, gamma: float, n_spins: int) -> np.ndarray
     return out
 
 
+def _depolarize_blocks(blocks: np.ndarray, gamma: float, n_spins: int,
+                       same: np.ndarray) -> np.ndarray:
+    """`apply_depolarizer` on the parity sector's stack (even, odd) of blocks.
+
+    Site i pairs the entry (r, c) with (r ^ e_i, c ^ e_i), which lies in the
+    other sector.  By the order of `_parity_sectors`, the site of bit i + 1
+    of r flips bit i of the block index, so its partial trace is the dense
+    one on reshaped blocks with the sectors crossed; the site of bit 0 keeps
+    the block index, and its partial trace adds the two blocks where the
+    indices have equal parity (`same`: 2 Gamma there, 0 elsewhere)."""
+    out = -4.0 * gamma * n_spins * blocks
+    for i in range(n_spins - 1):
+        shape = (2, 2 ** i, 2, 2 ** (n_spins - 2 - i))
+        r = blocks.reshape(shape + shape[1:])
+        o = out.reshape(shape + shape[1:])
+        partial = r[:, :, 0, :, :, 0, :] + r[::-1, :, 1, :, :, 1, :]
+        partial *= 2.0 * gamma  # in place: one temporary per site
+        o[:, :, 0, :, :, 0, :] += partial
+        o[::-1, :, 1, :, :, 1, :] += partial
+    partial = blocks[0] + blocks[1]
+    partial *= same
+    out += partial
+    return out
+
+
 # -- superoperators ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -200,21 +247,27 @@ class Superoperator:
     K = H rho, and read rho H as K^dag, which holds only when rho is
     Hermitian; on any other input their result is wrong.  dense() is the
     full superoperator and has no such restriction.
+
+    keeps_parity records that the term maps a matrix with no entry of mixed
+    parity (popcount(r) + popcount(c) odd) to another one; apply then also
+    takes the parity sector's stack (2, d/2, d/2) of blocks and returns one.
     """
 
     rate_bound: float
     apply: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     dense: Callable[[], np.ndarray] = field(repr=False)
+    keeps_parity: bool = False
 
 
 def _anti_hermitian_term(k: np.ndarray) -> np.ndarray:
-    """-i (K - K^dag), from the float view k of K = A + iB: real part
-    B + B^T, imaginary part A^T - A; exactly Hermitian by construction."""
-    a, b = k[:, 0::2], k[:, 1::2]
-    out = np.empty((k.shape[0], k.shape[0]), dtype=complex)
+    """-i (K - K^dag), from the float view k of K = A + iB (or of a stack of
+    them): real part B + B^T, imaginary part A^T - A; exactly Hermitian by
+    construction."""
+    a, b = k[..., 0::2], k[..., 1::2]
+    out = np.empty(b.shape, dtype=complex)
     parts = out.view(np.float64)
-    np.add(b, b.T, out=parts[:, 0::2])
-    np.subtract(a.T, a, out=parts[:, 1::2])
+    np.add(b, np.swapaxes(b, -1, -2), out=parts[..., 0::2])
+    np.subtract(np.swapaxes(a, -1, -2), a, out=parts[..., 1::2])
     return out
 
 
@@ -222,38 +275,44 @@ def _spectral_radius(h: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(h))))
 
 
-def _hamiltonian_superop(h: np.ndarray, sign: float, norm: float) -> Superoperator:
+def _hamiltonian_superop(h: np.ndarray, sign: float, norm: float,
+                         blocks: np.ndarray | None = None) -> Superoperator:
     # sign=+1: drho/dt = -i[H, rho];  sign=-1: drho/dt = +i[H, rho]
     # norm = max |eigenvalue of H|; rate_bound = 2 norm bounds the commutator
-    # -i sign [H, rho] = -i [sign H, rho]; a real H is kept as a real array
+    # -i sign [H, rho] = -i [sign H, rho]; a real H is kept as a real array;
+    # blocks: the parity blocks of a real H that keeps parity, for the sector
     op = sign * (h if np.any(h.imag) else h.real)
+    op_blocks = None if blocks is None else sign * blocks
 
     def apply(rho: np.ndarray) -> np.ndarray:
         r = np.ascontiguousarray(rho, dtype=complex)
-        if op.dtype == np.float64:  # K = H rho as one real GEMM on the float view
-            k = op @ r.view(np.float64)
+        a = op if r.ndim == 2 else op_blocks
+        if a.dtype == np.float64:  # K = H rho as one real GEMM (per block) on the float view
+            k = a @ r.view(np.float64)
         else:
-            k = (op @ r).view(np.float64)
+            k = (a @ r).view(np.float64)
         return _anti_hermitian_term(k)
 
     def dense() -> np.ndarray:
         eye = np.eye(op.shape[0])
         return -1j * (np.kron(op, eye) - np.kron(eye, op.T))
 
-    return Superoperator(rate_bound=2.0 * norm, apply=apply, dense=dense)
+    return Superoperator(rate_bound=2.0 * norm, apply=apply, dense=dense,
+                         keeps_parity=blocks is not None)
 
 
 def squeeze_generator(n_spins: int, j_coupling: float) -> Superoperator:
     """L1(rho) = -i [H_Squ, rho].
 
     H flips spins in pairs, so it keeps the parity of popcount(r) (it
-    commutes with Z^{(x)N}), and its spectrum is that of its two real
-    symmetric parity blocks, each diagonalized on its own.
+    commutes with Z^{(x)N}): its spectrum is that of its two real symmetric
+    parity blocks, each diagonalized on its own, and on the parity sector
+    apply is one real GEMM per block.
     """
-    h = tact_hamiltonian(n_spins, j_coupling)
-    odd = _basis_bits(n_spins).sum(axis=1) % 2 == 1
-    norm = max(_spectral_radius(h.real[np.ix_(block, block)]) for block in (odd, ~odd))
-    return _hamiltonian_superop(h, +1.0, norm)
+    h = tact_hamiltonian(n_spins, j_coupling).real
+    blocks = np.stack([h[np.ix_(s, s)] for s in _parity_sectors(n_spins)])
+    norm = max(_spectral_radius(block) for block in blocks)
+    return _hamiltonian_superop(h, +1.0, norm, blocks)
 
 
 def field_generator(n_spins: int, b_field: float) -> Superoperator:
@@ -263,9 +322,15 @@ def field_generator(n_spins: int, b_field: float) -> Superoperator:
 
 
 def depolarize_generator(n_spins: int, gamma: float) -> Superoperator:
+    """L2, the per-site depolarizer (`apply_depolarizer`).  Each partial trace
+    pairs (r, c) with (r ^ e_i, c ^ e_i), so it keeps parity(r) xor parity(c)."""
     check_cap(n_spins)
+    parity = _basis_bits(n_spins - 1).sum(axis=1) % 2  # of the sector's block index
+    same = 2.0 * gamma * (parity[:, None] == parity)
 
     def apply(rho: np.ndarray) -> np.ndarray:
+        if rho.ndim == 3:
+            return _depolarize_blocks(rho, gamma, n_spins, same)
         return apply_depolarizer(rho, gamma, n_spins)
 
     def dense() -> np.ndarray:
@@ -277,7 +342,8 @@ def depolarize_generator(n_spins: int, gamma: float) -> Superoperator:
                 out += gamma * np.kron(s, s.T)
         return out
 
-    return Superoperator(rate_bound=4.0 * gamma * n_spins, apply=apply, dense=dense)
+    return Superoperator(rate_bound=4.0 * gamma * n_spins, apply=apply, dense=dense,
+                         keeps_parity=True)
 
 
 # -- integration -------------------------------------------------------------
@@ -303,7 +369,7 @@ _MAX_REFINEMENTS = 6  # step doublings before IntegrationError
 
 
 def _hermiticity_residual(rho: np.ndarray) -> float:
-    return float(np.max(np.abs(rho - rho.conj().T)))
+    return float(np.max(np.abs(rho - np.swapaxes(rho.conj(), -1, -2))))
 
 
 class _HermitianSpace:
@@ -314,8 +380,8 @@ class _HermitianSpace:
     diagonal and its imaginary part below (`pack`); `unpack` writes it back
     as an exactly Hermitian complex stack.  `restrict` maps a dense d x d
     matrix to the space's stack and `embed` maps a stack back; `residuals`
-    and `trace_norm` read a stack.  This space is the dense one: a stack of
-    one block, restrict and embed the identity."""
+    and `trace_norm` read a stack.  An instance of this class is the dense
+    space: shape (d, d), restrict and embed the identity."""
 
     def __init__(self, shape: tuple[int, ...]):
         self.shape = tuple(shape)
@@ -346,11 +412,10 @@ class _HermitianSpace:
     def residuals(self, state: np.ndarray) -> tuple[float, float, float]:
         """(|trace - 1|, max |m - m^dag|, least eigenvalue of the Hermitian
         part) of the block-diagonal matrix m whose blocks are `state`."""
-        adj = np.swapaxes(state.conj(), -1, -2)
         trace_dev = abs(np.trace(state, axis1=-2, axis2=-1).sum() - 1.0)
-        herm = float(np.max(np.abs(state - adj)))
-        min_eig = float(np.linalg.eigvalsh((state + adj) / 2.0)[..., 0].min())
-        return float(trace_dev), herm, min_eig
+        sym = (state + np.swapaxes(state.conj(), -1, -2)) / 2.0
+        min_eig = float(np.linalg.eigvalsh(sym)[..., 0].min())
+        return float(trace_dev), _hermiticity_residual(state), min_eig
 
     def trace_norm(self, state: np.ndarray) -> float:
         """Sum of absolute eigenvalues of the Hermitian part, over the blocks."""
@@ -358,22 +423,56 @@ class _HermitianSpace:
         return float(np.sum(np.abs(np.linalg.eigvalsh(sym))))
 
 
+class _ParitySector(_HermitianSpace):
+    """d x d matrices with no nonzero entry of mixed parity: block-diagonal
+    in the even and the odd popcount sector (`_parity_sectors`), held as
+    the stack (even, odd) of the two d/2 x d/2 blocks."""
+
+    def __init__(self, n_spins: int):
+        self.sectors = _parity_sectors(n_spins)
+        half = 2 ** (n_spins - 1)
+        super().__init__((2, half, half))
+
+    def contains(self, m: np.ndarray) -> bool:
+        even, odd = self.sectors
+        return not (m[even][:, odd].any() or m[odd][:, even].any())
+
+    def restrict(self, m: np.ndarray) -> np.ndarray:
+        return np.stack([m[s][:, s] for s in self.sectors])
+
+    def embed(self, state: np.ndarray) -> np.ndarray:
+        half = state.shape[-1]
+        out = np.zeros((2 * half, 2 * half), dtype=state.dtype)
+        for s, block in zip(self.sectors, state):
+            out[np.ix_(s, s)] = block
+        return out
+
+
 def _space_of(m: np.ndarray, generators: Sequence[Superoperator] = ()) -> _HermitianSpace:
-    """The space a d x d matrix m is held in, under `generators`."""
+    """The space a d x d matrix m is held in under `generators`: the parity
+    sector when every generator keeps parity and every entry of m of mixed
+    parity is exactly 0, the dense space otherwise."""
+    d = m.shape[0]
+    if d >= 2 and d & (d - 1) == 0 and all(g.keeps_parity for g in generators):
+        sector = _ParitySector(d.bit_length() - 1)
+        if sector.contains(m):
+            return sector
     return _HermitianSpace(m.shape)
 
 
 def channel_residuals(rho: np.ndarray) -> tuple[float, float, float]:
-    """(|trace - 1|, max |rho - rho^dag|, min eigenvalue)."""
+    """(|trace - 1|, max |rho - rho^dag|, min eigenvalue), read on the two
+    parity blocks when rho has no nonzero entry of mixed parity."""
     space = _space_of(rho)
     return space.residuals(space.restrict(rho))
 
 
 def _invariants_ok(rho: np.ndarray) -> tuple[bool, float, tuple[float, float, float]]:
+    # rho is unpacked, so exactly Hermitian: its Hermiticity residual reads 0
+    # and is not weighed
     residuals = channel_residuals(rho)
-    trace_dev, herm, min_eig = residuals
-    worst = max(trace_dev / TRACE_TOL, herm / HERMITICITY_TOL,
-                max(0.0, -min_eig) / -MIN_EIGENVALUE_TOL)
+    trace_dev, _, min_eig = residuals
+    worst = max(trace_dev / TRACE_TOL, max(0.0, -min_eig) / -MIN_EIGENVALUE_TOL)
     return worst <= 1.0, worst, residuals
 
 
@@ -412,8 +511,9 @@ def _rk4(rho: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray],
     h = duration / n_steps, to round-off, by restarted Arnoldi (Saad, SIAM J.
     Numer. Anal. 29, 209 (1992); Hochbruck & Lubich, ibid. 34, 1911 (1997)).
 
-    rho is a stack of `space` (by default the dense space of rho).  Each
-    restart grows an orthonormal Krylov basis of rhs from the state,
+    rho is a stack of `space` (by default the dense space of rho), and rhs
+    maps such stacks to such stacks.  Each restart grows an orthonormal
+    Krylov basis of rhs from the state,
     advances the steps `_rk4_advance` allows and adds the increment to the
     state.  Vectors are the space's `size` reals (`pack`), so rhs sees only
     exactly Hermitian stacks (`unpack`).  rho is not modified.  `stats` gets
@@ -460,12 +560,16 @@ def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float
            stats: dict | None = None) -> np.ndarray:
     """Integrate d rho/dt = sum_k L_k(rho) for `duration` with fixed-step RK4.
 
-    Each pass is one polynomial of the generator sum (`_rk4`).  Steps are
-    halved (count doubled, at most _MAX_REFINEMENTS times) until the
-    trace / Hermiticity / positivity invariants hold at TRACE_TOL,
-    HERMITICITY_TOL and MIN_EIGENVALUE_TOL.  rho must be Hermitian (the
-    generators are defined on Hermitian states only): max |rho - rho^dag|
-    above HERMITICITY_TOL is a ValueError.
+    Each pass is one polynomial of the generator sum (`_rk4`), in the parity
+    sector when every generator keeps parity and every entry of rho of mixed
+    parity is exactly 0 (the sector is then invariant, so the result is
+    exact up to round-off in the summation order), and in the dense space
+    otherwise; rho and the result are dense d x d arrays either way.  Steps
+    are halved (count doubled, at most _MAX_REFINEMENTS times) until the
+    trace and positivity invariants hold at TRACE_TOL and
+    MIN_EIGENVALUE_TOL; the result is exactly Hermitian by construction.
+    rho must be Hermitian (the generators are defined on Hermitian states
+    only): max |rho - rho^dag| above HERMITICITY_TOL is a ValueError.
 
     If `stats` is given it is filled in, also when IntegrationError is
     raised: n_steps (of the last RK4 pass) and refinements (passes beyond
@@ -550,7 +654,8 @@ def measure(rho: np.ndarray, observable: np.ndarray) -> float:
 
 
 def trace_norm(m: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of the Hermitian part."""
+    """Sum of absolute eigenvalues of the Hermitian part: the sum over the two
+    parity blocks when m has no nonzero entry of mixed parity."""
     space = _space_of(m)
     return space.trace_norm(space.restrict(m))
 

@@ -734,3 +734,121 @@ class TestTraceNorm:
         m = m - np.eye(8) / 8  # traceless Hermitian difference
         assert exact.trace_norm(m) == pytest.approx(
             np.sum(np.linalg.svd(m, compute_uv=False)), rel=1e-10)
+
+
+def in_sector_hermitian(n, rng):
+    """A random Hermitian 2^N x 2^N matrix with every entry of mixed parity
+    (popcount(r) + popcount(c) odd) set to 0."""
+    dim = 2 ** n
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    parity = exact._basis_bits(n).sum(axis=1) % 2
+    return np.where(parity[:, None] == parity, m + m.conj().T, 0.0)
+
+
+class TestParitySector:
+    """The even and odd popcount blocks, integrated under the one _rk4."""
+
+    # fixed before the run: sector against dense, per oracle cell
+    CELL_RTOL, CELL_ATOL = 1e-11, 1e-14
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_generators_keep_the_sector_and_match_on_the_blocks(self, n):
+        rng = np.random.default_rng(100 + n)
+        sector = exact._ParitySector(n)
+        parity = exact._basis_bits(n).sum(axis=1) % 2
+        mixed = parity[:, None] != parity
+        for _ in range(3):
+            rho = in_sector_hermitian(n, rng)
+            blocks = sector.restrict(rho)
+            for gen in (exact.squeeze_generator(n, 0.37), exact.depolarize_generator(n, 0.21)):
+                assert gen.keeps_parity
+                dense = gen.apply(rho)
+                assert np.all(dense[mixed] == 0.0)
+                on_blocks = gen.apply(blocks)
+                assert on_blocks.shape == (2, 2 ** (n - 1), 2 ** (n - 1))
+                scale = np.max(np.abs(dense))
+                assert np.max(np.abs(on_blocks - sector.restrict(dense))) <= 1e-13 * scale
+                assert np.array_equal(on_blocks, np.swapaxes(on_blocks.conj(), -1, -2))
+
+    def test_field_generator_leaves_the_sector(self):
+        assert not exact.field_generator(3, 0.7).keeps_parity
+        rho = exact.build_initial_state(3, 0.8)
+        assert exact._space_of(exact.field_generator(3, 0.7).apply(rho)).shape == (8, 8)
+
+    def test_embed_and_restrict_are_inverse(self):
+        rho = in_sector_hermitian(5, np.random.default_rng(7))
+        sector = exact._space_of(rho)
+        assert sector.shape == (2, 16, 16)
+        assert np.array_equal(sector.embed(sector.restrict(rho)), rho)
+
+    @staticmethod
+    def spaces_of_rk4(monkeypatch):
+        """The space shape of every _rk4 pass, recorded."""
+        shapes, rk4 = [], exact._rk4
+
+        def spy(rho, rhs, duration, n_steps, stats=None, space=None):
+            shapes.append(space.shape)
+            return rk4(rho, rhs, duration, n_steps, stats, space)
+
+        monkeypatch.setattr(exact, "_rk4", spy)
+        return shapes
+
+    def test_squeeze_and_depolarize_run_in_the_sector(self, monkeypatch):
+        shapes = self.spaces_of_rk4(monkeypatch)
+        rho = exact.build_initial_state(4, 0.9)
+        exact.evolve(rho, [exact.squeeze_generator(4, 0.2),
+                           exact.depolarize_generator(4, 0.1)], 0.5)
+        assert shapes == [(2, 8, 8)]
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_mixed_parity_entry_or_field_runs_dense_and_matches_expm(self, monkeypatch, n):
+        shapes = self.spaces_of_rk4(monkeypatch)
+        dim = 2 ** n
+        l1, l2 = exact.squeeze_generator(n, 0.3), exact.depolarize_generator(n, 0.2)
+        l3 = exact.field_generator(n, 0.4)
+        rho = exact.build_initial_state(n, 0.8)
+        off = rho.copy()
+        off[0, 1] = off[1, 0] = 0.01  # states 0 and 1 differ in one bit: mixed parity
+        cases = [(off, [l1, l2]), (off, [l2]), (rho, [l1, l3]), (rho, [l3, l2]),
+                 (rho, [l1, l2, l3])]
+        for state, gens in cases:
+            got = exact.evolve(state, gens, 0.6)
+            assert shapes[-1] == (dim, dim)
+            assert np.max(np.abs(got - exact.evolve_expm(state, gens, 0.6))) < 1e-8
+        assert len(shapes) == len(cases)
+
+    @staticmethod
+    def dense_only(monkeypatch):
+        monkeypatch.setattr(exact, "_space_of",
+                            lambda m, generators=(): exact._HermitianSpace(m.shape))
+
+    def assert_cells_close(self, got, ref):
+        assert got.keys() == ref.keys()
+        for key, value in ref.items():
+            if isinstance(value, float):
+                assert abs(got[key] - value) <= self.CELL_ATOL + self.CELL_RTOL * abs(value), key
+            else:
+                assert got[key] == value, key
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_exact_cells_match_the_dense_space(self, monkeypatch, n):
+        from tactsqueeze import cli
+        points = [dict(cli._DEFAULT_PARAMS, n_spins=n, j_coupling=0.05, polarization_p=0.95,
+                       gamma=gamma, t_squeeze=t)
+                  for gamma in (0.02, 0.2) for t in (0.02, 0.1)]
+        opts = {"with_factorization": True}
+        got = [cli._row_exact(p, opts) for p in points]
+        self.dense_only(monkeypatch)
+        for cells, p in zip(got, points):
+            self.assert_cells_close(cells, cli._row_exact(p, opts))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_verify_cells_match_the_dense_space(self, monkeypatch, n):
+        from tactsqueeze import cli
+        gamma, alpha = 0.25, 5.0
+        point = dict(n_spins=n, j_coupling=4.0 * gamma * alpha / n, gamma=gamma,
+                     polarization_p=1.0, t_squeeze=1.0 / (4.0 * gamma))
+        opts = {"n_cap": exact.DEFAULT_N_CAP}
+        got = cli._row_verify(point, opts)
+        self.dense_only(monkeypatch)
+        self.assert_cells_close(got, cli._row_verify(point, opts))
