@@ -6,7 +6,9 @@ comparisons are diagnostics, never corrections.
 
 Each formula is one body over numpy arrays (core.closed_form): an array
 call returns nan where a float call raises, and a core.Status (`status`, or
-a core.Checked for a bare value) says what it raises.
+a core.Checked for a bare value) says what it raises.  The exponentials are
+np.exp, so a value's last bit can differ between numpy SIMD targets (see
+`core`).
 """
 
 from __future__ import annotations

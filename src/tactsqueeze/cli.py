@@ -332,7 +332,7 @@ class _Cells:
         unsettled = ~(np.isfinite(value) | self.whole | self.blank) & (status.code != core.OK)
         rows = np.flatnonzero(unsettled[:self.n_done])
         over = rows[status.code[rows] == core.OVERFLOW]
-        if over.size:  # math range error, as math.exp raises it
+        if over.size:  # an exp overflowed (Status.exp): 'math range error'
             self.n_done, self.error = int(over[0]), status.error(over[0])
             rows = rows[rows < over[0]]
         guarded = (status.code[rows] == core.DOMAIN) & (prefix is not None)

@@ -3,6 +3,12 @@ the one array body of every closed form (:func:`closed_form`).
 
 Every engine in the package consumes the same :class:`ProtocolParams`
 record.  Rates and times are in mutually consistent arbitrary units.
+
+The closed forms compute in numpy's own float64 arithmetic (np.exp,
+np.expm1, np.log), one array call per formula.  numpy runs these on SIMD
+kernels chosen for the CPU, so a value's last bit can differ between hosts,
+as `np.geomspace` log axes do; on one host `--no-timing` output is
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -10,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -30,7 +35,6 @@ __all__ = [
     "check_field",
     "closed_form",
     "derive_dimensionless",
-    "exp_elementwise",
     "squeeze_to_noise",
     "validate",
 ]
@@ -185,31 +189,6 @@ def derive_dimensionless(params: ProtocolParams) -> DimensionlessGroups:
                    params.t_squeeze)
 
 
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows only above
-
-
-def exp_elementwise(x) -> np.ndarray:
-    """math.exp of every element of x as a float64 array, +inf where it
-    overflows: the scalar call's bits (np.exp's differ in the last bit on some
-    inputs).  After an overflow only the elements above log(float max) are redone."""
-    vals = np.asarray(x, dtype=float).ravel()
-    try:
-        out = np.fromiter(map(math.exp, vals.tolist()), float, vals.size)
-    except OverflowError:
-        big = vals > _LOG_FLOAT_MAX
-        out = np.empty(vals.size)
-        out[~big] = np.fromiter(map(math.exp, vals[~big].tolist()), float)
-        out[big] = [_exp_or_inf(v) for v in vals[big].tolist()]
-    return out.reshape(np.shape(x))
-
-
-def _exp_or_inf(v: float) -> float:
-    try:
-        return math.exp(v)
-    except OverflowError:
-        return math.inf
-
-
 # -- closed forms: one array body each, and the status of every element -------
 
 OK, DOMAIN, NON_FINITE, OVERFLOW = range(4)
@@ -233,8 +212,11 @@ class Status:
         return self
 
     def exp(self, x: np.ndarray) -> np.ndarray:
-        """exp_elementwise(x), failing OVERFLOW where math.exp(x) raises."""
-        out = exp_elementwise(x)
+        """np.exp(x), failing OVERFLOW where a finite x gives inf (x above
+        log(float max) ~ 709.78).  The message is math.exp's OverflowError
+        text, kept because statuses, stderr and the benchmark's abort check
+        name it."""
+        out = np.exp(x)
         self.flag(np.isinf(out) & np.isfinite(x), OVERFLOW, "math range error")
         return out
 
@@ -299,4 +281,4 @@ def squeeze_to_noise(j_coupling, n_spins, polarization_p, gamma):
 def _groups(j_coupling, n_spins, polarization_p, gamma, t_squeeze) -> DimensionlessGroups:
     theta = 4.0 * gamma * t_squeeze
     return DimensionlessGroups(theta, squeeze_to_noise(j_coupling, n_spins, polarization_p, gamma),
-                               polarization_p * exp_elementwise(-theta), gamma == 0.0)
+                               polarization_p * np.exp(-theta), gamma == 0.0)

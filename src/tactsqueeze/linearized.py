@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import closed_form, exp_elementwise
+from .core import closed_form
 from .errors import DegenerateShiftError
 
 __all__ = [
@@ -101,7 +101,7 @@ def signal(b_field: float, j_coupling: float, n_p_eff: float,
     degenerate flag set.  No element fails.
     """
     degenerate = j_coupling == 0.0
-    val = (b_field / j_coupling) * (1.0 - exp_elementwise(-j_coupling * n_p_eff * duration))
+    val = (b_field / j_coupling) * (1.0 - np.exp(-j_coupling * n_p_eff * duration))
     return SignalValue(np.where(degenerate, b_field * n_p_eff * duration, val), degenerate)
 
 
@@ -148,8 +148,8 @@ def squeezed_vacuum(kappa_t) -> SqueezedVacuum:
     where cov_det is inf or nan).  One body over arrays (core.closed_form).
     """
     two_x = 2.0 * np.abs(kappa_t)
-    lo = exp_elementwise(-two_x) / 2.0
-    hi = exp_elementwise(two_x) / 2.0
+    lo = np.exp(-two_x) / 2.0
+    hi = np.exp(two_x) / 2.0
     half_diff, mid = (hi - lo) / 2.0, (hi + lo) / 2.0
     isotropic = np.isfinite(hi) & (half_diff <= _ISOTROPY_TOL * np.maximum(mid, 1.0))
     angle = np.where(isotropic, 0.0, np.where(kappa_t > 0.0, 0.75 * math.pi, 0.25 * math.pi))

@@ -10,7 +10,9 @@ of a library Lambert W (the tests' reference) on alpha in (1, 1e300].
 The full (T, t) split is the best of at most four candidate points,
 one per stationarity equation on the budget box, each root found by
 bisection to adjacent floats.  Ties break toward the smaller T + t.
-Theta* and U* are closed forms of core.closed_form, as in `analytic`.
+Theta*, U* and the squeeze gain are closed forms of core.closed_form, as
+in `analytic`, in numpy's arithmetic: their last bit can differ between
+numpy SIMD targets (see `core`).
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import snr_squeeze_then_measure
-from .core import (DOMAIN, NON_FINITE, Status, check_field, closed_form,
-                   exp_elementwise)
+from .core import DOMAIN, NON_FINITE, Checked, Status, check_field, closed_form
 from .errors import DomainError, NonFiniteObjectiveError
 
 __all__ = [
@@ -51,13 +52,17 @@ class OptimizationOutcome:
     status: Status | None = None
 
 
+@closed_form
 def squeeze_gain(theta: float, alpha: float) -> float:
-    """g(Theta) = Theta (alpha e^{-Theta} - 1); xi^2 = e^{-g}/P; alpha > 0.
+    """g(Theta) = Theta (alpha e^{-Theta} - 1); xi^2 = e^{-g}/P.
 
     Evaluated as Theta expm1(ln alpha - Theta): near threshold alpha e^{-Theta}
     is within rounding of 1, and the plain difference loses every digit.
+    Outside the domain unless alpha > 0.
     """
-    return theta * math.expm1(math.log(alpha) - theta)
+    status = Status(alpha.shape).flag(~(alpha > 0.0), DOMAIN,
+                                      "squeeze_gain requires alpha > 0, got {}", alpha)
+    return Checked(status.nan(theta * np.expm1(np.log(alpha) - theta)), status)
 
 
 @closed_form
@@ -84,8 +89,7 @@ def optimal_theta(alpha) -> OptimizationOutcome:
                 abscissa=theta)
     theta = status.nan(theta)
     value, kept = theta.copy(), interior & ~failed
-    value[kept] = np.fromiter(map(squeeze_gain, theta[kept].tolist(), alpha[kept].tolist()),
-                              float)
+    value[kept] = squeeze_gain(theta[kept], alpha[kept]).value
     diagnostics = None if at_boundary.all() else {"stationarity_residual": residual}
     return OptimizationOutcome(theta, value, at_boundary, 0, diagnostics, status)
 
@@ -106,7 +110,7 @@ def _lambert_w0(x: np.ndarray) -> np.ndarray:
 def _theta_star(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """1 - W0(e/alpha) and its stationarity residual, elementwise."""
     theta = 1.0 - _lambert_w0(math.e / alpha)
-    return theta, np.abs(alpha * exp_elementwise(-theta) * (1.0 - theta) - 1.0)
+    return theta, np.abs(alpha * np.exp(-theta) * (1.0 - theta) - 1.0)
 
 
 @closed_form
@@ -123,7 +127,7 @@ def optimal_u(alpha) -> OptimizationOutcome:
     status.flag(~(alpha > 0.0), DOMAIN, "requires alpha > 0, got {}", alpha)
     a = alpha * math.exp(-1.0)
     interior = a > 1.0
-    growth = status.exp(np.where(interior, a - 1.0, 0.0))  # math.exp overflows above ~709.78
+    growth = status.exp(np.where(interior, a - 1.0, 0.0))  # overflows above ~709.78
     u = status.nan(np.where(interior, (a - 1.0) / a, 0.0))
     value = status.nan(np.where(interior, growth / a, 1.0))
     return OptimizationOutcome(u, value, a <= 1.0, 0, None, status)

@@ -1102,9 +1102,9 @@ class TestClosedFormGrid:
 
     @pytest.mark.parametrize("engine", CLOSED_FORM)
     def test_log_grid_same_bytes_as_row_path(self, tmp_path, monkeypatch, engine):
-        # enough rows that an exp differing in the last bit (as np.exp does
-        # from math.exp on a few percent of inputs) reaches some %.15g string;
-        # 17 chunks, the last one short
+        # enough rows that a last bit that depended on the array call (a
+        # SIMD kernel's tail against a one-element call, say) reaches some
+        # %.15g string; 17 chunks, the last one short
         monkeypatch.setattr(cli, "_CHUNK_ROWS", 97)
         monkeypatch.setattr(cli, "_oracle", no_oracle_task)
         cfg = write_config(tmp_path, (

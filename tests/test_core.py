@@ -112,41 +112,18 @@ class TestCheckField:
             "n_spins must be a positive integer, got 3.0")
 
 
-class TestExpElementwise:
-    def test_same_bits_as_math_exp_and_inf_on_overflow(self):
-        x = np.random.default_rng(5).uniform(-800.0, 720.0, 20000)
-        got = core.exp_elementwise(x.reshape(100, 200))
-        assert got.shape == (100, 200)
-        def exp_or_inf(v):
-            try:
-                return math.exp(v)
-            except OverflowError:
-                return math.inf
-
-        want = [exp_or_inf(v) for v in x.tolist()]
-        assert math.inf in want
-        np.testing.assert_array_equal(got.ravel(), want)
-        assert core.exp_elementwise(np.array([])).shape == (0,)
-
-    def test_only_overflowing_elements_are_redone(self, monkeypatch):
-        # a 100 x 100 grid like closed_form_sweep's with 300 overflowing
-        # elements, and the edge values, on the overflow path
-        rng = np.random.default_rng(7)
-        x = rng.uniform(-800.0, 700.0, (100, 100))
+class TestStatusExp:
+    def test_overflow_flagged_from_the_first_float_past_log_float_max(self):
         top = math.log(sys.float_info.max)
-        edges = [top, np.nextafter(top, math.inf), math.nan, -math.inf, -0.0]
-        x.flat[:len(edges)] = edges
-        x.flat[rng.choice(np.arange(len(edges), x.size), 299, replace=False)] = \
-            rng.uniform(710.0, 1e4, 299)
-        fallback = core._exp_or_inf
-        calls = []
-        monkeypatch.setattr(core, "_exp_or_inf", lambda v: calls.append(v) or fallback(v))
-        got = core.exp_elementwise(x)
-        want = [fallback(v) for v in x.ravel().tolist()]
-        assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want]
-        assert want[0] < math.inf == want[1]
-        assert len(calls) == 300
-        assert core.exp_elementwise(np.array([1e3, math.inf])).tolist() == [math.inf] * 2
+        x = np.array([top, np.nextafter(top, math.inf), math.inf, math.nan, -math.inf])
+        status = core.Status(x.shape)
+        with np.errstate(over="ignore"):  # as inside core.closed_form
+            out = status.exp(x)
+        assert math.isfinite(out[0]) and out[1] == math.inf == out[2]
+        assert math.isnan(out[3]) and out[4] == 0.0
+        assert status.code.tolist() == [core.OK, core.OVERFLOW, core.OK, core.OK, core.OK]
+        error = status.error(1)
+        assert isinstance(error, OverflowError) and str(error) == "math range error"
 
 
 def random_moments(rng: np.random.Generator) -> core.Moments:

@@ -70,6 +70,20 @@ class TestOptimalTheta:
         with pytest.raises(DomainError):
             optimize.optimal_theta(math.nan)
 
+    def test_array_value_is_the_float_squeeze_gain_at_each_interior_alpha(self):
+        alpha = np.concatenate([[0.5, 1.0, math.inf, math.nan],
+                                np.geomspace(1.0 + 1e-12, 1e8, 997)])
+        out = optimize.optimal_theta(alpha)
+        interior = np.flatnonzero((out.status.code == 0) & ~out.at_boundary)
+        assert interior.size == 997
+        for i in interior.tolist():
+            assert out.value[i] == optimize.squeeze_gain(out.argmax[i], alpha[i])
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
+    def test_squeeze_gain_outside_its_domain_raises(self, alpha):
+        with pytest.raises(DomainError, match="squeeze_gain requires alpha > 0"):
+            optimize.squeeze_gain(0.5, alpha)
+
     @pytest.mark.parametrize("alpha", [1.0 + 1e-12, 1.0 + 1e-9, 1.0001, 10.0, 1e3])
     def test_gain_value_to_rounding_near_threshold(self, alpha):
         # 50-digit decimal reference: near alpha = 1, alpha e^{-Theta} - 1
