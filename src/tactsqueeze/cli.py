@@ -6,7 +6,7 @@ keys are hard errors.  Output is deterministic CSV (15 significant
 digits, '#' comment lines for metadata); the wall-time column is
 dropped under --no-timing so files are byte-identical across worker
 counts.  Exit codes: 0 success (row-level domain errors allowed),
-1 runtime failure, 2 config error.
+1 runtime failure, 2 config error or an --out that cannot be written.
 
 Every command fills one record of its whole grid: the closed-form
 engines (analytic, linearized, optimize) at once as numpy columns, in
@@ -66,8 +66,6 @@ _OPTIONS = {
     "run": {
         "engine": _Option(str, "analytic", lambda v: v in _ENGINES,
                           "one of analytic, exact, linearized, optimize, all"),
-        "n_cap": _Option(int, exact.DEFAULT_N_CAP, lambda v: 1 <= v <= exact.DEFAULT_N_CAP,
-                         f"in 1..{exact.DEFAULT_N_CAP}"),
         "with_factorization": _Option(_flag, False),
     },
     "verify": {
@@ -461,7 +459,7 @@ def _row_exact(pdict: dict, opts: dict) -> dict:
     """The dense oracle's cells (_oracle_cells) at one valid point, and its
     status."""
     p = core.ProtocolParams(**pdict)
-    exact.check_cap(p.n_spins, opts.get("n_cap", exact.DEFAULT_N_CAP))
+    exact.check_cap(p.n_spins)
     rho = exact.build_initial_state(p.n_spins, p.polarization_p)
     l1 = exact.squeeze_generator(p.n_spins, p.j_coupling)
     l2 = exact.depolarize_generator(p.n_spins, p.gamma)
@@ -500,7 +498,7 @@ def _row_verify(pdict: dict, opts: dict) -> dict | str:
     is a row of the study, its ResourceLimitError the whole-row status."""
     n, j, gamma, pol = (pdict[k] for k in ("n_spins", "j_coupling", "gamma", "polarization_p"))
     try:
-        exact.check_cap(n, opts["n_cap"])
+        exact.check_cap(n)
     except ResourceLimitError as exc:
         return str(exc)
     error = exact.factorization_error(n, j, gamma, pdict["t_squeeze"], pol)
@@ -635,6 +633,11 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    try:  # append keeps a symlinked --out or /dev/stdout; nothing written, no buffer
+        open(args.out, "ab", buffering=0).close()
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     timing = not args.no_timing
     if args.command == "verify":

@@ -32,8 +32,8 @@ whose entries of mixed parity are exactly 0, such as the diagonal initial
 state, those entries stay exactly 0: rho is two Hermitian d/2 x d/2
 blocks, the even and the odd popcount sector, and `_rk4` integrates that
 stack (`_ParitySector`: d^2/2 reals per Krylov vector, one real GEMM per
-block for L1, an index-mapped partial trace for L2, two block eigvalsh per
-invariant check).  The signal field flips one spin on one side and leaves
+block for L1, `apply_depolarizer` on the stack for L2, two block eigvalsh
+per invariant check).  The signal field flips one spin on one side and leaves
 the sector; with it, or with any nonzero entry of mixed parity in the
 input, the dense d x d space runs (`_HermitianSpace`).  `trace_norm` and
 `channel_residuals` read a matrix on its two blocks in the same way.
@@ -76,7 +76,11 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
+# One `exact` row, in state sizes of 16*4^N bytes at N = 8 and 9: a tracemalloc
+# peak of 5.5 (7.5 with_factorization) + 7.25 of Krylov basis (_KRYLOV_CAP quarter
+# states, touched only as far as it grows) = 12.8 (14.8), ~205 (237) MiB at N = 10
 DEFAULT_N_CAP = 10
+EXPM_N_CAP = 5  # evolve_expm's: its dense superoperator has 16^N entries
 
 # Channel invariant tolerances (also the integrator acceptance targets).
 TRACE_TOL = 1e-9
@@ -84,10 +88,11 @@ HERMITICITY_TOL = 1e-10
 MIN_EIGENVALUE_TOL = -1e-8
 
 
-def check_cap(n_spins: int, n_cap: int = DEFAULT_N_CAP) -> None:
-    """ResourceLimitError unless 1 <= n_spins <= n_cap: the oracle's one size
-    check, which every builder makes at DEFAULT_N_CAP (a caller may lower it).
+def check_cap(n_spins: int, n_cap: int | None = None) -> None:
+    """ResourceLimitError unless 1 <= n_spins <= n_cap (by default DEFAULT_N_CAP,
+    read at each call): the oracle's one size decision, made by every builder.
     The size is given as a power of 2, so no integer of ~0.6 N digits is built."""
+    n_cap = DEFAULT_N_CAP if n_cap is None else n_cap
     if not (1 <= n_spins <= n_cap):
         raise ResourceLimitError(
             f"n_spins={n_spins} exceeds the cap {n_cap}: a dense density matrix "
@@ -185,7 +190,14 @@ def field_hamiltonian(n_spins: int, b_field: float) -> np.ndarray:
     return b_field * (ops.collective_y - ops.collective_x)
 
 
-def apply_depolarizer(rho: np.ndarray, gamma: float, n_spins: int) -> np.ndarray:
+def _bit0_weights(n_spins: int, gamma: float) -> np.ndarray:
+    """2 Gamma where the sector's block indices have equal parity, else 0."""
+    parity = _basis_bits(n_spins - 1).sum(axis=1) % 2
+    return 2.0 * gamma * (parity[:, None] == parity)
+
+
+def apply_depolarizer(rho: np.ndarray, gamma: float, n_spins: int,
+                      same: np.ndarray | None = None) -> np.ndarray:
     """Depolarizing dissipator: Gamma sum_i (X r X + Y r Y + Z r Z) - 3 Gamma N r.
 
     The printed -3*Gamma*rho counter-term is read per site (trace
@@ -194,42 +206,31 @@ def apply_depolarizer(rho: np.ndarray, gamma: float, n_spins: int) -> np.ndarray
     (Nielsen & Chuang, sec. 8.3.4), so the dissipator is
     2 Gamma sum_i I_i (x) Tr_i rho - 4 Gamma N rho: one partial trace per
     site, added back on both diagonal slices of that site.
+
+    rho is a d x d matrix or the parity sector's stack (even, odd) of d/2 x
+    d/2 blocks; a matrix is the one-block stack.  By the order of
+    `_parity_sectors`, the site of bit i + 1 of a state flips bit i of its
+    block index and its sector, so each site of the block index pairs a block
+    with the other one (`blocks[::-1]`, itself in a one-block stack); the
+    sector's bit-0 site keeps the index and adds the two blocks where the
+    indices have equal parity (`same`, `_bit0_weights` unless given).
     """
-    out = -4.0 * gamma * n_spins * rho
-    for i in range(n_spins):
-        shape = (2 ** i, 2, 2 ** (n_spins - 1 - i))
-        r = rho.reshape(shape + shape)
-        o = out.reshape(shape + shape)
-        partial = r[:, 0, :, :, 0, :] + r[:, 1, :, :, 1, :]
-        partial *= 2.0 * gamma  # in place: one temporary per site
-        o[:, 0, :, :, 0, :] += partial
-        o[:, 1, :, :, 1, :] += partial
-    return out
-
-
-def _depolarize_blocks(blocks: np.ndarray, gamma: float, n_spins: int,
-                       same: np.ndarray) -> np.ndarray:
-    """`apply_depolarizer` on the parity sector's stack (even, odd) of blocks.
-
-    Site i pairs the entry (r, c) with (r ^ e_i, c ^ e_i), which lies in the
-    other sector.  By the order of `_parity_sectors`, the site of bit i + 1
-    of r flips bit i of the block index, so its partial trace is the dense
-    one on reshaped blocks with the sectors crossed; the site of bit 0 keeps
-    the block index, and its partial trace adds the two blocks where the
-    indices have equal parity (`same`: 2 Gamma there, 0 elsewhere)."""
+    blocks = rho.reshape(-1, *rho.shape[-2:])
+    folded = len(blocks) - 1  # 1 in the sector, whose block index holds bit 0
     out = -4.0 * gamma * n_spins * blocks
-    for i in range(n_spins - 1):
-        shape = (2, 2 ** i, 2, 2 ** (n_spins - 2 - i))
+    for i in range(n_spins - folded):
+        shape = (len(blocks), 2 ** i, 2, 2 ** (n_spins - folded - 1 - i))
         r = blocks.reshape(shape + shape[1:])
         o = out.reshape(shape + shape[1:])
         partial = r[:, :, 0, :, :, 0, :] + r[::-1, :, 1, :, :, 1, :]
         partial *= 2.0 * gamma  # in place: one temporary per site
         o[:, :, 0, :, :, 0, :] += partial
         o[::-1, :, 1, :, :, 1, :] += partial
-    partial = blocks[0] + blocks[1]
-    partial *= same
-    out += partial
-    return out
+    if folded:
+        partial = blocks[0] + blocks[1]
+        partial *= _bit0_weights(n_spins, gamma) if same is None else same
+        out += partial
+    return out.reshape(rho.shape)
 
 
 # -- superoperators ----------------------------------------------------------
@@ -325,13 +326,7 @@ def depolarize_generator(n_spins: int, gamma: float) -> Superoperator:
     """L2, the per-site depolarizer (`apply_depolarizer`).  Each partial trace
     pairs (r, c) with (r ^ e_i, c ^ e_i), so it keeps parity(r) xor parity(c)."""
     check_cap(n_spins)
-    parity = _basis_bits(n_spins - 1).sum(axis=1) % 2  # of the sector's block index
-    same = 2.0 * gamma * (parity[:, None] == parity)
-
-    def apply(rho: np.ndarray) -> np.ndarray:
-        if rho.ndim == 3:
-            return _depolarize_blocks(rho, gamma, n_spins, same)
-        return apply_depolarizer(rho, gamma, n_spins)
+    same = _bit0_weights(n_spins, gamma)  # built once, for the sector's stacks
 
     def dense() -> np.ndarray:
         dim = 2 ** n_spins
@@ -342,8 +337,9 @@ def depolarize_generator(n_spins: int, gamma: float) -> Superoperator:
                 out += gamma * np.kron(s, s.T)
         return out
 
-    return Superoperator(rate_bound=4.0 * gamma * n_spins, apply=apply, dense=dense,
-                         keeps_parity=True)
+    return Superoperator(rate_bound=4.0 * gamma * n_spins,
+                         apply=lambda rho: apply_depolarizer(rho, gamma, n_spins, same),
+                         dense=dense, keeps_parity=True)
 
 
 # -- integration -------------------------------------------------------------
@@ -612,7 +608,7 @@ def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float
                 out = space.embed(_rk4(state, rhs, duration, n_steps, stats, space))
         except FloatingPointError as exc:
             stats.update(n_steps=n_steps, refinements=refinement)
-            raise IntegrationError(f"RK4 pass of {n_steps} steps failed: {exc}") from exc
+            raise IntegrationError(f"RK4 pass of {n_steps:.6g} steps failed: {exc}") from exc
         ok, worst, residuals = _invariants_ok(out)
         stats.update(n_steps=n_steps, refinements=refinement, worst_residual=worst,
                      residuals=residuals)
@@ -625,14 +621,14 @@ def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float
 
 
 def evolve_expm(rho: np.ndarray, generators: Sequence[Superoperator],
-                duration: float, n_cap: int = 5) -> np.ndarray:
+                duration: float) -> np.ndarray:
     """Cross-check path: dense superoperator exponential (small N only).
 
     Needs scipy (scipy.linalg.expm), which no other runtime path loads."""
     from scipy.linalg import expm
 
     dim = rho.shape[0]
-    check_cap(int(round(np.log2(dim))), n_cap)
+    check_cap(int(round(np.log2(dim))), EXPM_N_CAP)
     if duration == 0 or not generators:
         return rho.copy()
     sup = sum(g.dense() for g in generators)

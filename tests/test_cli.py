@@ -86,17 +86,35 @@ class TestConfig:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
 
-    def test_n_cap_lowers_the_built_in_cap_and_never_raises_it(self, tmp_path, capsys):
-        for value in (0, exact.DEFAULT_N_CAP + 1):
+    def test_n_cap_is_an_unknown_run_key(self, tmp_path, capsys):
+        # the cap is exact's alone (exact.check_cap); no config key moves it
+        for value in (0, 3, exact.DEFAULT_N_CAP + 1):
             cfg = write_config(tmp_path, f"[run]\nn_cap = {value}\n")
             out = tmp_path / "o.csv"
             assert cli.main(["exact", "--config", cfg, "--out", str(out)]) == 2
-            assert capsys.readouterr().err == (
-                f"config error: run.n_cap must be in 1..10, got '{value}'\n")
+            assert capsys.readouterr().err == "config error: unknown key 'n_cap' in [run]\n"
             assert not out.exists()
-        for value in (1, exact.DEFAULT_N_CAP):
-            assert cli.load_config(write_config(tmp_path, f"[run]\nn_cap = {value}\n")
-                                   )["run"]["n_cap"] == value
+
+    @pytest.mark.parametrize("command", ["analytic", "exact", "verify"])
+    def test_unwritable_out_is_refused_before_any_row(self, tmp_path, capsys, monkeypatch,
+                                                      command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no row is computed for an output that cannot be written")
+
+        monkeypatch.setattr(cli, "_closed_form", refuse)
+        monkeypatch.setattr(cli, "_run_oracle", refuse)
+        for out, reason in ((tmp_path / "missing" / "o.csv", "No such file or directory"),
+                            (tmp_path, "Is a directory")):
+            assert cli.main([command, "--out", str(out)]) == 2
+            assert capsys.readouterr() == ("", f"error: cannot write {out}: {reason}\n")
+        assert not (tmp_path / "missing").exists()
+
+    def test_symlinked_out_stays_a_link(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert cli.main(["analytic", "--out", str(link), "--no-timing"]) == 0
+        assert link.is_symlink() and target.read_text().startswith("# tactsqueeze ")
 
     def test_tau_total_is_no_longer_a_parameter(self, tmp_path, capsys):
         for text, err in (("[params]\ntau_total = 2\n", "unknown key 'tau_total' in [params]"),
@@ -397,6 +415,13 @@ class TestExactCommand:
         assert "# INCOMPLETE" not in comments
         assert len(rows) == 1 and rows[0]["status"].startswith("RK4 pass of ")
         assert rows[0]["mean_sz_per_site"] == ""
+        # at T = 1 the pass has ~1.6e302 steps: the count is written in 6
+        # digits, not 303
+        cfg = write_config(tmp_path, (
+            "[params]\nn_spins = 2\nj_coupling = 1e300\nt_squeeze = 1\ngamma = 0\n"))
+        assert cli.main(["exact", "--config", cfg, "--out", out, "--no-timing"]) == 0
+        status = read_rows(out)[2][0]["status"]
+        assert status.startswith("RK4 pass of 1.6e+302 steps failed: ") and len(status) <= 80
         cfg = write_config(tmp_path, (
             "[verify]\nn_min = 2\nn_max = 3\nalpha = 1\ngamma = 1e300\n"
             "polarization_p = 1\n"))
@@ -463,8 +488,10 @@ class TestVerifyCommand:
         for row in rows:
             assert float(row["factorization_error"]) > 0
 
-    def test_partly_capped_range_fits_the_rows_below_the_cap(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "[verify]\nn_min = 2\nn_max = 4\n[run]\nn_cap = 3\n")
+    def test_partly_capped_range_fits_the_rows_below_the_cap(self, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.setattr(exact, "DEFAULT_N_CAP", 3)
+        cfg = write_config(tmp_path, "[verify]\nn_min = 2\nn_max = 4\n")
         out = str(tmp_path / "o.csv")
         assert cli.main(["verify", "--config", cfg, "--out", out, "--no-timing"]) == 1
         comments, _, rows = read_rows(out)
@@ -490,8 +517,10 @@ class TestVerifyCommand:
 
     def test_two_workers_run_the_rows_on_a_pool_with_the_same_bytes(self, tmp_path,
                                                                      monkeypatch):
-        # a partly capped range: the capped N = 4 row is a status on both paths
-        cfg = write_config(tmp_path, "[verify]\nn_min = 2\nn_max = 4\n[run]\nn_cap = 3\n")
+        # a partly capped range: the capped N = 4 row is a status on both
+        # paths (forked pool workers inherit the lowered cap)
+        monkeypatch.setattr(exact, "DEFAULT_N_CAP", 3)
+        cfg = write_config(tmp_path, "[verify]\nn_min = 2\nn_max = 4\n")
         outs = []
         for workers in ("1", "2"):
             out = tmp_path / f"w{workers}.csv"
@@ -617,9 +646,10 @@ class TestColumnDocs:
             assert row["status"] == "invalid: GAMMA_NONNEGATIVE"
             assert not any(row[k] for k in header[len(cli.PARAM_FIELDS):-1])
 
-    def test_verify_with_every_row_failed_writes_the_full_header(self, tmp_path):
-        # n_cap = 1 refuses N = 2 and 3: every row is a status
-        cfg = write_config(tmp_path, "[verify]\nn_min = 2\nn_max = 3\n[run]\nn_cap = 1\n")
+    def test_verify_with_every_row_failed_writes_the_full_header(self, tmp_path, monkeypatch):
+        # a cap of 1 refuses N = 2 and 3: every row is a status
+        monkeypatch.setattr(exact, "DEFAULT_N_CAP", 1)
+        cfg = write_config(tmp_path, "[verify]\nn_min = 2\nn_max = 3\n")
         out = str(tmp_path / "o.csv")
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["verify", "--config", cfg, "--out", out, "--no-timing"]) == 1
@@ -637,14 +667,15 @@ class TestSpinCap:
         ("verify", "[verify]\nn_min = 2\nn_max = 4\n"),
     ])
     def test_capped_row_builds_no_oracle_state(self, tmp_path, monkeypatch, command, text):
-        # n_cap = 3: the N = 4 row is refused before any exact builder runs
+        # a cap of 3: the N = 4 row is refused before any exact builder runs
+        monkeypatch.setattr(exact, "DEFAULT_N_CAP", 3)
         built = []
         for name in ("build_initial_state", "tact_hamiltonian"):
             def counting(n_spins, *args, _build=getattr(exact, name)):
                 built.append(n_spins)
                 return _build(n_spins, *args)
             monkeypatch.setattr(exact, name, counting)
-        cfg = write_config(tmp_path, text + "[run]\nn_cap = 3\n")
+        cfg = write_config(tmp_path, text)
         out = str(tmp_path / "o.csv")
         with (contextlib.redirect_stdout(io.StringIO()),
               contextlib.redirect_stderr(io.StringIO()) as err):
@@ -756,12 +787,13 @@ class TestSweepDeterminism:
         with open(out1, "rb") as f1, open(out8, "rb") as f8:
             assert f1.read() == f8.read()
 
-    def test_failed_sweep_keeps_same_rows_for_any_worker_count(self, tmp_path):
-        # n_cap = 3 fails the N = 4 task: both worker counts keep the
+    def test_failed_sweep_keeps_same_rows_for_any_worker_count(self, tmp_path, monkeypatch):
+        # a cap of 3 fails the N = 4 task: both worker counts keep the
         # finished N = 2, 3 rows and mark the file incomplete
+        monkeypatch.setattr(exact, "DEFAULT_N_CAP", 3)
         cfg = write_config(tmp_path, (
             "[sweep]\naxis = n_spins 2 5 4 linear\n"
-            "[run]\nengine = exact\nn_cap = 3\n"))
+            "[run]\nengine = exact\n"))
         outs = []
         for workers in ("1", "2"):
             out = str(tmp_path / f"w{workers}.csv")
@@ -774,13 +806,16 @@ class TestSweepDeterminism:
         assert [r["n_spins"] for r in rows] == ["2", "3"]
         assert comments[-1] == "# INCOMPLETE"
 
-    def test_every_command_writes_the_same_bytes_for_any_worker_count(self, tmp_path):
-        # an invalid point (Gamma < 0) and a capped N (4 > n_cap) on every
-        # command: exact and all end the sweep there, verify writes its status
+    def test_every_command_writes_the_same_bytes_for_any_worker_count(self, tmp_path,
+                                                                      monkeypatch):
+        # an invalid point (Gamma < 0) and a capped N (4 > a cap of 3) on
+        # every command: exact and all end the sweep there, verify writes
+        # its status
+        monkeypatch.setattr(exact, "DEFAULT_N_CAP", 3)
         cfg = write_config(tmp_path, (
             "[params]\nj_coupling = 0.05\nt_squeeze = 0.1\n"
             "[sweep]\naxis0 = n_spins 2 4 3 linear\naxis1 = gamma -0.1 0.1 2 linear\n"
-            "[run]\nengine = all\nn_cap = 3\nwith_factorization = true\n"
+            "[run]\nengine = all\nwith_factorization = true\n"
             "[verify]\nn_min = 2\nn_max = 4\n"))
         for command in ("analytic", "linearized", "optimize", "exact", "sweep", "verify"):
             outs = []
@@ -1189,8 +1224,7 @@ def oracle_configs(draw) -> str:
     for k, name in enumerate(names):
         lo, hi = draw(st.sampled_from(ORACLE_AXES[name]))
         lines.append(f"axis{k} = {name} {lo} {hi} {draw(st.integers(0, 3))} linear")
-    lines += ["[run]", f"n_cap = {draw(st.sampled_from([2, 10]))}",
-              f"with_factorization = {draw(st.booleans())}"]
+    lines += ["[run]", f"with_factorization = {draw(st.booleans())}"]
     return "\n".join(lines) + "\n"
 
 
@@ -1215,23 +1249,26 @@ class RecordingPool:
 
 class TestOracleSweep:
     @settings(max_examples=40, deadline=None)
-    @given(text=oracle_configs())
+    @given(text=oracle_configs(), n_cap=st.sampled_from([2, exact.DEFAULT_N_CAP]))
     # T = 200: every oracle row is a whole-row status (invariants violated),
     # and at Gamma = 1 all's analytic part settles the row before the oracle
     @example(text="[params]\nn_spins = 1\nj_coupling = 0\nt_squeeze = 200\n"
-                  "[sweep]\naxis0 = gamma 0.1 1 2 linear\n[run]\nwith_factorization = true\n")
-    # invalid P rows at N = 3 above n_cap: the sweep ends at the first
+                  "[sweep]\naxis0 = gamma 0.1 1 2 linear\n[run]\nwith_factorization = true\n",
+             n_cap=exact.DEFAULT_N_CAP)
+    # invalid P rows at N = 3 above the cap: the sweep ends at the first
     # valid N = 3 row, and the invalid rows before it are never oracle rows
     @example(text="[params]\nj_coupling = 0.05\ngamma = 0.1\nt_squeeze = 0.3\n"
                   "[sweep]\naxis0 = n_spins 2 3 2 linear\n"
-                  "axis1 = polarization_p 0 1.5 3 linear\n[run]\nn_cap = 2\n")
+                  "axis1 = polarization_p 0 1.5 3 linear\n", n_cap=2)
     # T = 0: all's analytic part has a domain status before its last cell;
     # J = 0 at N = 1: a zero mean-spin direction is the oracle's status
     @example(text="[params]\nn_spins = 1\nt_squeeze = 0\npolarization_p = 0\n"
-                  "[sweep]\naxis0 = j_coupling 0 0.1 2 linear\n")
-    def test_oracle_sweep_writes_what_the_row_path_writes(self, text):
-        # two rows a chunk; the closed-form cells come from the grid record
-        with (tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_CHUNK_ROWS", 2)):
+                  "[sweep]\naxis0 = j_coupling 0 0.1 2 linear\n", n_cap=exact.DEFAULT_N_CAP)
+    def test_oracle_sweep_writes_what_the_row_path_writes(self, text, n_cap):
+        # two rows a chunk; the closed-form cells come from the grid record;
+        # the cap is patched per example
+        with (tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_CHUNK_ROWS", 2),
+              mock.patch.object(exact, "DEFAULT_N_CAP", n_cap)):
             cfg = Path(tmp) / "run.cfg"
             cfg.write_text(text)
             for engine in ("exact", "all"):
@@ -1239,12 +1276,13 @@ class TestOracleSweep:
                 assert sweep_output(cfg, engine) == (want_lines, want_code, want_err), engine
 
     @pytest.mark.parametrize("engine", ["exact", "all"])
-    def test_two_workers_write_what_the_row_path_writes(self, tmp_path, engine):
+    def test_two_workers_write_what_the_row_path_writes(self, tmp_path, monkeypatch, engine):
+        monkeypatch.setattr(exact, "DEFAULT_N_CAP", 2)  # forked workers inherit it
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[params]\nj_coupling = 0.05\ngamma = 0.1\nt_squeeze = 0.3\n"
                        "[sweep]\naxis0 = n_spins 1 3 3 linear\n"
                        "axis1 = polarization_p 0.5 1.5 2 linear\n"
-                       "[run]\nn_cap = 2\nwith_factorization = true\n")
+                       "[run]\nwith_factorization = true\n")
         # invalid rows between oracle rows; the first N = 3 row ends the sweep
         want = row_path_output(str(cfg), engine)
         assert want[1] == 1 and "exceeds the cap 2" in want[2]

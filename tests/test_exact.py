@@ -80,7 +80,7 @@ class TestInitialState:
         with pytest.raises(ResourceLimitError, match="4\\^N"):
             exact.build_initial_state(12, 1.0)
 
-    def test_check_cap_refuses_outside_one_to_the_cap(self):
+    def test_check_cap_refuses_outside_one_to_the_cap(self, monkeypatch):
         for n in (0, exact.DEFAULT_N_CAP + 1):
             with pytest.raises(ResourceLimitError,
                                match=f"^n_spins={n} exceeds the cap 10: .* 16\\*4\\^N = "):
@@ -89,6 +89,10 @@ class TestInitialState:
         exact.check_cap(exact.DEFAULT_N_CAP)
         with pytest.raises(ResourceLimitError, match="^n_spins=4 exceeds the cap 3: "):
             exact.check_cap(4, 3)
+        # the default cap is read at each call, so a builder sees it lowered
+        monkeypatch.setattr(exact, "DEFAULT_N_CAP", 3)
+        with pytest.raises(ResourceLimitError, match="^n_spins=4 exceeds the cap 3: "):
+            exact.build_initial_state(4, 1.0)
 
     @pytest.mark.parametrize("n", [8000, 10 ** 6])
     def test_check_cap_gives_a_huge_size_as_a_power_of_2(self, n):
@@ -99,10 +103,10 @@ class TestInitialState:
                                  f"2\\^{2 * n + 4} bytes "):
             exact.check_cap(n)
 
-    def test_only_check_cap_and_the_expm_path_take_a_cap(self):
+    def test_only_check_cap_takes_a_cap(self):
         takes_cap = sorted(name for name in exact.__all__ if callable(getattr(exact, name))
                            and "n_cap" in inspect.signature(getattr(exact, name)).parameters)
-        assert takes_cap == ["check_cap", "evolve_expm"]
+        assert takes_cap == ["check_cap"]
 
     @pytest.mark.parametrize("p", [0.0, -0.5, 1.5, np.nan])
     def test_polarization_outside_unit_interval_rejected(self, p):
@@ -760,7 +764,8 @@ class TestParitySector:
         for _ in range(3):
             rho = in_sector_hermitian(n, rng)
             blocks = sector.restrict(rho)
-            for gen in (exact.squeeze_generator(n, 0.37), exact.depolarize_generator(n, 0.21)):
+            l1, l2 = exact.squeeze_generator(n, 0.37), exact.depolarize_generator(n, 0.21)
+            for gen in (l1, l2):
                 assert gen.keeps_parity
                 dense = gen.apply(rho)
                 assert np.all(dense[mixed] == 0.0)
@@ -769,6 +774,11 @@ class TestParitySector:
                 scale = np.max(np.abs(dense))
                 assert np.max(np.abs(on_blocks - sector.restrict(dense))) <= 1e-13 * scale
                 assert np.array_equal(on_blocks, np.swapaxes(on_blocks.conj(), -1, -2))
+            # L2 is one kernel on both layouts, each site's sums in the same
+            # order: the same bits (L1's two GEMM layouts sum differently)
+            on_blocks = l2.apply(blocks)
+            assert np.array_equal(on_blocks, sector.restrict(l2.apply(rho)))
+            assert np.array_equal(exact.apply_depolarizer(blocks, 0.21, n), on_blocks)
 
     def test_field_generator_leaves_the_sector(self):
         assert not exact.field_generator(3, 0.7).keeps_parity
@@ -848,7 +858,6 @@ class TestParitySector:
         gamma, alpha = 0.25, 5.0
         point = dict(n_spins=n, j_coupling=4.0 * gamma * alpha / n, gamma=gamma,
                      polarization_p=1.0, t_squeeze=1.0 / (4.0 * gamma))
-        opts = {"n_cap": exact.DEFAULT_N_CAP}
-        got = cli._row_verify(point, opts)
+        got = cli._row_verify(point, {})
         self.dense_only(monkeypatch)
-        self.assert_cells_close(got, cli._row_verify(point, opts))
+        self.assert_cells_close(got, cli._row_verify(point, {}))
