@@ -17,7 +17,6 @@ from tactsqueeze import core, exact, linearized
 
 def main():
     n, p, j = 8, 1.0, 1.0
-    ops = exact.spin_operators(n)
     rho0 = exact.build_initial_state(n, p)
     kappa = j * n * p
     drives = {"J": j, "J/factor": j / core.PAULI_TACT_RATE_FACTOR}
@@ -35,8 +34,8 @@ def main():
         gauss = linearized.min_variance_direction(state).variance
         ratios = []
         for gen in gens.values():
-            min_var, _, _ = exact.transverse_variance_extrema(
-                exact.evolve(rho0, gen, t), ops)
+            min_var, _ = exact.collective_moments(
+                exact.evolve(rho0, gen, t), n).transverse_extrema()
             ratios.append(min_var / (2 * n * p) / gauss)
         print(f"{kt:8.3f} {gauss:10.6f} "
               + " ".join(f"{r:16.3f}" for r in ratios))

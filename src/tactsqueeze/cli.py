@@ -13,8 +13,8 @@ engines (analytic, linearized, optimize) at once as numpy columns, in
 process; one point is a one-row grid.  exact and all take their
 closed-form cells from that record and run only the dense oracle per
 row; verify's rows, one per N, are oracle rows too.  Oracle rows run one
-task per row on up to --workers processes (never more than there are
-oracle rows).  The record writes every command's CSV, column-wise; a text
+task per row on up to --workers processes (at most one per oracle row
+and per CPU).  The record writes every command's CSV, column-wise; a text
 cell holding a comma, a double quote or a line break is quoted (RFC
 4180).  Each command has one header, whatever the data: the inputs, the
 cells in the order of docs/csv_columns.md, status, then wall_time.
@@ -27,6 +27,7 @@ import concurrent.futures
 import configparser
 import hashlib
 import math
+import os
 import re
 import sys
 import time
@@ -525,11 +526,12 @@ def _run_oracle(rec: _Cells, params: dict, row: Callable, keys: tuple[str, ...],
                 workers: int, wall: np.ndarray) -> None:
     """The oracle row function `row` on each row before `n_done` without a
     whole-row status, in index order, on up to `workers` processes but no
-    more than there are rows; its cells `keys` merged into `rec`, its time
-    added to `wall`.  A failed task ends the run at its row."""
+    more than there are rows or CPUs; its cells `keys` merged into `rec`,
+    its time added to `wall`.  A failed task ends the run at its row."""
     rows = np.flatnonzero(~rec.whole[:rec.n_done]).tolist()
     tasks = [(row, _grid_point(params, i), opts) for i in rows]
-    workers = min(workers, len(tasks))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, len(tasks), cpus or 1)
     results: dict = {}
 
     def take(done) -> None:
@@ -628,6 +630,8 @@ def main(argv: list[str] | None = None) -> int:
     ]:
         sub.add_parser(name, parents=[common], help=desc)
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error(f"--workers must be >= 1, got {args.workers}")
 
     try:
         cfg = load_config(args.config)

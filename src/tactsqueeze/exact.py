@@ -31,12 +31,13 @@ parity(r) xor parity(c) of every entry (popcount parities).  From a state
 whose entries of mixed parity are exactly 0, such as the diagonal initial
 state, those entries stay exactly 0: rho is two Hermitian d/2 x d/2
 blocks, the even and the odd popcount sector, and `_rk4` integrates that
-stack (`_ParitySector`: d^2/2 reals per Krylov vector, one real GEMM per
-block for L1, `apply_depolarizer` on the stack for L2, two block eigvalsh
-per invariant check).  The signal field flips one spin on one side and leaves
-the sector; with it, or with any nonzero entry of mixed parity in the
-input, the dense d x d space runs (`_HermitianSpace`).  `trace_norm` and
-`channel_residuals` read a matrix on its two blocks in the same way.
+stack (d^2/2 reals per Krylov vector, one real GEMM per block for L1,
+`apply_depolarizer` on the stack for L2, two block eigvalsh per invariant
+check), whose layout one `_ParitySector` per N holds.  The signal field
+flips one spin on one side and leaves the sector; with it, or with any
+nonzero entry of mixed parity in the input, the dense d x d space runs
+(`_HermitianSpace`).  `trace_norm` and `channel_residuals` read a matrix
+on its two blocks in the same way.
 
 The collective sums Cx, Cy and Cz are written from the basis-state bits
 too.  The squeezing observables need only the mean spin and the 3x3
@@ -49,6 +50,7 @@ parity blocks of H, which flips spins in pairs.
 
 from __future__ import annotations
 
+import functools
 import mmap
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -66,7 +68,7 @@ __all__ = [
     "squeeze_generator", "depolarize_generator", "field_generator",
     "apply_depolarizer", "evolve", "evolve_expm",
     "channel_residuals", "measure", "trace_norm",
-    "collective_moments", "transverse_variance_extrema", "squeezing_parameter_exact",
+    "collective_moments", "squeezing_parameter_exact",
     "split_evolve", "factorization_error", "factorization_error_pair",
     "CommutatorNorm", "commutator_action_norm",
 ]
@@ -102,14 +104,6 @@ def check_cap(n_spins: int, n_cap: int | None = None) -> None:
 def _basis_bits(n_spins: int) -> np.ndarray:
     """bits[r, i] = bit i of basis state r: 1 where sigma^z_i reads -1."""
     return (np.arange(2 ** n_spins)[:, None] >> np.arange(n_spins)) & 1
-
-
-def _parity_sectors(n_spins: int) -> tuple[np.ndarray, np.ndarray]:
-    """(even, odd): the basis states of even and of odd popcount, each in
-    increasing order.  Its a-th state is 2a + (parity(a) xor sector): bit
-    i + 1 of the state is bit i of a, and bit 0 makes up the parity."""
-    odd = _basis_bits(n_spins).sum(axis=1) % 2 == 1
-    return np.flatnonzero(~odd), np.flatnonzero(odd)
 
 
 def site_operator(op: np.ndarray, site: int, n_spins: int) -> np.ndarray:
@@ -190,12 +184,6 @@ def field_hamiltonian(n_spins: int, b_field: float) -> np.ndarray:
     return b_field * (ops.collective_y - ops.collective_x)
 
 
-def _bit0_weights(n_spins: int, gamma: float) -> np.ndarray:
-    """2 Gamma where the sector's block indices have equal parity, else 0."""
-    parity = _basis_bits(n_spins - 1).sum(axis=1) % 2
-    return 2.0 * gamma * (parity[:, None] == parity)
-
-
 def apply_depolarizer(rho: np.ndarray, gamma: float, n_spins: int,
                       same: np.ndarray | None = None) -> np.ndarray:
     """Depolarizing dissipator: Gamma sum_i (X r X + Y r Y + Z r Z) - 3 Gamma N r.
@@ -208,12 +196,13 @@ def apply_depolarizer(rho: np.ndarray, gamma: float, n_spins: int,
     site, added back on both diagonal slices of that site.
 
     rho is a d x d matrix or the parity sector's stack (even, odd) of d/2 x
-    d/2 blocks; a matrix is the one-block stack.  By the order of
-    `_parity_sectors`, the site of bit i + 1 of a state flips bit i of its
+    d/2 blocks; a matrix is the one-block stack.  In the sector's layout
+    (`_ParitySector`) the site of bit i + 1 of a state flips bit i of its
     block index and its sector, so each site of the block index pairs a block
     with the other one (`blocks[::-1]`, itself in a one-block stack); the
     sector's bit-0 site keeps the index and adds the two blocks where the
-    indices have equal parity (`same`, `_bit0_weights` unless given).
+    indices have equal parity, weighted by `same` (by default 2 Gamma times
+    the sector's mask).
     """
     blocks = rho.reshape(-1, *rho.shape[-2:])
     folded = len(blocks) - 1  # 1 in the sector, whose block index holds bit 0
@@ -228,7 +217,7 @@ def apply_depolarizer(rho: np.ndarray, gamma: float, n_spins: int,
         o[::-1, :, 1, :, :, 1, :] += partial
     if folded:
         partial = blocks[0] + blocks[1]
-        partial *= _bit0_weights(n_spins, gamma) if same is None else same
+        partial *= 2.0 * gamma * _parity_sector(n_spins).same if same is None else same
         out += partial
     return out.reshape(rho.shape)
 
@@ -311,7 +300,7 @@ def squeeze_generator(n_spins: int, j_coupling: float) -> Superoperator:
     apply is one real GEMM per block.
     """
     h = tact_hamiltonian(n_spins, j_coupling).real
-    blocks = np.stack([h[np.ix_(s, s)] for s in _parity_sectors(n_spins)])
+    blocks = _parity_sector(n_spins).restrict(h)
     norm = max(_spectral_radius(block) for block in blocks)
     return _hamiltonian_superop(h, +1.0, norm, blocks)
 
@@ -326,7 +315,7 @@ def depolarize_generator(n_spins: int, gamma: float) -> Superoperator:
     """L2, the per-site depolarizer (`apply_depolarizer`).  Each partial trace
     pairs (r, c) with (r ^ e_i, c ^ e_i), so it keeps parity(r) xor parity(c)."""
     check_cap(n_spins)
-    same = _bit0_weights(n_spins, gamma)  # built once, for the sector's stacks
+    same = 2.0 * gamma * _parity_sector(n_spins).same  # built once, for the sector's stacks
 
     def dense() -> np.ndarray:
         dim = 2 ** n_spins
@@ -421,13 +410,20 @@ class _HermitianSpace:
 
 class _ParitySector(_HermitianSpace):
     """d x d matrices with no nonzero entry of mixed parity: block-diagonal
-    in the even and the odd popcount sector (`_parity_sectors`), held as
-    the stack (even, odd) of the two d/2 x d/2 blocks."""
+    in the even and the odd popcount sector, held as the stack (even, odd)
+    of the two d/2 x d/2 blocks: the one source of their layout, built once
+    per N and shared (`_parity_sector`), so nothing writes its arrays.
+    `sectors` lists each sector's basis states in increasing order, so its
+    a-th state is 2a + (parity(a) xor sector): bit i + 1 of the state is
+    bit i of a, and bit 0 makes up the parity.  `same` marks the block
+    indices of equal parity, read on bit 0 of the even sector's states."""
 
     def __init__(self, n_spins: int):
-        self.sectors = _parity_sectors(n_spins)
-        half = 2 ** (n_spins - 1)
-        super().__init__((2, half, half))
+        odd = _basis_bits(n_spins).sum(axis=1) % 2 == 1
+        self.sectors = np.flatnonzero(~odd), np.flatnonzero(odd)
+        parity = self.sectors[0] & 1  # of the block index: bit 0 of its even state
+        self.same = parity[:, None] == parity
+        super().__init__((2, *self.same.shape))
 
     def contains(self, m: np.ndarray) -> bool:
         even, odd = self.sectors
@@ -444,13 +440,16 @@ class _ParitySector(_HermitianSpace):
         return out
 
 
+_parity_sector = functools.cache(_ParitySector)  # one instance per N, for the process
+
+
 def _space_of(m: np.ndarray, generators: Sequence[Superoperator] = ()) -> _HermitianSpace:
     """The space a d x d matrix m is held in under `generators`: the parity
     sector when every generator keeps parity and every entry of m of mixed
     parity is exactly 0, the dense space otherwise."""
     d = m.shape[0]
     if d >= 2 and d & (d - 1) == 0 and all(g.keeps_parity for g in generators):
-        sector = _ParitySector(d.bit_length() - 1)
+        sector = _parity_sector(d.bit_length() - 1)
         if sector.contains(m):
             return sector
     return _HermitianSpace(m.shape)
@@ -577,7 +576,8 @@ def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float
 
     A pass that overflows, divides by zero or makes a nan (huge rates,
     even at a benign rate x duration) raises IntegrationError at once;
-    n_steps and refinements are then those of that pass.
+    n_steps and refinements are then those of that pass.  So does a first
+    step count that is not finite, before any pass.
     """
     if duration < 0:
         raise ValueError("duration must be >= 0")
@@ -599,7 +599,10 @@ def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float
             out += g.apply(r)
         return out
 
-    n_steps = max(_MIN_STEPS, int(np.ceil(duration * rate / _TARGET_STEP_RATE)))
+    first = duration * rate / _TARGET_STEP_RATE
+    if not np.isfinite(first):
+        raise IntegrationError(f"no finite RK4 step count: T x rate = {duration * rate:.6g}")
+    n_steps = max(_MIN_STEPS, int(np.ceil(first)))
     for refinement in range(_MAX_REFINEMENTS + 1):
         try:
             # raise, not ignore: an overflowed norm could divide a vector to
@@ -696,14 +699,6 @@ def collective_moments(rho: np.ndarray, n_spins: int) -> Moments:
     xz, yz = cz @ fx, cz @ fy
     second = np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, cz ** 2 @ p.real]])
     return Moments(n_spins, mean.real, second)
-
-
-def transverse_variance_extrema(rho: np.ndarray, ops: SpinOperatorSet
-                                ) -> tuple[float, float, np.ndarray]:
-    """(min variance, max variance, mean vector) of rho over the plane
-    orthogonal to the mean spin (`core.Moments.transverse_extrema`)."""
-    moments = collective_moments(rho, ops.n_spins)
-    return (*moments.transverse_extrema(), moments.mean)
 
 
 KITAGAWA_UEDA = "kitagawa_ueda"

@@ -161,7 +161,6 @@ def test_criterion_06_factorization_scaling():
 def test_criterion_07_linearized_vs_exact():
     n, p, j = 8, 1.0, 1.0
     start = time.perf_counter()
-    ops = exact.spin_operators(n)
     rho = exact.build_initial_state(n, p)
     # the Pauli-unit oracle contracts at PAULI_TACT_RATE_FACTOR * J N P;
     # drive it so that both sides describe kappa = J N P
@@ -171,7 +170,7 @@ def test_criterion_07_linearized_vs_exact():
     for jnt in (0.05, 0.1, 0.2):
         duration = jnt / (j * n)
         out = _tracked_evolve(rho, [l1], duration)
-        min_var, _, _ = exact.transverse_variance_extrema(out, ops)
+        min_var, _ = exact.collective_moments(out, n).transverse_extrema()
         exact_scaled = min_var / (2 * n * p)
         gauss = linearized.min_variance_direction(
             linearized.bogoliubov_propagate(

@@ -4,6 +4,7 @@ import csv
 import io
 import itertools
 import math
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -22,6 +23,11 @@ def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def patch_cpus(monkeypatch, count):
+    """The CPUs this process may run on, as _run_oracle reads them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 def read_rows(path):
@@ -529,7 +535,8 @@ class TestVerifyCommand:
                                  "--workers", workers, "--no-timing"]) == 1
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
-        # one pool, sized to the three rows
+        # one pool, sized to the three rows on a host with more CPUs
+        patch_cpus(monkeypatch, 8)
         monkeypatch.setattr(RecordingPool, "sizes", [])
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         out = tmp_path / "w8.csv"
@@ -829,6 +836,24 @@ class TestSweepDeterminism:
             assert outs[0] == outs[1], command
             assert (outs[0][0] == 1) == (command in ("exact", "sweep", "verify")), command
             assert b"invalid: GAMMA_NONNEGATIVE" in outs[0][1] or command == "verify"
+
+    def test_worker_counts_write_the_same_bytes_up_to_n_8(self, tmp_path):
+        # the oracle's working size: with_factorization rows reaching N = 8,
+        # on two real processes (one where the host has a single CPU)
+        cfg = write_config(tmp_path, (
+            "[params]\nj_coupling = 0.05\npolarization_p = 0.95\ngamma = 0.1\n"
+            "[sweep]\naxis0 = n_spins 6 8 3 linear\naxis1 = t_squeeze 0.02 0.1 2 log\n"
+            "[run]\nwith_factorization = true\n"))
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.csv"
+            assert cli.main(["exact", "--config", cfg, "--out", str(out),
+                             "--workers", workers, "--no-timing"]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        _, _, rows = read_rows(str(tmp_path / "w1.csv"))
+        assert [r["n_spins"] for r in rows] == ["6", "6", "7", "7", "8", "8"]
+        assert all(r["status"] == "ok" and r["factorization_error"] for r in rows)
 
     def test_two_axis_row_major_order(self, tmp_path):
         cfg = write_config(tmp_path, self.CONFIG)
@@ -1292,13 +1317,57 @@ class TestOracleSweep:
                                              ("gamma -1 -0.5 2", [])])
     def test_pool_is_sized_to_the_oracle_rows(self, tmp_path, monkeypatch, axis, sizes):
         # 2 oracle rows ask for 2 processes, 1 row and an all-invalid grid
-        # start none, whatever --workers says
+        # start none, whatever --workers says (on a host with 8 CPUs)
+        patch_cpus(monkeypatch, 8)
         monkeypatch.setattr(RecordingPool, "sizes", [])
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = write_config(tmp_path, f"[params]\nt_squeeze = 0.1\n[sweep]\naxis = {axis} linear\n")
         out = str(tmp_path / "o.csv")
         assert cli.main(["exact", "--config", cfg, "--out", out, "--workers", "8"]) == 0
         assert RecordingPool.sizes == sizes
+
+    @pytest.mark.parametrize("affinity, cpu_count, sizes", [(3, 64, [3]), (1, 64, []),
+                                                            (None, 2, [2]), (None, None, [])])
+    def test_pool_is_capped_by_the_usable_cpus(self, tmp_path, monkeypatch, affinity,
+                                               cpu_count, sizes):
+        # the affinity set counts, then os.cpu_count() where there is none
+        # (None: unknown, one process); 5 oracle rows at --workers 8
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            patch_cpus(monkeypatch, affinity)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = write_config(tmp_path, "[params]\nt_squeeze = 0.1\n"
+                                     "[sweep]\naxis = gamma 0.1 0.5 5 linear\n")
+        out = str(tmp_path / "o.csv")
+        assert cli.main(["exact", "--config", cfg, "--out", out, "--workers", "8"]) == 0
+        assert RecordingPool.sizes == sizes
+        assert len(read_rows(out)[2]) == 5
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["exact", "verify"])
+    def test_workers_below_one_is_a_usage_error(self, tmp_path, capsys, workers, command):
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--out", str(out), "--workers", workers])
+        assert info.value.code == 2
+        assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_step_count_that_is_not_finite_is_a_row_status(self, tmp_path):
+        # T x rate overflows the first pass's step count at J = 1e307; the
+        # sweep goes on to the next row
+        cfg = write_config(tmp_path, "[params]\nn_spins = 2\nt_squeeze = 1\ngamma = 0\n"
+                                     "[sweep]\naxis = j_coupling 1e307 0.1 2 linear\n")
+        out = str(tmp_path / "o.csv")
+        assert cli.main(["exact", "--config", cfg, "--out", out, "--no-timing"]) == 0
+        comments, _, rows = read_rows(out)
+        assert "# INCOMPLETE" not in comments
+        assert [r["j_coupling"] for r in rows] == ["1e+307", "0.1"]
+        assert rows[0]["status"].startswith("no finite RK4 step count: T x rate = ")
+        assert rows[0]["xi2_kitagawa_ueda"] == "" and rows[1]["status"] == "ok"
 
     @pytest.mark.parametrize("engine", ["exact", "all"])
     def test_one_grid_record_and_no_point_validation(self, tmp_path, monkeypatch, engine):

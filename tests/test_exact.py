@@ -136,8 +136,7 @@ class TestTactHamiltonian:
         rho = exact.build_initial_state(n, p)
         gen = exact.squeeze_generator(n, j / core.PAULI_TACT_RATE_FACTOR)
         out = exact.evolve(rho, [gen], kappa_t / kappa)
-        min_var, _, _ = exact.transverse_variance_extrema(
-            out, exact.spin_operators(n))
+        min_var, _ = exact.collective_moments(out, n).transverse_extrema()
         gaussian = 0.5 * np.exp(-2 * kappa_t) * 2 * n * p
         assert min_var / gaussian == pytest.approx(1.0, abs=0.03)
 
@@ -348,6 +347,15 @@ class TestEvolve:
         b = exact.evolve_expm(rho, gens, 0.7)
         assert np.max(np.abs(a - b)) < 1e-8
 
+    @pytest.mark.parametrize("duration, gens", [(0.0, "both"), (0.4, "none")])
+    def test_expm_without_a_pass_returns_a_copy(self, duration, gens):
+        rho = exact.build_initial_state(3, 0.8)
+        generators = ([exact.squeeze_generator(3, 0.2), exact.depolarize_generator(3, 0.3)]
+                      if gens == "both" else [])
+        out = exact.evolve_expm(rho, generators, duration)
+        assert out is not rho
+        np.testing.assert_array_equal(out, rho)
+
     def test_real_state_with_depolarizer_listed_first(self):
         # the depolarizer keeps a real input real; the Hamiltonian term
         # that follows it is complex
@@ -493,6 +501,16 @@ class TestEvolve:
         assert stats["residuals"] == (1e-6, 0.0, 0.0)
         assert stats["worst_residual"] == info.value.worst_residual == pytest.approx(1e3)
 
+    @pytest.mark.parametrize("rate", [np.inf, np.nan, 8e307])
+    def test_step_count_that_is_not_finite_is_an_integration_error(self, rate):
+        # 8e307 is finite, but T x rate / 0.05 overflows to inf
+        gen = exact.Superoperator(rate_bound=rate, apply=lambda r: 0.0 * r, dense=None,
+                                  keeps_parity=True)
+        stats = {}
+        with pytest.raises(IntegrationError, match=r"no finite RK4 step count: T x rate"):
+            exact.evolve(exact.build_initial_state(2, 0.9), [gen], 1.0, stats)
+        assert stats == {"n_steps": 0, "refinements": 0}
+
     @pytest.mark.parametrize("duration, gens", [(0.0, "both"), (0.5, "none")])
     def test_stats_without_a_pass(self, duration, gens):
         rho = exact.build_initial_state(2, 0.9)
@@ -612,17 +630,12 @@ class TestCollectiveMoments:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             exact.collective_moments(np.eye(2) / 2, 2)
-        with pytest.raises(ValueError):
-            exact.transverse_variance_extrema(np.eye(2) / 2, exact.spin_operators(2))
 
     def test_views_read_the_record(self):
         rho = exact.evolve(exact.build_initial_state(4, 0.9),
                            [exact.squeeze_generator(4, 0.05),
                             exact.depolarize_generator(4, 0.1)], 0.3)
         ops, moments = exact.spin_operators(4), exact.collective_moments(rho, 4)
-        lo, hi, mean = exact.transverse_variance_extrema(rho, ops)
-        assert (lo, hi) == moments.transverse_extrema()
-        assert np.array_equal(mean, moments.mean)
         assert [exact.squeezing_parameter_exact(rho, ops, c)
                 for c in (exact.KITAGAWA_UEDA, exact.WINELAND)] == list(moments.xi2())
 
@@ -631,10 +644,9 @@ class TestCollectiveMoments:
         # it replaced allocated several 2^N x 2^N matrices
         n = 8
         rho = exact.build_initial_state(n, 0.95)
-        ops = exact.spin_operators(n)
         tracemalloc.start()
         try:
-            exact.transverse_variance_extrema(rho, ops)
+            exact.collective_moments(rho, n).transverse_extrema()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -667,8 +679,7 @@ class TestSqueezingParameter:
     def test_short_tact_evolution_squeezes(self):
         rho = exact.build_initial_state(4, 1.0)
         out = exact.evolve(rho, [exact.squeeze_generator(4, 0.05)], 0.5)
-        ops = exact.spin_operators(4)
-        min_var, _, _ = exact.transverse_variance_extrema(out, ops)
+        min_var, _ = exact.collective_moments(out, 4).transverse_extrema()
         assert min_var < 4.0
 
     def test_rotation_about_mean_axis_invariance(self):
@@ -779,6 +790,27 @@ class TestParitySector:
             on_blocks = l2.apply(blocks)
             assert np.array_equal(on_blocks, sector.restrict(l2.apply(rho)))
             assert np.array_equal(exact.apply_depolarizer(blocks, 0.21, n), on_blocks)
+
+    def test_one_layout_per_n_over_an_exact_run(self, tmp_path, monkeypatch):
+        # 3 N x 4 rows, with factorization: every generator, space and
+        # trace norm of an N reads the one sector built for it
+        from tactsqueeze import cli
+        built, init = [], exact._ParitySector.__init__
+
+        def counting(self, n_spins):
+            built.append(n_spins)
+            init(self, n_spins)
+
+        monkeypatch.setattr(exact._ParitySector, "__init__", counting)
+        exact._parity_sector.cache_clear()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[params]\nj_coupling = 0.05\n[sweep]\n"
+                       "axis0 = n_spins 2 4 3 linear\naxis1 = gamma 0.02 0.2 2 linear\n"
+                       "axis2 = t_squeeze 0.02 0.1 2 linear\n[run]\nwith_factorization = true\n")
+        out = tmp_path / "o.csv"
+        assert cli.main(["exact", "--config", str(cfg), "--out", str(out), "--no-timing"]) == 0
+        assert out.read_text().count(",ok\n") == 12
+        assert built == [2, 3, 4]
 
     def test_field_generator_leaves_the_sector(self):
         assert not exact.field_generator(3, 0.7).keeps_parity
