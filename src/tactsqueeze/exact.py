@@ -24,28 +24,42 @@ settings are fixed: a pass is accepted when |Tr rho - 1| <= 1e-9 and the
 least eigenvalue is >= -1e-8; the first pass takes max(16, T * rate / 0.05)
 steps, and the count is doubled at most 6 times.
 
-The integrator runs in one of two state spaces, chosen by `evolve` with no
-setting.  TACT flips spins in pairs, and the depolarizer's partial trace
+The integrator runs in one of three state spaces, chosen by `evolve` with
+no setting.  TACT flips spins in pairs, and the depolarizer's partial trace
 over site i pairs rho[r, c] with rho[r ^ e_i, c ^ e_i], so both keep
 parity(r) xor parity(c) of every entry (popcount parities).  From a state
 whose entries of mixed parity are exactly 0, such as the diagonal initial
 state, those entries stay exactly 0: rho is two Hermitian d/2 x d/2
-blocks, the even and the odd popcount sector, and `_rk4` integrates that
-stack (d^2/2 reals per Krylov vector, one real GEMM per block for L1,
-`apply_depolarizer` on the stack for L2, two block eigvalsh per invariant
-check), whose layout one `_ParitySector` per N holds.  The signal field
-flips one spin on one side and leaves the sector; with it, or with any
-nonzero entry of mixed parity in the input, the dense d x d space runs
-(`_HermitianSpace`).  `trace_norm` and `channel_residuals` read a matrix
-on its two blocks in the same way.
+blocks, the even and the odd popcount sector, whose layout one
+`_ParitySector` per N holds.  Within the sector a gauge makes the TACT
+state real: with cz(r) = N - 2 popcount(r) and S = diag(e^{i pi cz/8}),
+e^{i pi Cz/4} = S^2 maps H to -H, so rho(t) = S^2 rho(t)* S^-2 and
+rho' = S^dag rho S is real symmetric.  Within a sector cz(r) - cz(c) = 4q
+for an integer q, so rho[r, c] = i^q rho'[r, c], q taken mod 4: the
+gauge's `restrict` and `embed` only swap Re and Im and flip signs, and no
+rounded e^{i pi/8} is formed.  The spaces:
+  - the gauge (`_RealGauge`), when every generator keeps parity and the
+    state's transform is exactly real: the real stack (2, d/2, d/2), d^2/2
+    reals per Krylov vector, the blocks themselves; L1 is
+    K rho' + (K rho')^T with K = -i S^dag H S real antisymmetric (entries
+    +-4J), one real GEMM per block, L2 is `apply_depolarizer` on the real
+    stack, and an invariant check is two real block eigvalsh;
+  - the parity sector (`_ParitySector`), for an in-sector state whose
+    transform is not real: the complex stack, d^2/2 reals per packed
+    Krylov vector, one real GEMM per block for L1;
+  - the dense d x d space (`_HermitianSpace`), with the signal field,
+    which flips one spin on one side and leaves the sector, or with any
+    nonzero entry of mixed parity in the input.
+`trace_norm` and `channel_residuals` read a matrix in the same space, so
+in the gauge on two real blocks.
 
 The collective sums Cx, Cy and Cz are written from the basis-state bits
 too.  The squeezing observables need only the mean spin and the 3x3
 moment matrix <{C_a, C_b}>/2 (Kitagawa & Ueda, PRA 47, 5138 (1993)), which
 `collective_moments` reads from the O(N^2 2^N) entries of rho within two
 bit flips of its diagonal, with no operator matrix, into one `core.Moments`
-record.  The squeeze generator's rate bound diagonalizes the two real
-parity blocks of H, which flips spins in pairs.
+record.  The squeeze generator's rate bound is 2|J| times the spectral
+radius of Cx^2 - Cy^2, found once per N on its two real parity blocks.
 """
 
 from __future__ import annotations
@@ -79,8 +93,9 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 # One `exact` row, in state sizes of 16*4^N bytes at N = 8 and 9: a tracemalloc
-# peak of 5.5 (7.5 with_factorization) + 7.25 of Krylov basis (_KRYLOV_CAP quarter
-# states, touched only as far as it grows) = 12.8 (14.8), ~205 (237) MiB at N = 10
+# peak of 3.6 (5.6 with_factorization) + 7.25 of Krylov basis (_KRYLOV_CAP quarter
+# states, touched only as far as it grows) = 10.9 (12.9), ~174 (206) MiB at N = 10;
+# one N = 10 criterion-06 `verify` row: 7.6 s and 232 MB peak RSS on 2 cores
 DEFAULT_N_CAP = 10
 EXPM_N_CAP = 5  # evolve_expm's: its dense superoperator has 16^N entries
 
@@ -145,15 +160,28 @@ def spin_operators(n_spins: int) -> SpinOperatorSet:
 
 
 def build_initial_state(n_spins: int, polarization_p: float) -> np.ndarray:
-    """N-fold tensor product of (I + P sigma_z)/2; per-spin <sigma_z> = P."""
+    """N-fold tensor product of (I + P sigma_z)/2; per-spin <sigma_z> = P.
+
+    The product is diagonal: its diagonal is formed by the products np.kron
+    takes, in its order, from the single-spin diagonal ((1 + P)/2, (1 - P)/2),
+    so it has the bits of the kron product without building one."""
     check_cap(n_spins)
     if not (0.0 < polarization_p <= 1.0):
         raise ValueError(f"polarization_p must be in (0, 1], got {polarization_p}")
-    single = (IDENTITY_2 + polarization_p * SIGMA_Z) / 2.0
-    rho = np.array([[1.0]], dtype=complex)
+    single = np.array([1.0 + polarization_p, 1.0 - polarization_p]) / 2.0
+    diagonal = np.ones(1)
     for _ in range(n_spins):
-        rho = np.kron(rho, single)
+        diagonal = np.multiply.outer(diagonal, single).ravel()
+    rho = np.zeros((2 ** n_spins, 2 ** n_spins), dtype=complex)
+    np.fill_diagonal(rho.real, diagonal)
     return rho
+
+
+def _check_finite(name: str, value: float, label: str, coefficient: float) -> None:
+    """IntegrationError naming the parameter unless its scaled `coefficient`
+    (a Python float, so an overflow is inf, not a warning) is finite."""
+    if not np.isfinite(coefficient):
+        raise IntegrationError(f"{name} = {value:.6g}: {label} is not finite")
 
 
 def tact_hamiltonian(n_spins: int, j_coupling: float) -> np.ndarray:
@@ -164,9 +192,11 @@ def tact_hamiltonian(n_spins: int, j_coupling: float) -> np.ndarray:
     s- s-), so Cx^2 - Cy^2 is 4 between two product states that differ by
     flipping two aligned spins and 0 elsewhere: it is written from the
     basis-state bits, without building the collective sums, and scaled by
-    J once (the same bits as J (Cx @ Cx - Cy @ Cy)).
+    J once (the same bits as J (Cx @ Cx - Cy @ Cy)).  A J whose 4J is not
+    finite is an IntegrationError.
     """
     check_cap(n_spins)
+    _check_finite("j_coupling", j_coupling, "4J", 4.0 * float(j_coupling))
     dim = 2 ** n_spins
     index = np.arange(dim)
     pattern = np.zeros((dim, dim), dtype=complex)
@@ -196,7 +226,8 @@ def apply_depolarizer(rho: np.ndarray, gamma: float, n_spins: int,
     site, added back on both diagonal slices of that site.
 
     rho is a d x d matrix or the parity sector's stack (even, odd) of d/2 x
-    d/2 blocks; a matrix is the one-block stack.  In the sector's layout
+    d/2 blocks, complex or the gauge's real one; a matrix is the one-block
+    stack.  In the sector's layout
     (`_ParitySector`) the site of bit i + 1 of a state flips bit i of its
     block index and its sector, so each site of the block index pairs a block
     with the other one (`blocks[::-1]`, itself in a one-block stack); the
@@ -239,8 +270,10 @@ class Superoperator:
     full superoperator and has no such restriction.
 
     keeps_parity records that the term maps a matrix with no entry of mixed
-    parity (popcount(r) + popcount(c) odd) to another one; apply then also
-    takes the parity sector's stack (2, d/2, d/2) of blocks and returns one.
+    parity (popcount(r) + popcount(c) odd) to another one, and one whose
+    gauge transform is real (`_RealGauge`) to another one; apply then also
+    takes the parity sector's complex stack (2, d/2, d/2) of blocks and the
+    gauge's real one, and returns one of the same kind.
     """
 
     rate_bound: float
@@ -261,60 +294,104 @@ def _anti_hermitian_term(k: np.ndarray) -> np.ndarray:
     return out
 
 
+def _commutator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """-i [op, rho] for Hermitian op and rho (or stacks of blocks of them), as
+    -i (K - K^dag) with K = op rho: one GEMM, real on the float view of rho
+    when op is real."""
+    r = np.ascontiguousarray(rho, dtype=complex)
+    k = op @ r.view(np.float64) if op.dtype == np.float64 else (op @ r).view(np.float64)
+    return _anti_hermitian_term(k)
+
+
+def _commutator_superop(op: np.ndarray) -> np.ndarray:
+    """The d^2 x d^2 matrix of rho -> -i [op, rho] on row-major vec(rho)."""
+    eye = np.eye(op.shape[0])
+    return -1j * (np.kron(op, eye) - np.kron(eye, op.T))
+
+
 def _spectral_radius(h: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(h))))
 
 
-def _hamiltonian_superop(h: np.ndarray, sign: float, norm: float,
-                         blocks: np.ndarray | None = None) -> Superoperator:
-    # sign=+1: drho/dt = -i[H, rho];  sign=-1: drho/dt = +i[H, rho]
-    # norm = max |eigenvalue of H|; rate_bound = 2 norm bounds the commutator
-    # -i sign [H, rho] = -i [sign H, rho]; a real H is kept as a real array;
-    # blocks: the parity blocks of a real H that keeps parity, for the sector
-    op = sign * (h if np.any(h.imag) else h.real)
-    op_blocks = None if blocks is None else sign * blocks
+@functools.cache
+def _pair_flips(n_spins: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], float]:
+    """Where Cx^2 - Cy^2 is nonzero, in the parity sector's layout, and its
+    spectral radius: one J-free record per N, of index vectors and a float,
+    shared, so nothing writes its arrays.
 
-    def apply(rho: np.ndarray) -> np.ndarray:
-        r = np.ascontiguousarray(rho, dtype=complex)
-        a = op if r.ndim == 2 else op_blocks
-        if a.dtype == np.float64:  # K = H rho as one real GEMM (per block) on the float view
-            k = a @ r.view(np.float64)
-        else:
-            k = (a @ r).view(np.float64)
-        return _anti_hermitian_term(k)
-
-    def dense() -> np.ndarray:
-        eye = np.eye(op.shape[0])
-        return -1j * (np.kron(op, eye) - np.kron(eye, op.T))
-
-    return Superoperator(rate_bound=2.0 * norm, apply=apply, dense=dense,
-                         keeps_parity=blocks is not None)
+    (sector, low, high): the block entries (low, high) of every pair of
+    states r and r | flip, flip two bits both 0 in r.  A state r sits in the
+    sector parity(popcount r) at block index r >> 1 (`_ParitySector`), and a
+    pair flip keeps its sector.  Cx^2 - Cy^2 is 4 at both (low, high) and
+    (high, low); its radius is that of those two real blocks."""
+    index = np.arange(2 ** n_spins)
+    flips = np.array([(1 << i) | (1 << k) for i in range(n_spins) for k in range(i)],
+                     dtype=int)
+    state, which = np.nonzero((index[:, None] & flips) == 0)
+    sector = _basis_bits(n_spins).sum(axis=1)[state] & 1
+    entries = sector, state >> 1, (state | flips[which]) >> 1
+    pattern = np.zeros(_parity_sector(n_spins).shape)
+    pattern[entries] = pattern[entries[0], entries[2], entries[1]] = 4.0
+    return entries, _spectral_radius(pattern)
 
 
 def squeeze_generator(n_spins: int, j_coupling: float) -> Superoperator:
     """L1(rho) = -i [H_Squ, rho].
 
     H flips spins in pairs, so it keeps the parity of popcount(r) (it
-    commutes with Z^{(x)N}): its spectrum is that of its two real symmetric
-    parity blocks, each diagonalized on its own, and on the parity sector
-    apply is one real GEMM per block.
+    commutes with Z^{(x)N}), and its spectral radius is |J| times the J-free
+    one of `_pair_flips`.  apply takes a d x d matrix (one real GEMM on its
+    float view), the parity sector's complex stack (one per real block of
+    H) or the gauge's real stack (`_RealGauge`): there H is S^dag H S = iK,
+    K real antisymmetric with K[r, c] = 4J sign(popcount r - popcount c) on
+    the pair flips, so L1 is K rho' - rho' K = K rho' + (K rho')^T, one real
+    GEMM per block.  Each layout's operator is built on its first use.  A J
+    whose 4J is not finite is an IntegrationError.
     """
-    h = tact_hamiltonian(n_spins, j_coupling).real
-    blocks = _parity_sector(n_spins).restrict(h)
-    norm = max(_spectral_radius(block) for block in blocks)
-    return _hamiltonian_superop(h, +1.0, norm, blocks)
+    check_cap(n_spins)
+    _check_finite("j_coupling", j_coupling, "4J", 4.0 * float(j_coupling))
+    (sector, low, high), radius = _pair_flips(n_spins)
+
+    def blocks(upper: float, lower: float) -> np.ndarray:
+        out = np.zeros(_parity_sector(n_spins).shape)
+        out[sector, low, high], out[sector, high, low] = upper, lower
+        return out
+
+    h = functools.cache(lambda: tact_hamiltonian(n_spins, j_coupling).real)
+    h_blocks = functools.cache(lambda: blocks(4.0 * j_coupling, 4.0 * j_coupling))
+    k_blocks = functools.cache(lambda: blocks(-4.0 * j_coupling, 4.0 * j_coupling))
+
+    def apply(rho: np.ndarray) -> np.ndarray:
+        if rho.ndim == 2:
+            return _commutator(h(), rho)
+        if rho.dtype != np.float64:
+            return _commutator(h_blocks(), rho)
+        k = k_blocks() @ rho
+        return k + np.swapaxes(k, -1, -2)
+
+    return Superoperator(rate_bound=2.0 * abs(float(j_coupling)) * radius, apply=apply,
+                         dense=lambda: _commutator_superop(h()), keeps_parity=True)
 
 
 def field_generator(n_spins: int, b_field: float) -> Superoperator:
-    """L3(rho) = +i [B sum_i (sy_i - sx_i), rho], as printed."""
+    """L3(rho) = +i [B sum_i (sy_i - sx_i), rho], as printed: -i [-H_B, rho]."""
     h = field_hamiltonian(n_spins, b_field)
-    return _hamiltonian_superop(h, -1.0, _spectral_radius(h))
+    op = -1.0 * (h if np.any(h.imag) else h.real)
+    return Superoperator(rate_bound=2.0 * _spectral_radius(op),
+                         apply=lambda rho: _commutator(op, rho),
+                         dense=lambda: _commutator_superop(op))
 
 
 def depolarize_generator(n_spins: int, gamma: float) -> Superoperator:
     """L2, the per-site depolarizer (`apply_depolarizer`).  Each partial trace
-    pairs (r, c) with (r ^ e_i, c ^ e_i), so it keeps parity(r) xor parity(c)."""
+    pairs (r, c) with (r ^ e_i, c ^ e_i), so it keeps parity(r) xor parity(c),
+    and the gauge's phases of the two entries agree, so it maps the gauge's
+    real stack to one.  A Gamma whose 2 Gamma or 4 Gamma N is not finite is
+    an IntegrationError."""
     check_cap(n_spins)
+    for label, coefficient in (("2 Gamma", 2.0 * float(gamma)),
+                               ("4 Gamma N", 4.0 * float(gamma) * n_spins)):
+        _check_finite("gamma", gamma, label, coefficient)
     same = 2.0 * gamma * _parity_sector(n_spins).same  # built once, for the sector's stacks
 
     def dense() -> np.ndarray:
@@ -359,7 +436,8 @@ def _hermiticity_residual(rho: np.ndarray) -> float:
 
 class _HermitianSpace:
     """The integrator's vector space: Hermitian matrices held as a stack of
-    Hermitian blocks of `shape` (one d x d block: the dense state).
+    Hermitian blocks of `shape` (one d x d block: the dense state), of
+    `dtype` (complex, or real in the gauge).
 
     A vector is `size` reals, each block's real part on and above its
     diagonal and its imaginary part below (`pack`); `unpack` writes it back
@@ -368,10 +446,16 @@ class _HermitianSpace:
     and `trace_norm` read a stack.  An instance of this class is the dense
     space: shape (d, d), restrict and embed the identity."""
 
+    name = "dense"
+    dtype = np.dtype(complex)
+
     def __init__(self, shape: tuple[int, ...]):
         self.shape = tuple(shape)
         self.size = int(np.prod(self.shape))
-        self._lower = np.tri(self.shape[-1], k=-1, dtype=bool)
+
+    @functools.cached_property
+    def _lower(self) -> np.ndarray:  # built on first use: the gauge never packs
+        return np.tri(self.shape[-1], k=-1, dtype=bool)
 
     def restrict(self, m: np.ndarray) -> np.ndarray:
         return m
@@ -418,6 +502,8 @@ class _ParitySector(_HermitianSpace):
     bit i of a, and bit 0 makes up the parity.  `same` marks the block
     indices of equal parity, read on bit 0 of the even sector's states."""
 
+    name = "parity"
+
     def __init__(self, n_spins: int):
         odd = _basis_bits(n_spins).sum(axis=1) % 2 == 1
         self.sectors = np.flatnonzero(~odd), np.flatnonzero(odd)
@@ -443,13 +529,97 @@ class _ParitySector(_HermitianSpace):
 _parity_sector = functools.cache(_ParitySector)  # one instance per N, for the process
 
 
+class _RealGauge(_HermitianSpace):
+    """The parity sector's matrices m whose gauge transform S^dag m S, with
+    S = diag(e^{i pi cz(r)/8}), is real, held as that real stack in the
+    sector's layout (`_parity_sector`).  The TACT state is one: the rotation
+    e^{i pi Cz/4} = S^2 maps H to -H, complex conjugation fixes the real H,
+    the depolarizer and a real initial state and reverses time, so
+    rho(t) = S^2 rho(t)* S^-2, i.e. S^dag rho S is real.
+
+    Within a sector cz(r) - cz(c) = 4q, so (S^dag m S)[r, c] = (-i)^q m[r, c]
+    and m[r, c] = i^q m'[r, c], q = (cz(r) - cz(c))/4 mod 4 = (h(c) - h(r))
+    mod 4 with h = popcount // 2: restrict reads Re, Im, -Re or -Im of each
+    entry and embed writes m' back to the same part with the same sign, so
+    embed then restrict returns the bits it was given, the diagonal (q = 0)
+    is untouched and no phase is rounded.  Both gather on the float view of
+    m, one class of rows at a time (`_classes`: a sector's rows of one
+    h mod 4, whose column parts and signs depend on the column only).  m is
+    in the gauge when those reads hold all its nonzero reals (`contains`).
+
+    A vector is the stack itself (`size` reals, the Frobenius inner
+    product), handed to the generators without a copy.  L1's output is
+    exactly symmetric, L2 keeps a symmetric input so, and the Krylov sums
+    combine entries (a, b) and (b, a) alike, so the stacks stay symmetric;
+    `embed` mirrors each block's upper triangle all the same, so a state
+    leaves the gauge exactly Hermitian whatever the BLAS summation order."""
+
+    name = "gauge"
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, n_spins: int):
+        sector = _parity_sector(n_spins)
+        super().__init__(sector.shape)
+        halves = _basis_bits(n_spins).sum(axis=1) // 2
+        self._classes = []  # (sector, block rows, their states, float columns, int8 signs)
+        for s, states in enumerate(sector.sectors):
+            h = halves[states]
+            for turn in range(4):
+                rows = np.flatnonzero(h & 3 == turn)
+                q = (h - turn) & 3
+                self._classes.append((s, rows, states[rows, None], 2 * states + (q & 1),
+                                      np.where(q >= 2, -1, 1).astype(np.int8)))
+
+    @staticmethod
+    def _floats(m: np.ndarray) -> np.ndarray:
+        """The d x 2d float view of m as a complex array: Re and Im interleaved."""
+        return np.ascontiguousarray(m, dtype=complex).view(np.float64)
+
+    def _gather(self, floats: np.ndarray) -> np.ndarray:
+        out = np.empty(self.shape)
+        for s, rows, states, columns, sign in self._classes:
+            out[s, rows] = floats[states, columns] * sign
+        return out
+
+    def contains(self, m: np.ndarray) -> bool:
+        floats = self._floats(m)  # nonzero reals counted on `!= 0`, much the faster count
+        return np.count_nonzero(self._gather(floats)) == np.count_nonzero(floats != 0)
+
+    def restrict(self, m: np.ndarray) -> np.ndarray:
+        return self._gather(self._floats(m))
+
+    def embed(self, state: np.ndarray) -> np.ndarray:
+        """From each block's upper triangle, mirrored: exactly Hermitian."""
+        upper = np.tri(state.shape[-1], dtype=bool).T
+        state = np.where(upper, state, np.swapaxes(state, -1, -2))
+        d = 2 * state.shape[-1]
+        out = np.zeros((d, d), dtype=complex)
+        floats = out.view(np.float64)
+        for s, rows, states, columns, sign in self._classes:
+            floats[states, columns] = state[s, rows] * sign
+        return out
+
+    def pack(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return a
+
+    def unpack(self, p: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return p
+
+
+_real_gauge = functools.cache(_RealGauge)  # one instance per N, for the process
+
+
 def _space_of(m: np.ndarray, generators: Sequence[Superoperator] = ()) -> _HermitianSpace:
-    """The space a d x d matrix m is held in under `generators`: the parity
-    sector when every generator keeps parity and every entry of m of mixed
-    parity is exactly 0, the dense space otherwise."""
+    """The space a d x d matrix m is held in under `generators`: when every
+    generator keeps parity, the gauge if m is in it, else the parity sector
+    if every entry of m of mixed parity is exactly 0; the dense space
+    otherwise."""
     d = m.shape[0]
     if d >= 2 and d & (d - 1) == 0 and all(g.keeps_parity for g in generators):
-        sector = _parity_sector(d.bit_length() - 1)
+        n_spins = d.bit_length() - 1
+        gauge, sector = _real_gauge(n_spins), _parity_sector(n_spins)
+        if gauge.contains(m):
+            return gauge
         if sector.contains(m):
             return sector
     return _HermitianSpace(m.shape)
@@ -510,17 +680,22 @@ def _rk4(rho: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray],
     maps such stacks to such stacks.  Each restart grows an orthonormal
     Krylov basis of rhs from the state,
     advances the steps `_rk4_advance` allows and adds the increment to the
-    state.  Vectors are the space's `size` reals (`pack`), so rhs sees only
-    exactly Hermitian stacks (`unpack`).  rho is not modified.  `stats` gets
-    applies (rhs calls) and krylov_dim (the largest basis)."""
+    state.  Vectors are the space's `size` reals (`pack`; the gauge's stack
+    is its own vector), and rhs gets them back as stacks of the space's
+    dtype (`unpack`), exactly Hermitian in the complex spaces.  rho is not
+    modified, and the result is a new array.  `stats` gets applies (rhs
+    calls) and krylov_dim (the largest basis)."""
     space = space or _HermitianSpace(rho.shape)
     h = duration / n_steps
     # own mapping, not malloc: a freed multi-MB malloc block keeps temporaries resident
     flat = np.frombuffer(mmap.mmap(-1, 8 * _KRYLOV_CAP * space.size)).reshape(_KRYLOV_CAP, -1)
     basis = flat.reshape(_KRYLOV_CAP, *space.shape)
-    state = np.empty(space.shape, dtype=complex)  # rhs input, then the result
-    new, spare = state.view(np.float64).reshape(2, *space.shape)  # next vector, scratch
-    w = space.pack(rho, basis[0]).ravel()  # row 0: the state times 2^-e, exactly
+    # next vector and scratch; a complex space's rhs input, then its result, in both
+    buffer = np.empty(2 * space.size)
+    new, spare = buffer.reshape(2, *space.shape)
+    state = buffer.view(space.dtype)[:space.size].reshape(space.shape)
+    w = flat[0]  # the state times 2^-e, exactly
+    np.copyto(basis[0], space.pack(rho, new))
     e, remaining, applies, dim = 0, n_steps, 0, 0
     while remaining:
         if not w.any():
@@ -548,18 +723,19 @@ def _rk4(rho: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray],
         remaining -= k
     if stats is not None:
         stats.update(applies=applies, krylov_dim=dim)
-    return space.unpack(np.ldexp(w, e, out=w).reshape(space.shape), state)
+    return space.unpack(np.ldexp(w, e).reshape(space.shape), state)
 
 
 def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float,
            stats: dict | None = None) -> np.ndarray:
     """Integrate d rho/dt = sum_k L_k(rho) for `duration` with fixed-step RK4.
 
-    Each pass is one polynomial of the generator sum (`_rk4`), in the parity
-    sector when every generator keeps parity and every entry of rho of mixed
-    parity is exactly 0 (the sector is then invariant, so the result is
-    exact up to round-off in the summation order), and in the dense space
-    otherwise; rho and the result are dense d x d arrays either way.  Steps
+    Each pass is one polynomial of the generator sum (`_rk4`), in the space
+    `_space_of` picks: when every generator keeps parity, the real gauge if
+    rho's gauge transform is real, else the parity sector if every entry of
+    rho of mixed parity is exactly 0 (either is then invariant, so the
+    result is exact up to round-off in the summation order), and the dense
+    space otherwise; rho and the result are dense d x d arrays either way.  Steps
     are halved (count doubled, at most _MAX_REFINEMENTS times) until the
     trace and positivity invariants hold at TRACE_TOL and
     MIN_EIGENVALUE_TOL; the result is exactly Hermitian by construction.
@@ -568,7 +744,8 @@ def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float
 
     If `stats` is given it is filled in, also when IntegrationError is
     raised: n_steps (of the last RK4 pass) and refinements (passes beyond
-    the first); after at least one pass also worst_residual (that pass's
+    the first); once the first step count is set also space (the space's
+    name: dense, parity or gauge); after at least one pass worst_residual (that pass's
     largest invariant residual over its tolerance), residuals (its
     `channel_residuals`), applies (its generator-sum applications) and
     krylov_dim (its largest Krylov basis).  With duration 0 or no
@@ -582,7 +759,10 @@ def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float
     if duration < 0:
         raise ValueError("duration must be >= 0")
     stats = {} if stats is None else stats
-    herm = _hermiticity_residual(rho)
+    space = _space_of(rho, generators)
+    state = space.restrict(rho)
+    # read on the space's blocks: the same entries, up to exact quarter turns
+    herm = _hermiticity_residual(state)
     if not herm <= HERMITICITY_TOL:
         raise ValueError(f"rho is not Hermitian: max |rho - rho^dag| = {herm:.3e} "
                          f"exceeds hermiticity_tol {HERMITICITY_TOL:.3e}")
@@ -590,8 +770,6 @@ def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float
     if duration == 0 or not generators:
         return rho.copy()
     rate = sum(g.rate_bound for g in generators)
-    space = _space_of(rho, generators)
-    state = space.restrict(rho)
 
     def rhs(r):
         out = generators[0].apply(r)
@@ -603,6 +781,7 @@ def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float
     if not np.isfinite(first):
         raise IntegrationError(f"no finite RK4 step count: T x rate = {duration * rate:.6g}")
     n_steps = max(_MIN_STEPS, int(np.ceil(first)))
+    stats["space"] = space.name
     for refinement in range(_MAX_REFINEMENTS + 1):
         try:
             # raise, not ignore: an overflowed norm could divide a vector to

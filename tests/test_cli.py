@@ -1369,6 +1369,22 @@ class TestOracleSweep:
         assert rows[0]["status"].startswith("no finite RK4 step count: T x rate = ")
         assert rows[0]["xi2_kitagawa_ueda"] == "" and rows[1]["status"] == "ok"
 
+    @pytest.mark.parametrize("axis, status", [
+        ("j_coupling", "j_coupling = 1e+308: 4J is not finite"),
+        ("gamma", "gamma = 1e+308: 2 Gamma is not finite")])
+    def test_rate_whose_coefficient_overflows_is_a_row_status(self, tmp_path, axis, status):
+        # 4J or 2 Gamma overflows before any array is scaled: no RuntimeWarning
+        # (an error here), a named status, and the sweep goes on
+        cfg = write_config(tmp_path, "[params]\nn_spins = 2\nt_squeeze = 1\n"
+                                     f"[sweep]\naxis = {axis} 1e308 0.1 2 linear\n")
+        out = str(tmp_path / "o.csv")
+        assert cli.main(["exact", "--config", cfg, "--out", out, "--no-timing"]) == 0
+        comments, _, rows = read_rows(out)
+        assert "# INCOMPLETE" not in comments
+        assert [r[axis] for r in rows] == ["1e+308", "0.1"]
+        assert rows[0]["status"] == status and rows[0]["xi2_kitagawa_ueda"] == ""
+        assert rows[1]["status"] == "ok"
+
     @pytest.mark.parametrize("engine", ["exact", "all"])
     def test_one_grid_record_and_no_point_validation(self, tmp_path, monkeypatch, engine):
         calls = []

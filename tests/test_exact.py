@@ -108,6 +108,16 @@ class TestInitialState:
                            and "n_cap" in inspect.signature(getattr(exact, name)).parameters)
         assert takes_cap == ["check_cap"]
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_same_bytes_as_the_kron_chain(self, n):
+        # the diagonal is formed by the kron chain's own products, in its order
+        for p in (0.95, 0.3, 1.0, 0.7, 1e-3):
+            single = (exact.IDENTITY_2 + p * exact.SIGMA_Z) / 2.0
+            ref = np.array([[1.0]], dtype=complex)
+            for _ in range(n):
+                ref = np.kron(ref, single)
+            assert exact.build_initial_state(n, p).tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("p", [0.0, -0.5, 1.5, np.nan])
     def test_polarization_outside_unit_interval_rejected(self, p):
         with pytest.raises(ValueError, match="polarization_p"):
@@ -893,3 +903,234 @@ class TestParitySector:
         got = cli._row_verify(point, {})
         self.dense_only(monkeypatch)
         self.assert_cells_close(got, cli._row_verify(point, {}))
+
+
+def krylov_mapped(array):
+    """Whether the array's memory is (a view of) an mmap, as _rk4's basis is."""
+    import mmap
+    base = array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return isinstance(base, mmap.mmap)
+
+
+class TestRealGauge:
+    """The real symmetric stack S^dag rho S, S = diag(e^{i pi cz/8}), integrated
+    under the one _rk4."""
+
+    @staticmethod
+    def turned(m, n):
+        """(-i)^q m on the sector entries, q = (cz(r) - cz(c))/4, by exact
+        quarter turns (multiplying by 1, -1j, -1 or 1j rounds nothing), and
+        the mixed-parity entries, which the gauge leaves out."""
+        cz = n - 2 * exact._basis_bits(n).sum(axis=1)
+        diff = cz[:, None] - cz
+        mixed = diff % 4 != 0
+        turns = np.array([1.0, -1j, -1.0, 1j])[(diff // 4) % 4]
+        return np.where(mixed, 0.0, turns * m), m[mixed]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_state_under_squeeze_and_depolarize_is_gauge_real(self, n):
+        rng = np.random.default_rng(300 + n)
+        gauge = exact._real_gauge(n)
+        for _ in range(2):
+            p = rng.uniform(0.05, 1.0)
+            rho = exact.build_initial_state(n, p)
+            gens = [exact.squeeze_generator(n, rng.uniform(-0.5, 0.5)),
+                    exact.depolarize_generator(n, rng.uniform(0.0, 0.3))]
+            stats = {}
+            out = exact.evolve(rho, gens, rng.uniform(0.05, 0.6), stats)
+            assert stats["space"] == "gauge"
+            turned, mixed = self.turned(out, n)
+            assert not mixed.any() and not turned.imag.any()
+            # restrict reads the turned real parts, block by block
+            assert exact._space_of(out) is gauge
+            assert np.array_equal(gauge.restrict(out), exact._parity_sector(n).restrict(turned.real))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_embed_then_restrict_is_the_identity_bit_for_bit(self, n):
+        rng = np.random.default_rng(400 + n)
+        gauge = exact._real_gauge(n)
+        x = rng.normal(size=gauge.shape)
+        x = x + np.swapaxes(x, -1, -2)
+        x[0, 0, -1] = x[0, -1, 0] = -0.0  # signed zeros too
+        x[-1, -1, 0] = x[-1, 0, -1] = 0.0
+        m = gauge.embed(x)
+        assert np.array_equal(m, m.conj().T)
+        assert m.shape == (2 ** n, 2 ** n) and m.dtype == complex
+        assert gauge.restrict(m).tobytes() == x.tobytes()
+        diagonal = np.empty(2 ** n)  # q = 0 on the diagonal: its bits untouched
+        for states, block in zip(exact._parity_sector(n).sectors, x):
+            diagonal[states] = block.diagonal()
+        assert m.diagonal().real.tobytes() == diagonal.tobytes() and not m.diagonal().imag.any()
+        turned, mixed = self.turned(m, n)
+        assert not mixed.any() and not turned.imag.any()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_generators_on_the_gauge_stack_match_the_dense_ones(self, n):
+        rng = np.random.default_rng(500 + n)
+        gauge = exact._real_gauge(n)
+        x = rng.normal(size=gauge.shape)
+        x = x + np.swapaxes(x, -1, -2)
+        rho = gauge.embed(x)
+        l1, l2 = exact.squeeze_generator(n, -0.37), exact.depolarize_generator(n, 0.21)
+        for gen in (l1, l2):
+            on_stack = gen.apply(x)
+            assert on_stack.dtype == np.float64 and on_stack.shape == gauge.shape
+            assert np.array_equal(on_stack, np.swapaxes(on_stack, -1, -2))
+            dense = gen.apply(rho)
+            assert gauge.contains(dense)
+            scale = np.max(np.abs(dense))
+            assert np.max(np.abs(on_stack - gauge.restrict(dense))) <= 1e-13 * scale
+        # L2 is one kernel, with each entry's sums in the same order
+        assert np.array_equal(l2.apply(x), gauge.restrict(l2.apply(rho)))
+
+    def test_rk4_result_is_a_new_array(self):
+        n = 4
+        gauge = exact._real_gauge(n)
+        rho = gauge.restrict(exact.build_initial_state(n, 0.8))
+        before = rho.copy()
+        rhs = generator_sum([exact.squeeze_generator(n, 0.3), exact.depolarize_generator(n, 0.1)])
+        got = exact._rk4(rho, rhs, 0.5, 20, space=gauge)
+        assert got.dtype == np.float64 and got.shape == gauge.shape
+        assert not krylov_mapped(got) and not np.shares_memory(got, rho)
+        assert np.array_equal(rho, before)
+        ref = textbook_rk4(rho, rhs, 0.5, 20)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.linalg.norm(rho)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_field_runs_dense(self, n):
+        l1, l2 = exact.squeeze_generator(n, 0.3), exact.depolarize_generator(n, 0.2)
+        l3 = exact.field_generator(n, 0.4)
+        rho = exact.build_initial_state(n, 0.8)
+        for gens in ([l3], [l1, l3], [l3, l2], [l1, l2, l3]):
+            stats = {}
+            got = exact.evolve(rho, gens, 0.6, stats)
+            assert stats["space"] == "dense"
+            assert np.max(np.abs(got - exact.evolve_expm(rho, gens, 0.6))) < 1e-8
+
+    @staticmethod
+    def in_sector_state(n, rng):
+        """A complex density matrix with no entry of mixed parity, whose gauge
+        transform is not real."""
+        m = in_sector_hermitian(n, rng)
+        m = m @ m
+        return m / np.trace(m).real
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_complex_in_sector_state_runs_in_the_parity_sector(self, monkeypatch, n):
+        rho = self.in_sector_state(n, np.random.default_rng(600 + n))
+        gens = [exact.squeeze_generator(n, 0.3), exact.depolarize_generator(n, 0.2)]
+        assert not exact._real_gauge(n).contains(rho)
+        assert exact._space_of(rho, gens) is exact._parity_sector(n)
+        stats = {}
+        got = exact.evolve(rho, gens, 0.6, stats)
+        assert stats["space"] == "parity"
+        names = self.picking(monkeypatch, self.dense)
+        ref = exact.evolve(rho, gens, 0.6)
+        assert names == ["dense"] * len(names)
+        compare = TestParitySector
+        assert np.max(np.abs(got - ref)) <= compare.CELL_ATOL + compare.CELL_RTOL * np.max(np.abs(ref))
+
+    def test_stats_name_the_space(self):
+        n = 3
+        l1, l2 = exact.squeeze_generator(n, 0.3), exact.depolarize_generator(n, 0.2)
+        rho = exact.build_initial_state(n, 0.8)
+        off = rho.copy()
+        off[0, 1] = off[1, 0] = 0.01
+        in_sector = self.in_sector_state(n, np.random.default_rng(9))
+        for state, gens, name in ((rho, [l1, l2], "gauge"), (rho, [l2], "gauge"),
+                                  (in_sector, [l1, l2], "parity"), (off, [l1, l2], "dense"),
+                                  (rho, [l1, exact.field_generator(n, 0.1)], "dense")):
+            stats = {}
+            exact.evolve(state, gens, 0.4, stats)
+            assert stats["space"] == name
+
+    @staticmethod
+    def picking(monkeypatch, pick):
+        """Run every space choice through `pick(chosen space, n)`, and record
+        the names of the spaces chosen."""
+        names, space_of = [], exact._space_of
+
+        def patched(m, generators=()):
+            space = pick(space_of(m, generators), m.shape[0].bit_length() - 1)
+            names.append(space.name)
+            return space
+
+        monkeypatch.setattr(exact, "_space_of", patched)
+        return names
+
+    @staticmethod
+    def sector_for_gauge(space, n):
+        return exact._parity_sector(n) if space.name == "gauge" else space
+
+    @staticmethod
+    def dense(space, n):
+        return exact._HermitianSpace((2 ** n, 2 ** n))
+
+    @pytest.mark.parametrize("row", ["exact", "verify"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_cells_match_the_parity_sector_and_the_dense_space(self, monkeypatch, row, n):
+        from tactsqueeze import cli
+        if row == "exact":
+            points = [dict(cli._DEFAULT_PARAMS, n_spins=n, j_coupling=0.05, polarization_p=0.95,
+                           gamma=gamma, t_squeeze=t)
+                      for gamma in (0.02, 0.2) for t in (0.02, 0.1)]
+            run = [lambda p: cli._row_exact(p, {"with_factorization": True})]
+        else:
+            gamma, alpha = 0.25, 5.0
+            points = [dict(n_spins=n, j_coupling=4.0 * gamma * alpha / n, gamma=gamma,
+                           polarization_p=1.0, t_squeeze=1.0 / (4.0 * gamma))]
+            run = [lambda p: cli._row_verify(p, {})]
+        cells = {}
+        for name, pick in (("gauge", lambda space, n: space),
+                           ("parity", self.sector_for_gauge), ("dense", self.dense)):
+            with monkeypatch.context() as patch:
+                names = self.picking(patch, pick)
+                cells[name] = [run[0](p) for p in points]
+            assert set(names) == {name}
+        compare = TestParitySector()
+        for space in ("gauge", "parity"):
+            for got, ref in zip(cells[space], cells["dense"]):
+                compare.assert_cells_close(got, ref)
+
+    @pytest.mark.parametrize("fact, bound", [(False, 5.0), (True, 7.0)])
+    def test_row_peak_memory(self, fact, bound):
+        # one N = 8 exact row, in state sizes of 16 * 4^N bytes (tracemalloc
+        # sees no mmap: _rk4's Krylov basis is not counted); the layouts
+        # and the pair-flip record are built by a first row
+        from tactsqueeze import cli
+        n = 8
+        point = dict(cli._DEFAULT_PARAMS, n_spins=n, j_coupling=0.05, polarization_p=0.95,
+                     gamma=0.2, t_squeeze=0.1)
+        cli._row_exact(point, {"with_factorization": fact})
+        tracemalloc.start()
+        try:
+            cli._row_exact(point, {"with_factorization": fact})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 16 * 4 ** n
+
+
+class TestHugeRates:
+    """A rate whose scaled coefficient overflows is an IntegrationError that
+    names it, raised before any array is scaled."""
+
+    @pytest.mark.parametrize("j", [1e308, -1e308, np.inf, np.nan, np.float64(1e308)])
+    def test_squeeze(self, j):
+        for build in (exact.squeeze_generator, exact.tact_hamiltonian):
+            with pytest.raises(IntegrationError, match=r"^j_coupling = .*: 4J is not finite$"):
+                build(3, j)
+
+    @pytest.mark.parametrize("n, gamma, label", [(2, 1e308, "2 Gamma"), (8, 1e307, "4 Gamma N"),
+                                                 (2, np.inf, "2 Gamma"),
+                                                 (2, np.float64(1e308), "2 Gamma")])
+    def test_depolarize(self, n, gamma, label):
+        with pytest.raises(IntegrationError, match=rf"^gamma = .*: {label} is not finite$"):
+            exact.depolarize_generator(n, gamma)
+
+    def test_largest_finite_coefficients_build(self):
+        # 4J and 2 Gamma, 4 Gamma N finite: the step count, not the build, fails
+        assert exact.squeeze_generator(2, 1e307).rate_bound == 2.0 * 1e307 * 4.0
+        assert exact.depolarize_generator(2, 2e307).rate_bound == 4.0 * 2e307 * 2
