@@ -217,6 +217,9 @@ def _parse_axis(key: str, raw: str) -> dict:
         raise ConfigError(f"sweep.{key}: count must be >= 0")
     if spacing == "log" and (lo_f <= 0 or hi_f <= 0):
         raise ConfigError(f"sweep.{key}: log spacing needs positive bounds")
+    if count_i >= 2 and not math.isfinite(hi_f - lo_f):  # also a bound that is not finite
+        raise ConfigError(f"sweep.{key}: bounds {lo} and {hi} and their difference "
+                          "must be finite")
     if count_i == 0:
         vals = []
     elif count_i == 1:

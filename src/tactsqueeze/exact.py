@@ -24,32 +24,30 @@ settings are fixed: a pass is accepted when |Tr rho - 1| <= 1e-9 and the
 least eigenvalue is >= -1e-8; the first pass takes max(16, T * rate / 0.05)
 steps, and the count is doubled at most 6 times.
 
-The integrator runs in one of three state spaces, chosen by `evolve` with
+The integrator runs in one of two state spaces, chosen by `evolve` with
 no setting.  TACT flips spins in pairs, and the depolarizer's partial trace
 over site i pairs rho[r, c] with rho[r ^ e_i, c ^ e_i], so both keep
 parity(r) xor parity(c) of every entry (popcount parities).  From a state
 whose entries of mixed parity are exactly 0, such as the diagonal initial
 state, those entries stay exactly 0: rho is two Hermitian d/2 x d/2
-blocks, the even and the odd popcount sector, whose layout one
-`_ParitySector` per N holds.  Within the sector a gauge makes the TACT
+blocks, the even and the odd popcount sector.  A gauge makes the TACT
 state real: with cz(r) = N - 2 popcount(r) and S = diag(e^{i pi cz/8}),
 e^{i pi Cz/4} = S^2 maps H to -H, so rho(t) = S^2 rho(t)* S^-2 and
 rho' = S^dag rho S is real symmetric.  Within a sector cz(r) - cz(c) = 4q
 for an integer q, so rho[r, c] = i^q rho'[r, c], q taken mod 4: the
 gauge's `restrict` and `embed` only swap Re and Im and flip signs, and no
 rounded e^{i pi/8} is formed.  The spaces:
-  - the gauge (`_RealGauge`), when every generator keeps parity and the
-    state's transform is exactly real: the real stack (2, d/2, d/2), d^2/2
-    reals per Krylov vector, the blocks themselves; L1 is
-    K rho' + (K rho')^T with K = -i S^dag H S real antisymmetric (entries
-    +-4J), one real GEMM per block, L2 is `apply_depolarizer` on the real
-    stack, and an invariant check is two real block eigvalsh;
-  - the parity sector (`_ParitySector`), for an in-sector state whose
-    transform is not real: the complex stack, d^2/2 reals per packed
-    Krylov vector, one real GEMM per block for L1;
-  - the dense d x d space (`_HermitianSpace`), with the signal field,
-    which flips one spin on one side and leaves the sector, or with any
-    nonzero entry of mixed parity in the input.
+  - the gauge (`_RealGauge`, which also holds the sectors' layout), when
+    every generator keeps parity and the state's transform is exactly real:
+    the real stack (2, d/2, d/2), d^2/2 reals per Krylov vector, the blocks
+    themselves; L1 is K rho' + (K rho')^T with K = -i S^dag H S real
+    antisymmetric (entries +-4J), one real GEMM per block, L2 is
+    `apply_depolarizer` on the real stack, and an invariant check is two
+    real block eigvalsh;
+  - the dense d x d space (`_HermitianSpace`) otherwise: with the signal
+    field, which flips one spin on one side and leaves the sector, with
+    any nonzero entry of mixed parity in the input, or with an in-sector
+    input whose transform is not real.
 `trace_norm` and `channel_residuals` read a matrix in the same space, so
 in the gauge on two real blocks.
 
@@ -65,6 +63,7 @@ radius of Cx^2 - Cy^2, found once per N on its two real parity blocks.
 from __future__ import annotations
 
 import functools
+import math
 import mmap
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -190,21 +189,16 @@ def tact_hamiltonian(n_spins: int, j_coupling: float) -> np.ndarray:
     That is J (Cx^2 - Cy^2) with C = sum_i sigma_i (the i = j terms
     sx_i^2 - sy_i^2 = I - I cancel).  Per pair sx sx - sy sy = 2 (s+ s+ +
     s- s-), so Cx^2 - Cy^2 is 4 between two product states that differ by
-    flipping two aligned spins and 0 elsewhere: it is written from the
-    basis-state bits, without building the collective sums, and scaled by
+    flipping two aligned spins and 0 elsewhere: it is written at the pairs
+    of `_pair_flips`, without building the collective sums, and scaled by
     J once (the same bits as J (Cx @ Cx - Cy @ Cy)).  A J whose 4J is not
     finite is an IntegrationError.
     """
     check_cap(n_spins)
     _check_finite("j_coupling", j_coupling, "4J", 4.0 * float(j_coupling))
-    dim = 2 ** n_spins
-    index = np.arange(dim)
-    pattern = np.zeros((dim, dim), dtype=complex)
-    for i in range(n_spins):
-        for k in range(i):
-            flip = (1 << i) | (1 << k)
-            down = index[(index & flip) == 0]
-            pattern[down, down | flip] = pattern[down | flip, down] = 4.0
+    _, (state, partner), _ = _pair_flips(n_spins)
+    pattern = np.zeros((2 ** n_spins, 2 ** n_spins), dtype=complex)
+    pattern[state, partner] = pattern[partner, state] = 4.0
     return j_coupling * pattern
 
 
@@ -225,18 +219,17 @@ def apply_depolarizer(rho: np.ndarray, gamma: float, n_spins: int,
     2 Gamma sum_i I_i (x) Tr_i rho - 4 Gamma N rho: one partial trace per
     site, added back on both diagonal slices of that site.
 
-    rho is a d x d matrix or the parity sector's stack (even, odd) of d/2 x
-    d/2 blocks, complex or the gauge's real one; a matrix is the one-block
-    stack.  In the sector's layout
-    (`_ParitySector`) the site of bit i + 1 of a state flips bit i of its
+    rho is a d x d matrix or the gauge's real stack (even, odd) of d/2 x d/2
+    blocks; a matrix is the one-block stack.  In the gauge's layout
+    (`_RealGauge`) the site of bit i + 1 of a state flips bit i of its
     block index and its sector, so each site of the block index pairs a block
     with the other one (`blocks[::-1]`, itself in a one-block stack); the
-    sector's bit-0 site keeps the index and adds the two blocks where the
-    indices have equal parity, weighted by `same` (by default 2 Gamma times
-    the sector's mask).
+    bit-0 site keeps the index and adds the two blocks where the indices
+    have equal parity, weighted by `same` (by default 2 Gamma times the
+    gauge's mask).
     """
     blocks = rho.reshape(-1, *rho.shape[-2:])
-    folded = len(blocks) - 1  # 1 in the sector, whose block index holds bit 0
+    folded = len(blocks) - 1  # 1 in the gauge, whose block index holds bit 0
     out = -4.0 * gamma * n_spins * blocks
     for i in range(n_spins - folded):
         shape = (len(blocks), 2 ** i, 2, 2 ** (n_spins - folded - 1 - i))
@@ -248,7 +241,7 @@ def apply_depolarizer(rho: np.ndarray, gamma: float, n_spins: int,
         o[::-1, :, 1, :, :, 1, :] += partial
     if folded:
         partial = blocks[0] + blocks[1]
-        partial *= 2.0 * gamma * _parity_sector(n_spins).same if same is None else same
+        partial *= 2.0 * gamma * _real_gauge(n_spins).same if same is None else same
         out += partial
     return out.reshape(rho.shape)
 
@@ -272,8 +265,7 @@ class Superoperator:
     keeps_parity records that the term maps a matrix with no entry of mixed
     parity (popcount(r) + popcount(c) odd) to another one, and one whose
     gauge transform is real (`_RealGauge`) to another one; apply then also
-    takes the parity sector's complex stack (2, d/2, d/2) of blocks and the
-    gauge's real one, and returns one of the same kind.
+    takes the gauge's real stack (2, d/2, d/2) of blocks and returns one.
     """
 
     rate_bound: float
@@ -309,30 +301,26 @@ def _commutator_superop(op: np.ndarray) -> np.ndarray:
     return -1j * (np.kron(op, eye) - np.kron(eye, op.T))
 
 
-def _spectral_radius(h: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvalsh(h))))
-
-
 @functools.cache
-def _pair_flips(n_spins: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], float]:
-    """Where Cx^2 - Cy^2 is nonzero, in the parity sector's layout, and its
-    spectral radius: one J-free record per N, of index vectors and a float,
-    shared, so nothing writes its arrays.
+def _pair_flips(n_spins: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], float]:
+    """Where Cx^2 - Cy^2 is nonzero and its spectral radius: one J-free record
+    per N, of index vectors and a float, shared, so nothing writes its arrays.
 
-    (sector, low, high): the block entries (low, high) of every pair of
-    states r and r | flip, flip two bits both 0 in r.  A state r sits in the
-    sector parity(popcount r) at block index r >> 1 (`_ParitySector`), and a
-    pair flip keeps its sector.  Cx^2 - Cy^2 is 4 at both (low, high) and
-    (high, low); its radius is that of those two real blocks."""
+    (state, partner): every pair of states r and r | flip, flip two bits
+    both 0 in r.  (sector, low, high): their entries in the gauge's layout,
+    where r sits in the sector parity(popcount r) at block index r >> 1
+    (`_RealGauge`); a pair flip keeps its sector.  Cx^2 - Cy^2 is 4 at both
+    (low, high) and (high, low); its radius is that of those two real blocks."""
     index = np.arange(2 ** n_spins)
     flips = np.array([(1 << i) | (1 << k) for i in range(n_spins) for k in range(i)],
                      dtype=int)
     state, which = np.nonzero((index[:, None] & flips) == 0)
+    partner = state | flips[which]
     sector = _basis_bits(n_spins).sum(axis=1)[state] & 1
-    entries = sector, state >> 1, (state | flips[which]) >> 1
-    pattern = np.zeros(_parity_sector(n_spins).shape)
+    entries = sector, state >> 1, partner >> 1
+    pattern = np.zeros(_real_gauge(n_spins).shape)
     pattern[entries] = pattern[entries[0], entries[2], entries[1]] = 4.0
-    return entries, _spectral_radius(pattern)
+    return entries, (state, partner), float(np.max(np.abs(np.linalg.eigvalsh(pattern))))
 
 
 def squeeze_generator(n_spins: int, j_coupling: float) -> Superoperator:
@@ -341,31 +329,27 @@ def squeeze_generator(n_spins: int, j_coupling: float) -> Superoperator:
     H flips spins in pairs, so it keeps the parity of popcount(r) (it
     commutes with Z^{(x)N}), and its spectral radius is |J| times the J-free
     one of `_pair_flips`.  apply takes a d x d matrix (one real GEMM on its
-    float view), the parity sector's complex stack (one per real block of
-    H) or the gauge's real stack (`_RealGauge`): there H is S^dag H S = iK,
-    K real antisymmetric with K[r, c] = 4J sign(popcount r - popcount c) on
-    the pair flips, so L1 is K rho' - rho' K = K rho' + (K rho')^T, one real
-    GEMM per block.  Each layout's operator is built on its first use.  A J
-    whose 4J is not finite is an IntegrationError.
+    float view) or the gauge's real stack (`_RealGauge`): there H is
+    S^dag H S = iK, K real antisymmetric with K[r, c] = 4J sign(popcount r -
+    popcount c) on the pair flips, so L1 is K rho' - rho' K = K rho' +
+    (K rho')^T, one real GEMM per block.  Each layout's operator is built on
+    its first use.  A J whose 4J is not finite is an IntegrationError.
     """
     check_cap(n_spins)
     _check_finite("j_coupling", j_coupling, "4J", 4.0 * float(j_coupling))
-    (sector, low, high), radius = _pair_flips(n_spins)
+    (sector, low, high), _, radius = _pair_flips(n_spins)
 
-    def blocks(upper: float, lower: float) -> np.ndarray:
-        out = np.zeros(_parity_sector(n_spins).shape)
-        out[sector, low, high], out[sector, high, low] = upper, lower
+    @functools.cache
+    def k_blocks() -> np.ndarray:
+        out = np.zeros(_real_gauge(n_spins).shape)
+        out[sector, low, high], out[sector, high, low] = -4.0 * j_coupling, 4.0 * j_coupling
         return out
 
     h = functools.cache(lambda: tact_hamiltonian(n_spins, j_coupling).real)
-    h_blocks = functools.cache(lambda: blocks(4.0 * j_coupling, 4.0 * j_coupling))
-    k_blocks = functools.cache(lambda: blocks(-4.0 * j_coupling, 4.0 * j_coupling))
 
     def apply(rho: np.ndarray) -> np.ndarray:
         if rho.ndim == 2:
             return _commutator(h(), rho)
-        if rho.dtype != np.float64:
-            return _commutator(h_blocks(), rho)
         k = k_blocks() @ rho
         return k + np.swapaxes(k, -1, -2)
 
@@ -374,10 +358,14 @@ def squeeze_generator(n_spins: int, j_coupling: float) -> Superoperator:
 
 
 def field_generator(n_spins: int, b_field: float) -> Superoperator:
-    """L3(rho) = +i [B sum_i (sy_i - sx_i), rho], as printed: -i [-H_B, rho]."""
+    """L3(rho) = +i [B sum_i (sy_i - sx_i), rho], as printed: -i [-H_B, rho].
+    Its rate bound is 2 sqrt(2) N |B|: Cy - Cx is sqrt(2) times the Pauli sum
+    along (-1, 1, 0)/sqrt(2), of spectrum N - 2k.  A B that is not finite is
+    an IntegrationError, raised before any array is built."""
+    _check_finite("b_field", b_field, "B", float(b_field))
     h = field_hamiltonian(n_spins, b_field)
     op = -1.0 * (h if np.any(h.imag) else h.real)
-    return Superoperator(rate_bound=2.0 * _spectral_radius(op),
+    return Superoperator(rate_bound=2.0 * math.sqrt(2.0) * n_spins * abs(float(b_field)),
                          apply=lambda rho: _commutator(op, rho),
                          dense=lambda: _commutator_superop(op))
 
@@ -392,7 +380,7 @@ def depolarize_generator(n_spins: int, gamma: float) -> Superoperator:
     for label, coefficient in (("2 Gamma", 2.0 * float(gamma)),
                                ("4 Gamma N", 4.0 * float(gamma) * n_spins)):
         _check_finite("gamma", gamma, label, coefficient)
-    same = 2.0 * gamma * _parity_sector(n_spins).same  # built once, for the sector's stacks
+    same = 2.0 * gamma * _real_gauge(n_spins).same  # built once, for the gauge's stacks
 
     def dense() -> np.ndarray:
         dim = 2 ** n_spins
@@ -492,50 +480,19 @@ class _HermitianSpace:
         return float(np.sum(np.abs(np.linalg.eigvalsh(sym))))
 
 
-class _ParitySector(_HermitianSpace):
-    """d x d matrices with no nonzero entry of mixed parity: block-diagonal
-    in the even and the odd popcount sector, held as the stack (even, odd)
-    of the two d/2 x d/2 blocks: the one source of their layout, built once
-    per N and shared (`_parity_sector`), so nothing writes its arrays.
-    `sectors` lists each sector's basis states in increasing order, so its
-    a-th state is 2a + (parity(a) xor sector): bit i + 1 of the state is
-    bit i of a, and bit 0 makes up the parity.  `same` marks the block
-    indices of equal parity, read on bit 0 of the even sector's states."""
-
-    name = "parity"
-
-    def __init__(self, n_spins: int):
-        odd = _basis_bits(n_spins).sum(axis=1) % 2 == 1
-        self.sectors = np.flatnonzero(~odd), np.flatnonzero(odd)
-        parity = self.sectors[0] & 1  # of the block index: bit 0 of its even state
-        self.same = parity[:, None] == parity
-        super().__init__((2, *self.same.shape))
-
-    def contains(self, m: np.ndarray) -> bool:
-        even, odd = self.sectors
-        return not (m[even][:, odd].any() or m[odd][:, even].any())
-
-    def restrict(self, m: np.ndarray) -> np.ndarray:
-        return np.stack([m[s][:, s] for s in self.sectors])
-
-    def embed(self, state: np.ndarray) -> np.ndarray:
-        half = state.shape[-1]
-        out = np.zeros((2 * half, 2 * half), dtype=state.dtype)
-        for s, block in zip(self.sectors, state):
-            out[np.ix_(s, s)] = block
-        return out
-
-
-_parity_sector = functools.cache(_ParitySector)  # one instance per N, for the process
-
-
 class _RealGauge(_HermitianSpace):
-    """The parity sector's matrices m whose gauge transform S^dag m S, with
-    S = diag(e^{i pi cz(r)/8}), is real, held as that real stack in the
-    sector's layout (`_parity_sector`).  The TACT state is one: the rotation
-    e^{i pi Cz/4} = S^2 maps H to -H, complex conjugation fixes the real H,
-    the depolarizer and a real initial state and reverses time, so
-    rho(t) = S^2 rho(t)* S^-2, i.e. S^dag rho S is real.
+    """The d x d matrices m with no nonzero entry of mixed parity whose gauge
+    transform S^dag m S, with S = diag(e^{i pi cz(r)/8}), is real, held as
+    that real stack (even, odd) of the two d/2 x d/2 popcount-sector blocks:
+    the one source of their layout, built once per N and shared
+    (`_real_gauge`), so nothing writes its arrays.  `sectors` lists each
+    sector's basis states in increasing order, so its a-th state is
+    2a + (parity(a) xor sector): bit i + 1 of the state is bit i of a, and
+    bit 0 makes up the parity.  `same` marks the block indices of equal
+    parity, read on bit 0 of the even sector's states.  The TACT state is in
+    the gauge: the rotation e^{i pi Cz/4} = S^2 maps H to -H, complex
+    conjugation fixes the real H, the depolarizer and a real initial state
+    and reverses time, so rho(t) = S^2 rho(t)* S^-2: S^dag rho S is real.
 
     Within a sector cz(r) - cz(c) = 4q, so (S^dag m S)[r, c] = (-i)^q m[r, c]
     and m[r, c] = i^q m'[r, c], q = (cz(r) - cz(c))/4 mod 4 = (h(c) - h(r))
@@ -558,12 +515,14 @@ class _RealGauge(_HermitianSpace):
     dtype = np.dtype(np.float64)
 
     def __init__(self, n_spins: int):
-        sector = _parity_sector(n_spins)
-        super().__init__(sector.shape)
-        halves = _basis_bits(n_spins).sum(axis=1) // 2
+        popcount = _basis_bits(n_spins).sum(axis=1)
+        self.sectors = np.flatnonzero(popcount % 2 == 0), np.flatnonzero(popcount % 2 == 1)
+        parity = self.sectors[0] & 1  # of the block index: bit 0 of its even state
+        self.same = parity[:, None] == parity
+        super().__init__((2, *self.same.shape))
         self._classes = []  # (sector, block rows, their states, float columns, int8 signs)
-        for s, states in enumerate(sector.sectors):
-            h = halves[states]
+        for s, states in enumerate(self.sectors):
+            h = popcount[states] // 2
             for turn in range(4):
                 rows = np.flatnonzero(h & 3 == turn)
                 q = (h - turn) & 3
@@ -610,24 +569,20 @@ _real_gauge = functools.cache(_RealGauge)  # one instance per N, for the process
 
 
 def _space_of(m: np.ndarray, generators: Sequence[Superoperator] = ()) -> _HermitianSpace:
-    """The space a d x d matrix m is held in under `generators`: when every
-    generator keeps parity, the gauge if m is in it, else the parity sector
-    if every entry of m of mixed parity is exactly 0; the dense space
+    """The space a d x d matrix m is held in under `generators`: the gauge
+    if every generator keeps parity and m is in it, the dense space
     otherwise."""
     d = m.shape[0]
     if d >= 2 and d & (d - 1) == 0 and all(g.keeps_parity for g in generators):
-        n_spins = d.bit_length() - 1
-        gauge, sector = _real_gauge(n_spins), _parity_sector(n_spins)
+        gauge = _real_gauge(d.bit_length() - 1)
         if gauge.contains(m):
             return gauge
-        if sector.contains(m):
-            return sector
     return _HermitianSpace(m.shape)
 
 
 def channel_residuals(rho: np.ndarray) -> tuple[float, float, float]:
-    """(|trace - 1|, max |rho - rho^dag|, min eigenvalue), read on the two
-    parity blocks when rho has no nonzero entry of mixed parity."""
+    """(|trace - 1|, max |rho - rho^dag|, min eigenvalue), read on the
+    gauge's two real blocks when rho is in the gauge."""
     space = _space_of(rho)
     return space.residuals(space.restrict(rho))
 
@@ -682,7 +637,7 @@ def _rk4(rho: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray],
     advances the steps `_rk4_advance` allows and adds the increment to the
     state.  Vectors are the space's `size` reals (`pack`; the gauge's stack
     is its own vector), and rhs gets them back as stacks of the space's
-    dtype (`unpack`), exactly Hermitian in the complex spaces.  rho is not
+    dtype (`unpack`), exactly Hermitian in the dense space.  rho is not
     modified, and the result is a new array.  `stats` gets applies (rhs
     calls) and krylov_dim (the largest basis)."""
     space = space or _HermitianSpace(rho.shape)
@@ -690,7 +645,7 @@ def _rk4(rho: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray],
     # own mapping, not malloc: a freed multi-MB malloc block keeps temporaries resident
     flat = np.frombuffer(mmap.mmap(-1, 8 * _KRYLOV_CAP * space.size)).reshape(_KRYLOV_CAP, -1)
     basis = flat.reshape(_KRYLOV_CAP, *space.shape)
-    # next vector and scratch; a complex space's rhs input, then its result, in both
+    # next vector and scratch; the dense space's rhs input, then its result, in both
     buffer = np.empty(2 * space.size)
     new, spare = buffer.reshape(2, *space.shape)
     state = buffer.view(space.dtype)[:space.size].reshape(space.shape)
@@ -731,11 +686,12 @@ def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float
     """Integrate d rho/dt = sum_k L_k(rho) for `duration` with fixed-step RK4.
 
     Each pass is one polynomial of the generator sum (`_rk4`), in the space
-    `_space_of` picks: when every generator keeps parity, the real gauge if
-    rho's gauge transform is real, else the parity sector if every entry of
-    rho of mixed parity is exactly 0 (either is then invariant, so the
-    result is exact up to round-off in the summation order), and the dense
-    space otherwise; rho and the result are dense d x d arrays either way.  Steps
+    `_space_of` picks: the real gauge when every generator keeps parity and
+    rho's gauge transform is real (the gauge is then invariant, so the
+    result is exact up to round-off in the summation order), else the dense
+    space, also for an in-sector rho whose transform is not real (only a
+    direct call makes one), at d^2 reals per Krylov vector, twice a
+    two-block stack's.  rho and the result are dense d x d arrays.  Steps
     are halved (count doubled, at most _MAX_REFINEMENTS times) until the
     trace and positivity invariants hold at TRACE_TOL and
     MIN_EIGENVALUE_TOL; the result is exactly Hermitian by construction.
@@ -745,7 +701,7 @@ def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float
     If `stats` is given it is filled in, also when IntegrationError is
     raised: n_steps (of the last RK4 pass) and refinements (passes beyond
     the first); once the first step count is set also space (the space's
-    name: dense, parity or gauge); after at least one pass worst_residual (that pass's
+    name: dense or gauge); after at least one pass worst_residual (that pass's
     largest invariant residual over its tolerance), residuals (its
     `channel_residuals`), applies (its generator-sum applications) and
     krylov_dim (its largest Krylov basis).  With duration 0 or no
@@ -832,8 +788,8 @@ def measure(rho: np.ndarray, observable: np.ndarray) -> float:
 
 
 def trace_norm(m: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of the Hermitian part: the sum over the two
-    parity blocks when m has no nonzero entry of mixed parity."""
+    """Sum of absolute eigenvalues of the Hermitian part: the sum over the
+    gauge's two real blocks when m is in the gauge."""
     space = _space_of(m)
     return space.trace_norm(space.restrict(m))
 

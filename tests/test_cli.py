@@ -7,6 +7,7 @@ import math
 import os
 import re
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -168,6 +169,26 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "sweep.axis" in err and "4.666666666666667" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("axis", ["gamma 0 inf 3 linear", "gamma 0.1 inf 3 log",
+                                      "gamma -1e308 1e308 3 linear", "n_spins 2 inf 2 linear"])
+    def test_axis_that_is_not_finite_is_config_error(self, tmp_path, capsys, axis):
+        # linspace and geomspace would warn and write nan inputs
+        cfg = write_config(tmp_path, f"[sweep]\naxis = {axis}\n")
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["analytic", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sweep.axis: ") and "must be finite" in err
+        assert not out.exists()
+
+    def test_single_value_axis_that_is_not_finite_is_an_invalid_row(self, tmp_path):
+        cfg = write_config(tmp_path, "[sweep]\naxis = gamma inf inf 1 linear\n")
+        out = str(tmp_path / "o.csv")
+        assert cli.main(["analytic", "--config", cfg, "--out", out, "--no-timing"]) == 0
+        _, _, rows = read_rows(out)
+        assert len(rows) == 1 and rows[0]["status"].startswith("invalid: ")
 
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "csv_columns.md"

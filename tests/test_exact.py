@@ -188,8 +188,8 @@ class TestTactHamiltonian:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_same_bits_as_collective_square_difference(self, n):
-        # L1.apply and its parity-block rate_bound read this matrix: the
-        # same bits as the collective square difference, signed zeros included
+        # written at the pair flips that L1's gauge blocks and rate_bound read:
+        # the same bits as the collective square difference, signed zeros included
         ops = exact.spin_operators(n)
         cx, cy = ops.collective_x, ops.collective_y
         for j in (0.37, -1.7, 1e-3, -0.0):
@@ -770,49 +770,61 @@ def in_sector_hermitian(n, rng):
     return np.where(parity[:, None] == parity, m + m.conj().T, 0.0)
 
 
-class TestParitySector:
-    """The even and odd popcount blocks, integrated under the one _rk4."""
+def picking(monkeypatch, pick=lambda space, n: space):
+    """Run every space choice through `pick(chosen space, n)`, and record
+    the names of the spaces chosen."""
+    names, space_of = [], exact._space_of
 
-    # fixed before the run: sector against dense, per oracle cell
-    CELL_RTOL, CELL_ATOL = 1e-11, 1e-14
+    def patched(m, generators=()):
+        space = pick(space_of(m, generators), m.shape[0].bit_length() - 1)
+        names.append(space.name)
+        return space
+
+    monkeypatch.setattr(exact, "_space_of", patched)
+    return names
+
+
+class TestParitySector:
+    """The even and odd popcount sectors: which space `_space_of` picks, the
+    sectors' real gauge for every TACT state, the dense space for everything
+    else."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_generators_keep_the_sector_and_match_on_the_blocks(self, n):
+        # any in-sector state, not only a gauge-real one: keeps_parity is what
+        # `_space_of` reads before it picks the gauge
         rng = np.random.default_rng(100 + n)
-        sector = exact._ParitySector(n)
+        sectors = exact._real_gauge(n).sectors
         parity = exact._basis_bits(n).sum(axis=1) % 2
         mixed = parity[:, None] != parity
         for _ in range(3):
             rho = in_sector_hermitian(n, rng)
-            blocks = sector.restrict(rho)
             l1, l2 = exact.squeeze_generator(n, 0.37), exact.depolarize_generator(n, 0.21)
             for gen in (l1, l2):
                 assert gen.keeps_parity
                 dense = gen.apply(rho)
                 assert np.all(dense[mixed] == 0.0)
-                on_blocks = gen.apply(blocks)
-                assert on_blocks.shape == (2, 2 ** (n - 1), 2 ** (n - 1))
-                scale = np.max(np.abs(dense))
-                assert np.max(np.abs(on_blocks - sector.restrict(dense))) <= 1e-13 * scale
-                assert np.array_equal(on_blocks, np.swapaxes(on_blocks.conj(), -1, -2))
-            # L2 is one kernel on both layouts, each site's sums in the same
-            # order: the same bits (L1's two GEMM layouts sum differently)
-            on_blocks = l2.apply(blocks)
-            assert np.array_equal(on_blocks, sector.restrict(l2.apply(rho)))
-            assert np.array_equal(exact.apply_depolarizer(blocks, 0.21, n), on_blocks)
+                assert np.array_equal(dense, dense.conj().T)
+            # the depolarizer kernel reads only the sector layout, not the
+            # gauge's phases: complex sector blocks give the dense bits
+            blocks = np.stack([rho[s][:, s] for s in sectors])
+            on_blocks = exact.apply_depolarizer(blocks, 0.21, n)
+            assert on_blocks.shape == (2, 2 ** (n - 1), 2 ** (n - 1))
+            dense = l2.apply(rho)
+            assert np.array_equal(on_blocks, np.stack([dense[s][:, s] for s in sectors]))
 
     def test_one_layout_per_n_over_an_exact_run(self, tmp_path, monkeypatch):
         # 3 N x 4 rows, with factorization: every generator, space and
-        # trace norm of an N reads the one sector built for it
+        # trace norm of an N reads the one gauge built for it
         from tactsqueeze import cli
-        built, init = [], exact._ParitySector.__init__
+        built, init = [], exact._RealGauge.__init__
 
         def counting(self, n_spins):
             built.append(n_spins)
             init(self, n_spins)
 
-        monkeypatch.setattr(exact._ParitySector, "__init__", counting)
-        exact._parity_sector.cache_clear()
+        monkeypatch.setattr(exact._RealGauge, "__init__", counting)
+        exact._real_gauge.cache_clear()
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[params]\nj_coupling = 0.05\n[sweep]\n"
                        "axis0 = n_spins 2 4 3 linear\naxis1 = gamma 0.02 0.2 2 linear\n"
@@ -826,12 +838,6 @@ class TestParitySector:
         assert not exact.field_generator(3, 0.7).keeps_parity
         rho = exact.build_initial_state(3, 0.8)
         assert exact._space_of(exact.field_generator(3, 0.7).apply(rho)).shape == (8, 8)
-
-    def test_embed_and_restrict_are_inverse(self):
-        rho = in_sector_hermitian(5, np.random.default_rng(7))
-        sector = exact._space_of(rho)
-        assert sector.shape == (2, 16, 16)
-        assert np.array_equal(sector.embed(sector.restrict(rho)), rho)
 
     @staticmethod
     def spaces_of_rk4(monkeypatch):
@@ -864,45 +870,27 @@ class TestParitySector:
         cases = [(off, [l1, l2]), (off, [l2]), (rho, [l1, l3]), (rho, [l3, l2]),
                  (rho, [l1, l2, l3])]
         for state, gens in cases:
-            got = exact.evolve(state, gens, 0.6)
-            assert shapes[-1] == (dim, dim)
+            stats = {}
+            got = exact.evolve(state, gens, 0.6, stats)
+            assert shapes[-1] == (dim, dim) and stats["space"] == "dense"
             assert np.max(np.abs(got - exact.evolve_expm(state, gens, 0.6))) < 1e-8
         assert len(shapes) == len(cases)
 
-    @staticmethod
-    def dense_only(monkeypatch):
-        monkeypatch.setattr(exact, "_space_of",
-                            lambda m, generators=(): exact._HermitianSpace(m.shape))
-
-    def assert_cells_close(self, got, ref):
-        assert got.keys() == ref.keys()
-        for key, value in ref.items():
-            if isinstance(value, float):
-                assert abs(got[key] - value) <= self.CELL_ATOL + self.CELL_RTOL * abs(value), key
-            else:
-                assert got[key] == value, key
-
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_exact_cells_match_the_dense_space(self, monkeypatch, n):
+    def test_every_oracle_row_runs_in_the_gauge(self, tmp_path, monkeypatch):
+        # the traffic: no `exact` (with_factorization) or `verify` row falls
+        # back to the dense space
         from tactsqueeze import cli
-        points = [dict(cli._DEFAULT_PARAMS, n_spins=n, j_coupling=0.05, polarization_p=0.95,
-                       gamma=gamma, t_squeeze=t)
-                  for gamma in (0.02, 0.2) for t in (0.02, 0.1)]
-        opts = {"with_factorization": True}
-        got = [cli._row_exact(p, opts) for p in points]
-        self.dense_only(monkeypatch)
-        for cells, p in zip(got, points):
-            self.assert_cells_close(cells, cli._row_exact(p, opts))
-
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_verify_cells_match_the_dense_space(self, monkeypatch, n):
-        from tactsqueeze import cli
-        gamma, alpha = 0.25, 5.0
-        point = dict(n_spins=n, j_coupling=4.0 * gamma * alpha / n, gamma=gamma,
-                     polarization_p=1.0, t_squeeze=1.0 / (4.0 * gamma))
-        got = cli._row_verify(point, {})
-        self.dense_only(monkeypatch)
-        self.assert_cells_close(got, cli._row_verify(point, {}))
+        names = picking(monkeypatch)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[params]\nj_coupling = 0.05\npolarization_p = 0.95\n"
+                       "gamma = 0.2\nt_squeeze = 0.1\n[sweep]\n"
+                       "axis = n_spins 2 8 7 linear\n[run]\nwith_factorization = true\n"
+                       "[verify]\nn_min = 2\nn_max = 7\n")
+        for command, rows in (("exact", 7), ("verify", 6)):
+            out = tmp_path / f"{command}.csv"
+            assert cli.main([command, "--config", str(cfg), "--out", str(out), "--no-timing"]) == 0
+            assert out.read_text().count(",ok\n") == rows
+        assert names and set(names) == {"gauge"}
 
 
 def krylov_mapped(array):
@@ -917,6 +905,9 @@ def krylov_mapped(array):
 class TestRealGauge:
     """The real symmetric stack S^dag rho S, S = diag(e^{i pi cz/8}), integrated
     under the one _rk4."""
+
+    # fixed before the run: gauge against dense, per oracle cell
+    CELL_RTOL, CELL_ATOL = 1e-11, 1e-14
 
     @staticmethod
     def turned(m, n):
@@ -945,7 +936,8 @@ class TestRealGauge:
             assert not mixed.any() and not turned.imag.any()
             # restrict reads the turned real parts, block by block
             assert exact._space_of(out) is gauge
-            assert np.array_equal(gauge.restrict(out), exact._parity_sector(n).restrict(turned.real))
+            blocks = np.stack([turned.real[s][:, s] for s in gauge.sectors])
+            assert np.array_equal(gauge.restrict(out), blocks)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_embed_then_restrict_is_the_identity_bit_for_bit(self, n):
@@ -960,7 +952,7 @@ class TestRealGauge:
         assert m.shape == (2 ** n, 2 ** n) and m.dtype == complex
         assert gauge.restrict(m).tobytes() == x.tobytes()
         diagonal = np.empty(2 ** n)  # q = 0 on the diagonal: its bits untouched
-        for states, block in zip(exact._parity_sector(n).sectors, x):
+        for states, block in zip(gauge.sectors, x):
             diagonal[states] = block.diagonal()
         assert m.diagonal().real.tobytes() == diagonal.tobytes() and not m.diagonal().imag.any()
         turned, mixed = self.turned(m, n)
@@ -1018,19 +1010,14 @@ class TestRealGauge:
         return m / np.trace(m).real
 
     @pytest.mark.parametrize("n", range(2, 6))
-    def test_complex_in_sector_state_runs_in_the_parity_sector(self, monkeypatch, n):
+    def test_complex_in_sector_state_runs_dense(self, n):
         rho = self.in_sector_state(n, np.random.default_rng(600 + n))
         gens = [exact.squeeze_generator(n, 0.3), exact.depolarize_generator(n, 0.2)]
         assert not exact._real_gauge(n).contains(rho)
-        assert exact._space_of(rho, gens) is exact._parity_sector(n)
         stats = {}
         got = exact.evolve(rho, gens, 0.6, stats)
-        assert stats["space"] == "parity"
-        names = self.picking(monkeypatch, self.dense)
-        ref = exact.evolve(rho, gens, 0.6)
-        assert names == ["dense"] * len(names)
-        compare = TestParitySector
-        assert np.max(np.abs(got - ref)) <= compare.CELL_ATOL + compare.CELL_RTOL * np.max(np.abs(ref))
+        assert stats["space"] == "dense"
+        assert np.max(np.abs(got - exact.evolve_expm(rho, gens, 0.6))) < 1e-8
 
     def test_stats_name_the_space(self):
         n = 3
@@ -1040,37 +1027,27 @@ class TestRealGauge:
         off[0, 1] = off[1, 0] = 0.01
         in_sector = self.in_sector_state(n, np.random.default_rng(9))
         for state, gens, name in ((rho, [l1, l2], "gauge"), (rho, [l2], "gauge"),
-                                  (in_sector, [l1, l2], "parity"), (off, [l1, l2], "dense"),
+                                  (in_sector, [l1, l2], "dense"), (off, [l1, l2], "dense"),
                                   (rho, [l1, exact.field_generator(n, 0.1)], "dense")):
             stats = {}
             exact.evolve(state, gens, 0.4, stats)
             assert stats["space"] == name
 
     @staticmethod
-    def picking(monkeypatch, pick):
-        """Run every space choice through `pick(chosen space, n)`, and record
-        the names of the spaces chosen."""
-        names, space_of = [], exact._space_of
-
-        def patched(m, generators=()):
-            space = pick(space_of(m, generators), m.shape[0].bit_length() - 1)
-            names.append(space.name)
-            return space
-
-        monkeypatch.setattr(exact, "_space_of", patched)
-        return names
-
-    @staticmethod
-    def sector_for_gauge(space, n):
-        return exact._parity_sector(n) if space.name == "gauge" else space
-
-    @staticmethod
     def dense(space, n):
         return exact._HermitianSpace((2 ** n, 2 ** n))
 
+    def assert_cells_close(self, got, ref):
+        assert got.keys() == ref.keys()
+        for key, value in ref.items():
+            if isinstance(value, float):
+                assert abs(got[key] - value) <= self.CELL_ATOL + self.CELL_RTOL * abs(value), key
+            else:
+                assert got[key] == value, key
+
     @pytest.mark.parametrize("row", ["exact", "verify"])
     @pytest.mark.parametrize("n", range(2, 9))
-    def test_cells_match_the_parity_sector_and_the_dense_space(self, monkeypatch, row, n):
+    def test_cells_match_the_dense_space(self, monkeypatch, row, n):
         from tactsqueeze import cli
         if row == "exact":
             points = [dict(cli._DEFAULT_PARAMS, n_spins=n, j_coupling=0.05, polarization_p=0.95,
@@ -1083,16 +1060,13 @@ class TestRealGauge:
                            polarization_p=1.0, t_squeeze=1.0 / (4.0 * gamma))]
             run = [lambda p: cli._row_verify(p, {})]
         cells = {}
-        for name, pick in (("gauge", lambda space, n: space),
-                           ("parity", self.sector_for_gauge), ("dense", self.dense)):
+        for name, pick in (("gauge", lambda space, n: space), ("dense", self.dense)):
             with monkeypatch.context() as patch:
-                names = self.picking(patch, pick)
+                names = picking(patch, pick)
                 cells[name] = [run[0](p) for p in points]
             assert set(names) == {name}
-        compare = TestParitySector()
-        for space in ("gauge", "parity"):
-            for got, ref in zip(cells[space], cells["dense"]):
-                compare.assert_cells_close(got, ref)
+        for got, ref in zip(cells["gauge"], cells["dense"]):
+            self.assert_cells_close(got, ref)
 
     @pytest.mark.parametrize("fact, bound", [(False, 5.0), (True, 7.0)])
     def test_row_peak_memory(self, fact, bound):
@@ -1129,6 +1103,22 @@ class TestHugeRates:
     def test_depolarize(self, n, gamma, label):
         with pytest.raises(IntegrationError, match=rf"^gamma = .*: {label} is not finite$"):
             exact.depolarize_generator(n, gamma)
+
+    @pytest.mark.parametrize("b", [np.inf, -np.inf, np.nan, np.float64(np.inf)])
+    def test_field(self, b):
+        with pytest.raises(IntegrationError, match=r"^b_field = .*: B is not finite$"):
+            exact.field_generator(3, b)
+
+    def test_field_whose_rate_overflows_is_a_step_count_error(self):
+        rho = exact.build_initial_state(2, 0.8)
+        with pytest.raises(IntegrationError, match="no finite RK4 step count"):
+            exact.evolve(rho, [exact.field_generator(2, 1e308)], 1.0)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_field_rate_bound_is_the_dense_spectral_radius(self, n):
+        for b in (0.4, -1.3, 1e-3, 1e150, -0.0):
+            dense = 2.0 * np.max(np.abs(np.linalg.eigvalsh(exact.field_hamiltonian(n, b))))
+            assert abs(exact.field_generator(n, b).rate_bound - dense) <= 1e-12 * dense
 
     def test_largest_finite_coefficients_build(self):
         # 4J and 2 Gamma, 4 Gamma N finite: the step count, not the build, fails
