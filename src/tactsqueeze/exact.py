@@ -12,9 +12,9 @@ Hermitian state rho H = (H rho)^dag, so -i[H, rho] = -i(K - K^dag) with
 K = H rho, and for the real TACT Hamiltonian K is one real GEMM on the
 float view of rho.  The generators are therefore defined on Hermitian
 states only.  The Hamiltonian terms and the depolarizer each map a
-Hermitian state to an exactly Hermitian array, and the integrator hands
-them only exactly Hermitian arrays, so `evolve` checks the Hermiticity of
-its input only.
+Hermitian state to an exactly Hermitian array, the Krylov sums combine
+entries (a, b) and (b, a) alike, and `embed` mirrors the result in both
+spaces, so `evolve` checks the Hermiticity of its input only.
 
 Integration is classical fixed-step RK4 with automatic step halving
 against the channel invariants, each pass evaluated as one polynomial of
@@ -47,9 +47,11 @@ rounded e^{i pi/8} is formed.  The spaces:
   - the dense d x d space (`_HermitianSpace`) otherwise: with the signal
     field, which flips one spin on one side and leaves the sector, with
     any nonzero entry of mixed parity in the input, or with an in-sector
-    input whose transform is not real.
+    input whose transform is not real; d^2 complex numbers, 2d^2 reals per
+    Krylov vector.
 `trace_norm` and `channel_residuals` read a matrix in the same space, so
-in the gauge on two real blocks.
+in the gauge on two real blocks.  Either way the integrator sees only an
+array: a Krylov vector is the state's own float view.
 
 The collective sums Cx, Cy and Cz are written from the basis-state bits
 too.  The squeezing observables need only the mean spin and the 3x3
@@ -93,7 +95,8 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 
 # One `exact` row, in state sizes of 16*4^N bytes at N = 8 and 9: a tracemalloc
 # peak of 3.6 (5.6 with_factorization) + 7.25 of Krylov basis (_KRYLOV_CAP quarter
-# states, touched only as far as it grows) = 10.9 (12.9), ~174 (206) MiB at N = 10;
+# states, touched only as far as it grows) = 10.9 (12.9), ~174 (206) MiB at N = 10
+# (a dense-space vector is one state, so its basis is up to 29 states);
 # one N = 10 criterion-06 `verify` row: 7.6 s and 232 MB peak RSS on 2 cores
 DEFAULT_N_CAP = 10
 EXPM_N_CAP = 5  # evolve_expm's: its dense superoperator has 16^N entries
@@ -422,49 +425,33 @@ def _hermiticity_residual(rho: np.ndarray) -> float:
     return float(np.max(np.abs(rho - np.swapaxes(rho.conj(), -1, -2))))
 
 
-class _HermitianSpace:
-    """The integrator's vector space: Hermitian matrices held as a stack of
-    Hermitian blocks of `shape` (one d x d block: the dense state), of
-    `dtype` (complex, or real in the gauge).
+def _mirrored(stack: np.ndarray) -> np.ndarray:
+    """Each block's strict upper triangle and the real part of its diagonal,
+    mirrored: exactly Hermitian (symmetric when real), whatever the lower
+    triangle holds."""
+    upper = np.tri(stack.shape[-1], k=-1, dtype=bool).T
+    lower = np.swapaxes(stack, -1, -2).conj()
+    return np.where(upper, stack, np.where(upper.T, lower, stack.real))
 
-    A vector is `size` reals, each block's real part on and above its
-    diagonal and its imaginary part below (`pack`); `unpack` writes it back
-    as an exactly Hermitian complex stack.  `restrict` maps a dense d x d
-    matrix to the space's stack and `embed` maps a stack back; `residuals`
-    and `trace_norm` read a stack.  An instance of this class is the dense
-    space: shape (d, d), restrict and embed the identity."""
+
+class _HermitianSpace:
+    """A space of Hermitian matrices, held as a stack of blocks of `shape`
+    (one d x d block: the dense state).  `restrict` maps a dense d x d
+    matrix to the space's stack and `embed` maps a stack back, exactly
+    Hermitian (`_mirrored`); `residuals` and `trace_norm` read a stack.
+    `_rk4` integrates the stack as it is.  An instance of this class is the
+    dense space: shape (d, d), restrict the matrix as a complex array."""
 
     name = "dense"
-    dtype = np.dtype(complex)
 
     def __init__(self, shape: tuple[int, ...]):
         self.shape = tuple(shape)
-        self.size = int(np.prod(self.shape))
-
-    @functools.cached_property
-    def _lower(self) -> np.ndarray:  # built on first use: the gauge never packs
-        return np.tri(self.shape[-1], k=-1, dtype=bool)
 
     def restrict(self, m: np.ndarray) -> np.ndarray:
-        return m
+        return np.ascontiguousarray(m, dtype=complex)
 
     def embed(self, state: np.ndarray) -> np.ndarray:
-        return state
-
-    def pack(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Hermitian a as reals: Re on and above each diagonal, Im below."""
-        np.copyto(out, a.real)
-        np.copyto(out, a.imag, where=self._lower)
-        return out
-
-    def unpack(self, p: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Inverse of `pack`, into the complex stack out; exactly Hermitian."""
-        pt = np.swapaxes(p, -1, -2)
-        np.copyto(out.real, p)
-        np.copyto(out.real, pt, where=self._lower)
-        np.multiply(p, self._lower, out=out.imag)
-        np.negative(pt, out=out.imag, where=self._lower.T)
-        return out
+        return _mirrored(state)
 
     def residuals(self, state: np.ndarray) -> tuple[float, float, float]:
         """(|trace - 1|, max |m - m^dag|, least eigenvalue of the Hermitian
@@ -502,17 +489,17 @@ class _RealGauge(_HermitianSpace):
     is untouched and no phase is rounded.  Both gather on the float view of
     m, one class of rows at a time (`_classes`: a sector's rows of one
     h mod 4, whose column parts and signs depend on the column only).  m is
-    in the gauge when those reads hold all its nonzero reals (`contains`).
+    in the gauge when those reads hold all its nonzero reals; else restrict
+    returns None.
 
-    A vector is the stack itself (`size` reals, the Frobenius inner
-    product), handed to the generators without a copy.  L1's output is
-    exactly symmetric, L2 keeps a symmetric input so, and the Krylov sums
-    combine entries (a, b) and (b, a) alike, so the stacks stay symmetric;
-    `embed` mirrors each block's upper triangle all the same, so a state
-    leaves the gauge exactly Hermitian whatever the BLAS summation order."""
+    A Krylov vector is the real stack itself (d^2/2 reals, the Frobenius
+    inner product).  L1's output is exactly symmetric, L2 keeps a symmetric
+    input so, and the Krylov sums combine entries (a, b) and (b, a) alike,
+    so the stacks stay symmetric; `embed` mirrors each block's upper
+    triangle all the same, so a state leaves the gauge exactly Hermitian
+    whatever the BLAS summation order."""
 
     name = "gauge"
-    dtype = np.dtype(np.float64)
 
     def __init__(self, n_spins: int):
         popcount = _basis_bits(n_spins).sum(axis=1)
@@ -529,28 +516,16 @@ class _RealGauge(_HermitianSpace):
                 self._classes.append((s, rows, states[rows, None], 2 * states + (q & 1),
                                       np.where(q >= 2, -1, 1).astype(np.int8)))
 
-    @staticmethod
-    def _floats(m: np.ndarray) -> np.ndarray:
-        """The d x 2d float view of m as a complex array: Re and Im interleaved."""
-        return np.ascontiguousarray(m, dtype=complex).view(np.float64)
-
-    def _gather(self, floats: np.ndarray) -> np.ndarray:
+    def restrict(self, m: np.ndarray) -> np.ndarray | None:
+        floats = np.ascontiguousarray(m, dtype=complex).view(np.float64)
         out = np.empty(self.shape)
         for s, rows, states, columns, sign in self._classes:
             out[s, rows] = floats[states, columns] * sign
-        return out
-
-    def contains(self, m: np.ndarray) -> bool:
-        floats = self._floats(m)  # nonzero reals counted on `!= 0`, much the faster count
-        return np.count_nonzero(self._gather(floats)) == np.count_nonzero(floats != 0)
-
-    def restrict(self, m: np.ndarray) -> np.ndarray:
-        return self._gather(self._floats(m))
+        # nonzero reals counted on `!= 0`, much the faster count
+        return out if np.count_nonzero(out) == np.count_nonzero(floats != 0) else None
 
     def embed(self, state: np.ndarray) -> np.ndarray:
-        """From each block's upper triangle, mirrored: exactly Hermitian."""
-        upper = np.tri(state.shape[-1], dtype=bool).T
-        state = np.where(upper, state, np.swapaxes(state, -1, -2))
+        state = _mirrored(state)
         d = 2 * state.shape[-1]
         out = np.zeros((d, d), dtype=complex)
         floats = out.view(np.float64)
@@ -558,37 +533,34 @@ class _RealGauge(_HermitianSpace):
             floats[states, columns] = state[s, rows] * sign
         return out
 
-    def pack(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return a
-
-    def unpack(self, p: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return p
-
 
 _real_gauge = functools.cache(_RealGauge)  # one instance per N, for the process
 
 
-def _space_of(m: np.ndarray, generators: Sequence[Superoperator] = ()) -> _HermitianSpace:
-    """The space a d x d matrix m is held in under `generators`: the gauge
-    if every generator keeps parity and m is in it, the dense space
-    otherwise."""
+def _space_of(m: np.ndarray, generators: Sequence[Superoperator] = ()
+              ) -> tuple[_HermitianSpace, np.ndarray]:
+    """(space, m's stack in it) for a d x d matrix m under `generators`, from
+    one gather: the gauge if every generator keeps parity and m is in it,
+    the dense space otherwise."""
     d = m.shape[0]
     if d >= 2 and d & (d - 1) == 0 and all(g.keeps_parity for g in generators):
         gauge = _real_gauge(d.bit_length() - 1)
-        if gauge.contains(m):
-            return gauge
-    return _HermitianSpace(m.shape)
+        state = gauge.restrict(m)
+        if state is not None:
+            return gauge, state
+    space = _HermitianSpace(m.shape)
+    return space, space.restrict(m)
 
 
 def channel_residuals(rho: np.ndarray) -> tuple[float, float, float]:
     """(|trace - 1|, max |rho - rho^dag|, min eigenvalue), read on the
     gauge's two real blocks when rho is in the gauge."""
-    space = _space_of(rho)
-    return space.residuals(space.restrict(rho))
+    space, state = _space_of(rho)
+    return space.residuals(state)
 
 
 def _invariants_ok(rho: np.ndarray) -> tuple[bool, float, tuple[float, float, float]]:
-    # rho is unpacked, so exactly Hermitian: its Hermiticity residual reads 0
+    # rho is embedded, so exactly Hermitian: its Hermiticity residual reads 0
     # and is not weighed
     residuals = channel_residuals(rho)
     trace_dev, _, min_eig = residuals
@@ -596,7 +568,7 @@ def _invariants_ok(rho: np.ndarray) -> tuple[bool, float, tuple[float, float, fl
     return worst <= 1.0, worst, residuals
 
 
-_KRYLOV_CAP = 29  # basis vectors per restart, each a `size`-float row of peak memory
+_KRYLOV_CAP = 29  # basis vectors per restart, each a row of the state's floats
 # k steps pass while h_{m+1,m} |e_m^T P(hH_m)^k e1| <= this: the residual weighted at the
 # restart's end only, not an error bound (~500x off on an N = 1 case, ROADMAP item 16)
 _KRYLOV_TOL = 1e-14
@@ -624,33 +596,26 @@ def _rk4_advance(hm: np.ndarray, beta: float, h: float, remaining: int
 
 
 def _rk4(rho: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray],
-         duration: float, n_steps: int, stats: dict | None = None,
-         space: _HermitianSpace | None = None) -> np.ndarray:
+         duration: float, n_steps: int, stats: dict | None = None) -> np.ndarray:
     """n_steps classical RK4 steps of the linear d rho/dt = rhs(rho), i.e.
     P(hL)^n_steps rho with P(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 and
     h = duration / n_steps, to round-off, by restarted Arnoldi (Saad, SIAM J.
     Numer. Anal. 29, 209 (1992); Hochbruck & Lubich, ibid. 34, 1911 (1997)).
 
-    rho is a stack of `space` (by default the dense space of rho), and rhs
-    maps such stacks to such stacks.  Each restart grows an orthonormal
-    Krylov basis of rhs from the state,
-    advances the steps `_rk4_advance` allows and adds the increment to the
-    state.  Vectors are the space's `size` reals (`pack`; the gauge's stack
-    is its own vector), and rhs gets them back as stacks of the space's
-    dtype (`unpack`), exactly Hermitian in the dense space.  rho is not
-    modified, and the result is a new array.  `stats` gets applies (rhs
-    calls) and krylov_dim (the largest basis)."""
-    space = space or _HermitianSpace(rho.shape)
+    rho is any float64 or complex array, and rhs maps arrays of its dtype
+    and shape to new ones.  Each restart grows an orthonormal Krylov basis
+    of rhs from the state, advances the steps `_rk4_advance` allows and adds
+    the increment to the state.  A vector is rho's float view, and rhs gets
+    each one back with rho's dtype and shape, a view of the basis with no
+    copy.  rho is not modified, and the result is a new array.  `stats`
+    gets applies (rhs calls) and krylov_dim (the largest basis)."""
     h = duration / n_steps
+    floats = np.ascontiguousarray(rho).view(np.float64).ravel()
     # own mapping, not malloc: a freed multi-MB malloc block keeps temporaries resident
-    flat = np.frombuffer(mmap.mmap(-1, 8 * _KRYLOV_CAP * space.size)).reshape(_KRYLOV_CAP, -1)
-    basis = flat.reshape(_KRYLOV_CAP, *space.shape)
-    # next vector and scratch; the dense space's rhs input, then its result, in both
-    buffer = np.empty(2 * space.size)
-    new, spare = buffer.reshape(2, *space.shape)
-    state = buffer.view(space.dtype)[:space.size].reshape(space.shape)
+    flat = np.frombuffer(mmap.mmap(-1, 8 * _KRYLOV_CAP * floats.size)).reshape(_KRYLOV_CAP, -1)
+    spare = np.empty(floats.size)
     w = flat[0]  # the state times 2^-e, exactly
-    np.copyto(basis[0], space.pack(rho, new))
+    np.copyto(w, floats)
     e, remaining, applies, dim = 0, n_steps, 0, 0
     while remaining:
         if not w.any():
@@ -662,11 +627,11 @@ def _rk4(rho: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray],
         unit = np.r_[1.0 / beta, np.ones(_KRYLOV_CAP - 1)]  # row i is v_i / unit[i]
         hess = np.zeros((_KRYLOV_CAP + 1, _KRYLOV_CAP))
         for m in range(1, _KRYLOV_CAP + 1):
-            v = space.pack(rhs(space.unpack(basis[m - 1], state)), new).ravel()
+            v = rhs(flat[m - 1].view(rho.dtype).reshape(rho.shape)).view(np.float64).ravel()
             v *= unit[m - 1]
             for _ in range(2):  # classical Gram-Schmidt, twice
                 c = (flat[:m] @ v) * unit[:m]
-                v -= np.dot(c * unit[:m], flat[:m], out=spare.reshape(-1))
+                v -= np.dot(c * unit[:m], flat[:m], out=spare)
                 hess[:m, m - 1] += c
             hess[m, m - 1] = np.linalg.norm(v)
             k, y = _rk4_advance(hess[:m, :m], hess[m, m - 1], h, remaining)
@@ -678,7 +643,7 @@ def _rk4(rho: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray],
         remaining -= k
     if stats is not None:
         stats.update(applies=applies, krylov_dim=dim)
-    return space.unpack(np.ldexp(w, e).reshape(space.shape), state)
+    return np.ldexp(w, e).view(rho.dtype).reshape(rho.shape)
 
 
 def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float,
@@ -690,11 +655,12 @@ def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float
     rho's gauge transform is real (the gauge is then invariant, so the
     result is exact up to round-off in the summation order), else the dense
     space, also for an in-sector rho whose transform is not real (only a
-    direct call makes one), at d^2 reals per Krylov vector, twice a
-    two-block stack's.  rho and the result are dense d x d arrays.  Steps
+    direct call makes one), at 2d^2 reals per Krylov vector, four times a
+    two-block stack's.  rho and the result are dense d x d arrays, read in
+    and out of the space by one gather (`_space_of`) and one `embed`.  Steps
     are halved (count doubled, at most _MAX_REFINEMENTS times) until the
     trace and positivity invariants hold at TRACE_TOL and
-    MIN_EIGENVALUE_TOL; the result is exactly Hermitian by construction.
+    MIN_EIGENVALUE_TOL; `embed` makes the result exactly Hermitian.
     rho must be Hermitian (the generators are defined on Hermitian states
     only): max |rho - rho^dag| above HERMITICITY_TOL is a ValueError.
 
@@ -715,8 +681,7 @@ def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float
     if duration < 0:
         raise ValueError("duration must be >= 0")
     stats = {} if stats is None else stats
-    space = _space_of(rho, generators)
-    state = space.restrict(rho)
+    space, state = _space_of(rho, generators)
     # read on the space's blocks: the same entries, up to exact quarter turns
     herm = _hermiticity_residual(state)
     if not herm <= HERMITICITY_TOL:
@@ -743,7 +708,7 @@ def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float
             # raise, not ignore: an overflowed norm could divide a vector to
             # zero and leave a finite but wrong state
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                out = space.embed(_rk4(state, rhs, duration, n_steps, stats, space))
+                out = space.embed(_rk4(state, rhs, duration, n_steps, stats))
         except FloatingPointError as exc:
             stats.update(n_steps=n_steps, refinements=refinement)
             raise IntegrationError(f"RK4 pass of {n_steps:.6g} steps failed: {exc}") from exc
@@ -790,8 +755,8 @@ def measure(rho: np.ndarray, observable: np.ndarray) -> float:
 def trace_norm(m: np.ndarray) -> float:
     """Sum of absolute eigenvalues of the Hermitian part: the sum over the
     gauge's two real blocks when m is in the gauge."""
-    space = _space_of(m)
-    return space.trace_norm(space.restrict(m))
+    space, state = _space_of(m)
+    return space.trace_norm(state)
 
 
 def collective_moments(rho: np.ndarray, n_spins: int) -> Moments:

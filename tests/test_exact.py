@@ -468,6 +468,35 @@ class TestEvolve:
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.linalg.norm(rho)
         assert np.array_equal(got, np.diag(np.diag(got)))
 
+    @pytest.mark.parametrize("k", range(3, 7))
+    def test_rk4_on_a_classical_rate_equation(self, k):
+        # dp/dt = R p on a 1-D real vector: _rk4 takes any array, not only a
+        # Hermitian matrix
+        rng = np.random.default_rng(700 + k)
+        rates = rng.uniform(0.0, 1.0, (k, k))
+        np.fill_diagonal(rates, 0.0)
+        rates -= np.diag(rates.sum(axis=0))  # columns sum to 0
+        p = rng.uniform(0.0, 1.0, k)
+        p /= p.sum()
+        duration, n_steps = 1.0, 64
+        h, r = duration / n_steps, np.linalg.norm(rates, 1)
+        # with I + hR >= 0, P(hR) = 3/8 + B/3 + B^2/4 + B^4/24 (B = I + hR) is
+        # column stochastic, and so is e^{hR}: each step adds at most
+        # ||P(hR) - e^{hR}||_1 <= (hr)^5 e^{hr} / 120 to the 1-norm error
+        assert h * np.max(-np.diag(rates)) <= 1.0
+        truncation = n_steps * (h * r) ** 5 * np.exp(h * r) / 120.0
+        rhs = lambda q: rates @ q  # noqa: E731
+        before = p.copy()
+        stats = {}
+        got = exact._rk4(p, rhs, duration, n_steps, stats)
+        assert got.shape == p.shape and got.dtype == np.float64
+        assert np.array_equal(p, before)
+        ref = textbook_rk4(p, rhs, duration, n_steps)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(p))
+        assert np.sum(np.abs(got - expm(duration * rates) @ p)) <= truncation + 1e-14
+        assert stats.keys() == {"applies", "krylov_dim"}
+        assert 1 <= stats["krylov_dim"] <= stats["applies"]
+
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_per_site_decay_law(self, n):
         # every single-site <sigma_z> decays as P exp(-4 Gamma T)
@@ -753,6 +782,35 @@ class TestCommutatorNorm:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
+class TestThresholdAtTimeZero:
+    """The paper's threshold claim at t = 0, exactly, with no integration:
+    collective_moments is linear in rho, so on L1(rho0) + L2(rho0) it reads
+    the moments' t = 0 slopes."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_slopes_and_the_wineland_threshold(self, n):
+        rng = np.random.default_rng(900 + n)
+        j, p = rng.uniform(0.05, 0.5), rng.uniform(0.3, 1.0)
+        kappa = 4.0 * j * n * p  # the oracle's Pauli-unit contraction rate
+        alpha_c = n / (n - 1.0)  # alpha = kappa / (4 Gamma) at the threshold
+        rho = exact.build_initial_state(n, p)
+        start = exact.collective_moments(rho, n)
+        min_var = start.transverse_extrema()[0]
+        for alpha, sign in ((1.1 * alpha_c, -1.0), (0.9 * alpha_c, 1.0)):
+            gamma = kappa / (4.0 * alpha)
+            l1, l2 = exact.squeeze_generator(n, j), exact.depolarize_generator(n, gamma)
+            slope = exact.collective_moments(l1.apply(rho) + l2.apply(rho), n)
+            least = np.linalg.eigvalsh(slope.second[:2, :2])[0]
+            assert least == pytest.approx(-2.0 * kappa * (n - 1), rel=1e-12)
+            decay = slope.mean[2] / start.mean[2]
+            assert decay == pytest.approx(-4.0 * gamma, rel=1e-12)
+            # xi2_W = N Var_min / <Cz>^2, with Var_min(0) = N
+            log_slope = least / min_var - 2.0 * decay
+            assert log_slope == pytest.approx(8.0 * gamma - 2.0 * kappa * (n - 1) / n,
+                                              rel=1e-12)
+            assert np.sign(log_slope) == sign
+
+
 class TestTraceNorm:
     def test_matches_singular_value_sum_for_hermitian(self):
         m = random_hermitian_unit_trace(8)
@@ -776,9 +834,9 @@ def picking(monkeypatch, pick=lambda space, n: space):
     names, space_of = [], exact._space_of
 
     def patched(m, generators=()):
-        space = pick(space_of(m, generators), m.shape[0].bit_length() - 1)
+        space = pick(space_of(m, generators)[0], m.shape[0].bit_length() - 1)
         names.append(space.name)
-        return space
+        return space, space.restrict(m)
 
     monkeypatch.setattr(exact, "_space_of", patched)
     return names
@@ -837,16 +895,16 @@ class TestParitySector:
     def test_field_generator_leaves_the_sector(self):
         assert not exact.field_generator(3, 0.7).keeps_parity
         rho = exact.build_initial_state(3, 0.8)
-        assert exact._space_of(exact.field_generator(3, 0.7).apply(rho)).shape == (8, 8)
+        assert exact._space_of(exact.field_generator(3, 0.7).apply(rho))[0].shape == (8, 8)
 
     @staticmethod
     def spaces_of_rk4(monkeypatch):
-        """The space shape of every _rk4 pass, recorded."""
+        """The state shape of every _rk4 pass, recorded."""
         shapes, rk4 = [], exact._rk4
 
-        def spy(rho, rhs, duration, n_steps, stats=None, space=None):
-            shapes.append(space.shape)
-            return rk4(rho, rhs, duration, n_steps, stats, space)
+        def spy(rho, rhs, duration, n_steps, stats=None):
+            shapes.append(rho.shape)
+            return rk4(rho, rhs, duration, n_steps, stats)
 
         monkeypatch.setattr(exact, "_rk4", spy)
         return shapes
@@ -899,6 +957,8 @@ def krylov_mapped(array):
     base = array
     while isinstance(base, np.ndarray):
         base = base.base
+    if isinstance(base, memoryview):  # np.frombuffer's base wraps the buffer
+        base = base.obj
     return isinstance(base, mmap.mmap)
 
 
@@ -935,7 +995,7 @@ class TestRealGauge:
             turned, mixed = self.turned(out, n)
             assert not mixed.any() and not turned.imag.any()
             # restrict reads the turned real parts, block by block
-            assert exact._space_of(out) is gauge
+            assert exact._space_of(out)[0] is gauge
             blocks = np.stack([turned.real[s][:, s] for s in gauge.sectors])
             assert np.array_equal(gauge.restrict(out), blocks)
 
@@ -971,11 +1031,53 @@ class TestRealGauge:
             assert on_stack.dtype == np.float64 and on_stack.shape == gauge.shape
             assert np.array_equal(on_stack, np.swapaxes(on_stack, -1, -2))
             dense = gen.apply(rho)
-            assert gauge.contains(dense)
+            assert gauge.restrict(dense) is not None
             scale = np.max(np.abs(dense))
             assert np.max(np.abs(on_stack - gauge.restrict(dense))) <= 1e-13 * scale
         # L2 is one kernel, with each entry's sums in the same order
         assert np.array_equal(l2.apply(x), gauge.restrict(l2.apply(rho)))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_embed_is_exactly_hermitian_whatever_the_lower_triangle(self, n):
+        # the hermiticity_residual column reads 0 because `embed` mirrors
+        # each block's upper triangle, in both spaces
+        rng = np.random.default_rng(800 + n)
+        dim = 2 ** n
+        gauge, dense = exact._real_gauge(n), exact._HermitianSpace((dim, dim))
+        stacks = [(gauge, rng.normal(size=gauge.shape)),
+                  (dense, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))]
+        for space, stack in stacks:
+            upper = np.triu(stack, 1)
+            mirror = upper + np.swapaxes(upper, -1, -2).conj()
+            mirror += np.eye(stack.shape[-1]) * stack.real  # the diagonal's real part
+            if n > 1:
+                assert not np.array_equal(stack, mirror)
+            m = space.embed(stack)
+            assert m.shape == (dim, dim) and m.dtype == complex
+            assert np.array_equal(m, m.conj().T)
+            assert m.tobytes() == space.embed(mirror).tobytes()
+            assert exact.channel_residuals(m)[1] == 0.0
+
+    def test_every_rhs_input_is_a_view_of_the_krylov_basis(self):
+        # no copy per application, in either space
+        n = 4
+        l1, l2 = exact.squeeze_generator(n, 0.3), exact.depolarize_generator(n, 0.2)
+        l3 = exact.field_generator(n, 0.4)
+        rho = exact.build_initial_state(n, 0.8)
+        for gens, name in (([l1, l2], "gauge"), ([l1, l2, l3], "dense")):
+            mapped = []
+
+            def recording(apply):
+                def spied(r):
+                    mapped.append(krylov_mapped(r))
+                    return apply(r)
+                return spied
+
+            spied = [dataclasses.replace(g, apply=recording(g.apply)) for g in gens]
+            stats = {}
+            exact.evolve(rho, spied, 0.5, stats)
+            assert stats["space"] == name
+            assert len(mapped) == len(gens) * stats["applies"] and all(mapped)
 
     def test_rk4_result_is_a_new_array(self):
         n = 4
@@ -983,7 +1085,7 @@ class TestRealGauge:
         rho = gauge.restrict(exact.build_initial_state(n, 0.8))
         before = rho.copy()
         rhs = generator_sum([exact.squeeze_generator(n, 0.3), exact.depolarize_generator(n, 0.1)])
-        got = exact._rk4(rho, rhs, 0.5, 20, space=gauge)
+        got = exact._rk4(rho, rhs, 0.5, 20)
         assert got.dtype == np.float64 and got.shape == gauge.shape
         assert not krylov_mapped(got) and not np.shares_memory(got, rho)
         assert np.array_equal(rho, before)
@@ -1013,7 +1115,7 @@ class TestRealGauge:
     def test_complex_in_sector_state_runs_dense(self, n):
         rho = self.in_sector_state(n, np.random.default_rng(600 + n))
         gens = [exact.squeeze_generator(n, 0.3), exact.depolarize_generator(n, 0.2)]
-        assert not exact._real_gauge(n).contains(rho)
+        assert exact._real_gauge(n).restrict(rho) is None
         stats = {}
         got = exact.evolve(rho, gens, 0.6, stats)
         assert stats["space"] == "dense"
