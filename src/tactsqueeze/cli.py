@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import configparser
+import functools
 import hashlib
 import math
 import os
@@ -256,10 +257,6 @@ def build_grid(cfg: dict) -> tuple[int, dict[str, tuple[list, np.ndarray]]]:
     return n, params
 
 
-def _grid_point(params: dict, i: int) -> dict:
-    return {name: values[index[i]] for name, (values, index) in params.items()}
-
-
 # -- engines (module level so process pools can pickle them) -----------------
 #
 # Each closed-form engine (_analytic, _linearized, _optimize) fills a _Cells
@@ -267,9 +264,9 @@ def _grid_point(params: dict, i: int) -> dict:
 # library formula is one array call, and the core.Status it returns decides
 # every row where its value is not finite (_Cells.check): no row is
 # evaluated again.  Invalid points and Gamma = 0 optimize rows are settled
-# first.  An oracle row function (_row_exact; verify's _row_verify) gives
-# one row's cells, one task per row not yet settled (_oracle), merged as
-# columns.
+# first.  An oracle row function (_row_exact; verify's _row_verify) takes
+# one row's _ORACLE_INPUTS values and gives its cells, one task per row not
+# yet settled (_oracle), merged as columns.
 
 
 def _invalid(params: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -450,43 +447,44 @@ def _closed_form(parts: list[Callable], params: dict) -> _Cells:
     return rec
 
 
+# the inputs an oracle row reads, in the order its row function takes them
+_ORACLE_INPUTS = ("n_spins", "polarization_p", "j_coupling", "gamma", "t_squeeze")
 _ORACLE_CELLS = ("mean_sz_per_site", "trace_residual", "hermiticity_residual",
                  "min_eigenvalue", "xi2_kitagawa_ueda", "xi2_wineland")
 
 
-def _oracle_cells(opts: dict) -> tuple[str, ...]:
+def _oracle_cells(factorize: bool) -> tuple[str, ...]:
     """The dense oracle's columns, in the order of docs/csv_columns.md."""
-    return _ORACLE_CELLS + (("factorization_error",) if opts.get("with_factorization") else ())
+    return _ORACLE_CELLS + (("factorization_error",) if factorize else ())
 
 
-def _row_exact(pdict: dict, opts: dict) -> dict:
-    """The dense oracle's cells (_oracle_cells) at one valid point, and its
-    status."""
-    p = core.ProtocolParams(**pdict)
-    exact.check_cap(p.n_spins)
-    rho = exact.build_initial_state(p.n_spins, p.polarization_p)
-    l1 = exact.squeeze_generator(p.n_spins, p.j_coupling)
-    l2 = exact.depolarize_generator(p.n_spins, p.gamma)
+def _row_exact(n: int, p: float, j: float, gamma: float, t: float,
+               factorize: bool = False) -> dict:
+    """The dense oracle's cells (_oracle_cells) at one valid point of the
+    _ORACLE_INPUTS, and its status."""
+    exact.check_cap(n)
+    rho = exact.build_initial_state(n, p)
+    l1 = exact.squeeze_generator(n, j)
+    l2 = exact.depolarize_generator(n, gamma)
     # the row's own evolution leaves a zero-rate generator out; the
     # factorization error needs both
-    gens = [g for g, rate in ((l1, p.j_coupling), (l2, p.gamma)) if rate != 0.0]
+    gens = [g for g, rate in ((l1, j), (l2, gamma)) if rate != 0.0]
     stats = {}
-    rho = exact.evolve(rho, gens, p.t_squeeze, stats)
-    moments = exact.collective_moments(rho, p.n_spins)
+    rho = exact.evolve(rho, gens, t, stats)
+    moments = exact.collective_moments(rho, n)
     # the accepted RK4 pass has checked the final state; T = 0 ran none
-    values = [moments.mean[2] / p.n_spins,
-              *(stats.get("residuals") or exact.channel_residuals(rho))]
+    values = [moments.mean[2] / n, *(stats.get("residuals") or exact.channel_residuals(rho))]
     try:
         values += moments.xi2()
         status = "ok"
     except TactError as exc:
         values, status = values + ["", ""], str(exc)
-    if opts.get("with_factorization"):
+    if factorize:
         # the row's state is the joint side (a zero-rate generator adds zeros
         # and no steps); the initial state is rebuilt rather than held
-        rho0 = exact.build_initial_state(p.n_spins, p.polarization_p)
-        values.append(exact.trace_norm(rho - exact.split_evolve(rho0, l1, l2, p.t_squeeze)))
-    return dict(zip(_oracle_cells(opts), values, strict=True), status=status)
+        rho0 = exact.build_initial_state(n, p)
+        values.append(exact.trace_norm(rho - exact.split_evolve(rho0, l1, l2, t)))
+    return dict(zip(_oracle_cells(factorize), values, strict=True), status=status)
 
 
 # each engine's closed-form parts; exact and all add the oracle per row
@@ -497,27 +495,26 @@ _ENGINES = {"analytic": [_analytic], "linearized": [_linearized], "optimize": [_
 _VERIFY_CELLS = ("factorization_error", "commutator_norm", "commutator_degenerate")
 
 
-def _row_verify(pdict: dict, opts: dict) -> dict | str:
+def _row_verify(n: int, p: float, j: float, gamma: float, t: float) -> dict | str:
     """verify's cells (_VERIFY_CELLS) at one N, and its status; a capped N
     is a row of the study, its ResourceLimitError the whole-row status."""
-    n, j, gamma, pol = (pdict[k] for k in ("n_spins", "j_coupling", "gamma", "polarization_p"))
     try:
         exact.check_cap(n)
     except ResourceLimitError as exc:
         return str(exc)
-    error = exact.factorization_error(n, j, gamma, pdict["t_squeeze"], pol)
-    comm = exact.commutator_action_norm(n, j, gamma, pol)
+    error = exact.factorization_error(n, j, gamma, t, p)
+    comm = exact.commutator_action_norm(n, j, gamma, p)
     return dict(zip(_VERIFY_CELLS, (error, comm.value, comm.degenerate)), status="ok")
 
 
 def _oracle(task: tuple) -> tuple[dict | str, float]:
-    """One oracle row, task = (row function, point, opts): its cells, or a
-    whole-row status for a TactError other than a ResourceLimitError; and
-    its time."""
-    row, pdict, opts = task
+    """One oracle row, task = (row function, its _ORACLE_INPUTS values): its
+    cells, or a whole-row status for a TactError other than a
+    ResourceLimitError; and its time."""
+    row, inputs = task
     start = time.perf_counter()
     try:
-        cells = row(pdict, opts)
+        cells = row(*inputs)
     except ResourceLimitError:
         raise
     except TactError as exc:
@@ -525,14 +522,16 @@ def _oracle(task: tuple) -> tuple[dict | str, float]:
     return cells, time.perf_counter() - start
 
 
-def _run_oracle(rec: _Cells, params: dict, row: Callable, keys: tuple[str, ...], opts: dict,
+def _run_oracle(rec: _Cells, params: dict, row: Callable, keys: tuple[str, ...],
                 workers: int, wall: np.ndarray) -> None:
-    """The oracle row function `row` on each row before `n_done` without a
-    whole-row status, in index order, on up to `workers` processes but no
-    more than there are rows or CPUs; its cells `keys` merged into `rec`,
-    its time added to `wall`.  A failed task ends the run at its row."""
+    """The oracle row function `row` on the _ORACLE_INPUTS of each row
+    before `n_done` without a whole-row status, in index order, on up to
+    `workers` processes but no more than there are rows or CPUs; its cells
+    `keys` merged into `rec`, its time added to `wall`.  A failed task ends
+    the run at its row."""
     rows = np.flatnonzero(~rec.whole[:rec.n_done]).tolist()
-    tasks = [(row, _grid_point(params, i), opts) for i in rows]
+    inputs = [params[key] for key in _ORACLE_INPUTS]
+    tasks = [(row, tuple(values[index[i]] for values, index in inputs)) for i in rows]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, len(tasks), cpus or 1)
     results: dict = {}
@@ -561,15 +560,21 @@ def run_sweep(cfg: dict, engine: str, out_path: str, workers: int,
     identical for any worker count.  The engine's closed-form parts are
     evaluated once over the whole grid, in process; `exact` and `all` then
     run the oracle (_run_oracle).  An error that is not a TactError ends
-    the sweep at its row."""
+    the sweep at its row.  `exact` warns of each axis of two or more values
+    that the oracle does not read; `all`'s closed-form cells read them all."""
     start = time.perf_counter()
     n, params = build_grid(cfg)
+    for ax in cfg["sweep_axes"]:
+        if engine == "exact" and len(ax["values"]) >= 2 and ax["name"] not in _ORACLE_INPUTS:
+            print(f"warning: axis {ax['name']} is not read by the exact oracle: its "
+                  f"{len(ax['values'])} values give the same oracle cells", file=sys.stderr)
     rec = _closed_form(_ENGINES[engine], params)
     # the closed-form time, spread evenly over the rows; then each oracle row's
     wall = np.full(n, (time.perf_counter() - start) / max(n, 1))
     if engine in ("exact", "all"):
-        opts = cfg["run"]
-        _run_oracle(rec, params, _row_exact, _oracle_cells(opts), opts, workers, wall)
+        factorize = cfg["run"]["with_factorization"]
+        _run_oracle(rec, params, functools.partial(_row_exact, factorize=factorize),
+                    _oracle_cells(factorize), workers, wall)
     return rec.write(out_path, config_path, [f"engine={engine}"], params, wall, timing)
 
 
@@ -589,7 +594,7 @@ def run_verify(cfg: dict, out_path: str, workers: int, timing: bool,
               "gamma": ([gamma], one), "t_squeeze": ([t_squeeze], one),
               "polarization_p": ([pol], one), "alpha": ([alpha], one)}
     rec, wall = _Cells(params), np.zeros(len(ns))
-    _run_oracle(rec, params, _row_verify, _VERIFY_CELLS, cfg["run"], workers, wall)
+    _run_oracle(rec, params, _row_verify, _VERIFY_CELLS, workers, wall)
     done = slice(rec.n_done)
     error = rec.cells["factorization_error"][done]
     usable = ~rec.whole[done] & (error > 0)

@@ -352,7 +352,8 @@ class TestExactCommand:
         n, p, j, gamma, t = 4, 0.9, 0.05, 0.1, 0.3
         pdict = dict(cli._DEFAULT_PARAMS, n_spins=n, polarization_p=p,
                      j_coupling=j, gamma=gamma, t_squeeze=t)
-        row = cli._row_exact(pdict, {"with_factorization": with_factorization})
+        row = cli._row_exact(*(pdict[k] for k in cli._ORACLE_INPUTS),
+                             factorize=with_factorization)
         rho = exact.evolve(exact.build_initial_state(n, p),
                            [exact.squeeze_generator(n, j),
                             exact.depolarize_generator(n, gamma)], t)
@@ -382,7 +383,7 @@ class TestExactCommand:
             return evolve(*args, **kwargs)
 
         monkeypatch.setattr(exact, "evolve", counting)
-        row = cli._row_exact(pdict, {"with_factorization": True})
+        row = cli._row_exact(*(pdict[k] for k in cli._ORACLE_INPUTS), factorize=True)
         assert len(calls) == 3
         assert row["factorization_error"] == expected
 
@@ -398,7 +399,7 @@ class TestExactCommand:
             monkeypatch.setattr(exact, name, counting)
         pdict = dict(cli._DEFAULT_PARAMS, n_spins=n, j_coupling=0.05, gamma=0.1,
                      t_squeeze=0.3)
-        assert cli._row_exact(pdict, {})["status"] == "ok"
+        assert cli._row_exact(*(pdict[k] for k in cli._ORACLE_INPUTS))["status"] == "ok"
         assert calls == {"spin_operators": 0, "measure": 0, "site_operator": 0}
 
     @pytest.mark.parametrize("t, factorize, checks", [(0.3, False, 1), (0.0, False, 1),
@@ -416,7 +417,7 @@ class TestExactCommand:
         monkeypatch.setattr(exact, "channel_residuals", counting)
         pdict = dict(cli._DEFAULT_PARAMS, n_spins=3, j_coupling=0.05, gamma=0.1,
                      t_squeeze=t)
-        row = cli._row_exact(pdict, {"with_factorization": factorize})
+        row = cli._row_exact(*(pdict[k] for k in cli._ORACLE_INPUTS), factorize=factorize)
         assert len(calls) == checks
         rho = exact.evolve(exact.build_initial_state(3, 1.0),
                            [exact.squeeze_generator(3, 0.05),
@@ -541,6 +542,19 @@ class TestVerifyCommand:
         summary = capsys.readouterr().out.strip()
         assert comments[-1] == f"# summary: {summary}"
         assert summary.startswith(f"FAIL: slope={slope:.4f} ")
+
+    def test_commutator_norm_falls_as_the_factorization_error_rises(self, tmp_path):
+        # at alpha = 5 the normalized commutator is no proxy for the error:
+        # the two columns move in opposite directions over N
+        cfg = write_config(tmp_path, "[verify]\nn_min = 2\nn_max = 6\nalpha = 5\n")
+        out = str(tmp_path / "o.csv")
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["verify", "--config", cfg, "--out", out, "--no-timing"])
+        _, _, rows = read_rows(out)
+        assert [r["status"] for r in rows] == ["ok"] * 5
+        comm = np.array([float(r["commutator_norm"]) for r in rows])
+        error = np.array([float(r["factorization_error"]) for r in rows])
+        assert np.all(np.diff(comm) < 0) and np.all(np.diff(error) > 0)
 
     def test_two_workers_run_the_rows_on_a_pool_with_the_same_bytes(self, tmp_path,
                                                                      monkeypatch):
@@ -673,6 +687,12 @@ class TestColumnDocs:
         for row in rows:
             assert row["status"] == "invalid: GAMMA_NONNEGATIVE"
             assert not any(row[k] for k in header[len(cli.PARAM_FIELDS):-1])
+
+    def test_documented_oracle_inputs_are_the_ones_read(self):
+        # the sentence that says what the oracle reads lists _ORACLE_INPUTS
+        found = re.search(r"The oracle's cells read only (.*?):", DOCS.read_text(), re.S)
+        assert found, "docs/csv_columns.md names the oracle's inputs"
+        assert tuple(re.findall(r"`(\w+)`", found.group(1))) == cli._ORACLE_INPUTS
 
     def test_verify_with_every_row_failed_writes_the_full_header(self, tmp_path, monkeypatch):
         # a cap of 1 refuses N = 2 and 3: every row is a status
@@ -1011,7 +1031,8 @@ def oracle_reference_row(p: dict, engine: str, run: dict) -> dict:
     else:
         row = dict(p, **_groups(p))
     try:
-        cells = cli._row_exact(p, run)
+        cells = cli._row_exact(*(p[k] for k in cli._ORACLE_INPUTS),
+                               factorize=run["with_factorization"])
     except ResourceLimitError:
         raise
     except TactError as exc:
@@ -1035,10 +1056,16 @@ def row_path_output(cfg_path: str, engine: str) -> tuple[list[str], int, str | N
     """What a sweep should write, point by point: each grid point's
     reference_row (oracle_reference_row for `exact` and `all`) in index
     order, written by csv.writer under the header docs/csv_columns.md
-    gives the engine; the first error ends the sweep."""
+    gives the engine; the first error ends the sweep.  The last stderr line
+    is that error's or else, for `exact`, the warning of the last axis of
+    two or more values on b_field or t_signal, which no oracle cell reads."""
     cfg = cli.load_config(cfg_path)
     n, params = cli.build_grid(cfg)
     rows, error = [], None
+    warnings = [f"warning: axis {ax['name']} is not read by the exact oracle: its "
+                f"{len(ax['values'])} values give the same oracle cells"
+                for ax in cfg["sweep_axes"] if engine == "exact"
+                and ax["name"] in ("b_field", "t_signal") and len(ax["values"]) >= 2]
     for i in range(n):
         point = {name: values[index[i]] for name, (values, index) in params.items()}
         try:
@@ -1058,7 +1085,7 @@ def row_path_output(cfg_path: str, engine: str) -> tuple[list[str], int, str | N
         lines.append("# INCOMPLETE")
         prefix = "" if isinstance(error, ResourceLimitError) else "task failed: "
         return lines, 1, f"error: {prefix}{error}"
-    return lines, 0, None
+    return lines, 0, (warnings or [None])[-1]
 
 
 # (lo, hi) pairs per axis: zeros (Gamma = 0 is alpha infinite; J, T and t = 0
@@ -1320,6 +1347,24 @@ class TestOracleSweep:
             for engine in ("exact", "all"):
                 want_lines, want_code, want_err = row_path_output(str(cfg), engine)
                 assert sweep_output(cfg, engine) == (want_lines, want_code, want_err), engine
+
+    def test_unread_axis_is_named_once(self, tmp_path, capsys):
+        # b_field reaches no oracle cell: exact says so once, and each row has
+        # the same oracle cells; all's closed-form cells read the axis
+        text = ("[params]\nn_spins = 3\nj_coupling = 0.1\ngamma = 0.05\npolarization_p = 0.9\n"
+                "t_squeeze = 0.5\n[sweep]\naxis = b_field 0.0 1.0 3 linear\n")
+        warning = ("warning: axis b_field is not read by the exact oracle: its 3 values give "
+                   "the same oracle cells\n")
+        out = str(tmp_path / "o.csv")
+        for engine, err in (("exact", warning), ("all", "")):
+            cfg = write_config(tmp_path, text + f"[run]\nengine = {engine}\n")
+            assert cli.main(["sweep", "--config", cfg, "--out", out, "--no-timing"]) == 0
+            assert capsys.readouterr().err == err
+            _, _, rows = read_rows(out)
+            assert [r["b_field"] for r in rows] == ["0", "0.5", "1"]
+            assert [r["status"] for r in rows] == ["ok"] * 3
+            cells = [{k: r[k] for k in cli._oracle_cells(False)} for r in rows]
+            assert cells == [cells[0]] * 3
 
     @pytest.mark.parametrize("engine", ["exact", "all"])
     def test_two_workers_write_what_the_row_path_writes(self, tmp_path, monkeypatch, engine):
