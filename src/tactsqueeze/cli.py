@@ -171,7 +171,10 @@ def load_config(path: str | None) -> dict:
             if section == "sweep":
                 if not key.startswith("axis"):
                     raise ConfigError(f"unknown key '{key}' in [sweep] (expected axis*)")
-                cfg["sweep_axes"].append(_parse_axis(key, raw))
+                axis = _parse_axis(key, raw)
+                if any(ax["name"] == axis["name"] for ax in cfg["sweep_axes"]):
+                    raise ConfigError(f"sweep.{key}: {axis['name']} already has an axis")
+                cfg["sweep_axes"].append(axis)
             elif key not in _OPTIONS[section]:
                 raise ConfigError(f"unknown key '{key}' in [{section}]")
             else:
@@ -244,8 +247,8 @@ def build_grid(cfg: dict) -> tuple[int, dict[str, tuple[list, np.ndarray]]]:
     """Row-major cartesian product of the sweep axes over the base params.
 
     Returns the row count and, per parameter, (its values, the index of
-    each row's value): the first axis is outermost, and a later axis on the
-    same parameter overrides an earlier one.
+    each row's value): the first axis is outermost.  load_config admits one
+    axis per parameter.
     """
     counts = [len(ax["values"]) for ax in cfg["sweep_axes"]]
     n = math.prod(counts)

@@ -49,8 +49,9 @@ rounded e^{i pi/8} is formed.  The spaces:
     any nonzero entry of mixed parity in the input, or with an in-sector
     input whose transform is not real; d^2 complex numbers, 2d^2 reals per
     Krylov vector.
-`trace_norm` and `channel_residuals` read a matrix in the same space, so
-in the gauge on two real blocks.  Either way the integrator sees only an
+`trace_norm`, `channel_residuals` and `commutator_action_norm` (which
+applies L1 and L2 to the initial state) read their matrix in its space,
+so in the gauge on two real blocks.  Either way the integrator sees only an
 array: a Krylov vector is the state's own float view.
 
 The collective sums Cx, Cy and Cz are written from the basis-state bits
@@ -310,32 +311,24 @@ def squeeze_generator(n_spins: int, j_coupling: float) -> Superoperator:
     H flips spins in pairs, so it keeps the parity of popcount(r) (it
     commutes with Z^{(x)N}), and its spectral radius is |J| times the J-free
     `_RealGauge.radius`.  apply takes a d x d matrix (one real GEMM on its
-    float view) or the gauge's real stack: there H is S^dag H S = iK, K real
-    antisymmetric with K[r, c] = 4J sign(popcount r - popcount c) on the
-    pair flips (`_RealGauge.flips`), so L1 is K rho' - rho' K = K rho' +
-    (K rho')^T, one real GEMM per block.  Each layout's operator is built on
-    its first use.  A J whose 4J is not finite is an IntegrationError.
+    float view) or the gauge's real stack: there H is S^dag H S = iK, with
+    K = J `_RealGauge.k` real antisymmetric, so L1 is K rho' - rho' K =
+    K rho' + (K rho')^T, one real GEMM per block.  Each layout's operator is
+    built on its first use.  A J whose 4J is not finite is an IntegrationError.
     """
     check_cap(n_spins)
     _check_finite("j_coupling", j_coupling, "4J", 4.0 * float(j_coupling))
     gauge = _real_gauge(n_spins)
-    (sector, low, high), radius = gauge.flips, gauge.radius
-
-    @functools.cache
-    def k_blocks() -> np.ndarray:
-        out = np.zeros(gauge.shape)
-        out[sector, low, high], out[sector, high, low] = -4.0 * j_coupling, 4.0 * j_coupling
-        return out
-
+    k_gauge = functools.cache(lambda: j_coupling * gauge.k)
     h = functools.cache(lambda: tact_hamiltonian(n_spins, j_coupling).real)
 
     def apply(rho: np.ndarray) -> np.ndarray:
         if rho.ndim == 2:
             return _commutator(h(), rho)
-        k = k_blocks() @ rho
+        k = k_gauge() @ rho
         return k + np.swapaxes(k, -1, -2)
 
-    return Superoperator(rate_bound=2.0 * abs(float(j_coupling)) * radius, apply=apply,
+    return Superoperator(rate_bound=2.0 * abs(float(j_coupling)) * gauge.radius, apply=apply,
                          dense=lambda: _commutator_superop(h()), keeps_parity=True)
 
 
@@ -454,10 +447,11 @@ class _RealGauge(_HermitianSpace):
     i of a, and bit 0 makes up the parity.  `same` marks the block indices of
     equal parity, read on bit 0 of the even sector's states.  `pairs` holds
     the dense (state, partner) pairs where Cx^2 - Cy^2 is 4: every r and
-    r | flip, flip two bits both 0 in r.  A pair flip keeps its sector, and
-    `flips` holds the pairs as (sector, low, high) entries of the stack, r at
-    block index r >> 1; `radius` is the spectral radius of Cx^2 - Cy^2,
-    that of its two real blocks (4 at (low, high) and (high, low)).  The
+    r | flip, flip two bits both 0 in r.  A pair flip keeps its sector, so
+    `k`, S^dag (Cx^2 - Cy^2) S / i on the stack, is -4 at block entry
+    (r >> 1, partner >> 1) of r's sector and +4 at its mirror: real
+    antisymmetric, +4 in the row of the larger popcount.  |k| holds the
+    real blocks of Cx^2 - Cy^2, and `radius` is their spectral radius.  The
     TACT state is in the gauge: the rotation e^{i pi Cz/4} = S^2 maps H to
     -H, complex conjugation fixes the real H, the depolarizer and a real
     initial state and reverses time, so rho(t) = S^2 rho(t)* S^-2: S^dag rho
@@ -500,10 +494,10 @@ class _RealGauge(_HermitianSpace):
         flips = (1 << np.array(np.tril_indices(n_spins, -1))).sum(axis=0)  # bits i > k
         state, which = np.nonzero((np.arange(2 ** n_spins)[:, None] & flips) == 0)
         self.pairs = state, state | flips[which]
-        sector, low, high = self.flips = popcount[state] & 1, state >> 1, self.pairs[1] >> 1
-        pattern = np.zeros(self.shape)
-        pattern[sector, low, high] = pattern[sector, high, low] = 4.0
-        self.radius = float(np.max(np.abs(np.linalg.eigvalsh(pattern))))
+        sector, low, high = popcount[state] & 1, state >> 1, self.pairs[1] >> 1
+        self.k = np.zeros(self.shape)
+        self.k[sector, low, high], self.k[sector, high, low] = -4.0, 4.0
+        self.radius = float(np.max(np.abs(np.linalg.eigvalsh(np.abs(self.k)))))
 
     def restrict(self, m: np.ndarray) -> np.ndarray | None:
         floats = np.ascontiguousarray(m, dtype=complex).view(np.float64)
@@ -546,15 +540,6 @@ def channel_residuals(rho: np.ndarray) -> tuple[float, float, float]:
     gauge's two real blocks when rho is in the gauge."""
     space, state = _space_of(rho)
     return space.residuals(state)
-
-
-def _invariants_ok(rho: np.ndarray) -> tuple[bool, float, tuple[float, float, float]]:
-    # rho is embedded, so exactly Hermitian: its Hermiticity residual reads 0
-    # and is not weighed
-    residuals = channel_residuals(rho)
-    trace_dev, _, min_eig = residuals
-    worst = max(trace_dev / TRACE_TOL, max(0.0, -min_eig) / -MIN_EIGENVALUE_TOL)
-    return worst <= 1.0, worst, residuals
 
 
 _KRYLOV_CAP = 29  # basis vectors per restart, each a row of the state's floats
@@ -701,10 +686,13 @@ def evolve(rho: np.ndarray, generators: Sequence[Superoperator], duration: float
         except FloatingPointError as exc:
             stats.update(n_steps=n_steps, refinements=refinement)
             raise IntegrationError(f"RK4 pass of {n_steps:.6g} steps failed: {exc}") from exc
-        ok, worst, residuals = _invariants_ok(out)
+        # out is embedded, so exactly Hermitian: its Hermiticity residual is not weighed
+        residuals = channel_residuals(out)
+        trace_dev, _, min_eig = residuals
+        worst = max(trace_dev / TRACE_TOL, max(0.0, -min_eig) / -MIN_EIGENVALUE_TOL)
         stats.update(n_steps=n_steps, refinements=refinement, worst_residual=worst,
                      residuals=residuals)
-        if ok:
+        if worst <= 1.0:
             return out
         n_steps *= 2
     raise IntegrationError(
@@ -842,9 +830,10 @@ def commutator_action_norm(n_spins: int, j_coupling: float, gamma: float,
     rho = build_initial_state(n_spins, polarization_p)
     l1 = squeeze_generator(n_spins, j_coupling)
     l2 = depolarize_generator(n_spins, gamma)
+    space, rho = _space_of(rho, (l1, l2))  # the gauge: the product state is real, diagonal
     ab = l1.apply(l2.apply(rho))
     ba = l2.apply(l1.apply(rho))
-    denom = trace_norm(ab) + trace_norm(ba)
+    denom = space.trace_norm(ab) + space.trace_norm(ba)
     if denom < 1e-300:
         return CommutatorNorm(0.0, True)
-    return CommutatorNorm(trace_norm(ab - ba) / denom, False)
+    return CommutatorNorm(space.trace_norm(ab - ba) / denom, False)

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tactsqueeze import analytic, cli, core, exact, linearized, optimize
-from tactsqueeze.errors import DomainError, ResourceLimitError, TactError
+from tactsqueeze.errors import ConfigError, DomainError, ResourceLimitError, TactError
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -62,6 +62,18 @@ class TestConfig:
             assert cli.main(["analytic", "--config", cfg, "--out", str(out)]) == 2
             section = text.split("\n")[0]
             assert capsys.readouterr().err == f"config error: unknown config section {section}\n"
+            assert not out.exists()
+
+    def test_second_axis_on_a_parameter_is_a_config_error(self, tmp_path, capsys):
+        # it would override the first axis's values but not its count in the
+        # row product, writing each row twice
+        cfg = write_config(tmp_path, "[sweep]\naxis = gamma 0.1 0.2 2 linear\n"
+                                     "axis2 = gamma 0.3 0.4 2 linear\n")
+        out = tmp_path / "o.csv"
+        for command in ("analytic", "exact", "sweep"):
+            assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == \
+                "config error: sweep.axis2: gamma already has an axis\n"
             assert not out.exists()
 
     def test_bad_axis_spec(self, tmp_path):
@@ -1058,8 +1070,12 @@ def row_path_output(cfg_path: str, engine: str) -> tuple[list[str], int, str | N
     order, written by csv.writer under the header docs/csv_columns.md
     gives the engine; the first error ends the sweep.  The last stderr line
     is that error's or else, for `exact`, the warning of the last axis of
-    two or more values on b_field or t_signal, which no oracle cell reads."""
-    cfg = cli.load_config(cfg_path)
+    two or more values on b_field or t_signal, which no oracle cell reads.
+    A config error is exit 2, with no lines."""
+    try:
+        cfg = cli.load_config(cfg_path)
+    except ConfigError as exc:
+        return [], 2, f"config error: {exc}"
     n, params = cli.build_grid(cfg)
     rows, error = [], None
     warnings = [f"warning: axis {ax['name']} is not read by the exact oracle: its "
@@ -1201,7 +1217,8 @@ class TestClosedFormGrid:
                 with contextlib.redirect_stderr(err):
                     code = cli.main([engine, "--config", str(cfg), "--out", str(out),
                                      "--no-timing"])
-                lines = [ln for ln in out.read_text().splitlines()
+                text = out.read_text() if out.exists() else ""  # none on a config error
+                lines = [ln for ln in text.splitlines()
                          if not ln.startswith("#") or ln == "# INCOMPLETE"]
                 want_lines, want_code, want_err = row_path_output(str(cfg), engine)
                 got_err = (err.getvalue().strip().splitlines() or [None])[-1]
@@ -1258,8 +1275,9 @@ class TestClosedFormGrid:
 
 
 def sweep_output(cfg: Path, engine: str, workers: int = 1) -> tuple[list[str], int, str | None]:
-    """The CSV lines (comments dropped, but for '# INCOMPLETE'), exit code and
-    last stderr line of one --no-timing sweep."""
+    """The CSV lines (comments dropped, but for '# INCOMPLETE'; none if no
+    file was written), exit code and last stderr line of one --no-timing
+    sweep."""
     out = cfg.with_suffix(f".{engine}.csv")
     text = cfg.read_text()  # its [run] section, if any, is the last
     text += ("" if "[run]" in text else "[run]\n") + f"engine = {engine}\n"
@@ -1268,8 +1286,8 @@ def sweep_output(cfg: Path, engine: str, workers: int = 1) -> tuple[list[str], i
     with contextlib.redirect_stderr(err):
         code = cli.main(["sweep", "--config", str(cfg.with_suffix(".sweep")), "--out", str(out),
                          "--workers", str(workers), "--no-timing"])
-    lines = [ln for ln in out.read_text().splitlines()
-             if not ln.startswith("#") or ln == "# INCOMPLETE"]
+    text = out.read_text() if out.exists() else ""
+    lines = [ln for ln in text.splitlines() if not ln.startswith("#") or ln == "# INCOMPLETE"]
     return lines, code, (err.getvalue().strip().splitlines() or [None])[-1]
 
 

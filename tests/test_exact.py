@@ -948,11 +948,18 @@ class TestParitySector:
         assert len(shapes) == len(cases)
 
     def test_every_oracle_row_runs_in_the_gauge(self, tmp_path, monkeypatch):
-        # the traffic: no evolve of an `exact` (with_factorization) or
-        # `verify` row falls back to the dense space; `_space_of` does not see
-        # verify's commutator, which applies L1 and L2 to the dense state
+        # the traffic: no evolve, trace norm or commutator of an `exact`
+        # (with_factorization) or `verify` row falls back to the dense space,
+        # and none builds the dense H or applies an operator to a d x d state
         from tactsqueeze import cli
         names = picking(monkeypatch)
+        dense_calls = []
+        for name in ("tact_hamiltonian", "_commutator"):
+            def spy(*args, _fn=getattr(exact, name), _name=name):
+                dense_calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(exact, name, spy)
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[params]\nj_coupling = 0.05\npolarization_p = 0.95\n"
                        "gamma = 0.2\nt_squeeze = 0.1\n[sweep]\n"
@@ -963,6 +970,7 @@ class TestParitySector:
             assert cli.main([command, "--config", str(cfg), "--out", str(out), "--no-timing"]) == 0
             assert out.read_text().count(",ok\n") == rows
         assert names and set(names) == {"gauge"}
+        assert dense_calls == []
 
 
 def krylov_mapped(array):
@@ -1050,6 +1058,23 @@ class TestRealGauge:
             assert np.max(np.abs(on_stack - gauge.restrict(dense))) <= 1e-13 * scale
         # L2 is one kernel, with each entry's sums in the same order
         assert np.array_equal(l2.apply(x), gauge.restrict(l2.apply(rho)))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_k_is_the_squeeze_operator_on_the_stack(self, n):
+        # L1's gauge operator at J = 1; the rate bound, 2|J| times its spectral
+        # radius, is checked against the dense H's at N = 1..9 by
+        # TestTactHamiltonian::test_rate_bound_from_parity_blocks_is_the_dense_spectral_radius
+        gauge = exact._real_gauge(n)
+        k = gauge.k
+        assert k.shape == gauge.shape and k.dtype == np.float64
+        assert np.array_equal(k, -np.swapaxes(k, -1, -2))
+        assert set(np.unique(k)) <= {-4.0, 0.0, 4.0}
+        popcount = exact._basis_bits(n).sum(axis=1)
+        h = exact.tact_hamiltonian(n, 1.0).real
+        for s, states in enumerate(gauge.sectors):
+            larger = popcount[states][:, None] > popcount[states]
+            assert np.array_equal(k[s] > 0, (k[s] != 0) & larger)
+            assert np.array_equal(np.abs(k[s]), h[states][:, states])
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_embed_is_exactly_hermitian_whatever_the_lower_triangle(self, n):
@@ -1164,6 +1189,9 @@ class TestRealGauge:
     @pytest.mark.parametrize("row", ["exact", "verify"])
     @pytest.mark.parametrize("n", range(2, 9))
     def test_cells_match_the_dense_space(self, monkeypatch, row, n):
+        # every `_space_of` choice of the row is forced: each evolve and trace
+        # norm, and for verify also the commutator, whose L1 and L2 then apply
+        # to the dense d x d state
         from tactsqueeze import cli
         if row == "exact":
             points = [dict(cli._DEFAULT_PARAMS, n_spins=n, j_coupling=0.05, polarization_p=0.95,
